@@ -1,12 +1,18 @@
-"""Constructive matching selection on colored paths and even cycles.
+"""Matching selection on colored paths and even cycles.
 
 Given an even cycle whose perfect matchings are its even and odd edges, any
 integer requirement point on the segment between their color profiles is met
 (exactly when a yellow edge exists, give or take one blue edge otherwise) by
-a matching that exposes at most two nodes.  Because such near-perfect
-matchings are fully determined by their exposed pair, the production solver
-simply inspects all of them; the good-path and quasi-matching route built on
-the imbalance curve is implemented alongside for validation and certificates.
+a matching that exposes at most two nodes.  Such a near-perfect matching is
+fixed by its exposed pair, so one selector (_near_perfect) scans the pairs in
+order, reads each candidate's red and blue counts from prefix counts in O(1),
+and builds only the first that fits; the integer and the fractional solvers
+both use it after checking the two endpoints.
+
+The near-perfect matchings are exactly the paper's good-path quasi-matchings
+minus one of their two colliding edges.  find_good_path and
+quasi_matching_from_good_path implement that constructive lemma on the
+imbalance curve; the tests check it on the paper's figures.
 
 Paths reduce to cycles: an even path identifies its extremes, an odd path
 gains one dummy yellow edge which is stripped from the answer.
@@ -20,21 +26,16 @@ from typing import Iterable, NamedTuple
 from .curve import find_intersecting_pair, imbalance_curve
 from .errors import InvariantError
 from .graph import (
+    BLUE,
     EVEN_CYCLE,
     EVEN_PATH,
     ODD_PATH,
-    ColorProfile,
+    RED,
+    YELLOW,
     CycleOrPath,
     even_cycle_from_string,
     profile_of_colors,
 )
-from .lift import ContractionJournal, ContractionRecord, DisjointSets
-
-RED = "R"
-BLUE = "B"
-YELLOW = "Y"
-
-Point = tuple[Fraction, Fraction]
 
 
 def _as_cycle(cycle: CycleOrPath | str | Iterable[str]) -> CycleOrPath:
@@ -63,29 +64,35 @@ def on_open_segment(p, a, b) -> bool:
     )
 
 
-def near_perfect_matchings(n: int):
-    """All matchings of a length-n cycle exposing exactly two vertices.
+def _near_perfect(
+    cycle: CycleOrPath, targets: set[tuple[int, int]]
+) -> frozenset[int] | None:
+    """First near-perfect matching whose (red, blue) profile is in targets.
 
-    Ordered by (first exposed vertex, second exposed vertex).  The exposed
-    pair determines the matching: both arcs between the exposed vertices must
-    have even length, so the vertices have opposite parity.
+    Candidates are ordered by their exposed pair (a, b), a < b, b - a odd.
+    Exposing a and b leaves the edges a+1, a+3, ..., b-1 and b+1, b+3, ...,
+    a+n-2 (mod n): two same-parity runs, so each candidate's counts are
+    differences of per-parity prefix counts over two laps of the cycle, and
+    only the winning matching is built.  None if no candidate qualifies.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("need an even cycle length")
+    colors = cycle.colors
+    n = len(colors)
+    # red[i]: red positions j < i of i's parity, counted over two laps
+    red = [0, 0]
+    blue = [0, 0]
+    for i in range(2 * n):
+        c = colors[i % n]
+        red.append(red[i] + (c == RED))
+        blue.append(blue[i] + (c == BLUE))
     for a in range(n):
-        for b in range(a + 1, n):
-            if (b - a) % 2 == 0:
-                continue
-            positions = []
-            pos = (a + 1) % n
-            while pos != b:
-                positions.append(pos)
-                pos = (pos + 2) % n
-            pos = (b + 1) % n
-            while pos != a:
-                positions.append(pos)
-                pos = (pos + 2) % n
-            yield (a, b, frozenset(positions))
+        for b in range(a + 1, n, 2):
+            r = red[b] - red[a + 1] + red[a + n] - red[b + 1]
+            bl = blue[b] - blue[a + 1] + blue[a + n] - blue[b + 1]
+            if (r, bl) in targets:
+                return frozenset(range(a + 1, b, 2)) | frozenset(
+                    p % n for p in range(b + 1, a + n, 2)
+                )
+    return None
 
 
 def solve_even_cycle(
@@ -95,13 +102,10 @@ def solve_even_cycle(
 
     Endpoint requirements return the even or odd edges.  Interior points are
     met exactly when the cycle has a yellow edge and with one blue edge short
-    otherwise, always with at most two exposed nodes.
+    otherwise, by the first near-perfect matching (see _near_perfect) with
+    that profile, so at most two nodes are exposed.
     """
     comp = _as_cycle(cycle)
-    n = len(comp)
-    if n % 2 != 0:
-        raise ValueError("cycle must have even length")
-    ell = n // 2
     p0 = comp.even_profile().rb
     p1 = comp.odd_profile().rb
     k = (k_red, k_blue)
@@ -111,15 +115,14 @@ def solve_even_cycle(
         return frozenset(comp.even_edges())
     if k == p1:
         return frozenset(comp.odd_edges())
-    has_yellow = YELLOW in comp.colors
-    target = (k_red, k_blue) if has_yellow else (k_red, k_blue - 1)
-    for _, _, positions in near_perfect_matchings(n):
-        if comp.profile_of(positions).rb == target:
-            return positions
-    raise InvariantError(
-        f"no near-perfect matching with profile {target} exists; "
-        "this falsifies the cycle selection guarantee"
-    )
+    target = k if YELLOW in comp.colors else (k_red, k_blue - 1)
+    positions = _near_perfect(comp, {target})
+    if positions is None:
+        raise InvariantError(
+            f"no near-perfect matching with profile {target} exists; "
+            "this falsifies the cycle selection guarantee"
+        )
+    return positions
 
 
 def _delegate_to_cycle(comp: CycleOrPath):
@@ -159,7 +162,9 @@ def solve_fractional(
 
     Returns a matching with exactly k_red red edges and ceil(k_blue) or
     ceil(k_blue) - 1 blue edges, of size at least one below the smaller of
-    the even/odd matchings.
+    the even/odd matchings: the even or the odd edges when their profile
+    fits, else the first near-perfect matching (see _near_perfect) that does.
+    Integral k_blue goes to solve_path_or_cycle.
     """
     k_blue = Fraction(k_blue)
     if not isinstance(comp, CycleOrPath):
@@ -170,7 +175,6 @@ def solve_fractional(
     if k_blue.denominator == 1:
         return solve_path_or_cycle(comp, k_red, int(k_blue))
     cycle, dummy = _delegate_to_cycle(comp)
-    n = len(cycle)
     p0 = cycle.even_profile().rb
     p1 = cycle.odd_profile().rb
     if not on_segment((k_red, k_blue), p0, p1):
@@ -179,100 +183,20 @@ def solve_fractional(
         )
     ceil_blue = -((-k_blue.numerator) // k_blue.denominator)
     targets = {(k_red, ceil_blue), (k_red, ceil_blue - 1)}
-    candidates = [frozenset(cycle.even_edges()), frozenset(cycle.odd_edges())]
-    for _, _, positions in near_perfect_matchings(n):
-        candidates.append(positions)
-    for positions in candidates:
-        if cycle.profile_of(positions).rb in targets:
-            if dummy is not None:
-                positions = positions - {dummy}
-            return positions
-    raise InvariantError(
-        f"no matching with profile in {sorted(targets)} exists; "
-        "this falsifies the fractional selection guarantee"
-    )
-
-
-def reduce_to_proper(
-    cycle: CycleOrPath | str | Iterable[str], k_red: int, k_blue: int
-) -> tuple[CycleOrPath | None, int, int, ContractionJournal]:
-    """Contract same-color consecutive pairs until the coloring is proper.
-
-    Requirements drop by the contracted color each time.  The reduced cycle's
-    edge_ids point back to positions of the input cycle; the journal lifts any
-    matching of the reduced cycle to the input cycle (see ContractionJournal).
-    Contracting everything away yields None for the cycle.
-    """
-    comp = _as_cycle(cycle)
-    n = len(comp)
-    work: list[tuple[int, str]] = list(enumerate(comp.colors))
-    dsu = DisjointSets(n)
-    journal = ContractionJournal()
-    kr, kb = k_red, k_blue
-
-    def endpoints_of(position: int) -> tuple[int, int]:
-        return (position, (position + 1) % n)
-
-    while work:
-        length = len(work)
-        hit = -1
-        for i in range(length):
-            if work[i][1] == work[(i + 1) % length][1]:
-                hit = i
-                break
-        if hit < 0:
-            break
-        pa, color = work[hit]
-        pb, _ = work[(hit + 1) % length]
-        a_outer = dsu.members(pa)  # class at the free end of edge pa
-        b_outer = dsu.members((pb + 1) % n)
-        journal.add(
-            ContractionRecord(
-                edge_a=pa,
-                edge_b=pb,
-                color=color,
-                outer_a=a_outer,
-                outer_b=b_outer,
-                position=hit,
-            )
-        )
-        dsu.union(pa, (pa + 1) % n)
-        dsu.union(pa, (pb + 1) % n)
-        if color == RED:
-            kr -= 1
-        elif color == BLUE:
-            kb -= 1
-        if hit == length - 1:
-            work = work[1:-1]
-        else:
-            work = work[:hit] + work[hit + 2 :]
-
-    if not work:
-        return None, kr, kb, journal
-    reduced = CycleOrPath(
-        EVEN_CYCLE,
-        tuple(c for _, c in work),
-        edge_ids=tuple(p for p, _ in work),
-    )
-    return reduced, kr, kb, journal
-
-
-def lift_cycle_matching(
-    cycle: CycleOrPath | str | Iterable[str],
-    reduced: CycleOrPath | None,
-    reduced_matching: Iterable[int],
-    journal: ContractionJournal,
-) -> frozenset[int]:
-    """Map a reduced-cycle matching back to the input cycle's positions."""
-    comp = _as_cycle(cycle)
-    n = len(comp)
-    if reduced is None:
-        mapped: frozenset[int] = frozenset()
-        if list(reduced_matching):
-            raise ValueError("reduced instance is empty")
+    if p0 in targets:
+        positions = frozenset(cycle.even_edges())
+    elif p1 in targets:
+        positions = frozenset(cycle.odd_edges())
     else:
-        mapped = reduced.to_edge_ids(reduced_matching)
-    return journal.lift(mapped, lambda p: (p, (p + 1) % n))
+        positions = _near_perfect(cycle, targets)
+    if positions is None:
+        raise InvariantError(
+            f"no matching with profile in {sorted(targets)} exists; "
+            "this falsifies the fractional selection guarantee"
+        )
+    if dummy is not None:
+        positions = positions - {dummy}
+    return positions
 
 
 class GoodPath(NamedTuple):
@@ -283,11 +207,6 @@ class GoodPath(NamedTuple):
 def is_proper_cycle(comp: CycleOrPath) -> bool:
     n = len(comp)
     return all(comp.colors[i] != comp.colors[(i + 1) % n] for i in range(n))
-
-
-def requirement_offset(comp: CycleOrPath, k_red: int, k_blue) -> tuple:
-    p0 = comp.even_profile()
-    return (k_red - p0.red, Fraction(k_blue) - p0.blue)
 
 
 def find_good_path(

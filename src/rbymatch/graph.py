@@ -240,11 +240,6 @@ def color_profile(graph: ColoredGraph, edge_ids: Iterable[int]) -> ColorProfile:
     return profile_of_colors(graph.color(eid) for eid in ids)
 
 
-def matching_size_profile(graph: ColoredGraph, edge_ids: Iterable[int]) -> tuple[int, ColorProfile]:
-    ids = frozenset(edge_ids)
-    return len(ids), color_profile(graph, ids)
-
-
 def symdiff_components(
     graph: ColoredGraph,
     m0: Iterable[int],
@@ -368,7 +363,3 @@ def symdiff_components(
 
 class InvalidAlternation(ValueError):
     """The symmetric difference of two matchings was structurally invalid."""
-
-
-def sorted_ids(edge_ids: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(edge_ids))

@@ -13,15 +13,29 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .cycles import segment_integer_points
+from .errors import CapExceededError, ParseError
 from .graph import COLORS, ColoredGraph, color_profile, cycle_graph
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
 
 Instance = tuple[ColoredGraph, int, int]
 
 
+def _check_vertex_cap(vertex_count: int) -> None:
+    # solve, oracle and verify all reject larger instances; checking at the
+    # header keeps an oversized file from allocating its graph first.
+    if vertex_count > DEFAULT_CAP.max_vertices:
+        raise CapExceededError(
+            f"{vertex_count} vertices exceeds oracle cap {DEFAULT_CAP.max_vertices}"
+        )
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse an instance file into (graph, k_red, k_blue)."""
+    """Parse an instance file into (graph, k_red, k_blue).
+
+    Raises CapExceededError as soon as a header names more vertices than
+    the default oracle cap allows.
+    """
     vertex_count: int | None = None
     cycle_colors: str | None = None
     edges: list[tuple[int, int, str]] = []
@@ -38,6 +52,7 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError("expected: graph <vertex_count>", lineno)
             vertex_count = int(parts[1])
+            _check_vertex_cap(vertex_count)
         elif kind == "cycle":
             if vertex_count is not None or cycle_colors is not None:
                 raise ParseError("duplicate graph header", lineno)
@@ -49,6 +64,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"unknown color letter {bad[0]!r}", lineno)
             if len(colors) < 2:
                 raise ParseError("cycle needs at least 2 edges", lineno)
+            _check_vertex_cap(len(colors))
             cycle_colors = colors
         elif kind == "e":
             if vertex_count is None:
@@ -158,7 +174,7 @@ def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
         g = cycle_graph(colors)
         even = color_profile(g, range(0, n, 2))
         odd = color_profile(g, range(1, n, 2))
-        points = _segment_points(even.rb, odd.rb)
+        points = segment_integer_points(even.rb, odd.rb)
         kr, kb = points[rng.randrange(len(points))]
         lines = [f"cycle {colors}", f"require {kr} {kb}"]
         return "\n".join(lines) + "\n"
@@ -181,13 +197,3 @@ def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
         kr = rng.randrange(counts.red + 1)
         kb = rng.randrange(counts.blue + 1)
     return serialize_instance(g, kr, kb)
-
-
-def _segment_points(p0, p1):
-    from math import gcd
-
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    if dx == 0 and dy == 0:
-        return [p0]
-    g = gcd(abs(dx), abs(dy))
-    return [(p0[0] + dx * k // g, p0[1] + dy * k // g) for k in range(g + 1)]

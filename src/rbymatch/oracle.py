@@ -11,10 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError
-from .graph import ColoredGraph, ColorProfile, color_profile
-
-RED = "R"
-BLUE = "B"
+from .graph import BLUE, RED, ColoredGraph
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,3 @@ def best_profile_size(
         if m is not None:
             sizes.append(len(m))
     return max(sizes) if sizes else None
-
-
-def oracle_profile(graph: ColoredGraph, matching: Iterable[int]) -> ColorProfile:
-    return color_profile(graph, matching)

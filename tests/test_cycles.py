@@ -8,10 +8,8 @@ import pytest
 from rbymatch.cycles import (
     find_good_path,
     is_proper_cycle,
-    lift_cycle_matching,
-    near_perfect_matchings,
+    on_segment,
     quasi_matching_from_good_path,
-    reduce_to_proper,
     segment_integer_points,
     solve_even_cycle,
     solve_fractional,
@@ -41,6 +39,51 @@ def _check(colors: str, positions, size_min: int, rb):
     for p in positions:
         assert (p + 1) % n not in positions
     assert comp.profile_of(positions).rb == rb
+
+
+def near_perfect_matchings(n: int):
+    """Reference: all matchings of a length-n cycle exposing exactly two
+    vertices, as (a, b, positions), ordered by the exposed pair (a, b)."""
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (b - a) % 2 == 0:
+                continue
+            positions = []
+            pos = (a + 1) % n
+            while pos != b:
+                positions.append(pos)
+                pos = (pos + 2) % n
+            pos = (b + 1) % n
+            while pos != a:
+                positions.append(pos)
+                pos = (pos + 2) % n
+            yield (a, b, frozenset(positions))
+
+
+def _scan_even_cycle(colors: str, k_red: int, k_blue: int):
+    """Reference selector: endpoints, else the first near-perfect matching
+    with profile (k_red, k_blue), or one blue short without yellow."""
+    comp = even_cycle_from_string(colors)
+    if (k_red, k_blue) == comp.even_profile().rb:
+        return frozenset(comp.even_edges())
+    if (k_red, k_blue) == comp.odd_profile().rb:
+        return frozenset(comp.odd_edges())
+    target = (k_red, k_blue) if "Y" in colors else (k_red, k_blue - 1)
+    for _, _, positions in near_perfect_matchings(len(colors)):
+        if comp.profile_of(positions).rb == target:
+            return positions
+    return None
+
+
+def _scan_fractional(colors: str, k_red: int, k_blue: Fraction):
+    """Reference for a half-blue point: the even edges, the odd edges, then
+    the near-perfect matchings, first with ceil(k_blue) or one fewer blue."""
+    comp = even_cycle_from_string(colors)
+    ceil_blue = -((-k_blue.numerator) // k_blue.denominator)
+    targets = {(k_red, ceil_blue), (k_red, ceil_blue - 1)}
+    candidates = [frozenset(comp.even_edges()), frozenset(comp.odd_edges())]
+    candidates += [pos for _, _, pos in near_perfect_matchings(len(colors))]
+    return next((pos for pos in candidates if comp.profile_of(pos).rb in targets), None)
 
 
 def test_near_perfect_count():
@@ -117,56 +160,28 @@ def test_solve_fractional_endpoint():
     assert solve_fractional(comp, p0[0], Fraction(p0[1])) == frozenset(comp.even_edges())
 
 
-def test_reduce_to_proper_examples():
-    reduced, kr, kb, journal = reduce_to_proper("RRBYBY", 2, 1)
-    assert reduced is not None
-    assert reduced.colors == ("B", "Y", "B", "Y")
-    assert (kr, kb) == (1, 1)
-    assert len(journal) == 1
-
-    reduced, kr, kb, journal = reduce_to_proper("RBYB", 1, 1)
-    assert reduced is not None and reduced.colors == ("R", "B", "Y", "B")
-    assert len(journal) == 0
-
-    reduced, kr, kb, journal = reduce_to_proper("RBRB", 1, 1)
-    assert reduced is not None and reduced.colors == ("R", "B", "R", "B")
-    assert len(journal) == 0
+def _half_blue_points(p0, p1):
+    lo, hi = sorted((p0, p1))
+    out = []
+    for r in range(lo[0], hi[0] + 1):
+        for twice_blue in range(2 * min(lo[1], hi[1]) + 1, 2 * max(lo[1], hi[1]), 2):
+            if on_segment((r, Fraction(twice_blue, 2)), p0, p1):
+                out.append((r, Fraction(twice_blue, 2)))
+    return out
 
 
-def test_reduce_to_proper_whole_cycle_balanced():
-    reduced, kr, kb, journal = reduce_to_proper("RRBB", 1, 1)
-    assert reduced is None
-    assert (kr, kb) == (0, 0)
-    assert len(journal) == 2
-    lifted = lift_cycle_matching("RRBB", reduced, [], journal)
-    g = cycle_graph("RRBB")
-    assert color_profile(g, lifted).rb == (1, 1)
-
-
-def test_reduce_lift_random_cycles():
-    rng = random.Random(77)
-    for _ in range(400):
-        ell = rng.randrange(2, 9)
-        colors = "".join(rng.choice("RBY") for _ in range(2 * ell))
-        comp = even_cycle_from_string(colors)
-        p0, p1 = comp.even_profile().rb, comp.odd_profile().rb
-        pts = segment_integer_points(p0, p1)
-        kr, kb = pts[rng.randrange(len(pts))]
-        reduced, kr2, kb2, journal = reduce_to_proper(colors, kr, kb)
-        g = cycle_graph(colors)
-        if reduced is None:
-            lifted = lift_cycle_matching(colors, reduced, [], journal)
-        else:
-            assert is_proper_cycle(reduced)
-            rp0, rp1 = reduced.even_profile().rb, reduced.odd_profile().rb
-            from rbymatch.cycles import on_segment
-
-            assert on_segment((kr2, kb2), rp0, rp1)
-            inner = solve_even_cycle(reduced, kr2, kb2)
-            lifted = lift_cycle_matching(colors, reduced, inner, journal)
-        prof = color_profile(g, lifted)  # also validates the matching
-        assert prof.red == kr
-        assert prof.blue in (kb - 1, kb)
+def test_selectors_return_the_scan_first_hit():
+    rng = random.Random(2024)
+    for alphabet in ("RBY", "RB", "RY", "BY", "RBYY"):
+        for _ in range(40):
+            ell = rng.randrange(1, 31)
+            colors = "".join(rng.choice(alphabet) for _ in range(2 * ell))
+            comp = even_cycle_from_string(colors)
+            p0, p1 = comp.even_profile().rb, comp.odd_profile().rb
+            for kr, kb in segment_integer_points(p0, p1):
+                assert solve_even_cycle(colors, kr, kb) == _scan_even_cycle(colors, kr, kb)
+            for kr, kb in _half_blue_points(p0, p1):
+                assert solve_fractional(comp, kr, kb) == _scan_fractional(colors, kr, kb)
 
 
 def test_find_good_path_fig3():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbymatch.errors import ParseError
+from rbymatch.errors import CapExceededError, ParseError
 from rbymatch.graph import ColoredGraph, color_profile, validate_matching
 from rbymatch.instances import (
     FEASIBLE_PROFILE,
@@ -42,6 +42,15 @@ def test_parse_comments_and_blank_lines():
     text = "# header\n\ngraph 3\ne 0 1 B  # inline\ne 1 2 Y\nrequire 0 1\n"
     g, kr, kb = parse_instance(text)
     assert g.edge_count == 2 and (kr, kb) == (0, 1)
+
+
+@pytest.mark.parametrize("header", ["graph 21", "cycle " + "RBY" * 7])
+def test_parse_rejects_headers_over_the_vertex_cap(header):
+    with pytest.raises(CapExceededError):
+        parse_instance(header + "\nrequire 0 0\n")
+    # the cap check precedes the rest of the file
+    with pytest.raises(CapExceededError):
+        parse_instance(header + "\nbogus\n")
 
 
 @pytest.mark.parametrize(
