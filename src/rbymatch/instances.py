@@ -33,8 +33,8 @@ def _check_vertex_cap(vertex_count: int) -> None:
 def parse_instance(text: str) -> Instance:
     """Parse an instance file into (graph, k_red, k_blue).
 
-    Raises CapExceededError as soon as a header names more vertices than
-    the default oracle cap allows.
+    Raises CapExceededError as soon as a header names more vertices, or an
+    edge line goes past more edges, than the default oracle cap allows.
     """
     vertex_count: int | None = None
     cycle_colors: str | None = None
@@ -69,6 +69,10 @@ def parse_instance(text: str) -> Instance:
         elif kind == "e":
             if vertex_count is None:
                 raise ParseError("edge line before graph header", lineno)
+            if len(edges) >= DEFAULT_CAP.max_edges:
+                raise CapExceededError(
+                    f"{len(edges) + 1} edges exceeds oracle cap {DEFAULT_CAP.max_edges}"
+                )
             if len(parts) != 4:
                 raise ParseError("expected: e <u> <v> <COLOR>", lineno)
             try:

@@ -3,10 +3,13 @@
 The model is the classical matching polytope description (nonnegativity,
 degree constraints, and one blossom inequality per odd vertex set) with two
 equality rows pinning the red and blue totals, solved in exact rational
-arithmetic.  Blossom rows are fully enumerated at construction; the solver
-activates them lazily, re-separating by direct enumeration until none is
-violated, which yields a basic optimal solution of the full model (a vertex
-of a relaxation that is feasible for the full region is a vertex of it).
+arithmetic.  The model's blossom rows are a lazy sequence, generated only
+when iterated or indexed; the solver activates them in rounds, re-separating
+by direct enumeration of the support's odd sets until none is violated, which
+yields a basic optimal solution of the full model (a vertex of a relaxation
+that is feasible for the full region is a vertex of it).  Separation and
+tightness scans run in integers, on the support scaled by the lcm of its
+denominators.
 
 The minimal face of the matching polytope containing the optimum is
 recovered by enumerating matchings inside the support and keeping those tight
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from math import lcm
+from typing import Sequence
 
 from .errors import InvariantError
 from .graph import BLUE, RED, ColoredGraph, color_profile
@@ -45,11 +49,33 @@ class BlossomRow:
 
 
 @dataclass(frozen=True)
+class BlossomRows(Sequence[BlossomRow]):
+    """One row per odd vertex set of size >= 3, by size and then in
+    lexicographic order, generated on demand: len() is 2^(n-1) - n."""
+
+    vertex_count: int
+
+    def __len__(self) -> int:
+        n = self.vertex_count
+        return (1 << (n - 1)) - n if n else 0
+
+    def __iter__(self):
+        n = self.vertex_count
+        for size in range(3, n + 1, 2):
+            for subset in combinations(range(n), size):
+                yield BlossomRow(sum(1 << v for v in subset), (size - 1) // 2)
+
+    def __getitem__(self, index: int) -> BlossomRow:
+        """O(index): nothing on the solve path indexes the rows."""
+        return next(islice(self, range(len(self))[index], None))
+
+
+@dataclass(frozen=True)
 class LPModel:
     graph: ColoredGraph
     k_red: int
     k_blue: int
-    blossom_rows: tuple[BlossomRow, ...]
+    blossom_rows: BlossomRows
 
     @property
     def degree_row_count(self) -> int:
@@ -84,72 +110,75 @@ class FaceDescriptor:
 def build_lp(
     graph: ColoredGraph, k_red: int, k_blue: int, cap: OracleCap = DEFAULT_CAP
 ) -> LPModel:
-    """Materialize the full model, one blossom row per odd set of >= 3 vertices."""
+    """The full model, one blossom row per odd set of >= 3 vertices."""
     check_cap(graph, cap)
     if k_red < 0 or k_blue < 0:
         raise ValueError("color requirements must be nonnegative")
-    n = graph.vertex_count
-    rows = []
-    for size in range(3, n + 1, 2):
-        for subset in combinations(range(n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            rows.append(BlossomRow(mask, (size - 1) // 2))
-    return LPModel(graph, k_red, k_blue, tuple(rows))
+    return LPModel(graph, k_red, k_blue, BlossomRows(graph.vertex_count))
 
 
-def _edge_masks(graph: ColoredGraph) -> list[int]:
-    return [
-        (1 << u) | (1 << v) for u, v in (graph.endpoints(e) for e in range(graph.edge_count))
-    ]
-
-
-def _row_value(mask: int, support: Sequence[tuple[int, int, Fraction]]) -> Fraction:
-    total = ZERO
-    for _, emask, x in support:
-        if emask & mask == emask:
-            total += x
-    return total
+def _scaled_support(
+    graph: ColoredGraph, values: Sequence[Fraction]
+) -> tuple[list[tuple[int, int]], int]:
+    """((edge vertex mask, den * x_e) per support edge, den), where den is
+    the lcm of the support's denominators."""
+    support = [(e, x) for e, x in enumerate(values) if x != 0]
+    den = lcm(*(x.denominator for _, x in support))
+    scaled = []
+    for e, x in support:
+        u, v = graph.endpoints(e)
+        scaled.append(((1 << u) | (1 << v), x.numerator * (den // x.denominator)))
+    return scaled, den
 
 
 def _solve_activated(model: LPModel, active: list[BlossomRow]):
     graph = model.graph
     m = graph.edge_count
-    objective = [Fraction(1)] * m
-    ub_rows = []
-    for v in range(graph.vertex_count):
-        coeffs = [(e, Fraction(1)) for e in graph.incident(v)]
-        ub_rows.append((coeffs, Fraction(1)))
+    ub_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
     for row in active:
-        coeffs = [(e, Fraction(1)) for e in row.edge_ids(graph)]
-        ub_rows.append((coeffs, Fraction(row.rhs)))
+        ub_rows.append(([(e, 1) for e in row.edge_ids(graph)], row.rhs))
     eq_rows = [
-        (
-            [(e, Fraction(1)) for e in range(m) if graph.color(e) == RED],
-            Fraction(model.k_red),
-        ),
-        (
-            [(e, Fraction(1)) for e in range(m) if graph.color(e) == BLUE],
-            Fraction(model.k_blue),
-        ),
+        ([(e, 1) for e in range(m) if graph.color(e) == RED], model.k_red),
+        ([(e, 1) for e in range(m) if graph.color(e) == BLUE], model.k_blue),
     ]
-    return solve_standard_form(m, objective, ub_rows, eq_rows)
+    return solve_standard_form(m, [1] * m, ub_rows, eq_rows)
 
 
-def _support_odd_masks(support_vertices: list[int]) -> Iterable[tuple[int, int]]:
-    """(mask, rhs) over odd subsets of the given vertices, size >= 3.
+def _odd_sets(
+    support: list[tuple[int, int]], den: int, tight: bool
+) -> list[tuple[int, int, int]]:
+    """(mask, rhs, excess) for every odd set S of >= 3 support vertices whose
+    excess 2 * den * (x(E(S)) - rhs) is 0 (tight) or > 0 (violated), by mask.
 
     Restricting separation and tightness scans to vertices carrying fractional
     weight is exact: a violated or tight odd set with stray isolated vertices
     forces the corresponding support-only condition checked here.
     """
-    for size in range(3, len(support_vertices) + 1, 2):
-        for subset in combinations(support_vertices, size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            yield mask, (size - 1) // 2
+    covered = 0
+    pair: dict[int, int] = {}
+    for emask, x in support:
+        covered |= emask
+        pair[emask] = pair.get(emask, 0) + 2 * x
+    # g[T] = 2 den x(E(T)) - den (|T| - 1) over the subsets T of the vertices
+    # added so far, indexed by local mask (bit k for vertices[k]); adding v
+    # appends g[T + v] = g[T] + a[T] for every T, a[T] = 2 den x(E(v, T)) - den
+    vertices = [v for v in range(covered.bit_length()) if (covered >> v) & 1]
+    g = [den]
+    for k, v in enumerate(vertices):
+        a = [-den]
+        for u in vertices[:k]:
+            w = pair.get((1 << u) | (1 << v), 0)
+            a = a + [t + w for t in a] if w else a * 2
+        g += [s + t for s, t in zip(g, a)]
+    if tight:
+        selected = [t for t, excess in enumerate(g) if excess == 0]
+    else:
+        selected = [t for t, excess in enumerate(g) if excess > 0]
+    return [
+        (sum(1 << v for k, v in enumerate(vertices) if (t >> k) & 1), size // 2, g[t])
+        for t in selected
+        if (size := t.bit_count()) & 1 and size >= 3
+    ]
 
 
 def solve_lp(model: LPModel) -> RationalSolution | None:
@@ -159,33 +188,19 @@ def solve_lp(model: LPModel) -> RationalSolution | None:
     most 24 per round) and the LP re-solved from scratch with Bland's rule,
     so the result is deterministic.
     """
-    graph = model.graph
-    emasks = _edge_masks(graph)
     active: list[BlossomRow] = []
-    active_masks: set[int] = set()
     for _ in range(len(model.blossom_rows) + 1):
         res = _solve_activated(model, active)
         if res is None:
             return None
-        support = [
-            (e, emasks[e], x) for e, x in enumerate(res.x) if x != 0
-        ]
-        support_vertices = sorted(
-            {u for e, _, _ in support for u in graph.endpoints(e)}
-        )
-        violated: list[tuple[Fraction, int, int]] = []
-        for mask, rhs in _support_odd_masks(support_vertices):
-            if mask in active_masks:
-                continue
-            value = _row_value(mask, support)
-            if value > rhs:
-                violated.append((value - rhs, mask, rhs))
+        # active rows hold at res, so every violated set is a new one; the
+        # excess is the violation times 2 den, common to all sets, so it
+        # orders them as the rational violation does
+        violated = _odd_sets(*_scaled_support(model.graph, res.x), tight=False)
         if not violated:
             return RationalSolution(values=tuple(res.x), objective=res.objective)
-        violated.sort(key=lambda t: (-t[0], t[1]))
-        for _, mask, rhs in violated[:24]:
-            active.append(BlossomRow(mask, rhs))
-            active_masks.add(mask)
+        violated.sort(key=lambda row: (-row[2], row[0]))
+        active += [BlossomRow(mask, rhs) for mask, rhs, _ in violated[:24]]
     raise InvariantError("blossom separation did not converge")
 
 
@@ -206,20 +221,13 @@ def project_profile(graph: ColoredGraph, x) -> tuple[Fraction, Fraction]:
 
 
 def _tight_rows(model: LPModel, solution: RationalSolution):
-    graph = model.graph
-    emasks = _edge_masks(graph)
-    support = [(e, emasks[e], solution.values[e]) for e in solution.support()]
-    support_vertices = sorted({u for e, _, _ in support for u in graph.endpoints(e)})
-    tight_degree = []
-    for v in range(graph.vertex_count):
-        total = sum((solution.values[e] for e in graph.incident(v)), ZERO)
-        if total == 1:
-            tight_degree.append(v)
-    tight_blossoms = []
-    for mask, rhs in _support_odd_masks(support_vertices):
-        if _row_value(mask, support) == rhs:
-            tight_blossoms.append((mask, rhs))
-    return tight_degree, tight_blossoms
+    support, den = _scaled_support(model.graph, solution.values)
+    tight_degree = [
+        v
+        for v in range(model.graph.vertex_count)
+        if sum(x for emask, x in support if (emask >> v) & 1) == den
+    ]
+    return tight_degree, [(mask, rhs) for mask, rhs, _ in _odd_sets(support, den, tight=True)]
 
 
 def minimal_face(

@@ -1,18 +1,23 @@
-"""Exact rational two-phase simplex with Bland's anti-cycling rule.
+"""Exact two-phase simplex with Bland's anti-cycling rule, in integers.
 
-All arithmetic is in fractions.Fraction: the guarantees downstream are
-combinatorial equalities and inequalities on integers, so floating point is
-disqualified.  Bland's rule (smallest eligible index enters, smallest basic
-variable leaves among ratio ties) makes the solver deterministic and immune
-to cycling.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): it holds integers
+``T`` over one positive common denominator ``d = |det B|``, and a pivot on
+``p = T[r][c]`` maps every other row to ``(a*p - f*b) // d`` before setting
+``d = p``.  Every entry is then a minor of the integer input, so each division
+is exact and the solver never builds a ``Fraction`` until it reports the
+solution.  The guarantees downstream are combinatorial equalities and
+inequalities on integers, so floating point is disqualified.  Bland's rule
+(smallest eligible index enters, smallest basic variable leaves among ratio
+ties) makes the solver deterministic and immune to cycling.
 
 The interface is standard form:
 
     maximize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
-with all right-hand sides nonnegative, which is the only case the callers
-here produce.  Returns a basic optimal solution (a vertex of the feasible
-region) or None when infeasible.
+with integer data (``int`` or integral ``Fraction``) and all right-hand
+sides nonnegative, which is the only case the callers here produce.
+Returns a basic optimal solution (a vertex of the feasible region) or None
+when infeasible.
 """
 
 from __future__ import annotations
@@ -23,9 +28,6 @@ from typing import Sequence
 
 from .errors import InvariantError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass
 class LPResult:
@@ -33,150 +35,133 @@ class LPResult:
     objective: Fraction
 
 
+def _integral(value) -> int:
+    if value.denominator != 1:
+        raise ValueError(f"LP data must be integral, got {value}")
+    return int(value.numerator)
+
+
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], n_total: int):
-        self.rows = rows          # each row: n_total coefficients + rhs
+    """Integer rows (n_total coefficients + rhs) over the denominator d."""
+
+    def __init__(self, rows: list[list[int]], basis: list[int], n_total: int):
+        self.rows = rows
         self.basis = basis        # basis[i] = variable index basic in row i
         self.n_total = n_total
+        self.d = 1
 
-    def pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        if piv == 0:
+    def reduced_costs(self, cost: list[int]) -> list[int]:
+        """d * (c_B B^-1 [A | b] - [c | 0]) for the current basis."""
+        d = self.d
+        z = [-c * d for c in cost] + [0]
+        for row, var in zip(self.rows, self.basis):
+            cb = cost[var]
+            if cb:
+                z = [a + cb * b for a, b in zip(z, row)]
+        return z
+
+    def pivot(self, row: int, col: int, z: list[int] | None = None) -> list[int] | None:
+        """Bareiss pivot on (row, col); returns the carried reduced-cost row."""
+        p = self.rows[row][col]
+        if p == 0:
             raise InvariantError("pivot on zero element")
-        inv = ONE / piv
-        self.rows[row] = [a * inv for a in self.rows[row]]
-        for i, r in enumerate(self.rows):
-            if i == row:
-                continue
-            factor = r[col]
-            if factor != 0:
-                prow = self.rows[row]
-                self.rows[i] = [a - factor * b for a, b in zip(r, prow)]
+        d = self.d
+        prow = self.rows[row]
+
+        def eliminate(r: list[int]) -> list[int]:
+            f = r[col]
+            if f == 0:
+                return r if p == d else [a * p // d for a in r]
+            return [(a * p - f * b) // d for a, b in zip(r, prow)]
+
+        self.rows = [r if i == row else eliminate(r) for i, r in enumerate(self.rows)]
+        if z is not None:
+            z = eliminate(z)
+        self.d = p
         self.basis[row] = col
+        if p < 0:
+            self.rows = [[-a for a in r] for r in self.rows]
+            self.d = -p
+            if z is not None:
+                z = [-a for a in z]
+        return z
 
-def _objective_value(tab: _Tableau, cost: list[Fraction]) -> Fraction:
-    total = ZERO
-    for i, var in enumerate(tab.basis):
-        if cost[var] != 0:
-            total += cost[var] * tab.rows[i][-1]
-    return total
 
-
-def _run_simplex(tab: _Tableau, cost: list[Fraction], allowed: list[bool]) -> None:
-    """Minimize cost with Bland's rule; mutates the tableau in place."""
-    m = len(tab.rows)
+def _run_simplex(tab: _Tableau, cost: list[int], allowed: list[bool]) -> int:
+    """Minimize cost with Bland's rule in place; returns d times the optimum."""
+    z = tab.reduced_costs(cost)
     while True:
-        z = [ZERO] * (tab.n_total + 1)
-        for j in range(tab.n_total):
-            z[j] = -cost[j]
-        z[-1] = ZERO
-        for i in range(m):
-            cb = cost[tab.basis[i]]
-            if cb != 0:
-                row = tab.rows[i]
-                for j in range(tab.n_total + 1):
-                    if row[j] != 0:
-                        z[j] += cb * row[j]
-        basic = set(tab.basis)
-        enter = -1
-        for j in range(tab.n_total):
-            if allowed[j] and j not in basic and z[j] > 0:
-                enter = j
-                break
+        enter = next(
+            (j for j in range(tab.n_total) if z[j] > 0 and allowed[j]), -1
+        )
         if enter < 0:
-            return
+            return z[-1]
         leave = -1
-        best_ratio: Fraction | None = None
-        for i in range(m):
-            a = tab.rows[i][enter]
+        for i, row in enumerate(tab.rows):
+            a = row[enter]
             if a > 0:
-                ratio = tab.rows[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and tab.basis[i] < tab.basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lead = tab.rows[leave]
+                # rhs_i / a < rhs_leave / a_leave, cross-multiplied (a > 0)
+                diff = row[-1] * lead[enter] - lead[-1] * a
+                if diff < 0 or (diff == 0 and tab.basis[i] < tab.basis[leave]):
                     leave = i
         if leave < 0:
             raise InvariantError("LP unbounded; impossible for bounded models")
-        tab.pivot(leave, enter)
+        z = tab.pivot(leave, enter, z)
 
 
 def solve_standard_form(
     n_vars: int,
-    objective: Sequence[Fraction],
-    ub_rows: Sequence[tuple[Sequence[tuple[int, Fraction]], Fraction]],
-    eq_rows: Sequence[tuple[Sequence[tuple[int, Fraction]], Fraction]],
+    objective: Sequence[int | Fraction],
+    ub_rows: Sequence[tuple[Sequence[tuple[int, int | Fraction]], int | Fraction]],
+    eq_rows: Sequence[tuple[Sequence[tuple[int, int | Fraction]], int | Fraction]],
 ) -> LPResult | None:
     """Maximize objective subject to sparse <= and = rows; None if infeasible.
 
-    Rows are (sparse coefficients, rhs) with rhs >= 0 required.
+    Rows are (sparse coefficients, rhs) with rhs >= 0 required; every number
+    must be integral.
     """
-    n_ub = len(ub_rows)
-    n_eq = len(eq_rows)
-    m = n_ub + n_eq
-    n_slack = n_ub
-    n_art = n_eq
+    n_slack = len(ub_rows)
+    n_art = len(eq_rows)
     n_total = n_vars + n_slack + n_art
 
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, (coeffs, rhs) in enumerate(ub_rows):
+    rows: list[list[int]] = []
+    for i, (coeffs, rhs) in enumerate(list(ub_rows) + list(eq_rows)):
         if rhs < 0:
             raise ValueError("right-hand sides must be nonnegative")
-        row = [ZERO] * (n_total + 1)
+        row = [0] * (n_total + 1)
         for j, a in coeffs:
-            row[j] += a
-        row[n_vars + i] = ONE
-        row[-1] = rhs
+            row[j] += _integral(a)
+        row[n_vars + i] = 1
+        row[-1] = _integral(rhs)
         rows.append(row)
-        basis.append(n_vars + i)
-    for i, (coeffs, rhs) in enumerate(eq_rows):
-        if rhs < 0:
-            raise ValueError("right-hand sides must be nonnegative")
-        row = [ZERO] * (n_total + 1)
-        for j, a in coeffs:
-            row[j] += a
-        row[n_vars + n_slack + i] = ONE
-        row[-1] = rhs
-        rows.append(row)
-        basis.append(n_vars + n_slack + i)
-
-    tab = _Tableau(rows, basis, n_total)
+    obj = [_integral(c) for c in objective]
+    tab = _Tableau(rows, list(range(n_vars, n_total)), n_total)
 
     if n_art:
-        phase1_cost = [ZERO] * n_total
-        for j in range(n_vars + n_slack, n_total):
-            phase1_cost[j] = ONE
-        allowed = [True] * n_total
-        _run_simplex(tab, phase1_cost, allowed)
-        if _objective_value(tab, phase1_cost) != 0:
+        phase1_cost = [0] * (n_vars + n_slack) + [1] * n_art
+        if _run_simplex(tab, phase1_cost, [True] * n_total) != 0:
             return None
-        # drive remaining artificial variables out of the basis
-        for i in range(m):
+        # drive remaining artificial variables out of the basis; a row with
+        # no nonzero outside the artificial columns is redundant (rhs 0) and
+        # stays basic in its artificial, never a pivot row again
+        for i in range(len(tab.rows)):
             if tab.basis[i] >= n_vars + n_slack:
-                pivot_col = -1
-                for j in range(n_vars + n_slack):
-                    if tab.rows[i][j] != 0:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    tab.pivot(i, pivot_col)
-        # rows still basic in an artificial variable are redundant (rhs 0)
-        keep = [i for i in range(m) if tab.basis[i] < n_vars + n_slack]
-        tab.rows = [tab.rows[i] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
+                row = tab.rows[i]
+                col = next((j for j in range(n_vars + n_slack) if row[j]), -1)
+                if col >= 0:
+                    tab.pivot(i, col)
 
-    phase2_cost = [ZERO] * n_total
-    for j in range(n_vars):
-        phase2_cost[j] = -Fraction(objective[j])  # minimize the negation
-    allowed = [True] * (n_vars + n_slack) + [False] * n_art
-    _run_simplex(tab, phase2_cost, allowed)
+    phase2_cost = [-c for c in obj] + [0] * (n_slack + n_art)  # minimize -c.x
+    _run_simplex(tab, phase2_cost, [True] * (n_vars + n_slack) + [False] * n_art)
 
-    x = [ZERO] * n_vars
-    for i, var in enumerate(tab.basis):
+    x_num = [0] * n_vars
+    for row, var in zip(tab.rows, tab.basis):
         if var < n_vars:
-            x[var] = tab.rows[i][-1]
-    value = sum((Fraction(objective[j]) * x[j] for j in range(n_vars)), ZERO)
-    return LPResult(x=x, objective=value)
+            x_num[var] = row[-1]
+    d = tab.d
+    value = sum(c * x for c, x in zip(obj, x_num))
+    return LPResult(x=[Fraction(x, d) for x in x_num], objective=Fraction(value, d))

@@ -52,6 +52,15 @@ def test_cap_exit_code(tmp_path):
     assert main(["solve", str(p)]) == 4
 
 
+def test_edge_cap_exit_code_at_parse_time(tmp_path, capsys):
+    # 200,000 edge lines on 20 vertices: rejected at the 41st, before any
+    # graph is built
+    p = tmp_path / "dense.txt"
+    p.write_text("graph 20\n" + "e 0 1 R\n" * 200_000 + "require 1 0\n")
+    assert main(["solve", str(p)]) == 4
+    assert "41 edges exceeds oracle cap 40" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(fig1_file, capsys):
     assert main(["oracle", fig1_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

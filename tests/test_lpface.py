@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,9 +13,13 @@ from rbymatch.lpface import (
     PARALLELOGRAM,
     SEGMENT,
     SINGLETON,
+    BlossomRow,
+    BlossomRows,
+    _tight_rows,
     build_lp,
     convex_coefficients,
     dispatch_face,
+    RationalSolution,
     minimal_face,
     project_profile,
     solve_lp,
@@ -46,6 +52,45 @@ def test_build_lp_eight_cycle_row_count():
     g = cycle_graph(FIG1)
     model = build_lp(g, 1, 2)
     assert len(model.blossom_rows) == 120  # C(8,3)+C(8,5)+C(8,7)
+
+
+def _materialized_rows(n):
+    rows = []
+    for size in range(3, n + 1, 2):
+        for subset in combinations(range(n), size):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            rows.append(BlossomRow(mask, (size - 1) // 2))
+    return tuple(rows)
+
+
+def test_lazy_blossom_rows_behave_like_the_materialized_tuple():
+    for n in range(13):
+        rows = BlossomRows(n)
+        expected = _materialized_rows(n)
+        assert len(rows) == len(expected)
+        assert list(rows) == list(expected)
+        for index in (0, -1, len(expected) // 2, -len(expected)):
+            if expected:
+                assert rows[index] == expected[index]
+        for index in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                expected[index]
+            with pytest.raises(IndexError):
+                rows[index]
+
+
+def test_build_lp_at_the_cap_does_not_materialize_rows():
+    g = ColoredGraph(20, [(v, v + 1, "RBY"[v % 3]) for v in range(19)])
+    tracemalloc.start()
+    try:
+        model = build_lp(g, 0, 0)
+        assert len(model.blossom_rows) == 524_268  # 2^19 - 20
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a materialized row costs about 100 bytes
 
 
 def test_build_lp_cap():
@@ -242,3 +287,61 @@ def test_minimal_face_random_convexity():
         spread = 2 if face.classification == PARALLELOGRAM else 1
         assert max(sizes) - min(sizes) <= spread
         done += 1
+
+
+def _fraction_tight_rows(graph, values):
+    """The Fraction scan the integer one replaced: every odd set of >= 3
+    support vertices, summed edge by edge."""
+    support = [
+        (sum(1 << u for u in graph.endpoints(e)), x) for e, x in enumerate(values) if x != 0
+    ]
+    vertices = sorted({u for e, x in enumerate(values) if x != 0 for u in graph.endpoints(e)})
+    degree = [
+        v
+        for v in range(graph.vertex_count)
+        if sum((values[e] for e in graph.incident(v)), Fraction(0)) == 1
+    ]
+    blossoms = []
+    for size in range(3, len(vertices) + 1, 2):
+        for subset in combinations(vertices, size):
+            mask = sum(1 << v for v in subset)
+            value = sum((x for emask, x in support if emask & mask == emask), Fraction(0))
+            if value == (size - 1) // 2:
+                blossoms.append((mask, (size - 1) // 2))
+    return degree, sorted(blossoms)
+
+
+def test_integer_tight_rows_match_fraction_scan():
+    # the criterion-8 generator (n <= 10), on the LP optimum and on the
+    # point a third of the way from it to a random matching
+    from test_acceptance import _random_instance
+
+    # parallel edges, denominators 2 and 3 (the largest is not their lcm),
+    # and a point outside the polytope, where {0, 1, 2} is violated
+    g = ColoredGraph(5, [(0, 1, "R"), (0, 1, "B"), (1, 2, "Y"), (2, 3, "R"), (3, 4, "B")])
+    values = (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 3),) * 3
+    degree, blossoms = _tight_rows(build_lp(g, 0, 0), RationalSolution(values, sum(values)))
+    assert (degree, blossoms) == _fraction_tight_rows(g, values)
+    assert (0b01011, 1) in blossoms and (0b11111, 2) in blossoms
+
+    rng = random.Random(808)
+    checked = fractional = 0
+    while checked < 150:
+        g = _random_instance(rng, n_lo=2, n_hi=10, max_edges=18)
+        counts = g.color_counts()
+        kr = rng.randrange(counts.red + 1)
+        kb = rng.randrange(counts.blue + 1)
+        model = build_lp(g, kr, kb)
+        sol = solve_lp(model)
+        if sol is None:
+            continue
+        matchings = list(enumerate_matchings(g))
+        other = matchings[rng.randrange(len(matchings))]
+        mixed = tuple((2 * x + (e in other)) / 3 for e, x in enumerate(sol.values))
+        for values in (sol.values, mixed):
+            point = RationalSolution(values=values, objective=sum(values))
+            degree, blossoms = _tight_rows(model, point)
+            assert (degree, blossoms) == _fraction_tight_rows(g, values)
+            fractional += any(x.denominator > 1 for x in values)
+        checked += 1
+    assert fractional >= 100

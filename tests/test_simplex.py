@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from rbymatch.simplex import solve_standard_form
 
 F = Fraction
@@ -107,3 +109,142 @@ def test_zero_variables():
     assert solve_standard_form(0, [], [], [([], F(1))]) is None
     res = solve_standard_form(0, [], [], [([], F(0))])
     assert res is not None and res.objective == 0
+
+
+# Reference: the Fraction tableau the integer solver replaced, kept as the
+# differential oracle.  It divides the pivot row and deletes the rows still
+# basic in an artificial after phase 1.
+
+
+class _FractionTableau:
+    def __init__(self, rows, basis, n_total):
+        self.rows = rows
+        self.basis = basis
+        self.n_total = n_total
+
+    def pivot(self, row, col):
+        inv = 1 / self.rows[row][col]
+        self.rows[row] = [a * inv for a in self.rows[row]]
+        for i, r in enumerate(self.rows):
+            factor = r[col]
+            if i != row and factor != 0:
+                self.rows[i] = [a - factor * b for a, b in zip(r, self.rows[row])]
+        self.basis[row] = col
+
+
+def _fraction_run_simplex(tab, cost, allowed):
+    while True:
+        z = [-cost[j] for j in range(tab.n_total)] + [F(0)]
+        for i, row in enumerate(tab.rows):
+            cb = cost[tab.basis[i]]
+            if cb != 0:
+                z = [a + cb * b for a, b in zip(z, row)]
+        basic = set(tab.basis)
+        enter = next(
+            (j for j in range(tab.n_total) if allowed[j] and j not in basic and z[j] > 0),
+            -1,
+        )
+        if enter < 0:
+            return
+        leave, best = -1, None
+        for i, row in enumerate(tab.rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and tab.basis[i] < tab.basis[leave])
+                ):
+                    best, leave = ratio, i
+        assert leave >= 0, "unbounded"
+        tab.pivot(leave, enter)
+
+
+def _fraction_solve(n_vars, objective, ub_rows, eq_rows):
+    n_slack, n_art = len(ub_rows), len(eq_rows)
+    n_total = n_vars + n_slack + n_art
+    rows = []
+    for i, (coeffs, rhs) in enumerate(list(ub_rows) + list(eq_rows)):
+        row = [F(0)] * (n_total + 1)
+        for j, a in coeffs:
+            row[j] += a
+        row[n_vars + i] = F(1)
+        row[-1] = F(rhs)
+        rows.append(row)
+    tab = _FractionTableau(rows, list(range(n_vars, n_total)), n_total)
+    if n_art:
+        cost = [F(0)] * (n_vars + n_slack) + [F(1)] * n_art
+        _fraction_run_simplex(tab, cost, [True] * n_total)
+        if sum(row[-1] for row, var in zip(tab.rows, tab.basis) if cost[var]):
+            return None
+        for i in range(len(tab.rows)):
+            if tab.basis[i] >= n_vars + n_slack:
+                col = next((j for j in range(n_vars + n_slack) if tab.rows[i][j]), -1)
+                if col >= 0:
+                    tab.pivot(i, col)
+        keep = [i for i, var in enumerate(tab.basis) if var < n_vars + n_slack]
+        tab.rows = [tab.rows[i] for i in keep]
+        tab.basis = [tab.basis[i] for i in keep]
+    cost = [-F(c) for c in objective] + [F(0)] * (n_slack + n_art)
+    _fraction_run_simplex(tab, cost, [True] * (n_vars + n_slack) + [False] * n_art)
+    x = [F(0)] * n_vars
+    for row, var in zip(tab.rows, tab.basis):
+        if var < n_vars:
+            x[var] = row[-1]
+    return x, sum((F(c) * v for c, v in zip(objective, x)), F(0))
+
+
+def _random_lp(rng):
+    """A bounded LP and whether it repeats an equality.  Half have 0/1 data,
+    degenerate with many optima like the matching LPs, so Bland's tie-break
+    decides the vertex; half have negative coefficients."""
+    n = rng.randrange(1, 7)
+    lo, hi = (1, 2) if rng.randrange(2) else (-3, 4)
+
+    def row(max_rhs):
+        support = rng.sample(range(n), rng.randrange(1, n + 1))
+        return [(j, rng.randrange(lo, hi)) for j in support], rng.randrange(0, max_rhs)
+
+    objective = [rng.randrange(min(lo, 0), hi) for _ in range(n)]
+    # box rows keep every LP bounded
+    ub_rows = [row(6) for _ in range(rng.randrange(0, 6))]
+    ub_rows += [([(j, 1)], rng.randrange(1, 4)) for j in range(n)]
+    eq_rows = [row(5) for _ in range(rng.randrange(0, 4))]
+    redundant = bool(eq_rows) and rng.randrange(2) == 0
+    if redundant:  # a copy of an equality, possibly scaled
+        coeffs, rhs = rng.choice(eq_rows)
+        k = rng.randrange(1, 3)
+        eq_rows.append(([(j, k * a) for j, a in coeffs], k * rhs))
+    rng.shuffle(eq_rows)
+    return (n, objective, ub_rows, eq_rows), redundant
+
+
+def test_integer_tableau_matches_fraction_reference():
+    rng = random.Random(2024)
+    outcomes = {"feasible": 0, "infeasible": 0, "redundant": 0}
+    for _ in range(1500):
+        lp, redundant = _random_lp(rng)
+        got = solve_standard_form(*lp)
+        want = _fraction_solve(*lp)
+        if want is None:
+            assert got is None
+            outcomes["infeasible"] += 1
+            continue
+        assert got is not None
+        assert (got.x, got.objective) == want
+        assert all(isinstance(v, Fraction) for v in got.x)
+        outcomes["feasible"] += 1
+        outcomes["redundant"] += redundant
+    # the generator must exercise every path it was built for
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_integral_fractions_accepted_and_fractional_data_rejected():
+    res = solve_standard_form(1, [F(2)], [([(0, F(3))], F(6))], [])
+    assert res is not None and res.x == [F(2)] and res.objective == F(4)
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [F(1, 2)], [([(0, 1)], 1)], [])
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [1], [([(0, F(2, 3))], 1)], [])
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [1], [], [([(0, 1)], F(1, 2))])
