@@ -79,20 +79,12 @@ def solve(
         return None
     alpha = solution.objective
     trace.append(f"lp: alpha_star={alpha}")
-    face = minimal_face(graph, model, solution, cap)
-    trace.append(
-        f"face: {face.classification} vertices={[sorted(m) for m in face.vertex_matchings]}"
-    )
-    dispatch = dispatch_face(face, k_red, k_blue)
-    if dispatch.classification != face.classification:
-        trace.append(f"face: degenerate projection, dispatched as {dispatch.classification}")
-
-    if dispatch.classification == SINGLETON:
-        matching = _case_singleton(graph, dispatch, k_red, k_blue, trace)
-    elif dispatch.classification == SEGMENT:
-        matching = _case_segment(graph, dispatch, k_red, k_blue, trace)
-    else:
-        matching = _case_cut_and_combine(graph, dispatch, k_red, k_blue, trace)
+    try:
+        face_class, matching = _from_optimum(graph, model, solution, k_red, k_blue, cap, trace)
+    except ValueError as exc:
+        # the input was checked above: past the LP, a ValueError is a broken
+        # internal guarantee, not bad input
+        raise InvariantError(f"{exc}; trace={trace}") from exc
 
     if not validate_matching(graph, matching):
         raise InvariantError(f"driver produced an invalid matching; trace={trace}")
@@ -110,13 +102,35 @@ def solve(
         matching=frozenset(matching),
         profile=profile,
         alpha_star=alpha,
-        face_class=dispatch.classification,
+        face_class=face_class,
         guarantee_ok=guarantee,
         trace=tuple(trace),
     )
     if not report.ok:
         raise InvariantError(f"guarantee check failed: {guarantee}; trace={trace}")
     return report
+
+
+def _from_optimum(
+    graph, model, solution, k_red, k_blue, cap, trace
+) -> tuple[str, frozenset[int]]:
+    """(dispatched face class, matching) built from the LP optimum."""
+    face = minimal_face(graph, model, solution, cap)
+    trace.append(f"face: route={face.route}")
+    trace.append(
+        f"face: {face.classification} vertices={[sorted(m) for m in face.vertex_matchings]}"
+    )
+    dispatch = dispatch_face(face, k_red, k_blue)
+    if dispatch.classification != face.classification:
+        trace.append(f"face: degenerate projection, dispatched as {dispatch.classification}")
+
+    if dispatch.classification == SINGLETON:
+        matching = _case_singleton(graph, dispatch, k_red, k_blue, trace)
+    elif dispatch.classification == SEGMENT:
+        matching = _case_segment(graph, dispatch, k_red, k_blue, trace)
+    else:
+        matching = _case_cut_and_combine(graph, dispatch, k_red, k_blue, trace)
+    return dispatch.classification, matching
 
 
 def verify(

@@ -4,29 +4,50 @@ The model is the classical matching polytope description (nonnegativity,
 degree constraints, and one blossom inequality per odd vertex set) with two
 equality rows pinning the red and blue totals, solved in exact rational
 arithmetic.  The model's blossom rows are a lazy sequence, generated only
-when iterated or indexed; the solver activates them in rounds, re-separating
-by direct enumeration of the support's odd sets until none is violated, which
-yields a basic optimal solution of the full model (a vertex of a relaxation
-that is feasible for the full region is a vertex of it).  Separation and
-tightness scans run in integers, on the support scaled by the lcm of its
-denominators.
+when iterated or indexed; the solver activates them in rounds until none is
+violated, which yields a basic optimal solution of the full model (a vertex
+of a relaxation that is feasible for the full region is a vertex of it).
+Separation and tightness scans run in integers, on the support scaled by the
+lcm of its denominators.
+
+Both scans read the optimum's structure first.  At a point x of the degree
+rows, an edge with x_e = 1 leaves its two ends no other support edge, and
+for an odd set S:
+
+  * if S holds both ends of an x_e = 1 edge, dropping them keeps the excess
+    x(E(S)) - (|S| - 1) / 2; a matching inside the support that covers the
+    tight degree vertices holds e, so it is tight on S iff on the rest;
+  * if S holds one end u of such an edge, or a vertex u without support,
+    x(E(S)) = x(E(S - u)) <= |S - u| / 2, so S is not violated; if S is
+    tight, every vertex of S - u is degree-tight with all its support edges
+    inside S - u, so every such matching matches S - u perfectly and is
+    tight on S.
+
+So only the fractional vertices, the ends of edges with 0 < x_e < 1, need a
+scan to tell whether some odd set is violated, or to find the tight ones.
+(Ranking the violated sets, done only in a round that activates rows, still
+scans the whole support, which keeps the rows picked.)  An integral optimum is a matching (self-loops are rejected and
+parallel edges share a degree row); it meets every blossom row and is its own
+minimal face, so neither scan runs.
 
 The minimal face of the matching polytope containing the optimum is
 recovered by enumerating matchings inside the support and keeping those tight
-on every constraint tight at the optimum; at most four survive, forming a
-point, segment, triangle, or parallelogram.
+on the tight degree rows and on a maximal laminar family of the odd sets
+tight on the fractional vertices, which by uncrossing spans every tight blossom row (Edmonds 1965;
+Cunningham & Marsh 1978); at most four survive, forming a point, segment,
+triangle, or parallelogram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm
 from typing import Sequence
 
 from .errors import InvariantError
-from .graph import BLUE, RED, ColoredGraph, color_profile
+from .graph import BLUE, RED, ColoredGraph, color_profile, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
 from .simplex import solve_standard_form
 
@@ -105,6 +126,9 @@ class FaceDescriptor:
     vertex_matchings: tuple[frozenset[int], ...]
     classification: str
     projected_vertices: tuple[tuple[int, int], ...]
+    # how the vertices were found: "integral", or "fractional" with the
+    # fractional vertex, tight odd set and laminar row counts
+    route: str = field(compare=False)
 
 
 def build_lp(
@@ -147,12 +171,15 @@ def _solve_activated(model: LPModel, active: list[BlossomRow]):
 def _odd_sets(
     support: list[tuple[int, int]], den: int, tight: bool
 ) -> list[tuple[int, int, int]]:
-    """(mask, rhs, excess) for every odd set S of >= 3 support vertices whose
-    excess 2 * den * (x(E(S)) - rhs) is 0 (tight) or > 0 (violated), by mask.
+    """(mask, rhs, excess) for every odd set S of >= 3 vertices of the given
+    support edges whose excess 2 * den * (x(E(S)) - rhs) is 0 (tight) or > 0
+    (violated), by mask.
 
-    Restricting separation and tightness scans to vertices carrying fractional
-    weight is exact: a violated or tight odd set with stray isolated vertices
-    forces the corresponding support-only condition checked here.
+    The scan covers every vertex the given edges touch, 2^s subsets for s
+    vertices.  Passed only the fractional edges (0 < x_e < 1) of a point of
+    the degree rows, it finds a violated set iff the full support has one,
+    and its tight sets with the tight degree rows span every tight blossom
+    row on the support (see the module docstring).
     """
     covered = 0
     pair: dict[int, int] = {}
@@ -181,24 +208,32 @@ def _odd_sets(
     ]
 
 
+def _fractional(support: list[tuple[int, int]], den: int) -> list[tuple[int, int]]:
+    """The scaled support edges with 0 < x_e < 1."""
+    return [(emask, x) for emask, x in support if x != den]
+
+
 def solve_lp(model: LPModel) -> RationalSolution | None:
     """Basic optimal solution of the full model in exact rationals, or None.
 
     Violated blossom rows are activated in rounds (most violated first, at
     most 24 per round) and the LP re-solved from scratch with Bland's rule,
-    so the result is deterministic.
+    so the result is deterministic.  Whether a round is the last is decided
+    on the fractional vertices alone (none at an integral optimum); only a
+    round that activates rows scans the whole support to rank them.
     """
     active: list[BlossomRow] = []
     for _ in range(len(model.blossom_rows) + 1):
         res = _solve_activated(model, active)
         if res is None:
             return None
+        support, den = _scaled_support(model.graph, res.x)
+        if not _odd_sets(_fractional(support, den), den, tight=False):
+            return RationalSolution(values=tuple(res.x), objective=res.objective)
         # active rows hold at res, so every violated set is a new one; the
         # excess is the violation times 2 den, common to all sets, so it
         # orders them as the rational violation does
-        violated = _odd_sets(*_scaled_support(model.graph, res.x), tight=False)
-        if not violated:
-            return RationalSolution(values=tuple(res.x), objective=res.objective)
+        violated = _odd_sets(support, den, tight=False)
         violated.sort(key=lambda row: (-row[2], row[0]))
         active += [BlossomRow(mask, rhs) for mask, rhs, _ in violated[:24]]
     raise InvariantError("blossom separation did not converge")
@@ -220,14 +255,14 @@ def project_profile(graph: ColoredGraph, x) -> tuple[Fraction, Fraction]:
     return (Fraction(prof.red), Fraction(prof.blue))
 
 
-def _tight_rows(model: LPModel, solution: RationalSolution):
-    support, den = _scaled_support(model.graph, solution.values)
-    tight_degree = [
-        v
-        for v in range(model.graph.vertex_count)
-        if sum(x for emask, x in support if (emask >> v) & 1) == den
-    ]
-    return tight_degree, [(mask, rhs) for mask, rhs, _ in _odd_sets(support, den, tight=True)]
+def _laminar(sets: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """(mask, rhs) of each set, in order, that is nested in or disjoint from
+    every set kept before it: a maximal laminar subfamily."""
+    kept: list[tuple[int, int]] = []
+    for mask, rhs, _ in sets:
+        if all(mask & t in (0, mask, t) for t, _ in kept):
+            kept.append((mask, rhs))
+    return kept
 
 
 def minimal_face(
@@ -238,39 +273,64 @@ def minimal_face(
 ) -> FaceDescriptor:
     """Vertices of the smallest matching-polytope face containing the optimum.
 
-    A matching is a face vertex iff its support stays inside the optimum's
-    support and its characteristic vector is tight on every degree and blossom
-    constraint tight at the optimum.  More than four vertices would contradict
-    the dimension bound and is a fatal internal error.
+    A solution whose support values are all 1 must be a matching, which is a
+    vertex of the polytope and so its own minimal face.  Otherwise a matching
+    is a face vertex iff its support stays inside the optimum's support and
+    its characteristic vector is tight on every degree constraint tight at
+    the optimum and on a maximal laminar family of the odd sets tight on the
+    fractional vertices; these span every tight blossom row (see the module
+    docstring).  More than four vertices would contradict the dimension bound
+    and is a fatal internal error.
     """
-    support = solution.support()
-    tight_degree, tight_blossoms = _tight_rows(model, solution)
+    check_cap(graph, cap)
+    support_ids = solution.support()
+    support, den = _scaled_support(graph, solution.values)
+    fractional = _fractional(support, den)
+    if not fractional:
+        matching = frozenset(support_ids)
+        if not validate_matching(graph, matching):
+            raise InvariantError("integral optimum is not a matching")
+        return _describe_face(graph, [matching], "integral")
+    tight_degree = 0
+    for v in range(graph.vertex_count):
+        if sum(x for emask, x in support if (emask >> v) & 1) == den:
+            tight_degree |= 1 << v
+    tight = _odd_sets(fractional, den, tight=True)
+    laminar = _laminar(tight)
+    edge_mask = {e: emask for e, (emask, _) in zip(support_ids, support)}
     vertices = []
-    for m in enumerate_matchings(graph, restrict_support=support, cap=cap):
-        covered = set()
-        for e in m:
-            covered.update(graph.endpoints(e))
-        if any(v not in covered for v in tight_degree):
+    for m in enumerate_matchings(graph, restrict_support=support_ids, cap=cap):
+        masks = [edge_mask[e] for e in m]
+        covered = 0
+        for emask in masks:
+            covered |= emask
+        if tight_degree & ~covered:
             continue
-        ok = True
-        for mask, rhs in tight_blossoms:
-            count = 0
-            for e in m:
-                u, w = graph.endpoints(e)
-                if (mask >> u) & 1 and (mask >> w) & 1:
-                    count += 1
-            if count != rhs:
-                ok = False
-                break
-        if ok:
+        if all(
+            sum(emask & mask == emask for emask in masks) == rhs for mask, rhs in laminar
+        ):
             vertices.append(m)
+    fractional_vertices = 0
+    for emask, _ in fractional:
+        fractional_vertices |= emask
+    route = (
+        f"fractional vertices={fractional_vertices.bit_count()} "
+        f"tight_sets={len(tight)} laminar_rows={len(laminar)}"
+    )
+    return _describe_face(graph, vertices, route)
+
+
+def _describe_face(
+    graph: ColoredGraph, vertices: list[frozenset[int]], route: str
+) -> FaceDescriptor:
+    """Classify and order the face vertices found on ``route``."""
     if not vertices:
         raise InvariantError("optimal solution lies in no face of the enumeration")
     if len(vertices) > 4:
         raise InvariantError(
             f"minimal face has {len(vertices)} vertices; dimension bound violated"
         )
-    vertices.sort(key=lambda m: tuple(sorted(m)))
+    vertices = sorted(vertices, key=lambda m: tuple(sorted(m)))
 
     rank = _affine_rank(vertices)
     if rank == 0:
@@ -295,6 +355,7 @@ def minimal_face(
         vertex_matchings=tuple(vertices),
         classification=classification,
         projected_vertices=projected,  # type: ignore[arg-type]
+        route=route,
     )
 
 

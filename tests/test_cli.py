@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from rbymatch import driver
 from rbymatch.cli import main
+from rbymatch.graph import InvalidAlternation
 
 FIG1_INSTANCE = "cycle RBYBRBYB\nrequire 1 2\n"
 
@@ -21,6 +23,7 @@ def test_solve_human(fig1_file, capsys):
     out = capsys.readouterr().out
     assert "alpha_star: 4" in out
     assert "face: segment" in out
+    assert "  - face: route=fractional vertices=8 tight_sets=24 laminar_rows=3\n" in out
 
 
 def test_solve_json(fig1_file, capsys):
@@ -43,6 +46,43 @@ def test_parse_error_exit_code(tmp_path, capsys):
     p.write_text("graph 2\ne 0 9 R\nrequire 0 0\n")
     assert main(["solve", str(p)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_negative_requirement_exit_code(tmp_path, capsys):
+    p = tmp_path / "negative.txt"
+    p.write_text("cycle RBYBRBYB\nrequire -1 0\n")
+    assert main(["solve", str(p)]) == 3
+    assert "nonnegative" in capsys.readouterr().err
+
+
+TWO_C4_INSTANCE = (
+    "graph 8\n"
+    + "".join(f"e {i} {(i + 1) % 4} {'RY'[i % 2]}\n" for i in range(4))
+    + "".join(f"e {4 + i} {4 + (i + 1) % 4} {'BY'[i % 2]}\n" for i in range(4))
+    + "require 1 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "callee, error, instance",
+    [
+        ("symdiff_components", InvalidAlternation("cycle does not alternate"), FIG1_INSTANCE),
+        ("solve_path_or_cycle", ValueError("requirement 1 is not on the segment"), FIG1_INSTANCE),
+        ("combine_two_matchings", ValueError("inputs must be matchings"), TWO_C4_INSTANCE),
+    ],
+)
+def test_internal_value_error_exit_code(tmp_path, capsys, monkeypatch, callee, error, instance):
+    # a ValueError past the LP is a broken guarantee, not a parse error
+    def fail(*args, **kwargs):
+        raise error
+
+    p = tmp_path / "instance.txt"
+    p.write_text(instance)
+    monkeypatch.setattr(driver, callee, fail)
+    assert main(["solve", str(p)]) == 5
+    err = capsys.readouterr().err
+    assert f"internal invariant failure: {error}; trace=" in err
+    assert "face: route=fractional" in err
 
 
 def test_cap_exit_code(tmp_path):

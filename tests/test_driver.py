@@ -6,10 +6,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbymatch.driver import SolveReport, solve, verify
 from rbymatch.graph import ColoredGraph, color_profile, cycle_graph
-from rbymatch.lpface import build_lp, solve_lp
+from rbymatch.lpface import RationalSolution, build_lp, minimal_face, solve_lp
 from rbymatch.oracle import enumerate_matchings, exact_optimum
 
 FIG1 = "RBYBRBYB"
@@ -23,6 +25,13 @@ def test_solve_single_red_edge():
     assert rep.face_class == "singleton"
     assert rep.matching == frozenset({0})
     assert verify(g, 1, 0, rep)
+
+
+def test_trace_names_the_face_route():
+    g = ColoredGraph(2, [(0, 1, "R")])
+    assert "face: route=integral" in solve(g, 1, 0).trace
+    rep = solve(cycle_graph(FIG1), 1, 2)
+    assert "face: route=fractional vertices=8 tight_sets=24 laminar_rows=3" in rep.trace
 
 
 def test_solve_fig1_segment_case():
@@ -203,3 +212,55 @@ def test_solve_adversarial_lp_only_instances():
             continue
         assert verify(g, kr, kb, rep)
         solved += 1
+
+
+def _criterion_7_request(rng: random.Random):
+    from test_acceptance import _random_instance, _random_matching_profile
+
+    g = _random_instance(rng)
+    if rng.randrange(10) < 7:
+        return g, _random_matching_profile(rng, g)
+    counts = g.color_counts()
+    return g, (rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_and_face_do_not_depend_on_labels(data):
+    g, (kr, kb) = _criterion_7_request(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    n, m = g.vertex_count, g.edge_count
+    relabel = data.draw(st.permutations(range(n)))
+    order = data.draw(st.permutations(range(m)))  # new edge j is old edge order[j]
+    new_id = {old: new for new, old in enumerate(order)}
+    edges = [(relabel[g.endpoints(e)[0]], relabel[g.endpoints(e)[1]], g.color(e)) for e in order]
+    h = ColoredGraph(n, edges)
+    padded = ColoredGraph(data.draw(st.integers(n, 20)), [(*g.endpoints(e), g.color(e)) for e in range(m)])
+
+    base = solve(g, kr, kb)
+    relabeled = solve(h, kr, kb)
+    isolated = solve(padded, kr, kb)
+    if base is None:
+        assert relabeled is None and isolated is None
+        return
+    for graph, rep in ((h, relabeled), (padded, isolated)):
+        assert rep is not None and rep.ok and verify(graph, kr, kb, rep)
+        assert rep.alpha_star == base.alpha_star
+    # isolated vertices leave every pivot and every scanned set as it was
+    assert (isolated.matching, isolated.face_class, isolated.trace[1:]) == (
+        base.matching,
+        base.face_class,
+        base.trace[1:],
+    )
+    # the simplex may pick another optimal vertex under new labels, so the
+    # face is compared at the base optimum carried over to the new labels
+    model = build_lp(g, kr, kb)
+    sol = solve_lp(model)
+    face = minimal_face(g, model, sol)
+    values = tuple(sol.values[e] for e in order)
+    mapped = minimal_face(h, build_lp(h, kr, kb), RationalSolution(values, sol.objective))
+    assert mapped.classification == face.classification
+    assert set(mapped.vertex_matchings) == {
+        frozenset(new_id[e] for e in v) for v in face.vertex_matchings
+    }
+    # which crossing sets the greedy laminar family keeps depends on labels
+    assert mapped.route.split()[:3] == face.route.split()[:3]

@@ -7,7 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from rbymatch.errors import CapExceededError
+from rbymatch import lpface
+from rbymatch.errors import CapExceededError, InvariantError
 from rbymatch.graph import ColoredGraph, color_profile, cycle_graph
 from rbymatch.lpface import (
     PARALLELOGRAM,
@@ -15,7 +16,10 @@ from rbymatch.lpface import (
     SINGLETON,
     BlossomRow,
     BlossomRows,
-    _tight_rows,
+    _describe_face,
+    _odd_sets,
+    _scaled_support,
+    _solve_activated,
     build_lp,
     convex_coefficients,
     dispatch_face,
@@ -25,7 +29,7 @@ from rbymatch.lpface import (
     solve_lp,
 )
 from rbymatch.graph import symdiff_components
-from rbymatch.oracle import enumerate_matchings, exact_optimum
+from rbymatch.oracle import OracleCap, enumerate_matchings, exact_optimum
 
 FIG1 = "RBYBRBYB"
 FIG3 = "YBYBYRYRYBRBYRBRBR"
@@ -289,6 +293,18 @@ def test_minimal_face_random_convexity():
         done += 1
 
 
+def _tight_rows(model, solution):
+    """Tight degree vertices and tight odd sets (mask, rhs) scanned over the
+    whole support: the reference for the fractional-vertex scan."""
+    support, den = _scaled_support(model.graph, solution.values)
+    tight_degree = [
+        v
+        for v in range(model.graph.vertex_count)
+        if sum(x for emask, x in support if (emask >> v) & 1) == den
+    ]
+    return tight_degree, [(mask, rhs) for mask, rhs, _ in _odd_sets(support, den, tight=True)]
+
+
 def _fraction_tight_rows(graph, values):
     """The Fraction scan the integer one replaced: every odd set of >= 3
     support vertices, summed edge by edge."""
@@ -345,3 +361,179 @@ def test_integer_tight_rows_match_fraction_scan():
             fractional += any(x.denominator > 1 for x in values)
         checked += 1
     assert fractional >= 100
+
+
+def _reference_solve_lp(model):
+    """The separation loop that scanned the whole support in every round."""
+    active = []
+    for _ in range(len(model.blossom_rows) + 1):
+        res = _solve_activated(model, active)
+        if res is None:
+            return None
+        violated = _odd_sets(*_scaled_support(model.graph, res.x), tight=False)
+        if not violated:
+            return RationalSolution(values=tuple(res.x), objective=res.objective)
+        violated.sort(key=lambda row: (-row[2], row[0]))
+        active += [BlossomRow(mask, rhs) for mask, rhs, _ in violated[:24]]
+    raise AssertionError("blossom separation did not converge")
+
+
+def _reference_face_vertices(model, solution):
+    """Matchings inside the support tight on every tight degree row and on
+    every tight odd set of the whole support."""
+    graph = model.graph
+    tight_degree, tight_blossoms = _tight_rows(model, solution)
+    vertices = []
+    for m in enumerate_matchings(graph, restrict_support=solution.support()):
+        covered = {u for e in m for u in graph.endpoints(e)}
+        if any(v not in covered for v in tight_degree):
+            continue
+        if all(
+            sum(all((mask >> u) & 1 for u in graph.endpoints(e)) for e in m) == rhs
+            for mask, rhs in tight_blossoms
+        ):
+            vertices.append(m)
+    return sorted(vertices, key=lambda m: tuple(sorted(m)))
+
+
+def _face_vertices(model, solution):
+    """minimal_face's vertices before the dimension bound is applied."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "_describe_face", lambda graph, vertices, route: vertices)
+        vertices = minimal_face(model.graph, model, solution)
+    return sorted(vertices, key=lambda m: tuple(sorted(m)))
+
+
+def _assert_routes_agree(model, solution=None):
+    """solve_lp and minimal_face against the full-support reference, at the
+    optimum (or at ``solution``, a point of the polytope)."""
+    if solution is None:
+        solution = solve_lp(model)
+        assert solution == _reference_solve_lp(model)
+        if solution is None:
+            return None
+        expected = _describe_face(model.graph, _reference_face_vertices(model, solution), "")
+        assert minimal_face(model.graph, model, solution) == expected
+    assert _face_vertices(model, solution) == _reference_face_vertices(model, solution)
+    return solution
+
+
+def _has_fractional_edge(values):
+    return any(x.denominator > 1 for x in values)
+
+
+def test_fractional_routes_match_the_full_scan_on_the_lp_generator():
+    # the criterion-8 generator, at the optimum and at (2x + chi_M) / 3
+    from test_acceptance import _random_instance
+
+    rng = random.Random(4242)
+    checked = fractional = 0
+    while checked < 200:
+        g = _random_instance(rng, n_lo=2, n_hi=10, max_edges=18)
+        counts = g.color_counts()
+        model = build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+        sol = _assert_routes_agree(model)
+        if sol is None:
+            continue
+        matchings = list(enumerate_matchings(g))
+        other = matchings[rng.randrange(len(matchings))]
+        mixed = tuple((2 * x + (e in other)) / 3 for e, x in enumerate(sol.values))
+        _assert_routes_agree(model, RationalSolution(mixed, sum(mixed)))
+        fractional += _has_fractional_edge(sol.values) + _has_fractional_edge(mixed)
+        checked += 1
+    assert fractional >= 100
+
+
+def test_fractional_routes_match_the_full_scan_on_multigraphs():
+    rng = random.Random(77)
+    checked = 0
+    while checked < 80:
+        n = rng.randrange(3, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(*rng.choice(pairs), rng.choice("RBY")) for _ in range(rng.randrange(3, 13))]
+        g = ColoredGraph(n, edges)
+        counts = g.color_counts()
+        model = build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+        sol = _assert_routes_agree(model)
+        if sol is None:
+            continue
+        other = list(enumerate_matchings(g))[-1]
+        mixed = tuple((2 * x + (e in other)) / 3 for e, x in enumerate(sol.values))
+        _assert_routes_agree(model, RationalSolution(mixed, sum(mixed)))
+        checked += 1
+    # a parallel pair at 1/2 each, next to a 4-cycle at 1/4 and 3/4
+    g = ColoredGraph(
+        6,
+        [(0, 1, "R"), (0, 1, "B"), (2, 3, "R"), (3, 4, "Y"), (4, 5, "B"), (5, 2, "Y"), (1, 2, "Y")],
+    )
+    values = (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 4), Fraction(3, 4)) * 2 + (Fraction(0),)
+    _assert_routes_agree(build_lp(g, 0, 0), RationalSolution(values, sum(values)))
+
+
+def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
+    # without blossom rows the optimum is x = 1/2 on the triangle {0, 1, 2}
+    # and x = 1 on 3-4, joined to it by the zero edge 2-3; {0, 1, 2} and
+    # {0, 1, 2, 3, 4} are violated by as much, and both must be activated
+    g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
+    model = build_lp(g, 1, 0)
+    first = _solve_activated(model, [])
+    assert list(first.x) == [Fraction(1, 2)] * 3 + [1, 0]
+    assert [mask for mask, _, _ in _odd_sets(*_scaled_support(g, first.x), tight=False)] == [
+        0b00111,
+        0b11111,
+    ]
+    sol = _assert_routes_agree(model)
+    assert sol.objective == 2
+
+
+def test_face_with_tight_sets_that_split_unit_edges():
+    # a 4-cycle at 1/2 beside the unit edges 4-5 and 6-7; {4, 5, 6} and
+    # {0, 1, 2, 3, 4} are tight and each holds one end of a unit edge
+    g = ColoredGraph(
+        8,
+        [(0, 1, "R"), (1, 2, "B"), (2, 3, "R"), (3, 0, "B"), (4, 5, "Y"), (6, 7, "Y"),
+         (5, 6, "Y"), (3, 4, "Y")],
+    )
+    model = build_lp(g, 1, 1)
+    sol = _assert_routes_agree(model)
+    assert sol.values == (Fraction(1, 2),) * 4 + (1, 1, 0, 0)
+    _, tight = _tight_rows(model, sol)
+    assert (0b1110000, 1) in tight and (0b11111, 2) in tight
+    face = minimal_face(g, model, sol)
+    assert face.classification == SEGMENT
+    assert set(face.vertex_matchings) == {frozenset({0, 2, 4, 5}), frozenset({1, 3, 4, 5})}
+    assert face.route.startswith("fractional vertices=4 ")
+
+
+def test_integral_optimum_is_its_own_face_and_keeps_every_check():
+    g = cycle_graph(FIG1)
+    model = build_lp(g, 2, 0)
+    sol = solve_lp(model)
+    assert not _has_fractional_edge(sol.values)
+    face = minimal_face(g, model, sol)
+    assert face.classification == SINGLETON and face.route == "integral"
+    assert face.vertex_matchings == (frozenset(sol.support()),)
+    assert face == _describe_face(g, _reference_face_vertices(model, sol), "")
+    # the cap is still enforced, though nothing is enumerated
+    with pytest.raises(CapExceededError):
+        minimal_face(g, model, sol, OracleCap(max_vertices=7))
+    with pytest.raises(CapExceededError):
+        minimal_face(g, model, sol, OracleCap(max_edges=7))
+    # an integral point that is not a matching lies in no face
+    path = ColoredGraph(3, [(0, 1, "R"), (1, 2, "B")])
+    point = RationalSolution((Fraction(1), Fraction(1)), Fraction(2))
+    with pytest.raises(InvariantError):
+        minimal_face(path, build_lp(path, 1, 1), point)
+
+
+def test_face_check_keeps_nested_tight_sets():
+    # {0, 1, 2} and {0, 1, 2, 3, 4} are tight and nested; the matching {0}
+    # is tight on every degree row and on the inner set but not the outer
+    g = ColoredGraph(5, [(0, 1, "R"), (0, 3, "B"), (3, 4, "Y"), (0, 4, "R"), (1, 2, "B")])
+    values = (Fraction(1, 3),) * 4 + (Fraction(2, 3),)
+    point = RationalSolution(values, sum(values))
+    model = build_lp(g, 0, 0)
+    _assert_routes_agree(model, point)
+    face = minimal_face(g, model, point)
+    assert face.vertex_matchings == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3, 4}))
+    assert face.route == "fractional vertices=5 tight_sets=3 laminar_rows=2"
