@@ -17,6 +17,7 @@ from .curve import (
     check_injective,
     find_crossing_pair,
     imbalance_curve,
+    on_open_segment,
 )
 from .cycles import solve_even_cycle, solve_fractional
 from .errors import CapExceededError, InvariantError, ParseError
@@ -171,7 +172,7 @@ def _cmd_curve(args) -> int:
     }
     if args.points:
         payload["breakpoints"] = [list(p) for p in poly.points]
-    on_open = _strictly_between(q, poly.points[0], poly.points[-1])
+    on_open = on_open_segment(q, poly.points[0], poly.points[-1])
     pairs = None
     if args.pairs and on_open:
         pairs = all_intersecting_pairs(poly, q)
@@ -209,12 +210,6 @@ def _cmd_curve(args) -> int:
             )
         )
     return EXIT_OK
-
-
-def _strictly_between(q, a, b) -> bool:
-    from .cycles import on_open_segment
-
-    return on_open_segment(q, a, b)
 
 
 def _cmd_gen(args) -> int:

@@ -1,13 +1,16 @@
-"""Imbalance-curve engine: periodic lattice polylines and their crossings.
+"""Imbalance-curve engine: periodic unit-move lattice polylines and their crossings.
 
 A properly paired 2L-cycle induces a polyline through integer points whose
-moves encode the colors of consecutive edge pairs.  This module evaluates the
-periodic extension of such polylines, decides injectivity, classifies points
-against the two plane components cut out by an injective periodic curve, and
-searches for intersecting and crossing pairs between the curve and its
-translate.  All arithmetic is exact (integers and fractions).
+moves encode the colors of consecutive edge pairs: each move is one of the
+six unit color moves of MOVE_OF_PAIR, and LatticePolyline accepts no other.
+This module evaluates the periodic extension of such polylines, decides
+injectivity, classifies points against the two plane components cut out by
+an injective periodic curve, and searches for intersecting and crossing
+pairs between the curve and its translate by a lattice offset.  All
+arithmetic is exact (integers and fractions).
 
-Pair searches are exhaustive integer scans: period lengths are small at the
+Pair searches are exhaustive integer scans, since unit-move curves and their
+lattice translates meet only at integer points; period lengths are small at the
 scale this package targets, and certified search plus verification is the
 executable counterpart of the existence guarantees the solvers rely on.
 """
@@ -56,7 +59,7 @@ def _cross(a, b):
 
 @dataclass(frozen=True)
 class LatticePolyline:
-    """Integer-breakpoint polyline d(0..L) with periodic extension d-infinity."""
+    """Unit-move polyline d(0..L) with periodic extension d-infinity."""
 
     points: tuple[IntPoint, ...]
 
@@ -67,8 +70,8 @@ class LatticePolyline:
             if not (isinstance(p[0], int) and isinstance(p[1], int)):
                 raise ValueError("breakpoints must be integer points")
         for a, b in zip(self.points, self.points[1:]):
-            if a == b:
-                raise ValueError("zero-length move not allowed")
+            if (b[0] - a[0], b[1] - a[1]) not in UNIT_MOVES:
+                raise ValueError(f"move {a} -> {b} is not a unit color move")
 
     @property
     def period_length(self) -> int:
@@ -81,10 +84,6 @@ class LatticePolyline:
     @property
     def moves(self) -> tuple[IntPoint, ...]:
         return tuple(_sub(b, a) for a, b in zip(self.points, self.points[1:]))
-
-    @property
-    def has_unit_moves(self) -> bool:
-        return all(m in UNIT_MOVES for m in self.moves)
 
 
 def polyline_from_moves(moves: Iterable[IntPoint], origin: IntPoint = (0, 0)) -> LatticePolyline:
@@ -119,14 +118,8 @@ def imbalance_curve(cycle: CycleOrPath | str | Sequence[str]) -> LatticePolyline
 
 
 def decode_moves(polyline: LatticePolyline) -> tuple[tuple[str, str], ...]:
-    """The color pair behind each move; fails on non-unit moves."""
-    out = []
-    for m in polyline.moves:
-        pair = PAIR_OF_MOVE.get(m)
-        if pair is None:
-            raise ValueError(f"move {m} is not a unit color move")
-        out.append(pair)
-    return tuple(out)
+    """The color pair behind each move."""
+    return tuple(PAIR_OF_MOVE[m] for m in polyline.moves)
 
 
 def periodic_eval(polyline: LatticePolyline, t) -> Point:
@@ -157,111 +150,42 @@ def _eval_int(polyline: LatticePolyline, t: int) -> IntPoint:
 def check_injective(polyline: LatticePolyline) -> bool:
     """Whether the periodic extension never revisits a point.
 
-    For unit-move polylines, distinct translated copies can only meet at
-    integer points, so an integer scan is exhaustive.  For general integer
-    breakpoints a segment-level scan over enough copies is used instead.
+    Distinct translated copies of a unit-move polyline can only meet at
+    integer points, so an integer scan over the copies within reach is
+    exhaustive.
     """
     delta = polyline.period_shift
     if delta == (0, 0):
         return False
     ell = polyline.period_length
-    if polyline.has_unit_moves:
-        dmax = max(abs(delta[0]), abs(delta[1]))
-        kmax = (2 * ell) // dmax
-        pts = [polyline.points[i] for i in range(ell)]
-        index = {}
-        for v, p in enumerate(pts):
-            index.setdefault(p, []).append(v)
-        for k in range(0, kmax + 1):
-            shift = _scale(delta, k)
-            for u in range(ell):
-                target = _sub(pts[u], shift)
-                for v in index.get(target, ()):  # d(u) == d(v) + k*delta
-                    if k != 0 or u != v:
-                        return False
-        return True
-    return _check_injective_general(polyline)
-
-
-def _segments_of_copy(polyline: LatticePolyline, k: int) -> list[tuple[Point, Point]]:
-    dx, dy = polyline.period_shift
-    off = (k * dx, k * dy)
-    pts = [_add(p, off) for p in polyline.points]
-    return list(zip(pts, pts[1:]))
-
-
-def _check_injective_general(polyline: LatticePolyline) -> bool:
-    ell = polyline.period_length
-    delta = polyline.period_shift
-    origin = polyline.points[0]
-    span = max(
-        max(abs(p[0] - origin[0]) for p in polyline.points),
-        max(abs(p[1] - origin[1]) for p in polyline.points),
-    )
     dmax = max(abs(delta[0]), abs(delta[1]))
-    kmax = (2 * span) // dmax + 1
-    base = _segments_of_copy(polyline, 0)
+    kmax = (2 * ell) // dmax
+    pts = [polyline.points[i] for i in range(ell)]
+    index = {}
+    for v, p in enumerate(pts):
+        index.setdefault(p, []).append(v)
     for k in range(0, kmax + 1):
-        other = _segments_of_copy(polyline, k)
-        for i, (a1, b1) in enumerate(base):
-            for j, (a2, b2) in enumerate(other):
-                if k == 0 and j <= i:
-                    continue
-                kind, data = segment_intersection(a1, b1, a2, b2)
-                if kind == "none":
-                    continue
-                if kind == "overlap":
+        shift = _scale(delta, k)
+        for u in range(ell):
+            target = _sub(pts[u], shift)
+            for v in index.get(target, ()):  # d(u) == d(v) + k*delta
+                if k != 0 or u != v:
                     return False
-                consecutive = (k == 0 and j == i + 1) or (
-                    k == 1 and i == ell - 1 and j == 0
-                )
-                if consecutive and data[0] == b1:
-                    continue  # shared chain point only
-                return False
     return True
 
 
-def segment_intersection(a1, b1, a2, b2):
-    """Exact intersection of two closed segments.
+def on_segment(p, a, b) -> bool:
+    """Whether p lies on the closed segment [a, b]; exact for ints and Fractions."""
+    if _cross(_sub(b, a), _sub(p, a)) != 0:
+        return False
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(
+        a[1], b[1]
+    )
 
-    Returns ("none", None), ("point", (p, s, t)) with parameters in [0, 1],
-    or ("overlap", (p, q)) for a shared collinear subsegment.
-    """
-    d1 = _sub(b1, a1)
-    d2 = _sub(b2, a2)
-    denom = _cross(d1, d2)
-    diff = _sub(a2, a1)
-    if denom != 0:
-        s = Fraction(_cross(diff, d2), denom)
-        t = Fraction(_cross(diff, d1), denom)
-        if 0 <= s <= 1 and 0 <= t <= 1:
-            p = _add(a1, _scale(d1, s))
-            return ("point", (p, s, t))
-        return ("none", None)
-    if _cross(diff, d1) != 0:
-        return ("none", None)  # parallel, not collinear
-    # collinear: project on the dominant axis of d1
-    axis = 0 if d1[0] != 0 else 1
-    lo1, hi1 = sorted((a1[axis], b1[axis]))
-    lo2, hi2 = sorted((a2[axis], b2[axis]))
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo > hi:
-        return ("none", None)
-    if lo == hi:
-        val = lo
-        frac1 = Fraction(val - a1[axis], d1[axis])
-        p = _add(a1, _scale(d1, frac1))
-        if d2[axis] != 0:
-            t = Fraction(val - a2[axis], d2[axis])
-        else:
-            t = Fraction(0)
-        return ("point", (p, frac1, t))
 
-    def at(seg_a, seg_d, val):
-        f = Fraction(val - seg_a[axis], seg_d[axis])
-        return _add(seg_a, _scale(seg_d, f))
-
-    return ("overlap", (at(a1, d1, lo), at(a1, d1, hi)))
+def on_open_segment(p, a, b) -> bool:
+    """Whether p lies on [a, b] and is neither endpoint."""
+    return p != a and p != b and on_segment(p, a, b)
 
 
 class PeriodicCurve:
@@ -296,7 +220,9 @@ class PeriodicCurve:
     def _copy_segments(self, k: int) -> list[tuple[Point, Point]]:
         segs = self._copies.get(k)
         if segs is None:
-            segs = _segments_of_copy(self.polyline, k)
+            off = _scale(self.delta, k)
+            pts = [_add(p, off) for p in self.polyline.points]
+            segs = list(zip(pts, pts[1:]))
             self._copies[k] = segs
         return segs
 
@@ -325,11 +251,7 @@ class PeriodicCurve:
     def on_curve(self, p: Point) -> bool:
         for k in self._copies_touching(p):
             for a, b in self._copy_segments(k):
-                if _cross(_sub(b, a), _sub(p, a)) != 0:
-                    continue
-                if min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(
-                    a[1], b[1]
-                ) <= p[1] <= max(a[1], b[1]):
+                if on_segment(p, a, b):
                     return True
         return False
 
@@ -401,20 +323,6 @@ def side_of(polyline: LatticePolyline, p) -> str:
     return PeriodicCurve(polyline).side_of(p)
 
 
-def _on_open_segment(q, a, b) -> bool:
-    if q == a or q == b:
-        return False
-    if _cross(_sub(b, a), _sub(q, a)) != 0:
-        return False
-    return min(a[0], b[0]) <= q[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= q[1] <= max(
-        a[1], b[1]
-    )
-
-
-def _on_closed_segment(q, a, b) -> bool:
-    return q == a or q == b or _on_open_segment(q, a, b)
-
-
 class IntersectingPair(NamedTuple):
     """(u, v) with curve(u) == curve(v) + offset and v < u < v + period."""
 
@@ -425,32 +333,26 @@ class IntersectingPair(NamedTuple):
 def all_intersecting_pairs(polyline: LatticePolyline, q: IntPoint) -> list[IntersectingPair]:
     """Every integer pair (u, v), 0 <= v <= L, v < u < v + L, with
     d-infinity(u) = d(v) + (q - d(0)); ordered by (v, u)."""
-    offset = _require_lattice_offset(polyline, q, open_segment=True)
+    offset = _require_lattice_offset(polyline, q)
     ell = polyline.period_length
     pairs = []
     values: dict[IntPoint, list[int]] = {}
     for u in range(1, 2 * ell):
         values.setdefault(_eval_int(polyline, u), []).append(u)
-    for v in range(0, ell + 1):
+    for v in range(0, ell + 1):  # each u list ascends, so pairs come in (v, u) order
         target = _add(polyline.points[v], offset)
         for u in values.get(target, ()):
             if v < u < v + ell:
                 pairs.append(IntersectingPair(u, v))
-    pairs.sort(key=lambda p: (p.v, p.u))
     return pairs
 
 
-def _require_lattice_offset(polyline: LatticePolyline, q, open_segment: bool) -> IntPoint:
+def _require_lattice_offset(polyline: LatticePolyline, q) -> IntPoint:
     if not (isinstance(q[0], int) and isinstance(q[1], int)):
         raise ValueError("q must be a lattice point for integer pair searches")
     a = polyline.points[0]
-    b = polyline.points[-1]
-    if open_segment:
-        if not _on_open_segment(q, a, b):
-            raise ValueError("q must lie strictly between the curve's endpoints")
-    else:
-        if not _on_closed_segment(q, a, b):
-            raise ValueError("q must lie on the segment between the curve's endpoints")
+    if not on_open_segment(q, a, polyline.points[-1]):
+        raise ValueError("q must lie strictly between the curve's endpoints")
     return _sub(q, a)
 
 
@@ -477,9 +379,11 @@ class CrossingPair:
             raise ValueError("overlap_length must be 0 exactly for simple crossings")
 
 
-def find_crossing_pair(polyline: LatticePolyline, q) -> CrossingPair:
+def find_crossing_pair(polyline: LatticePolyline, q: IntPoint) -> CrossingPair:
     """A certified crossing pair for (d-infinity, d + q - d(0)).
 
+    The unit-move polyline must be injective, and q a lattice point strictly
+    between its endpoints and off the curve; anything else is a ValueError.
     The returned pair satisfies v < u < v + L; the certificate (the translate
     touches the curve on [s, v] and sits on opposite sides just before s and
     just after v) is verified through side classification before returning.
@@ -488,20 +392,11 @@ def find_crossing_pair(polyline: LatticePolyline, q) -> CrossingPair:
     """
     if not check_injective(polyline):
         raise ValueError("crossing search requires an injective periodic curve")
-    a0 = polyline.points[0]
-    q = (Fraction(q[0]), Fraction(q[1]))
-    if not _on_closed_segment(q, a0, polyline.points[-1]):
-        raise ValueError("q must lie on the segment between the curve's endpoints")
+    _require_lattice_offset(polyline, q)
     for sa, sb in zip(polyline.points, polyline.points[1:]):
-        if _on_closed_segment(q, sa, sb):
+        if on_segment(q, sa, sb):
             raise ValueError("q must not lie on the curve itself")
-    offset = _sub(q, a0)
-    curve = PeriodicCurve(polyline)
-    lattice = polyline.has_unit_moves and offset[0].denominator == 1 and offset[1].denominator == 1
-    if lattice:
-        result = _crossing_lattice(polyline, curve, (int(offset[0]), int(offset[1])))
-    else:
-        result = _crossing_general(polyline, curve, offset)
+    result = _crossing_lattice(polyline, q)
     if result is None:
         raise CrossingNotFoundError(
             "no certified crossing pair exists; this falsifies the crossing guarantee"
@@ -514,24 +409,15 @@ def _g_eval(polyline: LatticePolyline, offset, t) -> Point:
     return (base[0] + offset[0], base[1] + offset[1])
 
 
-def _crossing_lattice(
-    polyline: LatticePolyline, curve: PeriodicCurve, offset: IntPoint
-) -> CrossingPair | None:
+def _crossing_lattice(polyline: LatticePolyline, q: IntPoint) -> CrossingPair | None:
+    """First contact (v, u), 0 < v < L, whose overlap run [s, v] the
+    translate enters and leaves on opposite sides of the curve."""
     ell = polyline.period_length
-    values: dict[IntPoint, list[int]] = {}
-    for u in range(1, 2 * ell):
-        values.setdefault(_eval_int(polyline, u), []).append(u)
-
-    candidates: list[tuple[int, int]] = []
-    for v in range(1, ell):
-        target = _add(polyline.points[v], offset)
-        for u in values.get(target, ()):
-            if v < u < v + ell:
-                candidates.append((v, u))
-    candidates.sort()
-
-    scored: list[tuple[int, int, int, str]] = []
-    for v, u in candidates:
+    offset = _sub(q, polyline.points[0])
+    curve = PeriodicCurve(polyline)
+    for u, v in all_intersecting_pairs(polyline, q):
+        if not 0 < v < ell:
+            continue
         i_a = 0
         while i_a < v - 1:
             j = i_a + 1
@@ -555,10 +441,6 @@ def _crossing_lattice(
             kind, i = OVERLAP_OPPOSITE, i_b
         else:
             kind, i = SIMPLE, 0
-        scored.append((v, u, i, kind))
-
-    scored.sort(key=lambda c: (c[0], c[1], c[2]))
-    for v, u, i, kind in scored:
         s = v - i
         before = _g_eval(polyline, offset, Fraction(2 * s - 1, 2))
         after = _g_eval(polyline, offset, Fraction(2 * v + 1, 2))
@@ -568,63 +450,4 @@ def _crossing_lattice(
             continue
         if side_before != side_after:
             return CrossingPair(Fraction(u), Fraction(v), kind, i)
-    return None
-
-
-def _crossing_general(
-    polyline: LatticePolyline, curve: PeriodicCurve, offset
-) -> CrossingPair | None:
-    """Simple crossings for general integer-breakpoint polylines.
-
-    Contacts are enumerated by exact segment intersection between two periods
-    of the curve and one period of its translate.  Overlapping contacts are
-    only classified for breakpoint-aligned (lattice) inputs, which is the
-    only place they can arise in this package's pipelines.
-    """
-    ell = polyline.period_length
-    f_segs: list[tuple[int, Point, Point]] = []
-    for k in (0, 1):
-        for idx, (a, b) in enumerate(_segments_of_copy(polyline, k)):
-            f_segs.append((k * ell + idx, a, b))
-    g_pts = [_add(p, offset) for p in polyline.points]
-    g_segs = list(enumerate(zip(g_pts, g_pts[1:])))
-
-    contacts: list[tuple[Fraction, Fraction]] = []  # (v, u)
-    saw_overlap = False
-    for j, (ga, gb) in g_segs:
-        for base_u, fa, fb in f_segs:
-            kind, data = segment_intersection(fa, fb, ga, gb)
-            if kind == "none":
-                continue
-            if kind == "overlap":
-                saw_overlap = True
-                continue
-            _, s, t = data
-            u = base_u + s
-            v = j + t
-            if 0 < v < ell and v < u < v + ell:
-                contacts.append((v, u))
-    contacts = sorted(set(contacts))
-    events = sorted({Fraction(i) for i in range(ell + 1)} | {v for v, _ in contacts})
-
-    for v, u in contacts:
-        idx = events.index(v)
-        prev_evt = events[idx - 1] if idx > 0 else Fraction(0)
-        next_evt = events[idx + 1] if idx + 1 < len(events) else Fraction(ell)
-        h_before = (v - prev_evt) / 2
-        h_after = (next_evt - v) / 2
-        if h_before <= 0 or h_after <= 0:
-            continue
-        before = _g_eval(polyline, offset, v - h_before)
-        after = _g_eval(polyline, offset, v + h_after)
-        side_before = curve.side_of(before)
-        side_after = curve.side_of(after)
-        if PeriodicCurve.ON in (side_before, side_after):
-            continue
-        if side_before != side_after:
-            return CrossingPair(u, v, SIMPLE, 0)
-    if saw_overlap:
-        raise InvariantError(
-            "overlapping contacts on a non-unit-move polyline are not supported"
-        )
     return None

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .curve import find_intersecting_pair, imbalance_curve
+from .curve import find_intersecting_pair, imbalance_curve, on_open_segment, on_segment
 from .errors import InvariantError
 from .graph import (
     BLUE,
@@ -44,24 +44,6 @@ def _as_cycle(cycle: CycleOrPath | str | Iterable[str]) -> CycleOrPath:
             raise ValueError("expected an even cycle")
         return cycle
     return even_cycle_from_string(tuple(cycle))
-
-
-def on_segment(p, a, b) -> bool:
-    """Whether p lies on the closed segment [a, b]; exact rational test."""
-    px, py = Fraction(p[0]), Fraction(p[1])
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if cross != 0:
-        return False
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def on_open_segment(p, a, b) -> bool:
-    return on_segment(p, a, b) and tuple(map(Fraction, p)) not in (
-        tuple(map(Fraction, a)),
-        tuple(map(Fraction, b)),
-    )
 
 
 def _near_perfect(
@@ -133,7 +115,7 @@ def _delegate_to_cycle(comp: CycleOrPath):
         return CycleOrPath(EVEN_CYCLE, comp.colors), None
     # odd path: dummy yellow edge closes it into an even cycle
     colors = comp.colors + (YELLOW,)
-    return CycleOrPath(EVEN_CYCLE, colors, dummies=frozenset({len(colors) - 1})), len(colors) - 1
+    return CycleOrPath(EVEN_CYCLE, colors), len(colors) - 1
 
 
 def solve_path_or_cycle(

@@ -8,7 +8,7 @@ function, so they are safe to share across test shards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 RED = "R"
@@ -150,7 +150,6 @@ class CycleOrPath:
     colors: tuple[str, ...]
     edge_ids: tuple[int, ...] | None = None
     sources: tuple[int, ...] | None = None
-    dummies: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         n = len(self.colors)

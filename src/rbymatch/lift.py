@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import InvariantError
-from .graph import ColorProfile, profile_of_colors
 
 
 class DisjointSets:
@@ -47,21 +46,13 @@ class ContractionRecord:
     color: str
     outer_a: frozenset[int]  # vertex class beyond edge_a when contracted
     outer_b: frozenset[int]  # vertex class beyond edge_b when contracted
-    position: int            # position of the pair at contraction time
 
 
 @dataclass
 class ContractionJournal:
-    """Ordered contraction records plus the total requirement shift."""
+    """Ordered contraction records, lifted back newest first."""
 
     records: list[ContractionRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def profile_delta(self) -> ColorProfile:
-        return profile_of_colors(r.color for r in self.records)
 
     def add(self, record: ContractionRecord) -> None:
         self.records.append(record)

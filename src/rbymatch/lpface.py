@@ -46,6 +46,7 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Sequence
 
+from .curve import on_segment
 from .errors import InvariantError
 from .graph import BLUE, RED, ColoredGraph, color_profile, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
@@ -331,21 +332,11 @@ def _describe_face(
             f"minimal face has {len(vertices)} vertices; dimension bound violated"
         )
     vertices = sorted(vertices, key=lambda m: tuple(sorted(m)))
-
-    rank = _affine_rank(vertices)
-    if rank == 0:
-        classification = SINGLETON
-    elif rank == 1:
-        classification = SEGMENT
-    elif len(vertices) == 3:
-        classification = TRIANGLE
-    else:
-        classification = PARALLELOGRAM
-    expected = {SINGLETON: 1, SEGMENT: 2, TRIANGLE: 3, PARALLELOGRAM: 4}[classification]
-    if len(vertices) != expected:
-        raise InvariantError(
-            f"face with {len(vertices)} vertices classified {classification}"
-        )
+    # enumerate_matchings yields each matching once, and a line meets the 0/1
+    # cube in at most two vertices, so no three face vertices are collinear
+    # and the count fixes the class; four affinely independent vertices still
+    # fail in _order_parallelogram.
+    classification = (SINGLETON, SEGMENT, TRIANGLE, PARALLELOGRAM)[len(vertices) - 1]
     if classification == PARALLELOGRAM:
         vertices = _order_parallelogram(vertices)
     projected = tuple(
@@ -357,41 +348,6 @@ def _describe_face(
         projected_vertices=projected,  # type: ignore[arg-type]
         route=route,
     )
-
-
-def _affine_rank(vertices: list[frozenset[int]]) -> int:
-    if len(vertices) <= 1:
-        return 0
-    base = vertices[0]
-    diffs = [v ^ base for v in vertices[1:]]
-    # signed difference vectors over the union of involved edges
-    edges = sorted(set().union(*diffs)) if diffs else []
-    rows = []
-    for v in vertices[1:]:
-        rows.append([Fraction((e in v) - (e in base)) for e in edges])
-    return _matrix_rank(rows)
-
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in rows if any(c != 0 for c in r)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [c / pv for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _order_parallelogram(vertices: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -503,8 +459,6 @@ def _adjacent_pairs(face: FaceDescriptor) -> list[tuple[int, int]]:
 
 
 def dispatch_face(face: FaceDescriptor, k_red: int, k_blue: int) -> DispatchFace:
-    from .cycles import on_segment  # local import avoids a cycle
-
     projected = face.projected_vertices
     vertices = face.vertex_matchings
     point = (k_red, k_blue)

@@ -167,7 +167,6 @@ def _contract_block(
                 color=color,
                 outer_a=dsu.members(far_a),
                 outer_b=dsu.members(far_b),
-                position=hit,
             )
         )
         mid = block.verts[(hit + 1) % max(len(block.verts), 1)]
@@ -212,8 +211,7 @@ class GluedCycle:
         return sum(1 for e in self.edge_map if e is None)
 
     def component(self) -> CycleOrPath:
-        dummies = frozenset(i for i, e in enumerate(self.edge_map) if e is None)
-        return CycleOrPath(EVEN_CYCLE, self.colors, dummies=dummies)
+        return CycleOrPath(EVEN_CYCLE, self.colors)
 
 
 def glue_components(components: Sequence[CycleOrPath] | Sequence[_Block],

@@ -148,6 +148,15 @@ def test_curve_subcommand(capsys):
     assert payload["crossing"] is not None
 
 
+def test_curve_subcommand_q_on_the_curve(capsys):
+    # q = (-2, 2) is a breakpoint of the straight curve: no crossing defined
+    assert main(["curve", "RBRBRB", "--kr", "1", "--kb", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["q"] == [-2, 2]
+    assert payload["injective"] is True
+    assert payload["crossing"] is None
+
+
 def test_gen_round_trip(capsys):
     assert main(["gen", "--mode", "random_cycle", "--nodes", "8", "--seed", "1"]) == 0
     first = capsys.readouterr().out

@@ -22,6 +22,8 @@ from rbymatch.curve import (
     find_crossing_pair,
     find_intersecting_pair,
     imbalance_curve,
+    on_open_segment,
+    on_segment,
     periodic_eval,
     polyline_from_moves,
     side_of,
@@ -194,6 +196,19 @@ def test_intersecting_pair_rejects_off_segment_q():
         find_intersecting_pair(p, (1, 0))
 
 
+def test_segment_predicates():
+    a, b = (0, 0), (4, 2)
+    assert on_segment((2, 1), a, b) and on_open_segment((2, 1), a, b)
+    assert on_open_segment((Fraction(1), Fraction(1, 2)), a, b)  # ints and Fractions mix
+    for end in (a, b, (Fraction(4), Fraction(2))):
+        assert on_segment(end, a, b) and not on_open_segment(end, a, b)
+    assert not on_segment((2, 2), a, b) and not on_segment((6, 3), a, b)
+    p = imbalance_curve(FIG3)
+    for end in (p.points[0], p.points[-1]):  # the period's own endpoints are excluded
+        with pytest.raises(ValueError):
+            all_intersecting_pairs(p, end)
+
+
 def test_crossing_fig3():
     p = imbalance_curve(FIG3)
     cp = find_crossing_pair(p, (2, 1))
@@ -229,12 +244,20 @@ def test_crossing_overlap_type_b_schematic():
     assert cp.overlap_length == 2
 
 
-def test_crossing_general_curve_figure_example():
-    # non-unit moves: (1,1)->(2,3)->(5,3) with period shift (4,2)
-    p = LatticePolyline(((1, 1), (2, 3), (5, 3)))
-    cp = find_crossing_pair(p, (3, 2))
-    assert cp.kind == SIMPLE
-    assert (cp.u, cp.v) == (Fraction(3, 2), Fraction(1, 2))
+def test_polyline_rejects_non_unit_moves():
+    with pytest.raises(ValueError):
+        LatticePolyline(((1, 1), (2, 3), (5, 3)))
+    with pytest.raises(ValueError):
+        LatticePolyline(((0, 0), (1, 0), (1, 0)))  # zero-length move
+    with pytest.raises(ValueError):
+        polyline_from_moves([(1, 0), (1, 1)])  # (1, 1) is no color move
+
+
+def test_crossing_rejects_non_lattice_q():
+    p = imbalance_curve(FIG3)
+    with pytest.raises(ValueError):
+        find_crossing_pair(p, (1, Fraction(1, 2)))  # on the period segment
+    assert find_crossing_pair(p, (2, 1)).kind in (SIMPLE, OVERLAP_SAME, OVERLAP_OPPOSITE)
 
 
 def test_crossing_rejects_q_on_curve():

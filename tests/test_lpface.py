@@ -14,6 +14,7 @@ from rbymatch.lpface import (
     PARALLELOGRAM,
     SEGMENT,
     SINGLETON,
+    TRIANGLE,
     BlossomRow,
     BlossomRows,
     _describe_face,
@@ -537,3 +538,19 @@ def test_face_check_keeps_nested_tight_sets():
     face = minimal_face(g, model, point)
     assert face.vertex_matchings == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3, 4}))
     assert face.route == "fractional vertices=5 tight_sets=3 laminar_rows=2"
+
+
+def test_describe_face_classifies_by_vertex_count():
+    g = ColoredGraph(8, [(0, 1, "R"), (2, 3, "B"), (4, 5, "Y"), (6, 7, "R")])
+    matchings = [frozenset({e}) for e in range(4)]
+    for k, cls in ((1, SINGLETON), (2, SEGMENT), (3, TRIANGLE)):
+        face = _describe_face(g, matchings[:k], "")
+        assert face.classification == cls
+        assert face.vertex_matchings == tuple(matchings[:k])
+    square = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    face = _describe_face(g, square, "")
+    assert face.classification == PARALLELOGRAM
+    assert face.vertex_matchings == (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({1}))
+    # four affinely independent vertices span a 3-dimensional simplex
+    with pytest.raises(InvariantError):
+        _describe_face(g, matchings, "")
