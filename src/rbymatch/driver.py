@@ -34,10 +34,8 @@ from .graph import (
     validate_matching,
 )
 from .lpface import (
-    PARALLELOGRAM,
     SEGMENT,
     SINGLETON,
-    TRIANGLE,
     DispatchFace,
     build_lp,
     dispatch_face,

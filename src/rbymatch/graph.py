@@ -142,14 +142,17 @@ class CycleOrPath:
 
     For components extracted from a host graph, ``edge_ids[i]`` is the original
     id of edge i and ``sources[i]`` records which of the two input matchings
-    edge i came from (0 or 1).  Even positions form one matching of the
-    structure, odd positions the other.
+    edge i came from (0 or 1), and ``vertices[i]`` is the vertex before edge
+    i (a path adds its last vertex, so it has one more vertex than edges).
+    Even positions form one matching of the structure, odd positions the
+    other.
     """
 
     kind: str
     colors: tuple[str, ...]
     edge_ids: tuple[int, ...] | None = None
     sources: tuple[int, ...] | None = None
+    vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n = len(self.colors)
@@ -170,6 +173,8 @@ class CycleOrPath:
             raise ValueError("edge_ids length mismatch")
         if self.sources is not None and len(self.sources) != n:
             raise ValueError("sources length mismatch")
+        if self.vertices is not None and len(self.vertices) != n + (not self.is_cycle):
+            raise ValueError("vertices length mismatch")
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -246,22 +251,20 @@ def symdiff_components(
 ) -> list[CycleOrPath]:
     """Decompose M0 symmetric-difference M1 into alternating paths and cycles.
 
-    Components are emitted in order of their smallest contained edge id.  A
-    path is numbered starting at the extremal edge with the smaller id; a
-    cycle starts at its smallest edge id and proceeds toward the smaller of
-    the two neighbouring ids.  ``sources[i]`` is 0 for M0 edges, 1 for M1.
+    Each component is walked once from its smallest edge id.  A cycle starts
+    there and proceeds toward the smaller of the two neighbouring ids; a path
+    starts at its end edge with the smaller id.  Components are emitted in
+    order of their first edge id, which for a path is its smaller end edge,
+    not necessarily the smallest id it contains.  ``sources[i]`` is 0 for M0
+    edges, 1 for M1; ``vertices`` follows the walk (ascending for one edge).
     """
-    set0 = frozenset(m0)
-    set1 = frozenset(m1)
+    set0, set1 = frozenset(m0), frozenset(m1)
     if not validate_matching(graph, set0):
         raise ValueError("m0 is not a matching")
     if not validate_matching(graph, set1):
         raise ValueError("m1 is not a matching")
     diff = sorted(set0 ^ set1)
-    if not diff:
-        return []
 
-    diff_set = set(diff)
     incident: dict[int, list[int]] = {}
     for eid in diff:
         for vtx in graph.endpoints(eid):
@@ -270,77 +273,49 @@ def symdiff_components(
         if len(ids) > 2:
             raise InvalidAlternation("vertex incident to three difference edges")
 
-    def other_endpoint(eid: int, vtx: int) -> int:
-        u, v = graph.endpoints(eid)
-        return v if vtx == u else u
+    def next_edge(eid: int, vtx: int) -> int | None:
+        return next((e for e in incident[vtx] if e != eid), None)
 
-    def walk(start_edge: int, start_vertex: int, component: set[int]) -> list[int]:
-        """Edges in order starting with start_edge, leaving via start_vertex."""
-        order = [start_edge]
-        prev_edge = start_edge
-        vtx = start_vertex
-        while True:
-            nxt = [e for e in incident[vtx] if e != prev_edge and e in component]
-            if not nxt:
-                break
-            prev_edge = nxt[0]
-            if prev_edge == start_edge:
-                break
-            order.append(prev_edge)
-            vtx = other_endpoint(prev_edge, vtx)
-        return order
+    def walk(seed: int, vtx: int) -> tuple[list[int], list[int], bool]:
+        # edges after seed through vtx, vertices from vtx on, back at seed?
+        edges, verts = [], [vtx]
+        eid = next_edge(seed, vtx)
+        while eid is not None and eid != seed:
+            edges.append(eid)
+            u, v = graph.endpoints(eid)
+            vtx = v if vtx == u else u
+            verts.append(vtx)
+            eid = next_edge(eid, vtx)
+        return edges, verts, eid == seed
 
     visited: set[int] = set()
     components: list[CycleOrPath] = []
     for seed in diff:
         if seed in visited:
             continue
-        # collect the connected component of the difference containing seed
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            eid = frontier.pop()
-            for vtx in graph.endpoints(eid):
-                for nb in incident[vtx]:
-                    if nb in diff_set and nb not in component:
-                        component.add(nb)
-                        frontier.append(nb)
-        visited |= component
-
-        degree: dict[int, int] = {}
-        for eid in component:
-            for vtx in graph.endpoints(eid):
-                degree[vtx] = degree.get(vtx, 0) + 1
-        path_ends = sorted(v for v, d in degree.items() if d == 1)
-
-        if path_ends:
-            extremal = [
-                e
-                for e in sorted(component)
-                if any(degree[v] == 1 for v in graph.endpoints(e))
-            ]
-            first = extremal[0]
-            u, v = graph.endpoints(first)
-            inner = v if degree[u] == 1 else u
-            if degree[u] == 1 and degree[v] == 1:
-                inner = v  # single-edge component
-            order = walk(first, inner, component)
+        u, v = graph.endpoints(seed)
+        nb_u, nb_v = next_edge(seed, u), next_edge(seed, v)
+        if nb_u is not None and (nb_v is None or nb_u < nb_v):
+            u, v = v, u  # leave through v, toward the smaller neighbour
+        edges, verts, closed = walk(seed, v)
+        if closed:
+            order = [seed] + edges
+            vertices = [u] + verts[:-1]
         else:
-            first = min(component)
-            u, v = graph.endpoints(first)
-            nb_u = [e for e in incident[u] if e != first]
-            nb_v = [e for e in incident[v] if e != first]
-            # proceed toward the smaller neighbouring edge id
-            if nb_v and (not nb_u or nb_v[0] <= nb_u[0]):
-                order = walk(first, v, component)
-            else:
-                order = walk(first, u, component)
+            back, back_verts, _ = walk(seed, u)
+            order = back[::-1] + [seed] + edges
+            vertices = back_verts[::-1] + verts
+            if len(order) == 1:
+                vertices.sort()
+            elif order[-1] < order[0]:
+                order.reverse()
+                vertices.reverse()
+        visited.update(order)
 
         sources = tuple(0 if e in set0 else 1 for e in order)
-        for a, b in zip(sources, sources[1:]):
-            if a == b:
-                raise InvalidAlternation("component does not alternate")
-        if not path_ends:
+        if any(a == b for a, b in zip(sources, sources[1:])):
+            raise InvalidAlternation("component does not alternate")
+        if closed:
             if len(order) % 2 != 0:
                 raise InvalidAlternation("odd cycle in symmetric difference")
             if sources[0] == sources[-1]:
@@ -348,13 +323,9 @@ def symdiff_components(
             kind = EVEN_CYCLE
         else:
             kind = EVEN_PATH if len(order) % 2 == 0 else ODD_PATH
+        colors = tuple(graph.color(e) for e in order)
         components.append(
-            CycleOrPath(
-                kind,
-                tuple(graph.color(e) for e in order),
-                edge_ids=tuple(order),
-                sources=sources,
-            )
+            CycleOrPath(kind, colors, tuple(order), sources, tuple(vertices))
         )
     components.sort(key=lambda c: c.edge_ids[0])  # type: ignore[index]
     return components

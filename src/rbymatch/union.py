@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cycles import on_segment, solve_even_cycle, solve_path_or_cycle
+from .curve import on_segment
+from .cycles import solve_even_cycle, solve_path_or_cycle
 from .errors import InvariantError
 from .graph import (
     BLUE,
-    EVEN_CYCLE,
-    EVEN_PATH,
     RED,
     YELLOW,
     ColoredGraph,
@@ -66,33 +65,9 @@ class _Block:
         # aug1: extremes in matching 0
 
 
-def _component_vertices(graph: ColoredGraph, comp: CycleOrPath) -> list[int]:
-    ids = list(comp.edge_ids)  # type: ignore[arg-type]
-    if len(ids) == 1:
-        u, v = graph.endpoints(ids[0])
-        return [min(u, v), max(u, v)]
-    first_u, first_v = graph.endpoints(ids[0])
-    shared = set(graph.endpoints(ids[1]))
-    start = first_v if first_u in shared else first_u
-    if comp.is_cycle:
-        last = set(graph.endpoints(ids[-1]))
-        start = first_u if first_u in last else first_v
-    verts = [start]
-    cur = start
-    for eid in ids:
-        u, v = graph.endpoints(eid)
-        cur = v if cur == u else u
-        verts.append(cur)
-    if comp.is_cycle:
-        if verts[-1] != verts[0]:
-            raise InvariantError("cycle traversal did not close")
-        verts.pop()
-    return verts
-
-
-def _block_from_component(graph: ColoredGraph, comp: CycleOrPath) -> _Block:
-    if comp.sources is None or comp.edge_ids is None:
-        raise ValueError("components must carry matching labels and edge ids")
+def _block_from_component(comp: CycleOrPath) -> _Block:
+    if comp.sources is None or comp.edge_ids is None or comp.vertices is None:
+        raise ValueError("components must carry matching labels, edge ids and vertices")
     for a, b in zip(comp.sources, comp.sources[1:]):
         if a == b:
             raise ValueError("component does not alternate between the matchings")
@@ -102,7 +77,7 @@ def _block_from_component(graph: ColoredGraph, comp: CycleOrPath) -> _Block:
         edges=list(comp.edge_ids),
         colors=list(comp.colors),
         sources=list(comp.sources),
-        verts=_component_vertices(graph, comp),
+        verts=list(comp.vertices),
         is_cycle=comp.is_cycle,
     )
 
@@ -154,12 +129,8 @@ def _contract_block(
             hit = 0
         ea, eb = block.edges[hit], block.edges[hit + 1]
         color = block.colors[hit]
-        if block.is_cycle:
-            far_a = block.verts[0]
-            far_b = block.verts[2 % len(block.verts)]
-        else:
-            far_a = block.verts[hit]
-            far_b = block.verts[hit + 2]
+        far_a = block.verts[hit]
+        far_b = block.verts[(hit + 2) % len(block.verts)]  # a 2-cycle wraps
         journal.add(
             ContractionRecord(
                 edge_a=ea,
@@ -169,25 +140,17 @@ def _contract_block(
                 outer_b=dsu.members(far_b),
             )
         )
-        mid = block.verts[(hit + 1) % max(len(block.verts), 1)]
+        mid = block.verts[hit + 1]
         dsu.union(far_a, mid)
         dsu.union(far_a, far_b)
         if color == RED:
             dr += 1
         elif color == BLUE:
             db += 1
-        if block.is_cycle:
-            block.edges = block.edges[2:]
-            block.colors = block.colors[2:]
-            block.sources = block.sources[2:]
-            block.verts = [block.verts[0]] + block.verts[3:]
-            if len(block.edges) == 0:
-                block.verts = []
-        else:
-            del block.edges[hit : hit + 2]
-            del block.colors[hit : hit + 2]
-            del block.sources[hit : hit + 2]
-            del block.verts[hit + 1 : hit + 3]
+        del block.edges[hit : hit + 2]
+        del block.colors[hit : hit + 2]
+        del block.sources[hit : hit + 2]
+        del block.verts[hit + 1 : hit + 3]
     return dr, db
 
 
@@ -206,34 +169,24 @@ class GluedCycle:
     edge_map: tuple[int | None, ...]
     block_spans: tuple[tuple[int, int, bool], ...]
 
-    @property
-    def dummy_count(self) -> int:
-        return sum(1 for e in self.edge_map if e is None)
 
-    def component(self) -> CycleOrPath:
-        return CycleOrPath(EVEN_CYCLE, self.colors)
+def _classify(
+    blocks: Sequence[_Block],
+) -> tuple[list[_Block], list[_Block], list[_Block]]:
+    """(cycles and even paths in input order, aug0 paths, aug1 paths), the
+    augmenting paths sorted by smallest edge id."""
+    even = [b for b in blocks if b.path_class() in ("cycle", "even")]
+    aug0, aug1 = (
+        sorted((b for b in blocks if b.path_class() == c), key=lambda b: b.min_edge)
+        for c in ("aug0", "aug1")
+    )
+    return even, aug0, aug1
 
 
-def glue_components(components: Sequence[CycleOrPath] | Sequence[_Block],
-                    graph: ColoredGraph | None = None) -> GluedCycle:
+def glue_components(blocks: Sequence[_Block]) -> GluedCycle:
     """Open cycles, patch augmenting paths in pairs, pad the rest with dummy
     yellow edges, and concatenate everything into one even cycle."""
-    blocks: list[_Block] = []
-    for comp in components:
-        if isinstance(comp, _Block):
-            blocks.append(comp)
-        else:
-            if graph is None:
-                raise ValueError("graph required to glue raw components")
-            blocks.append(_block_from_component(graph, comp))
-
-    even_blocks = [b for b in blocks if b.path_class() in ("cycle", "even")]
-    aug1 = sorted(
-        (b for b in blocks if b.path_class() == "aug1"), key=lambda b: b.min_edge
-    )
-    aug0 = sorted(
-        (b for b in blocks if b.path_class() == "aug0"), key=lambda b: b.min_edge
-    )
+    even_blocks, aug0, aug1 = _classify(blocks)
     if len(aug0) > len(aug1):
         raise ValueError("more paths augment the larger matching than the smaller")
 
@@ -329,36 +282,29 @@ def combine_two_matchings(
     if (kr, kb) == q1:
         return frozenset(shared | a1)
 
-    comps = symdiff_components(graph, a0, a1)
     dsu = DisjointSets(graph.vertex_count)
     journal = ContractionJournal()
-    blocks = [_block_from_component(graph, c) for c in comps]
+    blocks = [_block_from_component(c) for c in symdiff_components(graph, a0, a1)]
     for b in blocks:
         dr, db = _contract_block(b, dsu, journal)
         kr -= dr
         kb -= db
     blocks = [b for b in blocks if len(b)]
 
-    cnt0 = sum(s == 0 for b in blocks for s in b.sources)
-    cnt1 = sum(s == 1 for b in blocks for s in b.sources)
-    rp0 = profile_of_colors(
-        c for b in blocks for c, s in zip(b.colors, b.sources) if s == 0
-    ).rb
-    rp1 = profile_of_colors(
-        c for b in blocks for c, s in zip(b.colors, b.sources) if s == 1
-    ).rb
+    side0, side1 = _side(blocks, 0), _side(blocks, 1)
+    rp0, rp1 = _side_profile(blocks, 0), _side_profile(blocks, 1)
     if not on_segment((kr, kb), rp0, rp1):
         raise InvariantError("requirement left the profile segment after contraction")
 
     if (kr, kb) == rp0:
-        inner = frozenset(e for b in blocks for e, s in zip(b.edges, b.sources) if s == 0)
+        inner = side0
     elif (kr, kb) == rp1:
-        inner = frozenset(e for b in blocks for e, s in zip(b.edges, b.sources) if s == 1)
+        inner = side1
     elif not blocks:
         raise InvariantError("no components left but requirement not met")
     elif len(blocks) == 1:
         inner = _solve_single_block(blocks[0], kr, kb)
-    elif cnt0 > cnt1 or any(YELLOW in b.colors for b in blocks):
+    elif len(side0) > len(side1) or any(YELLOW in b.colors for b in blocks):
         inner = _case_glue(blocks, kr, kb)
     else:
         inner = _case_no_yellow(blocks, kr, kb, dsu, journal)
@@ -373,25 +319,27 @@ def combine_two_matchings(
     return result
 
 
+def _side(blocks: Sequence[_Block], source: int) -> frozenset[int]:
+    return frozenset(e for b in blocks for e, s in zip(b.edges, b.sources) if s == source)
+
+
+def _side_profile(blocks: Sequence[_Block], source: int) -> tuple[int, int]:
+    return profile_of_colors(
+        c for b in blocks for c, s in zip(b.colors, b.sources) if s == source
+    ).rb
+
+
 def _solve_single_block(block: _Block, kr: int, kb: int) -> frozenset[int]:
-    comp = _block_component(block)
-    positions = solve_path_or_cycle(comp, kr, kb)
+    # an even path is solved as the even cycle on the same colors, so a
+    # cycle block needs no separate kind
+    positions = solve_path_or_cycle(block.colors, kr, kb)
     return frozenset(block.edges[p] for p in positions)
-
-
-def _block_component(block: _Block) -> CycleOrPath:
-    if block.is_cycle:
-        kind = EVEN_CYCLE
-    else:
-        kind = EVEN_PATH if len(block.edges) % 2 == 0 else "odd_path"
-    return CycleOrPath(kind, tuple(block.colors))
 
 
 def _case_glue(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]:
     """Glue everything into one cycle, solve, strip dummies, repair."""
     glued = glue_components(blocks)
-    comp = glued.component()
-    positions = solve_even_cycle(comp, kr, kb)
+    positions = solve_even_cycle(glued.colors, kr, kb)
     chosen = set(positions)
     conflicts = []
     for start, end, was_cycle in glued.block_spans:
@@ -431,15 +379,9 @@ def _case_no_yellow(
     journal: ContractionJournal,
 ) -> frozenset[int]:
     """Equal sizes, no yellow: join odd paths, then peel components."""
-    aug1 = sorted(
-        (b for b in blocks if b.path_class() == "aug1"), key=lambda b: b.min_edge
-    )
-    aug0 = sorted(
-        (b for b in blocks if b.path_class() == "aug0"), key=lambda b: b.min_edge
-    )
+    rest, aug0, aug1 = _classify(blocks)
     if len(aug1) != len(aug0):
         raise InvariantError("odd paths unbalanced although the matchings have equal size")
-    rest = [b for b in blocks if b.path_class() in ("cycle", "even")]
     for b1, b0 in zip(aug1, aug0):
         joined = _Block(
             edges=b1.edges + b0.edges,
@@ -459,27 +401,14 @@ def _case_no_yellow(
     return _recurse_no_yellow(rest, kr, kb)
 
 
-def _split_profiles(block: _Block):
-    ev = profile_of_colors(
-        c for c, s in zip(block.colors, block.sources) if s == 0
-    ).rb
-    od = profile_of_colors(
-        c for c, s in zip(block.colors, block.sources) if s == 1
-    ).rb
-    return ev, od
-
-
 def _recurse_no_yellow(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]:
-    p0 = (sum(_split_profiles(b)[0][0] for b in blocks),
-          sum(_split_profiles(b)[0][1] for b in blocks))
-    p1 = (sum(_split_profiles(b)[1][0] for b in blocks),
-          sum(_split_profiles(b)[1][1] for b in blocks))
+    p0, p1 = _side_profile(blocks, 0), _side_profile(blocks, 1)
     if not on_segment((kr, kb), p0, p1):
         raise InvariantError("requirement left the segment during recursion")
     if (kr, kb) == p0:
-        return frozenset(e for b in blocks for e, s in zip(b.edges, b.sources) if s == 0)
+        return _side(blocks, 0)
     if (kr, kb) == p1:
-        return frozenset(e for b in blocks for e, s in zip(b.edges, b.sources) if s == 1)
+        return _side(blocks, 1)
     if len(blocks) == 1:
         return _solve_single_block(blocks[0], kr, kb)
 
@@ -495,17 +424,11 @@ def _recurse_no_yellow(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]
     else:
         chosen = min(blocks, key=lambda b: (len(b.edges), b.min_edge))
     rest = [b for b in blocks if b is not chosen]
-    ev, od = _split_profiles(chosen)
+    ev, od = _side_profile([chosen], 0), _side_profile([chosen], 1)
     rp0 = (p0[0] - ev[0], p0[1] - ev[1])
     rp1 = (p1[0] - od[0], p1[1] - od[1])
-    k0 = (kr - ev[0], kb - ev[1])
-    k1 = (kr - od[0], kb - od[1])
-    if on_segment(k0, rp0, rp1):
-        picked = [e for e, s in zip(chosen.edges, chosen.sources) if s == 0]
-        sub = _recurse_no_yellow(rest, *k0)
-    elif on_segment(k1, rp0, rp1):
-        picked = [e for e, s in zip(chosen.edges, chosen.sources) if s == 1]
-        sub = _recurse_no_yellow(rest, *k1)
-    else:
-        raise InvariantError("neither half of the chosen component keeps the segment")
-    return frozenset(picked) | sub
+    for source, (dr, db) in enumerate((ev, od)):
+        k = (kr - dr, kb - db)
+        if on_segment(k, rp0, rp1):
+            return _side([chosen], source) | _recurse_no_yellow(rest, *k)
+    raise InvariantError("neither half of the chosen component keeps the segment")

@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbymatch.graph import (
+    EVEN_CYCLE,
+    EVEN_PATH,
+    ODD_PATH,
     ColoredGraph,
     ColorProfile,
     CycleOrPath,
+    InvalidAlternation,
     color_profile,
     cycle_graph,
     even_cycle_from_string,
@@ -103,6 +107,16 @@ def test_symdiff_path_numbering_starts_at_smaller_extremal_id():
     assert c.kind == "even_path"
 
 
+def test_symdiff_orders_components_by_first_edge_not_smallest_id():
+    # the path 3-0-4 holds the smallest id 0 but starts at its end edge 3
+    g = ColoredGraph(
+        7, [(1, 2, "R"), (4, 5, "B"), (5, 6, "R"), (0, 1, "B"), (2, 3, "Y")]
+    )
+    comps = symdiff_components(g, {0, 1}, {2, 3, 4})
+    assert [c.edge_ids for c in comps] == [(1, 2), (3, 0, 4)]
+    assert [c.vertices for c in comps] == [(4, 5, 6), (0, 1, 2, 3)]
+
+
 def _random_graph(rng: random.Random, n: int, m: int) -> ColoredGraph:
     edges = []
     for _ in range(m):
@@ -172,6 +186,118 @@ def test_cycle_or_path_validation():
         CycleOrPath("even_cycle", ("R", "B", "Y"))
     with pytest.raises(ValueError):
         CycleOrPath("odd_path", ("R", "B"))
+    with pytest.raises(ValueError):
+        CycleOrPath("odd_path", ("R",), vertices=(0,))
+    with pytest.raises(ValueError):
+        CycleOrPath("even_cycle", ("R", "B"), vertices=(0, 1, 0))
+    assert CycleOrPath("odd_path", ("R",), vertices=(0, 1)).vertices == (0, 1)
     c = even_cycle_from_string("RBYB")
     assert c.even_edges() == (0, 2)
     assert c.even_profile() == ColorProfile(1, 0, 1)
+
+
+def _reference_symdiff(graph, m0, m1):
+    """BFS, degree pass and ordered walk per component; then the vertices
+    re-walked from the edge ids.  The reference for symdiff_components."""
+    set0, set1 = frozenset(m0), frozenset(m1)
+    diff = sorted(set0 ^ set1)
+    incident: dict[int, list[int]] = {}
+    for eid in diff:
+        for vtx in graph.endpoints(eid):
+            incident.setdefault(vtx, []).append(eid)
+    if any(len(ids) > 2 for ids in incident.values()):
+        raise InvalidAlternation("vertex incident to three difference edges")
+
+    def other_endpoint(eid, vtx):
+        u, v = graph.endpoints(eid)
+        return v if vtx == u else u
+
+    def walk(start_edge, start_vertex, component):
+        order, prev_edge, vtx = [start_edge], start_edge, start_vertex
+        while True:
+            nxt = [e for e in incident[vtx] if e != prev_edge and e in component]
+            if not nxt or nxt[0] == start_edge:
+                return order
+            prev_edge = nxt[0]
+            order.append(prev_edge)
+            vtx = other_endpoint(prev_edge, vtx)
+
+    def vertices(ids, is_cycle):
+        if len(ids) == 1:
+            return tuple(sorted(graph.endpoints(ids[0])))
+        first_u, first_v = graph.endpoints(ids[0])
+        start = first_v if first_u in graph.endpoints(ids[1]) else first_u
+        if is_cycle:
+            start = first_u if first_u in graph.endpoints(ids[-1]) else first_v
+        verts = [start]
+        for eid in ids:
+            verts.append(other_endpoint(eid, verts[-1]))
+        if is_cycle:
+            assert verts.pop() == verts[0]
+        return tuple(verts)
+
+    visited: set[int] = set()
+    out = []
+    for seed in diff:
+        if seed in visited:
+            continue
+        component, frontier = {seed}, [seed]
+        while frontier:
+            for vtx in graph.endpoints(frontier.pop()):
+                for nb in incident[vtx]:
+                    if nb not in component:
+                        component.add(nb)
+                        frontier.append(nb)
+        visited |= component
+        degree: dict[int, int] = {}
+        for eid in component:
+            for vtx in graph.endpoints(eid):
+                degree[vtx] = degree.get(vtx, 0) + 1
+        if any(d == 1 for d in degree.values()):
+            first = min(
+                e for e in component if any(degree[v] == 1 for v in graph.endpoints(e))
+            )
+            u, v = graph.endpoints(first)
+            inner = v if degree[u] == 1 else u
+            order = walk(first, inner, component)
+            kind = EVEN_PATH if len(order) % 2 == 0 else ODD_PATH
+        else:
+            first = min(component)
+            u, v = graph.endpoints(first)
+            nb_u = [e for e in incident[u] if e != first]
+            nb_v = [e for e in incident[v] if e != first]
+            order = walk(first, v if nb_v[0] <= nb_u[0] else u, component)
+            kind = EVEN_CYCLE
+        sources = tuple(0 if e in set0 else 1 for e in order)
+        out.append((kind, tuple(order), sources, vertices(order, kind == EVEN_CYCLE)))
+    out.sort(key=lambda c: c[1][0])
+    return out
+
+
+def _random_multigraph(rng: random.Random) -> ColoredGraph:
+    n = rng.randrange(2, 14)
+    edges: list[tuple[int, int, str]] = []
+    for _ in range(rng.randrange(0, 22)):
+        if edges and rng.randrange(4) == 0:
+            u, v, _ = rng.choice(edges)  # a parallel edge
+        else:
+            u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice("RBY")))
+    return ColoredGraph(n, edges)
+
+
+def test_symdiff_matches_reference_walk():
+    rng = random.Random(6)
+    kinds: dict[str, int] = {}
+    two_cycles = 0
+    for _ in range(2000):
+        g = _random_multigraph(rng)
+        m0, m1 = _random_matching(rng, g), _random_matching(rng, g)
+        got = symdiff_components(g, m0, m1)
+        want = _reference_symdiff(g, m0, m1)
+        assert [(c.kind, c.edge_ids, c.sources, c.vertices) for c in got] == want
+        for c in got:
+            kinds[c.kind] = kinds.get(c.kind, 0) + 1
+            two_cycles += c.is_cycle and len(c) == 2
+    assert two_cycles >= 50
+    assert min(kinds[k] for k in (EVEN_CYCLE, EVEN_PATH, ODD_PATH)) >= 200

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbymatch.errors import CapExceededError, ParseError
 from rbymatch.graph import ColoredGraph, color_profile, validate_matching
@@ -17,6 +19,7 @@ from rbymatch.instances import (
     serialize_instance,
 )
 from rbymatch.lpface import build_lp, solve_lp
+from rbymatch.oracle import DEFAULT_CAP
 
 
 def test_parse_single_edge():
@@ -70,21 +73,26 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
-def test_round_trip_identity():
-    rng = random.Random(4)
-    for _ in range(40):
-        n = rng.randrange(0, 9)
-        edges = []
-        for _ in range(rng.randrange(0, 10)):
-            u, v = rng.randrange(max(n, 1)), rng.randrange(max(n, 1))
-            if n and u != v:
-                edges.append((u, v, rng.choice("RBY")))
-        g = ColoredGraph(n, edges)
-        kr, kb = rng.randrange(0, 4), rng.randrange(0, 4)
-        text = serialize_instance(g, kr, kb)
-        g2, kr2, kb2 = parse_instance(text)
-        assert g2 == g and (kr2, kb2) == (kr, kb)
-        assert serialize_instance(g2, kr2, kb2) == text
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(0, DEFAULT_CAP.max_vertices))
+    edge = st.tuples(
+        st.integers(0, max(n - 1, 0)),
+        st.integers(0, max(n - 1, 0)),
+        st.sampled_from("RBY"),
+    ).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=DEFAULT_CAP.max_edges)) if n >= 2 else []
+    kr, kb = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    return ColoredGraph(n, edges), kr, kb
+
+
+@given(_instances())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_identity(instance):
+    g, kr, kb = instance
+    text = serialize_instance(g, kr, kb)
+    assert parse_instance(text) == (g, kr, kb)
+    assert serialize_instance(*parse_instance(text)) == text
 
 
 def test_generator_determinism():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rbymatch.errors import InvariantError
+from rbymatch.lift import ContractionJournal, DisjointSets
 from rbymatch.graph import (
     ColoredGraph,
     color_profile,
@@ -13,7 +14,12 @@ from rbymatch.graph import (
     validate_matching,
 )
 from rbymatch.oracle import best_profile_size, exact_optimum
-from rbymatch.union import combine_two_matchings, glue_components
+from rbymatch.union import (
+    _block_from_component,
+    _contract_block,
+    combine_two_matchings,
+    glue_components,
+)
 
 
 def _two_cycles_instance() -> ColoredGraph:
@@ -25,22 +31,24 @@ def _two_cycles_instance() -> ColoredGraph:
     return ColoredGraph(16, edges)
 
 
+def _glue(g: ColoredGraph, m0, m1):
+    return glue_components(
+        [_block_from_component(c) for c in symdiff_components(g, m0, m1)]
+    )
+
+
 def test_glue_single_augmenting_pair():
     g = ColoredGraph(4, [(0, 1, "R"), (2, 3, "B")])
-    comps = symdiff_components(g, {0}, {1})
-    glued = glue_components(comps, graph=g)
+    glued = _glue(g, {0}, {1})
     assert glued.colors == ("R", "B")
     assert glued.edge_map == (0, 1)
-    assert glued.dummy_count == 0
 
 
 def test_glue_single_leftover_path_gets_dummy():
     g = ColoredGraph(2, [(0, 1, "R")])
-    comps = symdiff_components(g, {0}, set())
-    glued = glue_components(comps, graph=g)
+    glued = _glue(g, {0}, set())
     assert glued.colors == ("R", "Y")
     assert glued.edge_map == (0, None)
-    assert glued.dummy_count == 1
 
 
 def test_glue_two_cycles():
@@ -54,10 +62,49 @@ def test_glue_two_cycles():
     )
     comps = symdiff_components(g, m0, m1)
     assert [c.kind for c in comps] == ["even_cycle", "even_cycle"]
-    glued = glue_components(comps, graph=g)
+    glued = _glue(g, m0, m1)
     assert len(glued.colors) == 16
-    assert glued.dummy_count == 0
+    assert None not in glued.edge_map
     assert [b[2] for b in glued.block_spans] == [True, True]
+
+
+@pytest.mark.parametrize(
+    "two_cycle,rest",
+    [
+        # a BRBR 4-cycle is left: the single-block solve
+        ("R", [(2, 3, "B"), (3, 4, "R"), (4, 5, "B"), (5, 2, "R")]),
+        # two RY paths are left: the glue case
+        ("B", [(2, 3, "R"), (3, 4, "Y"), (5, 6, "R"), (6, 7, "Y")]),
+    ],
+)
+def test_combine_contracts_same_color_two_cycle(two_cycle, rest):
+    # edges 0 and 1 join vertices 0 and 1; even ids form m0, odd ids m1
+    edges = [(0, 1, two_cycle), (1, 0, two_cycle)] + rest
+    g = ColoredGraph(max(max(u, v) for u, v, _ in edges) + 1, edges)
+    m0 = frozenset(range(0, len(edges), 2))
+    m1 = frozenset(range(1, len(edges), 2))
+    (comp, *_) = symdiff_components(g, m0, m1)
+    block = _block_from_component(comp)
+    assert comp.is_cycle and block.verts == [0, 1]
+    dsu, journal = DisjointSets(g.vertex_count), ContractionJournal()
+    # the only contraction whose far vertex wraps around to verts[0]
+    assert _contract_block(block, dsu, journal) == (
+        (1, 0) if two_cycle == "R" else (0, 1)
+    )
+    assert len(block) == 0
+    (rec,) = journal.records
+    assert (rec.edge_a, rec.edge_b) == (0, 1)
+    assert rec.outer_a == rec.outer_b == frozenset({0})
+    assert dsu.find(0) == dsu.find(1)
+
+    pa, pb = color_profile(g, m0).rb, color_profile(g, m1).rb
+    for kr, kb in _segment_points(pa, pb)[1:-1]:
+        got = combine_two_matchings(g, m0, m1, kr, kb)
+        assert validate_matching(g, got) and got & {0, 1}
+        prof = color_profile(g, got)
+        assert prof.red == kr and prof.blue in (kb - 1, kb)
+        best = exact_optimum(g, prof.red, prof.blue)
+        assert best is not None and len(best) >= len(got) >= min(len(m0), len(m1)) - 2
 
 
 def test_combine_identical_matchings():
