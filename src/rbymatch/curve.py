@@ -6,18 +6,21 @@ six unit color moves of MOVE_OF_PAIR, and LatticePolyline accepts no other.
 This module evaluates the periodic extension of such polylines, decides
 injectivity, classifies points against the two plane components cut out by
 an injective periodic curve, and searches for intersecting and crossing
-pairs between the curve and its translate by a lattice offset.  All
-arithmetic is exact (integers and fractions).
+pairs between the curve and its translate by a lattice offset.
 
-Pair searches are exhaustive integer scans, since unit-move curves and their
-lattice translates meet only at integer points; period lengths are small at the
-scale this package targets, and certified search plus verification is the
-executable counterpart of the existence guarantees the solvers rely on.
+All arithmetic is in integer coordinates.  Side classification scales the
+plane by four, so that the curve's breakpoints, its segment midpoints and
+every probe are integer points; a Fraction appears only at the public
+boundary, in `periodic_eval`, in the points handed to `PeriodicCurve` and in
+the fields of `CrossingPair`.  Pair searches are exhaustive integer scans,
+since unit-move curves and their lattice translates meet only at integer
+points; period lengths are small at the scale this package targets, and
+certified search plus verification is the executable counterpart of the
+existence guarantees the solvers rely on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -129,8 +132,6 @@ def periodic_eval(polyline: LatticePolyline, t) -> Point:
     k = t // ell
     r = t - k * ell
     i = int(r)
-    if i == ell:  # r in [0, ell) so this cannot happen; guard anyway
-        i = ell - 1
     frac = r - i
     a = polyline.points[i]
     b = polyline.points[i + 1]
@@ -188,16 +189,35 @@ def on_open_segment(p, a, b) -> bool:
     return p != a and p != b and on_segment(p, a, b)
 
 
+def _quadruple(p) -> IntPoint:
+    """4p for a point p of the quarter lattice, given as ints or Fractions."""
+    x, y = p
+    for c in (x, y):
+        if not isinstance(c, (int, Fraction)) or 4 % c.denominator:
+            raise ValueError(f"{p} is not a point of the quarter lattice")
+    return (x.numerator * (4 // x.denominator), y.numerator * (4 // y.denominator))
+
+
 class PeriodicCurve:
     """Point classification against an injective periodic polyline.
 
+    Everything here runs in integer coordinates scaled by four, which make the
+    quarter lattice integral: it holds the curve's breakpoints, the midpoints
+    of its segments and every probe.  `on_curve` and `side_of` convert their
+    point once and reject a point off that lattice with a ValueError.
+
     The plane minus the curve has exactly two connected components.  Side
     labels are fixed deterministically: the component adjacent to the left of
-    the first move (probe anchored at the first segment's midpoint) is SIDE_A.
-    Classification uses a horizontal ray with a symbolic +epsilon perturbation
-    of the query's y coordinate, counted over every translated copy that can
-    meet the ray; omitted copies contribute an even crossing count, so the
-    parity is exact.
+    the first move is SIDE_A.  Its probe sits a quarter unit along the left
+    normal from the first segment's midpoint; no unit-move line (x, y or x + y
+    an integer) meets the open segment between the two, so the probe is in
+    the component the first move has on its left.  Classification counts the
+    crossings of a ray along one axis, with the other, held coordinate of the
+    query perturbed by +epsilon: the ray runs along +x when the period shift
+    has a vertical component and along +y otherwise, so only the copies whose
+    span in the held coordinate contains the query's can meet it, and the
+    parity is exact.  Moves have slope 0, -1 or infinity, so every crossing
+    is an integer.
     """
 
     SIDE_A = "A"
@@ -205,115 +225,73 @@ class PeriodicCurve:
     ON = "on"
 
     def __init__(self, polyline: LatticePolyline):
-        self.polyline = polyline
-        self.delta = polyline.period_shift
-        if self.delta == (0, 0):
+        delta = polyline.period_shift
+        if delta == (0, 0):
             raise ValueError("periodic curve requires a nonzero period shift")
-        pts = polyline.points
-        self._xmin = min(p[0] for p in pts)
-        self._xmax = max(p[0] for p in pts)
-        self._ymin = min(p[1] for p in pts)
-        self._ymax = max(p[1] for p in pts)
-        self._copies: dict[int, list[tuple[Point, Point]]] = {}
-        self._ref_parity: int | None = None
+        pts, moves = polyline.points, polyline.moves
+        h = self._held = 1 if delta[1] else 0
+        f = 1 - h
+        self._shift = _scale(delta, 4)
+        quads = [_scale(p, 4) for p in pts]
+        self._lo = min(p[h] for p in quads)
+        self._hi = max(p[h] for p in quads)
+        # the 4L quarter-lattice points of one period, each segment without its end
+        self._points = frozenset(
+            _add(a, _scale(m, j)) for a, m in zip(quads, moves) for j in range(4)
+        )
+        # (low, high held coordinate, start, slope) of each segment the ray can cross
+        self._crossers = tuple(
+            (min(a[h], b[h]), max(a[h], b[h]), a, m[f] * m[h])
+            for a, b, m in zip(quads, quads[1:], moves)
+            if m[h]
+        )
+        a, m = pts[0], moves[0]
+        probe = (4 * a[0] + 2 * m[0] - m[1], 4 * a[1] + 2 * m[1] + m[0])
+        if self._on_curve(probe):
+            raise InvariantError("the side-A reference probe lies on the curve")
+        self._ref_parity = self._ray_parity(probe)
 
-    def _copy_segments(self, k: int) -> list[tuple[Point, Point]]:
-        segs = self._copies.get(k)
-        if segs is None:
-            off = _scale(self.delta, k)
-            pts = [_add(p, off) for p in self.polyline.points]
-            segs = list(zip(pts, pts[1:]))
-            self._copies[k] = segs
-        return segs
+    def _k_range(self, v: int) -> range:
+        """Every k whose copy, shifted by k periods, spans held coordinate v."""
+        step = self._shift[self._held]
+        lo, hi = v - self._hi, v - self._lo  # k * step in [lo, hi]
+        if step < 0:
+            step, lo, hi = -step, -hi, -lo
+        return range(-(-lo // step), hi // step + 1)
 
-    @staticmethod
-    def _k_range(lo, hi, step) -> range:
-        # integer k with k*step in [lo, hi]
-        if step > 0:
-            return range(math.ceil(Fraction(lo) / step), math.floor(Fraction(hi) / step) + 1)
-        return range(math.ceil(Fraction(hi) / step), math.floor(Fraction(lo) / step) + 1)
+    def _on_curve(self, p: IntPoint) -> bool:
+        sx, sy = self._shift
+        return any(
+            (p[0] - k * sx, p[1] - k * sy) in self._points
+            for k in self._k_range(p[self._held])
+        )
 
-    def _copies_touching(self, p: Point) -> Iterable[int]:
-        ranges = []
-        if self.delta[0] != 0:
-            ranges.append(
-                self._k_range(p[0] - self._xmax, p[0] - self._xmin, self.delta[0])
-            )
-        if self.delta[1] != 0:
-            ranges.append(
-                self._k_range(p[1] - self._ymax, p[1] - self._ymin, self.delta[1])
-            )
-        ks = set(ranges[0])
-        for r in ranges[1:]:
-            ks &= set(r)
-        return sorted(ks)
-
-    def on_curve(self, p: Point) -> bool:
-        for k in self._copies_touching(p):
-            for a, b in self._copy_segments(k):
-                if on_segment(p, a, b):
-                    return True
-        return False
-
-    def _ray_parity(self, p: Point) -> int:
-        """Crossing parity of a canonical ray from p to infinity.
-
-        A horizontal ray (+x, query height perturbed by +epsilon) works when
-        the period shift has a vertical component: only finitely many copies
-        meet the ray's height.  When the drift is purely horizontal the curve
-        stays inside a bounded y-band forever, so a vertical ray (+y, query x
-        perturbed by +epsilon) is used instead; copies not straddling the
-        query's x contribute nothing or an even count, so parity is exact.
-        """
-        px, py = p
+    def _ray_parity(self, p: IntPoint) -> int:
+        h = self._held
+        f = 1 - h
         count = 0
-        if self.delta[1] != 0:
-            ks = self._k_range(py - self._ymax - 1, py - self._ymin + 1, self.delta[1])
-            for k in ks:
-                for a, b in self._copy_segments(k):
-                    ay, by = a[1], b[1]
-                    if not ((ay <= py < by) or (by <= py < ay)):
-                        continue
-                    x_at = a[0] + (b[0] - a[0]) * Fraction(py - ay, by - ay)
-                    if x_at == px:
+        for k in self._k_range(p[h]):
+            ph = p[h] - k * self._shift[h]
+            pf = p[f] - k * self._shift[f]
+            for lo, hi, a, slope in self._crossers:
+                if lo <= ph < hi:
+                    at = a[f] + (ph - a[h]) * slope
+                    if at == pf:
                         raise InvariantError("ray test anchored on the curve")
-                    if x_at > px:
-                        count += 1
-        else:
-            ks = self._k_range(px - self._xmax - 1, px - self._xmin + 1, self.delta[0])
-            for k in ks:
-                for a, b in self._copy_segments(k):
-                    ax, bx = a[0], b[0]
-                    if not ((ax <= px < bx) or (bx <= px < ax)):
-                        continue
-                    y_at = a[1] + (b[1] - a[1]) * Fraction(px - ax, bx - ax)
-                    if y_at == py:
-                        raise InvariantError("ray test anchored on the curve")
-                    if y_at > py:
+                    if at > pf:
                         count += 1
         return count & 1
 
-    def _reference_parity(self) -> int:
-        if self._ref_parity is None:
-            a, b = self.polyline.points[0], self.polyline.points[1]
-            mid = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
-            move = _sub(b, a)
-            left = (-move[1], move[0])
-            scale = Fraction(1, 8)
-            for _ in range(64):
-                probe = _add(mid, _scale(left, scale))
-                if not self.on_curve(probe):
-                    self._ref_parity = self._ray_parity(probe)
-                    return self._ref_parity
-                scale /= 2
-            raise InvariantError("could not place the side-A reference probe")
-        return self._ref_parity
+    def _side(self, p: IntPoint) -> str:
+        if self._on_curve(p):
+            return self.ON
+        return self.SIDE_A if self._ray_parity(p) == self._ref_parity else self.SIDE_B
+
+    def on_curve(self, p) -> bool:
+        return self._on_curve(_quadruple(p))
 
     def side_of(self, p) -> str:
-        p = (Fraction(p[0]), Fraction(p[1]))
-        if self.on_curve(p):
-            return self.ON
-        return self.SIDE_A if self._ray_parity(p) == self._reference_parity() else self.SIDE_B
+        return self._side(_quadruple(p))
 
 
 def side_of(polyline: LatticePolyline, p) -> str:
@@ -393,25 +371,29 @@ def find_crossing_pair(polyline: LatticePolyline, q: IntPoint) -> CrossingPair:
     if not check_injective(polyline):
         raise ValueError("crossing search requires an injective periodic curve")
     _require_lattice_offset(polyline, q)
-    for sa, sb in zip(polyline.points, polyline.points[1:]):
-        if on_segment(q, sa, sb):
-            raise ValueError("q must not lie on the curve itself")
+    if q in polyline.points:  # a lattice point meets a unit segment only at its ends
+        raise ValueError("q must not lie on the curve itself")
     result = _crossing_lattice(polyline, q)
     if result is None:
         raise CrossingNotFoundError(
             "no certified crossing pair exists; this falsifies the crossing guarantee"
         )
-    return result
+    u, v, kind, overlap = result
+    return CrossingPair(Fraction(u), Fraction(v), kind, overlap)
 
 
-def _g_eval(polyline: LatticePolyline, offset, t) -> Point:
-    base = periodic_eval(polyline, t)
-    return (base[0] + offset[0], base[1] + offset[1])
+def _midpoint4(polyline: LatticePolyline, t: int, offset: IntPoint) -> IntPoint:
+    """4 (d-infinity(t - 1/2) + offset): the translate's midpoint before t."""
+    a, b = _eval_int(polyline, t - 1), _eval_int(polyline, t)
+    return (2 * (a[0] + b[0]) + 4 * offset[0], 2 * (a[1] + b[1]) + 4 * offset[1])
 
 
-def _crossing_lattice(polyline: LatticePolyline, q: IntPoint) -> CrossingPair | None:
+def _crossing_lattice(
+    polyline: LatticePolyline, q: IntPoint
+) -> tuple[int, int, str, int] | None:
     """First contact (v, u), 0 < v < L, whose overlap run [s, v] the
-    translate enters and leaves on opposite sides of the curve."""
+    translate enters and leaves on opposite sides of the curve, as
+    (u, v, kind, overlap length)."""
     ell = polyline.period_length
     offset = _sub(q, polyline.points[0])
     curve = PeriodicCurve(polyline)
@@ -442,12 +424,10 @@ def _crossing_lattice(polyline: LatticePolyline, q: IntPoint) -> CrossingPair | 
         else:
             kind, i = SIMPLE, 0
         s = v - i
-        before = _g_eval(polyline, offset, Fraction(2 * s - 1, 2))
-        after = _g_eval(polyline, offset, Fraction(2 * v + 1, 2))
-        side_before = curve.side_of(before)
-        side_after = curve.side_of(after)
+        side_before = curve._side(_midpoint4(polyline, s, offset))
+        side_after = curve._side(_midpoint4(polyline, v + 1, offset))
         if PeriodicCurve.ON in (side_before, side_after):
             continue
         if side_before != side_after:
-            return CrossingPair(Fraction(u), Fraction(v), kind, i)
+            return u, v, kind, i
     return None

@@ -26,16 +26,18 @@ for an odd set S:
 So only the fractional vertices, the ends of edges with 0 < x_e < 1, need a
 scan to tell whether some odd set is violated, or to find the tight ones.
 (Ranking the violated sets, done only in a round that activates rows, still
-scans the whole support, which keeps the rows picked.)  An integral optimum is a matching (self-loops are rejected and
-parallel edges share a degree row); it meets every blossom row and is its own
-minimal face, so neither scan runs.
+scans the whole support, which keeps the rows picked.)
+
+An integral optimum is a matching (self-loops are rejected and parallel
+edges share a degree row); it meets every blossom row and is its own minimal
+face, so neither scan runs.
 
 The minimal face of the matching polytope containing the optimum is
 recovered by enumerating matchings inside the support and keeping those tight
 on the tight degree rows and on a maximal laminar family of the odd sets
-tight on the fractional vertices, which by uncrossing spans every tight blossom row (Edmonds 1965;
-Cunningham & Marsh 1978); at most four survive, forming a point, segment,
-triangle, or parallelogram.
+tight on the fractional vertices, which by uncrossing spans every tight
+blossom row (Edmonds 1965; Cunningham & Marsh 1978); at most four survive,
+forming a point, segment, triangle, or parallelogram.
 """
 
 from __future__ import annotations
@@ -377,61 +379,6 @@ def _char_sum_equal(a, b, c, d) -> bool:
         if (e in a) + (e in b) != (e in c) + (e in d):
             return False
     return True
-
-
-def convex_coefficients(
-    graph: ColoredGraph, face: FaceDescriptor, solution: RationalSolution
-) -> list[Fraction] | None:
-    """Exact convex-combination coefficients writing the optimum over the
-    face vertices; None when no such combination exists."""
-    vertices = face.vertex_matchings
-    k = len(vertices)
-    edges = sorted(set().union(*vertices) | set(solution.support()))
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for e in edges:
-        rows.append([Fraction(1) if e in m else ZERO for m in vertices])
-        rhs.append(solution.values[e])
-    rows.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
-    coeffs = _solve_linear_system(rows, rhs, k)
-    if coeffs is None:
-        return None
-    if any(c < 0 for c in coeffs):
-        return None
-    return coeffs
-
-
-def _solve_linear_system(
-    rows: list[list[Fraction]], rhs: list[Fraction], n: int
-) -> list[Fraction] | None:
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [c / pv for c in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][-1] != 0:
-            return None  # inconsistent
-    solution = [ZERO] * n
-    for i, col in enumerate(pivots):
-        solution[col] = aug[i][-1]
-    # verify (free variables default to zero)
-    for row, b in zip(rows, rhs):
-        if sum((a * x for a, x in zip(row, solution)), ZERO) != b:
-            return None
-    return solution
 
 
 @dataclass(frozen=True)

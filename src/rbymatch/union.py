@@ -259,24 +259,24 @@ def combine_two_matchings(
     set1 = frozenset(m1)
     if not validate_matching(graph, set0) or not validate_matching(graph, set1):
         raise ValueError("inputs must be matchings")
-    p0 = color_profile(graph, set0).rb
-    p1 = color_profile(graph, set1).rb
+    p0 = _rb(graph, set0)
+    p1 = _rb(graph, set1)
     if not on_segment((k_red, k_blue), p0, p1):
         raise ValueError(
             f"requirement {(k_red, k_blue)} not on the segment {p0}..{p1}"
         )
 
     shared = set0 & set1
-    shared_prof = color_profile(graph, shared)
-    kr = k_red - shared_prof.red
-    kb = k_blue - shared_prof.blue
+    shared_red, shared_blue = _rb(graph, shared)
+    kr = k_red - shared_red
+    kb = k_blue - shared_blue
     a0 = set0 - shared
     a1 = set1 - shared
     if len(a0) < len(a1):
         a0, a1 = a1, a0
 
-    q0 = color_profile(graph, a0).rb
-    q1 = color_profile(graph, a1).rb
+    q0 = _rb(graph, a0)
+    q1 = _rb(graph, a1)
     if (kr, kb) == q0:
         return frozenset(shared | a0)
     if (kr, kb) == q1:
@@ -317,6 +317,11 @@ def combine_two_matchings(
             f"combined matching has profile {prof.rb}, requirement {(k_red, k_blue)}"
         )
     return result
+
+
+def _rb(graph: ColoredGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
+    # (red, blue) of edges from the two matchings validated on entry
+    return profile_of_colors(graph.color(e) for e in edge_ids).rb
 
 
 def _side(blocks: Sequence[_Block], source: int) -> frozenset[int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -363,3 +364,195 @@ def test_crossing_fuzz_small():
         assert cp.v < cp.u < cp.v + p.period_length
         found += 1
     assert found == 150
+
+
+class _FractionCurve:
+    """The general Fraction engine PeriodicCurve replaced, kept as the
+    reference: per-copy segment lists, an on_segment scan, two mirrored ray
+    branches and a halving search for the side-A probe."""
+
+    def __init__(self, polyline):
+        self.polyline = polyline
+        self.delta = polyline.period_shift
+        pts = polyline.points
+        self._xmin = min(p[0] for p in pts)
+        self._xmax = max(p[0] for p in pts)
+        self._ymin = min(p[1] for p in pts)
+        self._ymax = max(p[1] for p in pts)
+        self._copies = {}
+        self._ref_parity = None
+
+    def _copy_segments(self, k):
+        segs = self._copies.get(k)
+        if segs is None:
+            off = (self.delta[0] * k, self.delta[1] * k)
+            pts = [(p[0] + off[0], p[1] + off[1]) for p in self.polyline.points]
+            segs = self._copies[k] = list(zip(pts, pts[1:]))
+        return segs
+
+    @staticmethod
+    def _k_range(lo, hi, step):
+        if step > 0:
+            return range(math.ceil(Fraction(lo) / step), math.floor(Fraction(hi) / step) + 1)
+        return range(math.ceil(Fraction(hi) / step), math.floor(Fraction(lo) / step) + 1)
+
+    def _copies_touching(self, p):
+        ranges = []
+        if self.delta[0] != 0:
+            ranges.append(self._k_range(p[0] - self._xmax, p[0] - self._xmin, self.delta[0]))
+        if self.delta[1] != 0:
+            ranges.append(self._k_range(p[1] - self._ymax, p[1] - self._ymin, self.delta[1]))
+        ks = set(ranges[0])
+        for r in ranges[1:]:
+            ks &= set(r)
+        return sorted(ks)
+
+    def on_curve(self, p):
+        segments = (seg for k in self._copies_touching(p) for seg in self._copy_segments(k))
+        return any(on_segment(p, a, b) for a, b in segments)
+
+    def _ray_parity(self, p):
+        px, py = p
+        count = 0
+        if self.delta[1] != 0:
+            for k in self._k_range(py - self._ymax - 1, py - self._ymin + 1, self.delta[1]):
+                for a, b in self._copy_segments(k):
+                    ay, by = a[1], b[1]
+                    if not ((ay <= py < by) or (by <= py < ay)):
+                        continue
+                    x_at = a[0] + (b[0] - a[0]) * Fraction(py - ay, by - ay)
+                    assert x_at != px, "ray test anchored on the curve"
+                    count += x_at > px
+        else:
+            for k in self._k_range(px - self._xmax - 1, px - self._xmin + 1, self.delta[0]):
+                for a, b in self._copy_segments(k):
+                    ax, bx = a[0], b[0]
+                    if not ((ax <= px < bx) or (bx <= px < ax)):
+                        continue
+                    y_at = a[1] + (b[1] - a[1]) * Fraction(px - ax, bx - ax)
+                    assert y_at != py, "ray test anchored on the curve"
+                    count += y_at > py
+        return count & 1
+
+    def _reference_parity(self):
+        if self._ref_parity is None:
+            a, b = self.polyline.points[0], self.polyline.points[1]
+            mid = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
+            left = (a[1] - b[1], b[0] - a[0])
+            scale = Fraction(1, 8)
+            for _ in range(64):
+                probe = (mid[0] + left[0] * scale, mid[1] + left[1] * scale)
+                if not self.on_curve(probe):
+                    self._ref_parity = self._ray_parity(probe)
+                    return self._ref_parity
+                scale /= 2
+            raise AssertionError("could not place the side-A reference probe")
+        return self._ref_parity
+
+    def side_of(self, p):
+        p = (Fraction(p[0]), Fraction(p[1]))
+        if self.on_curve(p):
+            return PeriodicCurve.ON
+        if self._ray_parity(p) == self._reference_parity():
+            return PeriodicCurve.SIDE_A
+        return PeriodicCurve.SIDE_B
+
+
+def _reference_crossing(polyline, q):
+    """(u, v, kind, overlap) of the first certified contact, classified by
+    _FractionCurve at Fraction probes; the overlap walk is the library's."""
+    ell = polyline.period_length
+    offset = (q[0] - polyline.points[0][0], q[1] - polyline.points[0][1])
+    curve = _FractionCurve(polyline)
+
+    def g(t):
+        x, y = periodic_eval(polyline, t)
+        return (x + offset[0], y + offset[1])
+
+    for u, v in all_intersecting_pairs(polyline, q):
+        if not 0 < v < ell:
+            continue
+        i_a = 0
+        while i_a < v - 1 and periodic_eval(polyline, u - i_a - 1) == g(v - i_a - 1):
+            i_a += 1
+        cap_b = min(v - 1, -((u - v - ell) // 2) - 1)
+        i_b = 0
+        while i_b < cap_b and periodic_eval(polyline, u + i_b + 1) == g(v - i_b - 1):
+            i_b += 1
+        assert not (i_a and i_b)
+        if i_a:
+            kind, i = OVERLAP_SAME, i_a
+        elif i_b:
+            kind, i = OVERLAP_OPPOSITE, i_b
+        else:
+            kind, i = SIMPLE, 0
+        sides = (
+            curve.side_of(g(Fraction(2 * (v - i) - 1, 2))),
+            curve.side_of(g(Fraction(2 * v + 1, 2))),
+        )
+        if PeriodicCurve.ON not in sides and sides[0] != sides[1]:
+            return (u, v, kind, i)
+    return None
+
+
+def _differential_curves():
+    """Seeded criterion-4 curves (injective, with an interior lattice point
+    of the period segment), then the drift and overlap special cases."""
+    rng = random.Random(404)
+    moves = sorted(MOVE_OF_PAIR.values())
+    cases = []
+    while len(cases) < 40:
+        poly = polyline_from_moves(rng.choice(moves) for _ in range(rng.randrange(2, 13)))
+        if _segment_lattice_points(poly.period_shift) and check_injective(poly):
+            cases.append(pytest.param(poly, id=f"random{len(cases)}"))
+    for colors in ("YRYR", "YBYB", "RYRYRY", "YBYBYB", "RBRB", FIG3):
+        cases.append(pytest.param(imbalance_curve(colors), id=colors))
+    cases.append(pytest.param(polyline_from_moves(OVERLAP_A_MOVES), id="overlap_same"))
+    cases.append(pytest.param(polyline_from_moves(OVERLAP_B_MOVES), id="overlap_opposite"))
+    return cases
+
+
+@pytest.mark.parametrize("poly", _differential_curves())
+def test_integer_engine_matches_fraction_reference(poly):
+    curve, ref = PeriodicCurve(poly), _FractionCurve(poly)
+    # every half-integer point of a window two periods wide around the base period
+    dx, dy = poly.period_shift
+    xs = [p[0] for p in poly.points] + [p[0] - dx for p in poly.points]
+    ys = [p[1] for p in poly.points] + [p[1] - dy for p in poly.points]
+    for x2 in range(2 * min(xs) - 2, 2 * max(xs) + 3):
+        for y2 in range(2 * min(ys) - 2, 2 * max(ys) + 3):
+            p = (Fraction(x2, 2), Fraction(y2, 2))
+            assert curve.on_curve(p) == ref.on_curve(p), p
+            assert curve.side_of(p) == ref.side_of(p), p
+    for q in _segment_lattice_points(poly.period_shift):
+        if q in poly.points:
+            continue
+        cp = find_crossing_pair(poly, q)
+        assert (cp.u, cp.v, cp.kind, cp.overlap_length) == _reference_crossing(poly, q)
+
+
+def test_crossing_pairs_match_fraction_reference():
+    rng = random.Random(405)
+    moves = sorted(MOVE_OF_PAIR.values())
+    kinds = {SIMPLE: 0, OVERLAP_SAME: 0, OVERLAP_OPPOSITE: 0}
+    while sum(kinds.values()) < 400:
+        poly = polyline_from_moves(rng.choice(moves) for _ in range(rng.randrange(2, 13)))
+        qs = [q for q in _segment_lattice_points(poly.period_shift) if q not in poly.points]
+        if not qs or not check_injective(poly):
+            continue
+        q = qs[rng.randrange(len(qs))]
+        cp = find_crossing_pair(poly, q)
+        assert (cp.u, cp.v, cp.kind, cp.overlap_length) == _reference_crossing(poly, q)
+        kinds[cp.kind] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_periodic_curve_rejects_points_off_the_quarter_lattice():
+    curve = PeriodicCurve(imbalance_curve(FIG3))
+    for p in ((Fraction(1, 3), 0), (0, Fraction(5, 8)), (0.5, 0)):
+        with pytest.raises(ValueError):
+            curve.side_of(p)
+        with pytest.raises(ValueError):
+            curve.on_curve(p)
+    assert curve.side_of((Fraction(1, 4), Fraction(-3, 4))) != PeriodicCurve.ON
+

@@ -17,12 +17,12 @@ from rbymatch.lpface import (
     TRIANGLE,
     BlossomRow,
     BlossomRows,
+    FaceDescriptor,
     _describe_face,
     _odd_sets,
     _scaled_support,
     _solve_activated,
     build_lp,
-    convex_coefficients,
     dispatch_face,
     RationalSolution,
     minimal_face,
@@ -161,6 +161,61 @@ def test_solve_lp_satisfies_model_exactly():
         opt = exact_optimum(g, kr, kb)
         if opt is not None:
             assert sol.objective >= len(opt)
+
+
+def convex_coefficients(
+    graph: ColoredGraph, face: FaceDescriptor, solution: RationalSolution
+) -> list[Fraction] | None:
+    """Exact convex-combination coefficients writing the optimum over the
+    face vertices; None when no such combination exists."""
+    vertices = face.vertex_matchings
+    k = len(vertices)
+    edges = sorted(set().union(*vertices) | set(solution.support()))
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for e in edges:
+        rows.append([Fraction(1) if e in m else Fraction(0) for m in vertices])
+        rhs.append(solution.values[e])
+    rows.append([Fraction(1)] * k)
+    rhs.append(Fraction(1))
+    coeffs = _solve_linear_system(rows, rhs, k)
+    if coeffs is None:
+        return None
+    if any(c < 0 for c in coeffs):
+        return None
+    return coeffs
+
+
+def _solve_linear_system(
+    rows: list[list[Fraction]], rhs: list[Fraction], n: int
+) -> list[Fraction] | None:
+    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        pv = aug[rank][col]
+        aug[rank] = [c / pv for c in aug[rank]]
+        for i in range(len(aug)):
+            if i != rank and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, len(aug)):
+        if aug[i][-1] != 0:
+            return None  # inconsistent
+    solution = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        solution[col] = aug[i][-1]
+    # verify (free variables default to zero)
+    for row, b in zip(rows, rhs):
+        if sum((a * x for a, x in zip(row, solution)), Fraction(0)) != b:
+            return None
+    return solution
 
 
 def test_project_profile_cases():

@@ -136,6 +136,21 @@ def test_combine_requires_on_segment():
         combine_two_matchings(g, {0, 2, 4, 6}, {1, 3, 5, 7}, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "m0, m1",
+    [
+        ({0, 1}, {1, 3, 5, 7}),  # edges 0 and 1 share vertex 1
+        ({0, 2, 4, 6}, {1, 3, 5, 6}),  # edges 5 and 6 share vertex 6
+        ({0, 2, 4, 8}, {1, 3, 5, 7}),  # the cycle has edges 0..7
+        ({0, 2, 4, 6}, {-1, 3, 5}),
+    ],
+)
+def test_combine_rejects_bad_matchings(m0, m1):
+    g = cycle_graph("RBYBRBYB")
+    with pytest.raises(ValueError):
+        combine_two_matchings(g, m0, m1, 1, 2)
+
+
 def _random_graph_and_matchings(rng: random.Random, n_max=12):
     n = rng.randrange(2, n_max)
     edges = []
