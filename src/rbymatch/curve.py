@@ -69,12 +69,15 @@ class LatticePolyline:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValueError("polyline needs at least one segment")
-        for p in self.points:
-            if not (isinstance(p[0], int) and isinstance(p[1], int)):
+        ax, ay = self.points[0]
+        if not (isinstance(ax, int) and isinstance(ay, int)):
+            raise ValueError("breakpoints must be integer points")
+        for bx, by in self.points[1:]:
+            if not (isinstance(bx, int) and isinstance(by, int)):
                 raise ValueError("breakpoints must be integer points")
-        for a, b in zip(self.points, self.points[1:]):
-            if (b[0] - a[0], b[1] - a[1]) not in UNIT_MOVES:
-                raise ValueError(f"move {a} -> {b} is not a unit color move")
+            if (bx - ax, by - ay) not in UNIT_MOVES:
+                raise ValueError(f"move {(ax, ay)} -> {(bx, by)} is not a unit color move")
+            ax, ay = bx, by
 
     @property
     def period_length(self) -> int:

@@ -6,16 +6,17 @@ integer requirement point on the segment between their color profiles is met
 a matching that exposes at most two nodes.  Such a near-perfect matching is
 fixed by its exposed pair, so one selector (_near_perfect) scans the pairs in
 order, reads each candidate's red and blue counts from prefix counts in O(1),
-and builds only the first that fits; the integer and the fractional solvers
-both use it after checking the two endpoints.
+and builds only the first that fits.  One core (_select) checks the segment,
+tries the two endpoints and then runs that scan; the integer and the
+fractional solvers differ only in the profiles they pass it.
 
 The near-perfect matchings are exactly the paper's good-path quasi-matchings
 minus one of their two colliding edges.  find_good_path and
 quasi_matching_from_good_path implement that constructive lemma on the
 imbalance curve; the tests check it on the paper's figures.
 
-Paths reduce to cycles: an even path identifies its extremes, an odd path
-gains one dummy yellow edge which is stripped from the answer.
+Paths reduce to cycles (_closed): an even path identifies its extremes, an
+odd path gains one dummy yellow edge which is stripped from the answer.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .errors import InvariantError
 from .graph import (
     BLUE,
     EVEN_CYCLE,
-    EVEN_PATH,
-    ODD_PATH,
     RED,
     YELLOW,
     CycleOrPath,
@@ -77,6 +76,48 @@ def _near_perfect(
     return None
 
 
+def _select(
+    cycle: CycleOrPath, k, ends: set[tuple[int, int]], near: set[tuple[int, int]]
+) -> frozenset[int]:
+    """The selection steps every solver shares.
+
+    Checks that k lies on the segment between the even and odd profiles, then
+    returns the even edges if their profile is in ends, else the odd edges if
+    theirs is, else the first near-perfect matching with a profile in near.
+    """
+    p0 = cycle.even_profile().rb
+    p1 = cycle.odd_profile().rb
+    if not on_segment(k, p0, p1):
+        raise ValueError(f"requirement {k} is not on the segment {p0}..{p1}")
+    if p0 in ends:
+        return frozenset(cycle.even_edges())
+    if p1 in ends:
+        return frozenset(cycle.odd_edges())
+    positions = _near_perfect(cycle, near)
+    if positions is None:
+        raise InvariantError(
+            f"no near-perfect matching with profile in {sorted(near)} exists; "
+            "this falsifies the selection guarantee"
+        )
+    return positions
+
+
+def _closed(
+    comp: CycleOrPath | str | Iterable[str],
+) -> tuple[CycleOrPath, int | None]:
+    """The even cycle a path, cycle or color string is solved as, and the
+    position of the dummy yellow edge that closes an odd path (else None)."""
+    if isinstance(comp, CycleOrPath):
+        if comp.is_cycle:
+            return comp, None
+        colors = comp.colors
+    else:
+        colors = tuple(comp)
+    if len(colors) % 2 == 0:
+        return CycleOrPath(EVEN_CYCLE, colors), None
+    return CycleOrPath(EVEN_CYCLE, colors + (YELLOW,)), len(colors)
+
+
 def solve_even_cycle(
     cycle: CycleOrPath | str | Iterable[str], k_red: int, k_blue: int
 ) -> frozenset[int]:
@@ -88,34 +129,9 @@ def solve_even_cycle(
     that profile, so at most two nodes are exposed.
     """
     comp = _as_cycle(cycle)
-    p0 = comp.even_profile().rb
-    p1 = comp.odd_profile().rb
     k = (k_red, k_blue)
-    if not on_segment(k, p0, p1):
-        raise ValueError(f"requirement {k} is not on the segment {p0}..{p1}")
-    if k == p0:
-        return frozenset(comp.even_edges())
-    if k == p1:
-        return frozenset(comp.odd_edges())
-    target = k if YELLOW in comp.colors else (k_red, k_blue - 1)
-    positions = _near_perfect(comp, {target})
-    if positions is None:
-        raise InvariantError(
-            f"no near-perfect matching with profile {target} exists; "
-            "this falsifies the cycle selection guarantee"
-        )
-    return positions
-
-
-def _delegate_to_cycle(comp: CycleOrPath):
-    """Reduce a path to an even cycle; returns (cycle, dummy_position)."""
-    if comp.kind == EVEN_CYCLE:
-        return comp, None
-    if comp.kind == EVEN_PATH:
-        return CycleOrPath(EVEN_CYCLE, comp.colors), None
-    # odd path: dummy yellow edge closes it into an even cycle
-    colors = comp.colors + (YELLOW,)
-    return CycleOrPath(EVEN_CYCLE, colors), len(colors) - 1
+    near = {k} if YELLOW in comp.colors else {(k_red, k_blue - 1)}
+    return _select(comp, k, {k}, near)
 
 
 def solve_path_or_cycle(
@@ -127,14 +143,8 @@ def solve_path_or_cycle(
     segment between the profiles of its even and odd edges; the result has at
     least one edge fewer than the smaller of those two matchings.
     """
-    if not isinstance(comp, CycleOrPath):
-        colors = tuple(comp)
-        comp = CycleOrPath(EVEN_PATH if len(colors) % 2 == 0 else ODD_PATH, colors)
-    cycle, dummy = _delegate_to_cycle(comp)
-    positions = solve_even_cycle(cycle, k_red, k_blue)
-    if dummy is not None:
-        positions = positions - {dummy}
-    return positions
+    cycle, dummy = _closed(comp)
+    return solve_even_cycle(cycle, k_red, k_blue) - {dummy}
 
 
 def solve_fractional(
@@ -149,36 +159,12 @@ def solve_fractional(
     Integral k_blue goes to solve_path_or_cycle.
     """
     k_blue = Fraction(k_blue)
-    if not isinstance(comp, CycleOrPath):
-        colors = tuple(comp)
-        comp = CycleOrPath(
-            EVEN_PATH if len(colors) % 2 == 0 else ODD_PATH, colors
-        )
     if k_blue.denominator == 1:
         return solve_path_or_cycle(comp, k_red, int(k_blue))
-    cycle, dummy = _delegate_to_cycle(comp)
-    p0 = cycle.even_profile().rb
-    p1 = cycle.odd_profile().rb
-    if not on_segment((k_red, k_blue), p0, p1):
-        raise ValueError(
-            f"requirement ({k_red}, {k_blue}) is not on the segment {p0}..{p1}"
-        )
+    cycle, dummy = _closed(comp)
     ceil_blue = -((-k_blue.numerator) // k_blue.denominator)
     targets = {(k_red, ceil_blue), (k_red, ceil_blue - 1)}
-    if p0 in targets:
-        positions = frozenset(cycle.even_edges())
-    elif p1 in targets:
-        positions = frozenset(cycle.odd_edges())
-    else:
-        positions = _near_perfect(cycle, targets)
-    if positions is None:
-        raise InvariantError(
-            f"no matching with profile in {sorted(targets)} exists; "
-            "this falsifies the fractional selection guarantee"
-        )
-    if dummy is not None:
-        positions = positions - {dummy}
-    return positions
+    return _select(cycle, (k_red, k_blue), targets, targets) - {dummy}
 
 
 class GoodPath(NamedTuple):

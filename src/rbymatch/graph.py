@@ -21,7 +21,6 @@ class Edge(NamedTuple):
     u: int
     v: int
     color: str
-    dummy: bool = False
 
 
 class ColorProfile(NamedTuple):
@@ -72,8 +71,6 @@ class ColoredGraph:
                 raise ValueError(f"self-loop not allowed: {edge}")
             if edge.color not in COLORS:
                 raise ValueError(f"unknown color {edge.color!r}")
-            if edge.dummy and edge.color != YELLOW:
-                raise ValueError("dummy edges must be yellow")
             normalized.append(edge)
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(normalized)

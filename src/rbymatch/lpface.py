@@ -114,9 +114,6 @@ class RationalSolution:
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, x in enumerate(self.values) if x != 0)
 
-    def value(self, edge_id: int) -> Fraction:
-        return self.values[edge_id]
-
 
 SINGLETON = "singleton"
 SEGMENT = "segment"

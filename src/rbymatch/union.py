@@ -1,20 +1,24 @@
 """Combining two arbitrary matchings into one meeting a requirement point.
 
 The union of two disjoint matchings decomposes into alternating paths and
-even cycles.  After contracting same-color consecutive pairs (journaled, so
-answers lift back), either some slack exists (size imbalance or a yellow
-edge) and all components glue into a single even cycle solvable by the cycle
-selector at the cost of dummy edges and at most one repair edge, or the
-instance is a tight red-blue situation handled by recursing on one component
-at a time.  The result keeps the red requirement exactly, loses at most one
-blue edge, and has size at least two below the smaller matching (one below
-when the union is acyclic).
+even cycles.  After contracting same-color consecutive pairs, either some
+slack exists (size imbalance or a yellow edge) and all components glue into
+a single even cycle solvable by the cycle selector at the cost of dummy edges
+and at most one repair edge, or the instance is a tight red-blue situation
+handled by recursing on one component at a time.  The result keeps the red
+requirement exactly, loses at most one blue edge, and has size at least two
+below the smaller matching (one below when the union is acyclic).
+
+The module owns the contraction state: vertex classes, each a member list
+shared by its members and merged small into large, and one record
+(edge_a, edge_b, outer_a, outer_b) per contracted pair, from which _lift
+re-inserts one edge of each pair into the reduced answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .curve import on_segment
 from .cycles import solve_even_cycle, solve_path_or_cycle
@@ -30,7 +34,6 @@ from .graph import (
     symdiff_components,
     validate_matching,
 )
-from .lift import ContractionJournal, ContractionRecord, DisjointSets
 
 
 @dataclass
@@ -106,10 +109,27 @@ def _orient_start_source0(block: _Block) -> None:
             _reverse_block(block)
 
 
+# A contraction record: the two contracted edges and the vertex classes
+# beyond edge_a and beyond edge_b when the pair was contracted.
+_Record = tuple[int, int, frozenset[int], frozenset[int]]
+
+
+def _merge(classes: list[list[int]], a: int, b: int) -> None:
+    """Merge the classes of a and b.  ``classes[v]`` is the member list of
+    v's class, one list object shared by all its members; the smaller class
+    moves into the larger, so a vertex moves O(log n) times in all."""
+    big, small = classes[a], classes[b]
+    if big is small:
+        return
+    if len(big) < len(small):
+        big, small = small, big
+    big += small
+    for v in small:
+        classes[v] = big
+
+
 def _contract_block(
-    block: _Block,
-    dsu: DisjointSets,
-    journal: ContractionJournal,
+    block: _Block, classes: list[list[int]], records: list[_Record]
 ) -> tuple[int, int]:
     """Contract same-color consecutive pairs until proper; returns the
     requirement shift (reds removed, blues removed)."""
@@ -127,22 +147,17 @@ def _contract_block(
         if block.is_cycle:
             _rotate_cycle(block, hit)
             hit = 0
-        ea, eb = block.edges[hit], block.edges[hit + 1]
         color = block.colors[hit]
         far_a = block.verts[hit]
         far_b = block.verts[(hit + 2) % len(block.verts)]  # a 2-cycle wraps
-        journal.add(
-            ContractionRecord(
-                edge_a=ea,
-                edge_b=eb,
-                color=color,
-                outer_a=dsu.members(far_a),
-                outer_b=dsu.members(far_b),
-            )
-        )
-        mid = block.verts[hit + 1]
-        dsu.union(far_a, mid)
-        dsu.union(far_a, far_b)
+        records.append((
+            block.edges[hit],
+            block.edges[hit + 1],
+            frozenset(classes[far_a]),
+            frozenset(classes[far_b]),
+        ))
+        _merge(classes, far_a, block.verts[hit + 1])
+        _merge(classes, far_a, far_b)
         if color == RED:
             dr += 1
         elif color == BLUE:
@@ -160,14 +175,14 @@ class GluedCycle:
 
     Edges of the first matching sit on even positions; edges of the second
     matching and dummy yellow edges sit on odd positions.  ``edge_map`` sends
-    positions back to original edge ids (None for dummies); ``block_spans``
-    records each component's [start, end] positions and whether it was an
-    opened cycle, whose first and last edges still collide in the host graph.
+    positions back to original edge ids (None for dummies); ``opened`` holds
+    the [start, end] positions of each opened cycle, whose first and last
+    edges still collide in the host graph.
     """
 
     colors: tuple[str, ...]
     edge_map: tuple[int | None, ...]
-    block_spans: tuple[tuple[int, int, bool], ...]
+    opened: tuple[tuple[int, int], ...]
 
 
 def _classify(
@@ -194,43 +209,28 @@ def glue_components(blocks: Sequence[_Block]) -> GluedCycle:
         _orient_start_source0(b)
     even_blocks.sort(key=lambda b: b.min_edge)
 
-    pieces: list[tuple[_Block | None, _Block, bool]] = []
-    # (optional leading aug1 of a patched pair, block, was_cycle)
-    for b in even_blocks:
-        pieces.append((None, b, b.is_cycle))
-    patched = []
-    for b1, b0 in zip(aug1, aug0):
-        patched.append((b1, b0, False))
-    patched.sort(key=lambda t: min(t[0].min_edge, t[1].min_edge))
-    pieces.extend(patched)
-    leftover = aug1[len(aug0):]
-    for b in leftover:
-        pieces.append((None, b, None))  # None marks "needs dummy"
+    # (block, padded): a leftover path is padded with a dummy edge
+    pieces = [(b, False) for b in even_blocks]
+    pairs = sorted(zip(aug1, aug0), key=lambda p: min(p[0].min_edge, p[1].min_edge))
+    pieces += [(b, False) for pair in pairs for b in pair]
+    pieces += [(b, True) for b in aug1[len(aug0):]]
 
     colors: list[str] = []
     edge_map: list[int | None] = []
     sources: list[int] = []
-    spans: list[tuple[int, int, bool]] = []
-    for lead, block, was_cycle in pieces:
-        start = len(colors)
-        if lead is not None:
-            colors.extend(lead.colors)
-            edge_map.extend(lead.edges)
-            sources.extend(lead.sources)
-            spans.append((start, start + len(lead.edges) - 1, False))
-            start = len(colors)
-        colors.extend(block.colors)
-        edge_map.extend(block.edges)
-        sources.extend(block.sources)
-        if was_cycle is None:  # leftover path: pad with a dummy edge
-            spans.append((start, start + len(block.edges) - 1, False))
+    opened: list[tuple[int, int]] = []
+    for block, padded in pieces:
+        if block.is_cycle:
+            opened.append((len(colors), len(colors) + len(block) - 1))
+        colors += block.colors
+        edge_map += block.edges
+        sources += block.sources
+        if padded:
             colors.append(YELLOW)
             edge_map.append(None)
             sources.append(1)
-        else:
-            spans.append((start, start + len(block.edges) - 1, bool(was_cycle)))
 
-    glued = GluedCycle(tuple(colors), tuple(edge_map), tuple(spans))
+    glued = GluedCycle(tuple(colors), tuple(edge_map), tuple(opened))
     n = len(colors)
     if n % 2 != 0:
         raise InvariantError("glued cycle has odd length")
@@ -282,11 +282,11 @@ def combine_two_matchings(
     if (kr, kb) == q1:
         return frozenset(shared | a1)
 
-    dsu = DisjointSets(graph.vertex_count)
-    journal = ContractionJournal()
+    classes = [[v] for v in range(graph.vertex_count)]
+    records: list[_Record] = []
     blocks = [_block_from_component(c) for c in symdiff_components(graph, a0, a1)]
     for b in blocks:
-        dr, db = _contract_block(b, dsu, journal)
+        dr, db = _contract_block(b, classes, records)
         kr -= dr
         kb -= db
     blocks = [b for b in blocks if len(b)]
@@ -307,16 +307,53 @@ def combine_two_matchings(
     elif len(side0) > len(side1) or any(YELLOW in b.colors for b in blocks):
         inner = _case_glue(blocks, kr, kb)
     else:
-        inner = _case_no_yellow(blocks, kr, kb, dsu, journal)
+        inner = _case_no_yellow(blocks, kr, kb, classes, records)
 
-    lifted = journal.lift(inner, graph.endpoints)
-    result = frozenset(shared | lifted)
+    result = frozenset(shared | _lift(records, inner, graph.endpoints))
     prof = color_profile(graph, result)
     if prof.red != k_red or prof.blue not in (k_blue - 1, k_blue):
         raise InvariantError(
             f"combined matching has profile {prof.rb}, requirement {(k_red, k_blue)}"
         )
     return result
+
+
+def _lift(
+    records: Sequence[_Record],
+    matching: Iterable[int],
+    endpoints: Callable[[int], tuple[int, int]],
+) -> frozenset[int]:
+    """Re-insert one edge of each contracted pair, newest record first.
+
+    Contracting two adjacent same-color edges removes both and merges their
+    three endpoint classes, so a matching of the reduced instance touches the
+    merged class at most once.  Which edge goes back is forced by the side
+    the matching already occupies: a blocked outer class forces the other
+    edge, two free sides take the smaller id, and two blocked sides mean the
+    input was no matching.  Each record snapshots its outer classes at
+    contraction time, so replaying newest first keeps every intermediate
+    matching valid at its own contraction level, which makes the lift sound.
+    """
+    current = set(matching)
+    occupied: set[int] = set()
+    for eid in current:
+        occupied.update(endpoints(eid))
+    for edge_a, edge_b, outer_a, outer_b in reversed(records):
+        blocked_a = not occupied.isdisjoint(outer_a)
+        blocked_b = not occupied.isdisjoint(outer_b)
+        if blocked_a and blocked_b:
+            raise InvariantError(
+                "both contraction lift candidates blocked; invalid input matching"
+            )
+        if blocked_a:
+            pick = edge_b
+        elif blocked_b:
+            pick = edge_a
+        else:
+            pick = min(edge_a, edge_b)
+        current.add(pick)
+        occupied.update(endpoints(pick))
+    return frozenset(current)
 
 
 def _rb(graph: ColoredGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
@@ -347,8 +384,8 @@ def _case_glue(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]:
     positions = solve_even_cycle(glued.colors, kr, kb)
     chosen = set(positions)
     conflicts = []
-    for start, end, was_cycle in glued.block_spans:
-        if was_cycle and start in chosen and end in chosen:
+    for start, end in glued.opened:
+        if start in chosen and end in chosen:
             conflicts.append((start, end))
     if len(conflicts) > 1:
         raise InvariantError("two opened cycles conflict; contradiction with parity")
@@ -380,8 +417,8 @@ def _case_no_yellow(
     blocks: list[_Block],
     kr: int,
     kb: int,
-    dsu: DisjointSets,
-    journal: ContractionJournal,
+    classes: list[list[int]],
+    records: list[_Record],
 ) -> frozenset[int]:
     """Equal sizes, no yellow: join odd paths, then peel components."""
     rest, aug0, aug1 = _classify(blocks)
@@ -395,8 +432,8 @@ def _case_no_yellow(
             verts=b1.verts + b0.verts[1:],
             is_cycle=False,
         )
-        dsu.union(b1.verts[-1], b0.verts[0])
-        dr, db = _contract_block(joined, dsu, journal)
+        _merge(classes, b1.verts[-1], b0.verts[0])
+        dr, db = _contract_block(joined, classes, records)
         kr -= dr
         kb -= db
         if len(joined):

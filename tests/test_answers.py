@@ -1,0 +1,60 @@
+"""Answer digests of the benchmark's workloads, pinned.
+
+The simplicity work on this package promises bit-identical answers, and the
+benchmark's answer digest is how that is checked.  This test runs the slices
+that ``perfbench/selfcheck.py`` uses (220 requests of each workload, seed 7)
+through ``perfbench/run.py``'s own measurement loop, once each, and compares
+the digests with the pinned values.  A change that alters answers on purpose
+updates the pin and says in its description which digest changed and why.
+
+``run.import_library`` drops and re-imports every ``rbymatch`` module, so the
+slices run in a subprocess, away from the modules this test session holds.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PINNED = {
+    "graphs_small": "3d722533b50d42cc01c6ebb1c85ad3b3bf5eb8e11cd96c4194afe33c8e5f7782",
+    "select_combine": "156c25908ee0e834e901e4ef115294f9985c3238de190904454259982988944d",
+}
+
+_DIGESTS = """
+import json, sys
+from random import Random
+
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import run
+import workloads
+
+out = {}
+for name in sys.argv[3:]:
+    workload = workloads.make_workload(name, run.import_library())
+    workload.count = 220
+    requests = workload.generate(Random(f"{name}:7"))
+    tally, _ = run.measure(workload, requests, 0, run.RefClock())
+    out[name] = [workloads.answer_digest(tally.keys), tally.failed, tally.errors]
+print(json.dumps(out))
+"""
+
+
+def test_answer_digests_are_pinned():
+    done = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, str(ROOT / "perfbench"), str(ROOT / "src"), *PINNED],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    got = json.loads(done.stdout)
+    for name, digest in PINNED.items():
+        answer, failed, errors = got[name]
+        assert failed == 0, f"{name}: {errors}"
+        assert answer == digest, f"{name}: answer digest {answer}"

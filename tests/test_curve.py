@@ -252,6 +252,12 @@ def test_polyline_rejects_non_unit_moves():
         LatticePolyline(((0, 0), (1, 0), (1, 0)))  # zero-length move
     with pytest.raises(ValueError):
         polyline_from_moves([(1, 0), (1, 1)])  # (1, 1) is no color move
+    with pytest.raises(ValueError):
+        LatticePolyline(((0, 0),))  # a single point
+    with pytest.raises(ValueError):
+        LatticePolyline(((0, 0), (Fraction(1), 0)))  # a unit move, not an int
+    with pytest.raises(ValueError):
+        polyline_from_moves([(1, 0)], origin=(Fraction(1, 2), 0))
 
 
 def test_crossing_rejects_non_lattice_q():

@@ -182,6 +182,20 @@ def test_selectors_return_the_scan_first_hit():
                 assert solve_even_cycle(colors, kr, kb) == _scan_even_cycle(colors, kr, kb)
             for kr, kb in _half_blue_points(p0, p1):
                 assert solve_fractional(comp, kr, kb) == _scan_fractional(colors, kr, kb)
+    for alphabet in ("RBY", "RB", "RY"):
+        for _ in range(40):
+            path = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 31)))
+            # the reference solves the cycle on the path's colors, an odd path
+            # closed by a dummy yellow edge that the answer leaves out
+            closed, dummy = (path + "Y", {len(path)}) if len(path) % 2 else (path, set())
+            comp = even_cycle_from_string(closed)
+            p0, p1 = comp.even_profile().rb, comp.odd_profile().rb
+            for kr, kb in segment_integer_points(p0, p1):
+                want = _scan_even_cycle(closed, kr, kb) - dummy
+                assert solve_path_or_cycle(path, kr, kb) == want
+                assert solve_fractional(path, kr, Fraction(kb)) == want
+            for kr, kb in _half_blue_points(p0, p1):
+                assert solve_fractional(path, kr, kb) == _scan_fractional(closed, kr, kb) - dummy
 
 
 def test_find_good_path_fig3():

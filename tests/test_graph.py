@@ -62,8 +62,6 @@ def test_graph_rejects_self_loop_and_bad_color():
         ColoredGraph(2, [(0, 0, "R")])
     with pytest.raises(ValueError):
         ColoredGraph(2, [(0, 1, "Q")])
-    with pytest.raises(ValueError):
-        ColoredGraph(2, [(0, 1, "R", True)])  # dummy must be yellow
 
 
 def test_parallel_edges_allowed():

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from rbymatch.errors import InvariantError
-from rbymatch.lift import ContractionJournal, DisjointSets
 from rbymatch.graph import (
     ColoredGraph,
     color_profile,
     cycle_graph,
+    path_graph,
     symdiff_components,
     validate_matching,
 )
@@ -17,6 +17,8 @@ from rbymatch.oracle import best_profile_size, exact_optimum
 from rbymatch.union import (
     _block_from_component,
     _contract_block,
+    _lift,
+    _merge,
     combine_two_matchings,
     glue_components,
 )
@@ -42,6 +44,7 @@ def test_glue_single_augmenting_pair():
     glued = _glue(g, {0}, {1})
     assert glued.colors == ("R", "B")
     assert glued.edge_map == (0, 1)
+    assert glued.opened == ()
 
 
 def test_glue_single_leftover_path_gets_dummy():
@@ -49,6 +52,7 @@ def test_glue_single_leftover_path_gets_dummy():
     glued = _glue(g, {0}, set())
     assert glued.colors == ("R", "Y")
     assert glued.edge_map == (0, None)
+    assert glued.opened == ()
 
 
 def test_glue_two_cycles():
@@ -65,7 +69,7 @@ def test_glue_two_cycles():
     glued = _glue(g, m0, m1)
     assert len(glued.colors) == 16
     assert None not in glued.edge_map
-    assert [b[2] for b in glued.block_spans] == [True, True]
+    assert glued.opened == ((0, 7), (8, 15))
 
 
 @pytest.mark.parametrize(
@@ -86,16 +90,15 @@ def test_combine_contracts_same_color_two_cycle(two_cycle, rest):
     (comp, *_) = symdiff_components(g, m0, m1)
     block = _block_from_component(comp)
     assert comp.is_cycle and block.verts == [0, 1]
-    dsu, journal = DisjointSets(g.vertex_count), ContractionJournal()
+    classes = [[v] for v in range(g.vertex_count)]
+    records = []
     # the only contraction whose far vertex wraps around to verts[0]
-    assert _contract_block(block, dsu, journal) == (
+    assert _contract_block(block, classes, records) == (
         (1, 0) if two_cycle == "R" else (0, 1)
     )
     assert len(block) == 0
-    (rec,) = journal.records
-    assert (rec.edge_a, rec.edge_b) == (0, 1)
-    assert rec.outer_a == rec.outer_b == frozenset({0})
-    assert dsu.find(0) == dsu.find(1)
+    assert records == [(0, 1, frozenset({0}), frozenset({0}))]
+    assert classes[0] is classes[1]
 
     pa, pb = color_profile(g, m0).rb, color_profile(g, m1).rb
     for kr, kb in _segment_points(pa, pb)[1:-1]:
@@ -105,6 +108,63 @@ def test_combine_contracts_same_color_two_cycle(two_cycle, rest):
         assert prof.red == kr and prof.blue in (kb - 1, kb)
         best = exact_optimum(g, prof.red, prof.blue)
         assert best is not None and len(best) >= len(got) >= min(len(m0), len(m1)) - 2
+
+
+class _ScanSets:
+    """Reference union-find: a class is read by scanning every vertex."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(b)] = self.find(a)
+
+    def members(self, x: int) -> frozenset[int]:
+        root = self.find(x)
+        return frozenset(v for v in range(len(self.parent)) if self.find(v) == root)
+
+
+def test_merge_keeps_the_reference_classes():
+    rng = random.Random(88)
+    for _ in range(300):
+        n = rng.randrange(1, 14)
+        classes = [[v] for v in range(n)]
+        ref = _ScanSets(n)
+        for _ in range(rng.randrange(2 * n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            _merge(classes, a, b)
+            ref.union(a, b)
+            for v in range(n):
+                assert len(classes[v]) == len(ref.members(v))
+                assert frozenset(classes[v]) == ref.members(v)
+
+
+def test_lift_takes_the_free_side():
+    # edges 0 and 1 were contracted: 0 reaches vertex 0, 1 reaches vertex 2
+    g = ColoredGraph(5, [(0, 1, "R"), (1, 2, "R"), (3, 0, "B"), (2, 4, "B")])
+    records = [(0, 1, frozenset({0}), frozenset({2}))]
+    assert _lift(records, set(), g.endpoints) == {0}
+    assert _lift(records, {2}, g.endpoints) == {1, 2}
+    assert _lift(records, {3}, g.endpoints) == {0, 3}
+    with pytest.raises(InvariantError):
+        _lift(records, {2, 3}, g.endpoints)
+
+
+def test_lift_replays_newest_first():
+    # a path 0-1-2-3-4 of edges 0..3; (1, 2) went first, then (0, 3) with
+    # the merged class {1, 2, 3} in the middle
+    g = path_graph("RRBB")
+    records = [
+        (1, 2, frozenset({1}), frozenset({3})),
+        (0, 3, frozenset({0}), frozenset({4})),
+    ]
+    # the newest record picks edge 0, which blocks vertex 1 for the older one
+    assert _lift(records, set(), g.endpoints) == {0, 2}
 
 
 def test_combine_identical_matchings():
