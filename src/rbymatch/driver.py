@@ -30,6 +30,7 @@ from .graph import (
     ColoredGraph,
     ColorProfile,
     color_profile,
+    profile_of_colors,
     symdiff_components,
     validate_matching,
 )
@@ -86,7 +87,7 @@ def solve(
 
     if not validate_matching(graph, matching):
         raise InvariantError(f"driver produced an invalid matching; trace={trace}")
-    profile = color_profile(graph, matching)
+    profile = profile_of_colors(graph.color(e) for e in matching)
     floor_alpha = math.floor(alpha)
     guarantee = (
         len(matching) >= floor_alpha - 3,
@@ -153,7 +154,8 @@ def verify(
 
 def _case_singleton(graph, dispatch: DispatchFace, k_red, k_blue, trace) -> frozenset[int]:
     matching = dispatch.vertex_matchings[0]
-    prof = color_profile(graph, matching)
+    # a face vertex, validated when the face was built
+    prof = profile_of_colors(graph.color(e) for e in matching)
     if prof.rb != (k_red, k_blue):
         raise InvariantError(
             f"singleton face vertex has profile {prof.rb}, not {(k_red, k_blue)}"

@@ -50,7 +50,7 @@ from typing import Sequence
 
 from .curve import on_segment
 from .errors import InvariantError
-from .graph import BLUE, RED, ColoredGraph, color_profile, validate_matching
+from .graph import BLUE, RED, ColoredGraph, color_profile, profile_of_colors, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
 from .simplex import solve_standard_form
 
@@ -338,8 +338,10 @@ def _describe_face(
     classification = (SINGLETON, SEGMENT, TRIANGLE, PARALLELOGRAM)[len(vertices) - 1]
     if classification == PARALLELOGRAM:
         vertices = _order_parallelogram(vertices)
+    # every vertex is a matching already: validated on the integral route,
+    # enumerated as one on the others
     projected = tuple(
-        tuple(int(c) for c in project_profile(graph, m)) for m in vertices
+        profile_of_colors(graph.color(e) for e in m).rb for m in vertices
     )
     return FaceDescriptor(
         vertex_matchings=tuple(vertices),

@@ -2,13 +2,26 @@
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): it holds integers
 ``T`` over one positive common denominator ``d = |det B|``, and a pivot on
-``p = T[r][c]`` maps every other row to ``(a*p - f*b) // d`` before setting
-``d = p``.  Every entry is then a minor of the integer input, so each division
-is exact and the solver never builds a ``Fraction`` until it reports the
-solution.  The guarantees downstream are combinatorial equalities and
-inequalities on integers, so floating point is disqualified.  Bland's rule
-(smallest eligible index enters, smallest basic variable leaves among ratio
-ties) makes the solver deterministic and immune to cycling.
+``p = T[r][c]`` maps each entry ``a`` of every other row to
+``(a*p - f*b) // d``, where ``f`` is the row's entry in column ``c`` and ``b``
+the pivot row's entry in the column of ``a``, before setting ``d = p``.  Every
+entry is then a minor of the integer input, so each division is exact and the
+solver never builds a ``Fraction`` until it reports the solution.
+
+A minor is one integer however it is computed, so the pivot does only the
+work that changes an entry.  When ``p = d``, as on most pivots of the 0/1
+matching models, the new entry ``a - f*b/d`` is an integer, so ``d`` divides
+``f*b``: a row with ``f = 0`` is left alone, and any other row changes in
+place at the pivot row's nonzero columns only, by ``f*b // d``.  When
+``p != d`` a row with ``f = 0`` is rescaled to ``a*p // d`` (itself a
+minor) and any other row takes the full formula.  The carried reduced-cost
+row is updated the same way.  The integers, and so Bland's pivot path and
+the solution, are those of the dense update.
+
+The guarantees downstream are combinatorial equalities and inequalities on
+integers, so floating point is disqualified.  Bland's rule (smallest
+eligible index enters, smallest basic variable leaves among ratio ties)
+makes the solver deterministic and immune to cycling.
 
 The interface is standard form:
 
@@ -36,9 +49,11 @@ class LPResult:
 
 
 def _integral(value) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"LP data must be integral, got {value}")
-    return int(value.numerator)
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise ValueError(f"LP data must be an int or an integral Fraction, got {value!r}")
 
 
 class _Tableau:
@@ -61,29 +76,37 @@ class _Tableau:
         return z
 
     def pivot(self, row: int, col: int, z: list[int] | None = None) -> list[int] | None:
-        """Bareiss pivot on (row, col); returns the carried reduced-cost row."""
-        p = self.rows[row][col]
+        """Bareiss pivot on (row, col) in place; returns the carried
+        reduced-cost row, updated like any other row."""
+        prow = self.rows[row]
+        p = prow[col]
         if p == 0:
             raise InvariantError("pivot on zero element")
         d = self.d
-        prow = self.rows[row]
-
-        def eliminate(r: list[int]) -> list[int]:
-            f = r[col]
-            if f == 0:
-                return r if p == d else [a * p // d for a in r]
-            return [(a * p - f * b) // d for a, b in zip(r, prow)]
-
-        self.rows = [r if i == row else eliminate(r) for i, r in enumerate(self.rows)]
+        others = [r for r in self.rows if r is not prow]
         if z is not None:
-            z = eliminate(z)
+            others.append(z)
+        if p == d:
+            nonzero = [(j, b) for j, b in enumerate(prow) if b]
+            for r in others:
+                f = r[col]
+                if f:
+                    for j, b in nonzero:
+                        r[j] -= f * b // d
+        else:
+            for r in others:
+                f = r[col]
+                if f:
+                    r[:] = [(a * p - f * b) // d for a, b in zip(r, prow)]
+                else:
+                    r[:] = [a * p // d for a in r]
         self.d = p
         self.basis[row] = col
         if p < 0:
-            self.rows = [[-a for a in r] for r in self.rows]
+            for r in others:
+                r[:] = [-a for a in r]
+            prow[:] = [-a for a in prow]
             self.d = -p
-            if z is not None:
-                z = [-a for a in z]
         return z
 
 
@@ -122,7 +145,8 @@ def solve_standard_form(
     """Maximize objective subject to sparse <= and = rows; None if infeasible.
 
     Rows are (sparse coefficients, rhs) with rhs >= 0 required; every number
-    must be integral.
+    must be an ``int`` or an integral ``Fraction``, else ValueError.  The
+    arguments are not modified.
     """
     n_slack = len(ub_rows)
     n_art = len(eq_rows)
@@ -130,15 +154,16 @@ def solve_standard_form(
 
     rows: list[list[int]] = []
     for i, (coeffs, rhs) in enumerate(list(ub_rows) + list(eq_rows)):
+        rhs = rhs if type(rhs) is int else _integral(rhs)
         if rhs < 0:
             raise ValueError("right-hand sides must be nonnegative")
         row = [0] * (n_total + 1)
         for j, a in coeffs:
-            row[j] += _integral(a)
+            row[j] += a if type(a) is int else _integral(a)
         row[n_vars + i] = 1
-        row[-1] = _integral(rhs)
+        row[-1] = rhs
         rows.append(row)
-    obj = [_integral(c) for c in objective]
+    obj = [c if type(c) is int else _integral(c) for c in objective]
     tab = _Tableau(rows, list(range(n_vars, n_total)), n_total)
 
     if n_art:

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
+from rbymatch import simplex
+from rbymatch.errors import InvariantError
+from rbymatch.graph import ColoredGraph
+from rbymatch.lpface import build_lp, solve_lp
 from rbymatch.simplex import solve_standard_form
 
 F = Fraction
@@ -248,3 +255,152 @@ def test_integral_fractions_accepted_and_fractional_data_rejected():
         solve_standard_form(1, [1], [([(0, F(2, 3))], 1)], [])
     with pytest.raises(ValueError):
         solve_standard_form(1, [1], [], [([(0, 1)], F(1, 2))])
+    # floating point and strings are not integer data, even when integral
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [1.0], [([(0, 1)], 1)], [])
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [1], [([(0, "1")], 1)], [])
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [1], [([(0, 1)], 1.5)], [])
+    with pytest.raises(ValueError):
+        solve_standard_form(1, [1], [], [([(0, 1)], "1")])
+
+
+def test_inputs_are_left_unchanged():
+    rng = random.Random(7)
+    for _ in range(200):
+        (n, objective, ub_rows, eq_rows), _ = _random_lp(rng)
+        objective = [F(c) if rng.randrange(2) else c for c in objective]
+        before = copy.deepcopy((objective, ub_rows, eq_rows))
+        solve_standard_form(n, objective, ub_rows, eq_rows)
+        assert (objective, ub_rows, eq_rows) == before
+
+
+# Reference: the dense Bareiss pivot the sparse one replaced.  It rebuilds
+# every row at every column, so it shows that the in-place update computes
+# the same integers.
+
+_SparseTableau = simplex._Tableau  # bound before any test patches the module
+
+
+class _DenseTableau(_SparseTableau):
+    def pivot(self, row, col, z=None):
+        p = self.rows[row][col]
+        if p == 0:
+            raise InvariantError("pivot on zero element")
+        d = self.d
+        prow = self.rows[row]
+
+        def eliminate(r):
+            f = r[col]
+            if f == 0:
+                return r if p == d else [a * p // d for a in r]
+            return [(a * p - f * b) // d for a, b in zip(r, prow)]
+
+        self.rows = [r if i == row else eliminate(r) for i, r in enumerate(self.rows)]
+        if z is not None:
+            z = eliminate(z)
+        self.d = p
+        self.basis[row] = col
+        if p < 0:
+            self.rows = [[-a for a in r] for r in self.rows]
+            self.d = -p
+            if z is not None:
+                z = [-a for a in z]
+        return z
+
+
+def _recording(base, made):
+    """A tableau class that counts its pivots and appends each instance to
+    ``made``."""
+
+    class Recording(base):
+        def __init__(self, rows, basis, n_total):
+            super().__init__(rows, basis, n_total)
+            self.pivots = 0
+            made.append(self)
+
+        def pivot(self, row, col, z=None):
+            self.pivots += 1
+            return super().pivot(row, col, z)
+
+    return Recording
+
+
+def _lockstep(cases):
+    """The production tableau driven together with a dense copy: both take
+    the same pivot, and afterwards rows, basis, d and the carried row must be
+    identical.  ``cases`` counts the update kinds exercised."""
+
+    class Lockstep(_SparseTableau):
+        def __init__(self, rows, basis, n_total):
+            super().__init__(rows, basis, n_total)
+            self.dense = _DenseTableau([list(r) for r in rows], list(basis), n_total)
+
+        def pivot(self, row, col, z=None):
+            p, d = self.rows[row][col], self.d
+            cases["p < 0"] += p < 0
+            carried = [] if z is None else [z]
+            for r in [r for i, r in enumerate(self.rows) if i != row] + carried:
+                f = r[col]
+                if p == d:
+                    cases["p = d, f != 0"] += f != 0
+                else:
+                    cases["p != d, f != 0" if f else "p != d, f = 0"] += 1
+            want = self.dense.pivot(row, col, None if z is None else list(z))
+            got = super().pivot(row, col, z)
+            assert self.rows == self.dense.rows
+            assert self.basis == self.dense.basis
+            assert self.d == self.dense.d
+            assert got == want
+            return got
+
+    return Lockstep
+
+
+def _matching_lp(rng):
+    """A color-constrained matching instance for ``lpface``: a random graph
+    and the profile of a random matching, or random counts that may be
+    infeasible."""
+    n = rng.randrange(3, 11)
+    edges = [
+        (u, v, rng.choice("RBY"))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.randrange(3) == 0
+    ]
+    g = ColoredGraph(n, edges)
+    if rng.randrange(4):
+        used, kr, kb = set(), 0, 0
+        for u, v, c in rng.sample(edges, len(edges)):
+            if not used & {u, v}:
+                used |= {u, v}
+                kr, kb = kr + (c == "R"), kb + (c == "B")
+    else:
+        kr, kb = rng.randrange(4), rng.randrange(4)
+    return g, kr, kb
+
+
+def _solve_matching_lp(g, kr, kb):
+    return solve_lp(build_lp(g, kr, kb))
+
+
+def _solve_with(monkeypatch, tableau, solve):
+    made = []
+    monkeypatch.setattr(simplex, "_Tableau", _recording(tableau, made))
+    result = solve()
+    return result, [t.pivots for t in made]
+
+
+def test_sparse_pivot_matches_dense_reference(monkeypatch):
+    rng = random.Random(99)
+    solves = [partial(solve_standard_form, *_random_lp(rng)[0]) for _ in range(1500)]
+    solves += [partial(_solve_matching_lp, *_matching_lp(rng)) for _ in range(150)]
+    cases = Counter()
+    for solve in solves:
+        want, want_pivots = _solve_with(monkeypatch, _DenseTableau, solve)
+        got, got_pivots = _solve_with(monkeypatch, _lockstep(cases), solve)
+        assert got == want
+        assert got_pivots == want_pivots
+    # every branch of the sparse update, and the drive-out's sign flip
+    assert len(cases) == 4 and min(cases.values()) >= 100, cases
