@@ -25,18 +25,24 @@ for an odd set S:
 
 So only the fractional vertices, the ends of edges with 0 < x_e < 1, need a
 scan to tell whether some odd set is violated, or to find the tight ones.
-(Ranking the violated sets, done only in a round that activates rows, still
-scans the whole support, which keeps the rows picked.)
+The same argument ranks the violated sets without a scan of the whole
+support: each is a violated set T of the fractional vertices plus whole
+x_e = 1 pairs, each pair adding 1 to the right-hand side and 1 to x(E(S)),
+so it has T's excess; and every such union is violated.  A round that
+activates rows expands T's excess groups, from the highest, by the 2^k
+unions of the k unit pairs, which picks the same rows as the full scan.
 
 An integral optimum is a matching (self-loops are rejected and parallel
 edges share a degree row); it meets every blossom row and is its own minimal
 face, so neither scan runs.
 
 The minimal face of the matching polytope containing the optimum is
-recovered by enumerating matchings inside the support and keeping those tight
-on the tight degree rows and on a maximal laminar family of the odd sets
-tight on the fractional vertices, which by uncrossing spans every tight
-blossom row (Edmonds 1965; Cunningham & Marsh 1978); at most four survive,
+recovered by enumerating matchings on the fractional edges and keeping those
+tight on the tight degree rows and on a maximal laminar family of the odd
+sets tight on the fractional vertices, which by uncrossing spans every tight
+blossom row (Edmonds 1965; Cunningham & Marsh 1978).  Every face vertex holds
+the x_e = 1 edges, the only support edges at their tight ends, so they are
+added to each survivor rather than enumerated.  At most four survive,
 forming a point, segment, triangle, or parallelogram.
 """
 
@@ -45,16 +51,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .curve import on_segment
 from .errors import InvariantError
-from .graph import BLUE, RED, ColoredGraph, color_profile, profile_of_colors, validate_matching
+from .graph import BLUE, RED, ColoredGraph, profile_of_colors, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
 from .simplex import solve_standard_form
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -142,17 +146,18 @@ def build_lp(
 
 
 def _scaled_support(
-    graph: ColoredGraph, values: Sequence[Fraction]
+    graph: ColoredGraph, numerators: Sequence[int], d: int
 ) -> tuple[list[tuple[int, int]], int]:
-    """((edge vertex mask, den * x_e) per support edge, den), where den is
-    the lcm of the support's denominators."""
-    support = [(e, x) for e, x in enumerate(values) if x != 0]
-    den = lcm(*(x.denominator for _, x in support))
+    """((edge vertex mask, den * x_e) per support edge, den) for the point
+    x = numerators / d, where den = d / gcd(d, numerators) is the lcm of the
+    support's reduced denominators."""
+    g = gcd(d, *numerators)
     scaled = []
-    for e, x in support:
-        u, v = graph.endpoints(e)
-        scaled.append(((1 << u) | (1 << v), x.numerator * (den // x.denominator)))
-    return scaled, den
+    for e, num in enumerate(numerators):
+        if num:
+            u, v = graph.endpoints(e)
+            scaled.append(((1 << u) | (1 << v), num // g))
+    return scaled, d // g
 
 
 def _solve_activated(model: LPModel, active: list[BlossomRow]):
@@ -176,10 +181,11 @@ def _odd_sets(
     (violated), by mask.
 
     The scan covers every vertex the given edges touch, 2^s subsets for s
-    vertices.  Passed only the fractional edges (0 < x_e < 1) of a point of
-    the degree rows, it finds a violated set iff the full support has one,
-    and its tight sets with the tight degree rows span every tight blossom
-    row on the support (see the module docstring).
+    vertices.  The solver passes only the fractional edges (0 < x_e < 1) of
+    a point of the degree rows: it finds a violated set iff the full support
+    has one, its violated sets rank the support's (``_top_violated``), and
+    its tight sets with the tight degree rows span every tight blossom row
+    on the support (see the module docstring).
     """
     covered = 0
     pair: dict[int, int] = {}
@@ -208,9 +214,37 @@ def _odd_sets(
     ]
 
 
-def _fractional(support: list[tuple[int, int]], den: int) -> list[tuple[int, int]]:
-    """The scaled support edges with 0 < x_e < 1."""
-    return [(emask, x) for emask, x in support if x != den]
+def _top_violated(
+    violated: list[tuple[int, int, int]], unit_pairs: list[int], limit: int
+) -> list[tuple[int, int, int]]:
+    """The first ``limit`` violated odd sets of the support by (-excess,
+    mask), as (mask, rhs, excess), from the ``violated`` sets of the
+    fractional vertices and the vertex masks of the x_e = 1 edges.
+
+    The support's violated sets are those T plus any union of unit pairs, at
+    T's excess (see the module docstring).  The pairs are disjoint, so
+    building the unions in ascending pair order lists them by mask, and
+    so does ``T | union`` for one T: the group's first ``room`` sets lie
+    among the first ``room`` unions of each of its sets T.
+    """
+    unions = [(0, 0)]  # (mask, pairs in it)
+    for pair in sorted(unit_pairs):
+        unions += [(mask | pair, count + 1) for mask, count in unions]
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for mask, rhs, excess in violated:
+        groups.setdefault(excess, []).append((mask, rhs))
+    ranked: list[tuple[int, int, int]] = []
+    for excess in sorted(groups, reverse=True):
+        room = limit - len(ranked)
+        group = sorted(
+            (mask | union, rhs + count, excess)
+            for mask, rhs in groups[excess]
+            for union, count in unions[:room]
+        )
+        ranked += group[:room]
+        if len(ranked) == limit:
+            break
+    return ranked
 
 
 def solve_lp(model: LPModel) -> RationalSolution | None:
@@ -218,41 +252,25 @@ def solve_lp(model: LPModel) -> RationalSolution | None:
 
     Violated blossom rows are activated in rounds (most violated first, at
     most 24 per round) and the LP re-solved from scratch with Bland's rule,
-    so the result is deterministic.  Whether a round is the last is decided
-    on the fractional vertices alone (none at an integral optimum); only a
-    round that activates rows scans the whole support to rank them.
+    so the result is deterministic.  Both the test for a last round and the
+    ranking of the rows a round activates scan the fractional vertices only
+    (none at an integral optimum).
     """
     active: list[BlossomRow] = []
     for _ in range(len(model.blossom_rows) + 1):
         res = _solve_activated(model, active)
         if res is None:
             return None
-        support, den = _scaled_support(model.graph, res.x)
-        if not _odd_sets(_fractional(support, den), den, tight=False):
+        support, den = _scaled_support(model.graph, res.numerators, res.d)
+        violated = _odd_sets([(emask, x) for emask, x in support if x != den], den, tight=False)
+        if not violated:
             return RationalSolution(values=tuple(res.x), objective=res.objective)
         # active rows hold at res, so every violated set is a new one; the
         # excess is the violation times 2 den, common to all sets, so it
         # orders them as the rational violation does
-        violated = _odd_sets(support, den, tight=False)
-        violated.sort(key=lambda row: (-row[2], row[0]))
-        active += [BlossomRow(mask, rhs) for mask, rhs, _ in violated[:24]]
+        units = [emask for emask, x in support if x == den]
+        active += [BlossomRow(mask, rhs) for mask, rhs, _ in _top_violated(violated, units, 24)]
     raise InvariantError("blossom separation did not converge")
-
-
-def project_profile(graph: ColoredGraph, x) -> tuple[Fraction, Fraction]:
-    """(red total, blue total) of a rational solution or matching."""
-    if isinstance(x, RationalSolution):
-        red = sum(
-            (x.values[e] for e in range(graph.edge_count) if graph.color(e) == RED),
-            ZERO,
-        )
-        blue = sum(
-            (x.values[e] for e in range(graph.edge_count) if graph.color(e) == BLUE),
-            ZERO,
-        )
-        return (red, blue)
-    prof = color_profile(graph, x)
-    return (Fraction(prof.red), Fraction(prof.blue))
 
 
 def _laminar(sets: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
@@ -279,27 +297,31 @@ def minimal_face(
     its characteristic vector is tight on every degree constraint tight at
     the optimum and on a maximal laminar family of the odd sets tight on the
     fractional vertices; these span every tight blossom row (see the module
-    docstring).  More than four vertices would contradict the dimension bound
-    and is a fatal internal error.
+    docstring).  Such a matching holds every x_e = 1 edge, so only the
+    fractional edges are enumerated, against the tight fractional vertices,
+    and the unit edges are added to each survivor.  More than four vertices
+    would contradict the dimension bound and is a fatal internal error.
     """
     check_cap(graph, cap)
-    support_ids = solution.support()
-    support, den = _scaled_support(graph, solution.values)
-    fractional = _fractional(support, den)
-    if not fractional:
-        matching = frozenset(support_ids)
-        if not validate_matching(graph, matching):
+    d = lcm(*(x.denominator for x in solution.values))
+    numerators = [x.numerator * (d // x.denominator) for x in solution.values]
+    support, den = _scaled_support(graph, numerators, d)
+    scaled = list(zip((e for e, num in enumerate(numerators) if num), support))
+    unit_edges = frozenset(e for e, (_, x) in scaled if x == den)
+    if len(unit_edges) == len(scaled):
+        if not validate_matching(graph, unit_edges):
             raise InvariantError("integral optimum is not a matching")
-        return _describe_face(graph, [matching], "integral")
+        return _describe_face(graph, [unit_edges], "integral")
+    edge_mask = {e: emask for e, (emask, x) in scaled if x != den}
+    fractional = [(emask, x) for emask, x in support if x != den]
     tight_degree = 0
     for v in range(graph.vertex_count):
-        if sum(x for emask, x in support if (emask >> v) & 1) == den:
+        if sum(x for emask, x in fractional if (emask >> v) & 1) == den:
             tight_degree |= 1 << v
     tight = _odd_sets(fractional, den, tight=True)
     laminar = _laminar(tight)
-    edge_mask = {e: emask for e, (emask, _) in zip(support_ids, support)}
     vertices = []
-    for m in enumerate_matchings(graph, restrict_support=support_ids, cap=cap):
+    for m in enumerate_matchings(graph, restrict_support=edge_mask, cap=cap):
         masks = [edge_mask[e] for e in m]
         covered = 0
         for emask in masks:
@@ -309,7 +331,7 @@ def minimal_face(
         if all(
             sum(emask & mask == emask for emask in masks) == rhs for mask, rhs in laminar
         ):
-            vertices.append(m)
+            vertices.append(m | unit_edges)
     fractional_vertices = 0
     for emask, _ in fractional:
         fractional_vertices |= emask

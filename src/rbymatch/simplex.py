@@ -21,7 +21,13 @@ the solution, are those of the dense update.
 The guarantees downstream are combinatorial equalities and inequalities on
 integers, so floating point is disqualified.  Bland's rule (smallest
 eligible index enters, smallest basic variable leaves among ratio ties)
-makes the solver deterministic and immune to cycling.
+makes the solver deterministic and immune to cycling.  A run that breaks
+an invariant could still revisit a basis and loop forever, so the pivot loop
+raises ``InvariantError`` when a basis recurs while the objective stands
+still, which a correct Bland run never does.  It records the bases of a
+degenerate stretch (pivots that leave the objective unchanged) only past as
+many pivots as the tableau has rows: short stretches are common and cost
+nothing, and a cycle repeats, so it is still caught on a later lap.
 
 The interface is standard form:
 
@@ -46,6 +52,8 @@ from .errors import InvariantError
 class LPResult:
     x: list[Fraction]
     objective: Fraction
+    numerators: list[int]  # x = numerators / d, as the final tableau holds it
+    d: int
 
 
 def _integral(value) -> int:
@@ -113,6 +121,8 @@ class _Tableau:
 def _run_simplex(tab: _Tableau, cost: list[int], allowed: list[bool]) -> int:
     """Minimize cost with Bland's rule in place; returns d times the optimum."""
     z = tab.reduced_costs(cost)
+    stalled = 0  # pivots since the objective last changed
+    seen: set[frozenset[int]] = set()  # bases past len(rows) of those pivots
     while True:
         enter = next(
             (j for j in range(tab.n_total) if z[j] > 0 and allowed[j]), -1
@@ -133,7 +143,18 @@ def _run_simplex(tab: _Tableau, cost: list[int], allowed: list[bool]) -> int:
                     leave = i
         if leave < 0:
             raise InvariantError("LP unbounded; impossible for bounded models")
+        value, d = z[-1], tab.d
         z = tab.pivot(leave, enter, z)
+        if z[-1] * d != value * tab.d:
+            stalled = 0
+            seen.clear()
+            continue
+        stalled += 1
+        if stalled > len(tab.rows):
+            basis = frozenset(tab.basis)
+            if basis in seen:
+                raise InvariantError("simplex revisited a basis; Bland's rule never cycles")
+            seen.add(basis)
 
 
 def solve_standard_form(
@@ -189,4 +210,9 @@ def solve_standard_form(
             x_num[var] = row[-1]
     d = tab.d
     value = sum(c * x for c, x in zip(obj, x_num))
-    return LPResult(x=[Fraction(x, d) for x in x_num], objective=Fraction(value, d))
+    return LPResult(
+        x=[Fraction(x, d) for x in x_num],
+        objective=Fraction(value, d),
+        numerators=x_num,
+        d=d,
+    )

@@ -2,9 +2,10 @@
 
 The simplicity work on this package promises bit-identical answers, and the
 benchmark's answer digest is how that is checked.  This test runs the slices
-that ``perfbench/selfcheck.py`` uses (220 requests of each workload, seed 7)
-through ``perfbench/run.py``'s own measurement loop, once each, and compares
-the digests with the pinned values.  A change that alters answers on purpose
+that ``perfbench/selfcheck.py`` uses (220 requests of each benchmarked
+workload, seed 7), and graphs_cap's own six requests of seed 1, through
+``perfbench/run.py``'s own measurement loop, once each, and compares the
+digests with the pinned values.  A change that alters answers on purpose
 updates the pin and says in its description which digest changed and why.
 
 ``run.import_library`` drops and re-imports every ``rbymatch`` module, so the
@@ -20,9 +21,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# workload: (seed, requests, or 0 for the workload's own count, digest)
 PINNED = {
-    "graphs_small": "3d722533b50d42cc01c6ebb1c85ad3b3bf5eb8e11cd96c4194afe33c8e5f7782",
-    "select_combine": "156c25908ee0e834e901e4ef115294f9985c3238de190904454259982988944d",
+    "graphs_small": (7, 220, "3d722533b50d42cc01c6ebb1c85ad3b3bf5eb8e11cd96c4194afe33c8e5f7782"),
+    "select_combine": (7, 220, "156c25908ee0e834e901e4ef115294f9985c3238de190904454259982988944d"),
+    "graphs_cap": (1, 0, "56525ebc5336f0a35ac00c2bd4aeb3e344d1ae2d77971f73c4c8e5b35540b443"),
 }
 
 _DIGESTS = """
@@ -34,10 +37,11 @@ import run
 import workloads
 
 out = {}
-for name in sys.argv[3:]:
+for spec in sys.argv[3:]:
+    name, seed, count = spec.split(":")
     workload = workloads.make_workload(name, run.import_library())
-    workload.count = 220
-    requests = workload.generate(Random(f"{name}:7"))
+    workload.count = int(count) or workload.count
+    requests = workload.generate(Random(f"{name}:{seed}"))
     tally, _ = run.measure(workload, requests, 0, run.RefClock())
     out[name] = [workloads.answer_digest(tally.keys), tally.failed, tally.errors]
 print(json.dumps(out))
@@ -46,7 +50,10 @@ print(json.dumps(out))
 
 def test_answer_digests_are_pinned():
     done = subprocess.run(
-        [sys.executable, "-c", _DIGESTS, str(ROOT / "perfbench"), str(ROOT / "src"), *PINNED],
+        [
+            sys.executable, "-c", _DIGESTS, str(ROOT / "perfbench"), str(ROOT / "src"),
+            *(f"{name}:{seed}:{count}" for name, (seed, count, _) in PINNED.items()),
+        ],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -54,7 +61,7 @@ def test_answer_digests_are_pinned():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     got = json.loads(done.stdout)
-    for name, digest in PINNED.items():
+    for name, (_, _, digest) in PINNED.items():
         answer, failed, errors = got[name]
         assert failed == 0, f"{name}: {errors}"
         assert answer == digest, f"{name}: answer digest {answer}"

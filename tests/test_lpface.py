@@ -4,12 +4,13 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from rbymatch import lpface
 from rbymatch.errors import CapExceededError, InvariantError
-from rbymatch.graph import ColoredGraph, color_profile, cycle_graph
+from rbymatch.graph import BLUE, RED, ColoredGraph, color_profile, cycle_graph
 from rbymatch.lpface import (
     PARALLELOGRAM,
     SEGMENT,
@@ -22,15 +23,16 @@ from rbymatch.lpface import (
     _odd_sets,
     _scaled_support,
     _solve_activated,
+    _top_violated,
     build_lp,
     dispatch_face,
     RationalSolution,
     minimal_face,
-    project_profile,
     solve_lp,
 )
 from rbymatch.graph import symdiff_components
 from rbymatch.oracle import OracleCap, enumerate_matchings, exact_optimum
+from rbymatch.simplex import solve_standard_form
 
 FIG1 = "RBYBRBYB"
 FIG3 = "YBYBYRYRYBRBYRBRBR"
@@ -130,6 +132,24 @@ def test_solve_lp_triangle_blossom_binds():
     sol = solve_lp(build_lp(g, 1, 0))
     assert sol is not None
     assert sol.objective == 1
+
+
+def project_profile(graph: ColoredGraph, x) -> tuple[Fraction, Fraction]:
+    """(red total, blue total) of a rational solution or matching."""
+    if isinstance(x, RationalSolution):
+        colors = [graph.color(e) for e in range(graph.edge_count)]
+        red = sum((v for v, c in zip(x.values, colors) if c == RED), Fraction(0))
+        blue = sum((v for v, c in zip(x.values, colors) if c == BLUE), Fraction(0))
+        return (red, blue)
+    prof = color_profile(graph, x)
+    return (Fraction(prof.red), Fraction(prof.blue))
+
+
+def _scaled(graph, values):
+    """``_scaled_support`` of a point given as Fractions, over the lcm of
+    its denominators."""
+    d = lcm(*(x.denominator for x in values))
+    return _scaled_support(graph, [x.numerator * (d // x.denominator) for x in values], d)
 
 
 def test_solve_lp_satisfies_model_exactly():
@@ -352,7 +372,7 @@ def test_minimal_face_random_convexity():
 def _tight_rows(model, solution):
     """Tight degree vertices and tight odd sets (mask, rhs) scanned over the
     whole support: the reference for the fractional-vertex scan."""
-    support, den = _scaled_support(model.graph, solution.values)
+    support, den = _scaled(model.graph, solution.values)
     tight_degree = [
         v
         for v in range(model.graph.vertex_count)
@@ -426,7 +446,7 @@ def _reference_solve_lp(model):
         res = _solve_activated(model, active)
         if res is None:
             return None
-        violated = _odd_sets(*_scaled_support(model.graph, res.x), tight=False)
+        violated = _odd_sets(*_scaled(model.graph, res.x), tight=False)
         if not violated:
             return RationalSolution(values=tuple(res.x), objective=res.objective)
         violated.sort(key=lambda row: (-row[2], row[0]))
@@ -534,7 +554,7 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
     model = build_lp(g, 1, 0)
     first = _solve_activated(model, [])
     assert list(first.x) == [Fraction(1, 2)] * 3 + [1, 0]
-    assert [mask for mask, _, _ in _odd_sets(*_scaled_support(g, first.x), tight=False)] == [
+    assert [mask for mask, _, _ in _odd_sets(*_scaled(g, first.x), tight=False)] == [
         0b00111,
         0b11111,
     ]
@@ -609,3 +629,120 @@ def test_describe_face_classifies_by_vertex_count():
     # four affinely independent vertices span a 3-dimensional simplex
     with pytest.raises(InvariantError):
         _describe_face(g, matchings, "")
+
+
+def _ranking_point(rng):
+    """A point of the degree rows on shuffled vertex labels: odd and even
+    cycles and short paths at fractional values (odd half-cycles and odd
+    cycles just above their blossom bound among them), x_e = 1 edges, zero
+    edges and free vertices."""
+    labels = list(range(16))
+    rng.shuffle(labels)
+    fresh = iter(labels)
+    edges, values = [], []
+
+    def add(u, v, x):
+        edges.append((u, v, rng.choice("RBY")))
+        values.append(Fraction(x))
+
+    units = rng.randrange(6)
+    for _ in range(units):
+        add(next(fresh), next(fresh), 1)
+    room = rng.randrange(3, 15 - 2 * units)
+    while room >= 2:
+        kind = rng.choice(("odd", "odd", "odd", "even", "path"))
+        size = {"odd": rng.choice((3, 3, 5)), "even": 4, "path": rng.choice((2, 3))}[kind]
+        if size > room:
+            break
+        room -= size
+        vs = [next(fresh) for _ in range(size)]
+        x = Fraction(rng.choice(("1/2", "1/2", "2/5", "3/7", "1/3")))
+        for u, v in zip(vs, vs[1:] + vs[:1] if kind != "path" else vs[1:]):
+            add(u, v, x)
+    for _ in range(rng.randrange(4)):
+        u, v = rng.sample(range(16), 2)
+        add(u, v, 0)
+    return ColoredGraph(16, edges), values
+
+
+def test_ranking_from_the_fractional_scan_matches_the_full_support():
+    rng = random.Random(2997)
+    many = tied = 0
+    for _ in range(3000):
+        g, values = _ranking_point(rng)
+        support, den = _scaled(g, values)
+        full = sorted(_odd_sets(support, den, tight=False), key=lambda row: (-row[2], row[0]))
+        violated = _odd_sets([(emask, x) for emask, x in support if x != den], den, tight=False)
+        units = [emask for emask, x in support if x == den]
+        for limit in (1, 24, len(full) + 1):
+            assert _top_violated(violated, units, limit) == full[:limit]
+        many += len(full) > 24
+        tied += len({excess for _, _, excess in full}) < len(full)
+    assert many >= 100 and tied >= 1000, (many, tied)
+
+
+def test_integer_hand_off_scales_like_the_lcm_of_the_denominators(monkeypatch):
+    # den = d / gcd(d, numerators) on random integer points: zeros, common
+    # factors of every numerator with d, and d = 1
+    rng = random.Random(5151)
+    g = ColoredGraph(6, [(u, v, "RBY"[(u + v) % 3]) for u in range(6) for v in range(u + 1, 6)])
+    for _ in range(2000):
+        d = rng.choice((1, 2, 6, 12, 30, 35, 64, 210))
+        k = rng.choice((1, 1, 2, 3, 5))
+        numerators = [rng.choice((0, 0, k * rng.randrange(d + 1))) for _ in range(g.edge_count)]
+        values = [Fraction(num, d) for num in numerators]
+        assert _scaled_support(g, numerators, d) == _scaled(g, values)
+    # and every LP of the separation rounds on criterion-7 requests
+    results = []
+
+    def keep(*args):
+        results.append(solve_standard_form(*args))
+        return results[-1]
+
+    monkeypatch.setattr(lpface, "solve_standard_form", keep)
+    fractional = 0
+    for _ in range(400):
+        n = rng.randrange(4, 11)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.randrange(3) == 0]
+        g = ColoredGraph(n, [(u, v, rng.choice("RBY")) for u, v in pairs])
+        matchings = list(enumerate_matchings(g))
+        prof = color_profile(g, matchings[rng.randrange(len(matchings))])
+        solve_lp(build_lp(g, prof.red, prof.blue))
+        for res in results:
+            assert _scaled_support(g, res.numerators, res.d) == _scaled(g, res.x)
+            fractional += _has_fractional_edge(res.x)
+        results.clear()
+    assert fractional >= 50, fractional
+
+
+def test_face_of_a_half_integral_triangle_with_three_unit_edges():
+    # the triangle {0, 1, 2} carries 1/2, 1/2 and 0 and is tight, inside the
+    # half-integral 4-cycle 0-1-3-2; the unit edges 4-5, 6-7 and 8-9 hang off
+    # it by zero edges, so the full support has tight sets that hold unit
+    # pairs and sets that split them
+    g = ColoredGraph(
+        10,
+        [(0, 1, "R"), (1, 2, "Y"), (0, 2, "B"), (1, 3, "B"), (2, 3, "R"),
+         (4, 5, "Y"), (6, 7, "R"), (8, 9, "B"), (2, 4, "Y"), (3, 6, "Y"), (0, 8, "R")],
+    )
+    half = Fraction(1, 2)
+    values = (half, 0, half, half, half, 1, 1, 1, 0, 0, 0)
+    point = RationalSolution(values, sum(values))
+    model = build_lp(g, 0, 0)
+    _, tight = _tight_rows(model, point)
+    assert (0b111, 1) in tight and (0b1110, 1) in tight and (0b110111, 2) in tight
+    yielded = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            lpface,
+            "enumerate_matchings",
+            lambda *args, **kw: (yielded.append(m) or m for m in enumerate_matchings(*args, **kw)),
+        )
+        _assert_routes_agree(model, point)
+        face = minimal_face(g, model, point)
+    assert face == _describe_face(g, _reference_face_vertices(model, point), "")
+    assert set(face.vertex_matchings) == {frozenset({0, 4, 5, 6, 7}), frozenset({2, 3, 5, 6, 7})}
+    assert face.route == "fractional vertices=4 tight_sets=4 laminar_rows=1"
+    # only the matchings of the 4-cycle are enumerated, not those of the
+    # whole support with its three unit edges
+    assert len(yielded) == 2 * 7

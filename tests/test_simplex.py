@@ -30,6 +30,58 @@ def test_single_variable_forced_by_equality():
     assert res.objective == F(1)
 
 
+def test_a_pivot_loop_that_stops_improving_raises(monkeypatch):
+    # a pivot that leaves the carried reduced-cost row as it was breaks the
+    # loop's invariant: the same column enters again and again, the basis
+    # recurs and the objective stands still, which must raise, not hang
+    pivot = simplex._Tableau.pivot
+
+    def stale_z(self, row, col, z=None):
+        kept = None if z is None else list(z)
+        out = pivot(self, row, col, z)
+        if kept is not None:
+            out[:] = kept
+        return out
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", stale_z)
+    with pytest.raises(InvariantError, match="revisited a basis"):
+        solve_standard_form(
+            1,
+            [F(1)],
+            ub_rows=[([(0, F(1))], F(1))],
+            eq_rows=[([(0, F(1))], F(1))],
+        )
+
+
+def test_beale_cycling_example_terminates(monkeypatch):
+    # Beale's LP (scaled to integers) cycles under the largest-coefficient
+    # rule; Bland's rule makes four degenerate pivots on its three rows, so
+    # the basis check records a basis, and then reaches the optimum
+    pivot = simplex._Tableau.pivot
+    stalled = []
+
+    def watch(self, row, col, z=None):
+        before = None if z is None else (z[-1], self.d)
+        out = pivot(self, row, col, z)
+        if z is not None:
+            stalled.append(out[-1] * before[1] == before[0] * self.d)
+        return out
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", watch)
+    res = solve_standard_form(
+        4,
+        [3, -80, 2, -24],
+        [
+            ([(0, 1), (1, -32), (2, -4), (3, 36)], 0),
+            ([(0, 1), (1, -24), (2, -1), (3, 6)], 0),
+            ([(2, 1)], 1),
+        ],
+        [],
+    )
+    assert (res.x, res.objective) == ([1, 0, 1, 0], 5)
+    assert stalled[:5] == [True] * 4 + [False]
+
+
 def test_infeasible_equality():
     res = solve_standard_form(
         1,
@@ -240,6 +292,7 @@ def test_integer_tableau_matches_fraction_reference():
         assert got is not None
         assert (got.x, got.objective) == want
         assert all(isinstance(v, Fraction) for v in got.x)
+        assert got.d > 0 and got.x == [Fraction(num, got.d) for num in got.numerators]
         outcomes["feasible"] += 1
         outcomes["redundant"] += redundant
     # the generator must exercise every path it was built for
