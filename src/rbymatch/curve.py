@@ -123,11 +123,6 @@ def imbalance_curve(cycle: CycleOrPath | str | Sequence[str]) -> LatticePolyline
     return polyline_from_moves(moves)
 
 
-def decode_moves(polyline: LatticePolyline) -> tuple[tuple[str, str], ...]:
-    """The color pair behind each move."""
-    return tuple(PAIR_OF_MOVE[m] for m in polyline.moves)
-
-
 def periodic_eval(polyline: LatticePolyline, t) -> Point:
     """d-infinity(t): periodic extension with linear interpolation."""
     t = Fraction(t)

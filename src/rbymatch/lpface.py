@@ -115,9 +115,6 @@ class RationalSolution:
     values: tuple[Fraction, ...]  # per edge id
     objective: Fraction
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, x in enumerate(self.values) if x != 0)
-
 
 SINGLETON = "singleton"
 SEGMENT = "segment"

@@ -1,22 +1,33 @@
 """Exact two-phase simplex with Bland's anti-cycling rule, in integers.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): it holds integers
-``T`` over one positive common denominator ``d = |det B|``, and a pivot on
-``p = T[r][c]`` maps each entry ``a`` of every other row to
-``(a*p - f*b) // d``, where ``f`` is the row's entry in column ``c`` and ``b``
-the pivot row's entry in the column of ``a``, before setting ``d = p``.  Every
-entry is then a minor of the integer input, so each division is exact and the
-solver never builds a ``Fraction`` until it reports the solution.
+over one positive common denominator ``d = |det B|``, and every entry is a
+minor of the integer input, so each division is exact and the solver never
+builds a ``Fraction`` until it reports the solution.
+
+It is condensed, as in Avis's lrs (2000): the column of the variable basic
+in row i is always ``d * e_i``, so a row stores only one integer per
+nonbasic variable, ``cols[j]`` naming the variable in slot j, plus the rhs.
+A pivot on ``p = T[r][s]`` maps each entry ``a`` of every other row, and of
+the carried reduced-cost row, at a slot ``j != s`` to ``(a*p - f*b) // d``,
+where ``f`` is the row's entry in slot s and ``b`` the pivot row's in slot
+j, which is the full tableau's Bareiss update.  Slot s then takes the
+column of the leaving variable: the full update maps its ``d * e_r`` to
+``-f`` in every other row and keeps ``d`` in the pivot row, whose other
+entries the update leaves alone.  ``d`` becomes ``p``, the entering and the
+leaving variable swap between ``basis[r]`` and ``cols[s]``, and everything is
+negated when ``p < 0``.  So every stored integer is the same minor as the
+full tableau's entry for that variable, and Bland's rule, scanning the
+nonbasic variables in index order, takes the same pivots.
 
 A minor is one integer however it is computed, so the pivot does only the
 work that changes an entry.  When ``p = d``, as on most pivots of the 0/1
 matching models, the new entry ``a - f*b/d`` is an integer, so ``d`` divides
 ``f*b``: a row with ``f = 0`` is left alone, and any other row changes in
-place at the pivot row's nonzero columns only, by ``f*b // d``.  When
+place at the pivot row's nonzero slots only, by ``f*b // d``, and takes
+``-f`` at slot s; the pivot row keeps ``d = p`` there and is unchanged.  When
 ``p != d`` a row with ``f = 0`` is rescaled to ``a*p // d`` (itself a
-minor) and any other row takes the full formula.  The carried reduced-cost
-row is updated the same way.  The integers, and so Bland's pivot path and
-the solution, are those of the dense update.
+minor) and any other row takes the full formula.
 
 The guarantees downstream are combinatorial equalities and inequalities on
 integers, so floating point is disqualified.  Bland's rule (smallest
@@ -65,29 +76,36 @@ def _integral(value) -> int:
 
 
 class _Tableau:
-    """Integer rows (n_total coefficients + rhs) over the denominator d."""
+    """Condensed integer rows over the denominator d: slot j holds the entry
+    of the nonbasic variable ``cols[j]``, the last slot the rhs, and the
+    basic column of row i, always d * e_i, is not stored."""
 
-    def __init__(self, rows: list[list[int]], basis: list[int], n_total: int):
+    def __init__(self, rows: list[list[int]], basis: list[int], cols: list[int]):
         self.rows = rows
         self.basis = basis        # basis[i] = variable index basic in row i
-        self.n_total = n_total
+        self.cols = cols          # cols[j] = variable index held in slot j
+        self.slot = [-1] * (len(basis) + len(cols))  # variable -> slot, -1 if basic
+        for j, var in enumerate(cols):
+            self.slot[var] = j
         self.d = 1
 
     def reduced_costs(self, cost: list[int]) -> list[int]:
-        """d * (c_B B^-1 [A | b] - [c | 0]) for the current basis."""
+        """d * (c_B B^-1 [A | b] - [c | 0]) at the nonbasic slots and rhs;
+        it is 0 at every basic column."""
         d = self.d
-        z = [-c * d for c in cost] + [0]
+        z = [-cost[var] * d for var in self.cols] + [0]
         for row, var in zip(self.rows, self.basis):
             cb = cost[var]
             if cb:
                 z = [a + cb * b for a, b in zip(z, row)]
         return z
 
-    def pivot(self, row: int, col: int, z: list[int] | None = None) -> list[int] | None:
-        """Bareiss pivot on (row, col) in place; returns the carried
-        reduced-cost row, updated like any other row."""
+    def pivot(self, row: int, s: int, z: list[int] | None = None) -> list[int] | None:
+        """Bareiss pivot on (row, slot s) in place, swapping ``basis[row]``
+        into slot s; returns the carried reduced-cost row, updated like any
+        other row."""
         prow = self.rows[row]
-        p = prow[col]
+        p = prow[s]
         if p == 0:
             raise InvariantError("pivot on zero element")
         d = self.d
@@ -95,21 +113,26 @@ class _Tableau:
         if z is not None:
             others.append(z)
         if p == d:
-            nonzero = [(j, b) for j, b in enumerate(prow) if b]
+            nonzero = [(j, b) for j, b in enumerate(prow) if b and j != s]
             for r in others:
-                f = r[col]
+                f = r[s]
                 if f:
                     for j, b in nonzero:
                         r[j] -= f * b // d
+                    r[s] = -f
         else:
             for r in others:
-                f = r[col]
+                f = r[s]
                 if f:
                     r[:] = [(a * p - f * b) // d for a, b in zip(r, prow)]
+                    r[s] = -f
                 else:
                     r[:] = [a * p // d for a in r]
+            prow[s] = d
         self.d = p
-        self.basis[row] = col
+        enter, leave = self.cols[s], self.basis[row]
+        self.basis[row], self.cols[s] = enter, leave
+        self.slot[enter], self.slot[leave] = -1, s
         if p < 0:
             for r in others:
                 r[:] = [-a for a in r]
@@ -118,15 +141,20 @@ class _Tableau:
         return z
 
 
-def _run_simplex(tab: _Tableau, cost: list[int], allowed: list[bool]) -> int:
-    """Minimize cost with Bland's rule in place; returns d times the optimum."""
+def _run_simplex(tab: _Tableau, cost: list[int], n_allowed: int) -> int:
+    """Minimize cost with Bland's rule in place, entering only variables
+    below ``n_allowed``; returns d times the optimum."""
     z = tab.reduced_costs(cost)
+    slot = tab.slot
     stalled = 0  # pivots since the objective last changed
     seen: set[frozenset[int]] = set()  # bases past len(rows) of those pivots
     while True:
-        enter = next(
-            (j for j in range(tab.n_total) if z[j] > 0 and allowed[j]), -1
-        )
+        enter = -1
+        for var in range(n_allowed):
+            j = slot[var]
+            if j >= 0 and z[j] > 0:
+                enter = j
+                break
         if enter < 0:
             return z[-1]
         leave = -1
@@ -174,35 +202,39 @@ def solve_standard_form(
     n_total = n_vars + n_slack + n_art
 
     rows: list[list[int]] = []
-    for i, (coeffs, rhs) in enumerate(list(ub_rows) + list(eq_rows)):
+    for coeffs, rhs in list(ub_rows) + list(eq_rows):
         rhs = rhs if type(rhs) is int else _integral(rhs)
         if rhs < 0:
             raise ValueError("right-hand sides must be nonnegative")
-        row = [0] * (n_total + 1)
+        row = [0] * (n_vars + 1)
         for j, a in coeffs:
             row[j] += a if type(a) is int else _integral(a)
-        row[n_vars + i] = 1
         row[-1] = rhs
         rows.append(row)
     obj = [c if type(c) is int else _integral(c) for c in objective]
-    tab = _Tableau(rows, list(range(n_vars, n_total)), n_total)
+    tab = _Tableau(rows, list(range(n_vars, n_total)), list(range(n_vars)))
 
     if n_art:
         phase1_cost = [0] * (n_vars + n_slack) + [1] * n_art
-        if _run_simplex(tab, phase1_cost, [True] * n_total) != 0:
+        if _run_simplex(tab, phase1_cost, n_total) != 0:
             return None
-        # drive remaining artificial variables out of the basis; a row with
-        # no nonzero outside the artificial columns is redundant (rhs 0) and
+        # drive remaining artificial variables out of the basis on the
+        # smallest non-artificial variable with a nonzero entry (every basic
+        # one has 0 in this row); a row with none is redundant (rhs 0) and
         # stays basic in its artificial, never a pivot row again
         for i in range(len(tab.rows)):
             if tab.basis[i] >= n_vars + n_slack:
                 row = tab.rows[i]
-                col = next((j for j in range(n_vars + n_slack) if row[j]), -1)
-                if col >= 0:
-                    tab.pivot(i, col)
+                s = min(
+                    (j for j, var in enumerate(tab.cols) if var < n_vars + n_slack and row[j]),
+                    key=tab.cols.__getitem__,
+                    default=-1,
+                )
+                if s >= 0:
+                    tab.pivot(i, s)
 
     phase2_cost = [-c for c in obj] + [0] * (n_slack + n_art)  # minimize -c.x
-    _run_simplex(tab, phase2_cost, [True] * (n_vars + n_slack) + [False] * n_art)
+    _run_simplex(tab, phase2_cost, n_vars + n_slack)
 
     x_num = [0] * n_vars
     for row, var in zip(tab.rows, tab.basis):

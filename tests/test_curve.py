@@ -19,7 +19,6 @@ from rbymatch.curve import (
     PeriodicCurve,
     all_intersecting_pairs,
     check_injective,
-    decode_moves,
     find_crossing_pair,
     find_intersecting_pair,
     imbalance_curve,
@@ -46,6 +45,11 @@ FIG3_POINTS = (
 # schematic overlapping crossings: same orientation, opposite orientation
 OVERLAP_A_MOVES = [(0, 1), (0, 1), (1, 0), (1, 0), (0, 1), (1, 0), (1, -1)]
 OVERLAP_B_MOVES = [(0, 1)] * 4 + [(1, 0)] * 2 + [(0, -1)] * 2 + [(1, 0)] * 2
+
+
+def decode_moves(polyline: LatticePolyline) -> tuple[tuple[str, str], ...]:
+    """The color pair behind each move."""
+    return tuple(PAIR_OF_MOVE[m] for m in polyline.moves)
 
 
 def test_table1_round_trip():

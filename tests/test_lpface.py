@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -183,6 +184,10 @@ def test_solve_lp_satisfies_model_exactly():
             assert sol.objective >= len(opt)
 
 
+def _support(solution: RationalSolution) -> tuple[int, ...]:
+    return tuple(e for e, x in enumerate(solution.values) if x != 0)
+
+
 def convex_coefficients(
     graph: ColoredGraph, face: FaceDescriptor, solution: RationalSolution
 ) -> list[Fraction] | None:
@@ -190,7 +195,7 @@ def convex_coefficients(
     face vertices; None when no such combination exists."""
     vertices = face.vertex_matchings
     k = len(vertices)
-    edges = sorted(set().union(*vertices) | set(solution.support()))
+    edges = sorted(set().union(*vertices) | set(_support(solution)))
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for e in edges:
@@ -439,10 +444,12 @@ def test_integer_tight_rows_match_fraction_scan():
     assert fractional >= 100
 
 
-def _reference_solve_lp(model):
-    """The separation loop that scanned the whole support in every round."""
+def _reference_solve_lp(model, rounds):
+    """The separation loop that scanned the whole support in every round;
+    appends the rows active in each round to ``rounds``."""
     active = []
     for _ in range(len(model.blossom_rows) + 1):
+        rounds.append(list(active))
         res = _solve_activated(model, active)
         if res is None:
             return None
@@ -460,7 +467,7 @@ def _reference_face_vertices(model, solution):
     graph = model.graph
     tight_degree, tight_blossoms = _tight_rows(model, solution)
     vertices = []
-    for m in enumerate_matchings(graph, restrict_support=solution.support()):
+    for m in enumerate_matchings(graph, restrict_support=_support(solution)):
         covered = {u for e in m for u in graph.endpoints(e)}
         if any(v not in covered for v in tight_degree):
             continue
@@ -482,10 +489,21 @@ def _face_vertices(model, solution):
 
 def _assert_routes_agree(model, solution=None):
     """solve_lp and minimal_face against the full-support reference, at the
-    optimum (or at ``solution``, a point of the polytope)."""
+    optimum (or at ``solution``, a point of the polytope); at the optimum
+    both loops must also activate the same rows in the same order in every
+    round."""
     if solution is None:
-        solution = solve_lp(model)
-        assert solution == _reference_solve_lp(model)
+        rounds, want_rounds = [], []
+
+        def recorded(model, active):
+            rounds.append(list(active))
+            return _solve_activated(model, active)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpface, "_solve_activated", recorded)
+            solution = solve_lp(model)
+        assert solution == _reference_solve_lp(model, want_rounds)
+        assert rounds == want_rounds
         if solution is None:
             return None
         expected = _describe_face(model.graph, _reference_face_vertices(model, solution), "")
@@ -546,6 +564,34 @@ def test_fractional_routes_match_the_full_scan_on_multigraphs():
     _assert_routes_agree(build_lp(g, 0, 0), RationalSolution(values, sum(values)))
 
 
+def test_separation_rounds_match_the_full_scan_at_the_benchmark_size(monkeypatch):
+    # graphs_small's largest graphs (n 11..14, m = 24, the profile of a
+    # random maximal matching): some rounds there have more than 24
+    # violated sets or several excess groups, so the rows activated in
+    # each round are compared where the limit and the group order matter
+    rounds = Counter()
+
+    def counted(violated, unit_pairs, limit):
+        ranked = _top_violated(violated, unit_pairs, len(violated) << len(unit_pairs))
+        rounds["over the limit"] += len(ranked) > limit
+        rounds["several excess groups"] += len({excess for _, _, excess in ranked}) > 1
+        return ranked[:limit]
+
+    monkeypatch.setattr(lpface, "_top_violated", counted)
+    rng = random.Random(1)
+    for _ in range(100):
+        n = rng.randint(11, 14)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(u, v, rng.choice("RBY")) for u, v in rng.sample(pairs, 24)]
+        used, kr, kb = set(), 0, 0
+        for u, v, c in rng.sample(edges, len(edges)):
+            if not used & {u, v}:
+                used |= {u, v}
+                kr, kb = kr + (c == RED), kb + (c == BLUE)
+        _assert_routes_agree(build_lp(ColoredGraph(n, edges), kr, kb))
+    assert min(rounds.values()) >= 3, rounds
+
+
 def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
     # without blossom rows the optimum is x = 1/2 on the triangle {0, 1, 2}
     # and x = 1 on 3-4, joined to it by the zero edge 2-3; {0, 1, 2} and
@@ -588,7 +634,7 @@ def test_integral_optimum_is_its_own_face_and_keeps_every_check():
     assert not _has_fractional_edge(sol.values)
     face = minimal_face(g, model, sol)
     assert face.classification == SINGLETON and face.route == "integral"
-    assert face.vertex_matchings == (frozenset(sol.support()),)
+    assert face.vertex_matchings == (frozenset(_support(sol)),)
     assert face == _describe_face(g, _reference_face_vertices(model, sol), "")
     # the cap is still enforced, though nothing is enumerated
     with pytest.raises(CapExceededError):

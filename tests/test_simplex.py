@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from rbymatch import simplex
+from rbymatch import lpface, simplex
 from rbymatch.errors import InvariantError
 from rbymatch.graph import ColoredGraph
 from rbymatch.lpface import build_lp, solve_lp
@@ -329,83 +329,144 @@ def test_inputs_are_left_unchanged():
         assert (objective, ub_rows, eq_rows) == before
 
 
-# Reference: the dense Bareiss pivot the sparse one replaced.  It rebuilds
-# every row at every column, so it shows that the in-place update computes
-# the same integers.
+# Reference: the full-width dense Bareiss tableau the condensed one replaced.
+# It stores every column, the basic identity block d * e_i included, rebuilds
+# every row at every column and runs Bland's rule over all columns, so it
+# shows that the condensed rows hold the same integers and take the same path.
 
-_SparseTableau = simplex._Tableau  # bound before any test patches the module
+_CondensedTableau = simplex._Tableau  # bound before any test patches the module
 
 
-class _DenseTableau(_SparseTableau):
+class _DenseTableau:
+    """Integer rows (n_total coefficients + rhs) over the denominator d."""
+
+    def __init__(self, rows, basis, n_total):
+        self.rows, self.basis, self.n_total, self.d = rows, basis, n_total, 1
+        self.pivots = 0
+
+    def reduced_costs(self, cost):
+        z = [-c * self.d for c in cost] + [0]
+        for row, var in zip(self.rows, self.basis):
+            z = [a + cost[var] * b for a, b in zip(z, row)]
+        return z
+
     def pivot(self, row, col, z=None):
-        p = self.rows[row][col]
-        if p == 0:
-            raise InvariantError("pivot on zero element")
-        d = self.d
-        prow = self.rows[row]
+        prow, p, d = self.rows[row], self.rows[row][col], self.d
+        assert p != 0
 
         def eliminate(r):
-            f = r[col]
-            if f == 0:
-                return r if p == d else [a * p // d for a in r]
-            return [(a * p - f * b) // d for a, b in zip(r, prow)]
+            return [(a * p - r[col] * b) // d for a, b in zip(r, prow)]
 
         self.rows = [r if i == row else eliminate(r) for i, r in enumerate(self.rows)]
-        if z is not None:
-            z = eliminate(z)
-        self.d = p
-        self.basis[row] = col
+        z = None if z is None else eliminate(z)
+        self.d, self.basis[row] = p, col
         if p < 0:
             self.rows = [[-a for a in r] for r in self.rows]
+            z = None if z is None else [-a for a in z]
             self.d = -p
-            if z is not None:
-                z = [-a for a in z]
+        self.pivots += 1
         return z
 
 
-def _recording(base, made):
-    """A tableau class that counts its pivots and appends each instance to
-    ``made``."""
+def _dense_run(tab, cost, allowed):
+    z = tab.reduced_costs(cost)
+    while True:
+        enter = next((j for j in range(tab.n_total) if z[j] > 0 and allowed[j]), -1)
+        if enter < 0:
+            return z[-1]
+        candidates = [
+            (Fraction(row[-1], row[enter]), tab.basis[i], i)
+            for i, row in enumerate(tab.rows)
+            if row[enter] > 0
+        ]
+        z = tab.pivot(min(candidates)[2], enter, z)
 
-    class Recording(base):
-        def __init__(self, rows, basis, n_total):
-            super().__init__(rows, basis, n_total)
+
+def _dense_solve(n_vars, objective, ub_rows, eq_rows, made):
+    """The integer solver on full-width rows; appends its tableau to ``made``."""
+    n_slack, n_art = len(ub_rows), len(eq_rows)
+    n_total = n_vars + n_slack + n_art
+    rows = []
+    for i, (coeffs, rhs) in enumerate(list(ub_rows) + list(eq_rows)):
+        row = [0] * (n_total + 1)
+        for j, a in coeffs:
+            row[j] += int(a)
+        row[n_vars + i], row[-1] = 1, int(rhs)
+        rows.append(row)
+    tab = _DenseTableau(rows, list(range(n_vars, n_total)), n_total)
+    made.append(tab)
+    if n_art:
+        if _dense_run(tab, [0] * (n_vars + n_slack) + [1] * n_art, [True] * n_total):
+            return None
+        for i in range(len(tab.rows)):
+            if tab.basis[i] >= n_vars + n_slack:
+                col = next((j for j in range(n_vars + n_slack) if tab.rows[i][j]), -1)
+                if col >= 0:
+                    tab.pivot(i, col)
+    cost = [-int(c) for c in objective] + [0] * (n_slack + n_art)
+    _dense_run(tab, cost, [True] * (n_vars + n_slack) + [False] * n_art)
+    x = [0] * n_vars
+    for row, var in zip(tab.rows, tab.basis):
+        if var < n_vars:
+            x[var] = row[-1]
+    value = sum(int(c) * v for c, v in zip(objective, x))
+    return simplex.LPResult([F(v, tab.d) for v in x], F(value, tab.d), x, tab.d)
+
+
+def _full(tab, r, i=None):
+    """Condensed row ``r`` (row i of ``tab``, or the carried reduced-cost
+    row) at full width: slot j in column cols[j], d at the row's own basic
+    column and 0 at every other."""
+    full = [0] * (len(tab.slot) + 1)
+    for var, a in zip(tab.cols, r):
+        full[var] = a
+    if i is not None:
+        full[tab.basis[i]] = tab.d
+    full[-1] = r[-1]
+    return full
+
+
+def _lockstep(cases, made):
+    """The production tableau driven beside a full-width dense shadow: both
+    take the same pivot, and afterwards every stored row, rhs included,
+    must be the shadow's row at the stored columns, with the shadow's basic
+    columns d * e_i (z = 0 on them), and basis and d must agree.  Appends
+    each tableau to ``made``; ``cases`` counts the update kinds exercised."""
+
+    class Lockstep(_CondensedTableau):
+        def __init__(self, rows, basis, cols):
+            super().__init__(rows, basis, cols)
+            full = [_full(self, r, i) for i, r in enumerate(rows)]
+            self.dense = _DenseTableau(full, list(basis), len(self.slot))
+            self.dense_z = None
             self.pivots = 0
             made.append(self)
 
-        def pivot(self, row, col, z=None):
-            self.pivots += 1
-            return super().pivot(row, col, z)
+        def reduced_costs(self, cost):
+            z = super().reduced_costs(cost)
+            self.dense_z = self.dense.reduced_costs(cost)
+            assert _full(self, z) == self.dense_z
+            return z
 
-    return Recording
-
-
-def _lockstep(cases):
-    """The production tableau driven together with a dense copy: both take
-    the same pivot, and afterwards rows, basis, d and the carried row must be
-    identical.  ``cases`` counts the update kinds exercised."""
-
-    class Lockstep(_SparseTableau):
-        def __init__(self, rows, basis, n_total):
-            super().__init__(rows, basis, n_total)
-            self.dense = _DenseTableau([list(r) for r in rows], list(basis), n_total)
-
-        def pivot(self, row, col, z=None):
-            p, d = self.rows[row][col], self.d
+        def pivot(self, row, s, z=None):
+            p, d = self.rows[row][s], self.d
             cases["p < 0"] += p < 0
             carried = [] if z is None else [z]
             for r in [r for i, r in enumerate(self.rows) if i != row] + carried:
-                f = r[col]
+                f = r[s]
                 if p == d:
                     cases["p = d, f != 0"] += f != 0
                 else:
                     cases["p != d, f != 0" if f else "p != d, f = 0"] += 1
-            want = self.dense.pivot(row, col, None if z is None else list(z))
-            got = super().pivot(row, col, z)
-            assert self.rows == self.dense.rows
+            dense_z = self.dense.pivot(row, self.cols[s], None if z is None else self.dense_z)
+            got = super().pivot(row, s, z)
+            self.pivots += 1
+            assert [_full(self, r, i) for i, r in enumerate(self.rows)] == self.dense.rows
             assert self.basis == self.dense.basis
             assert self.d == self.dense.d
-            assert got == want
+            if z is not None:
+                assert _full(self, got) == dense_z
+                self.dense_z = dense_z
             return got
 
     return Lockstep
@@ -434,26 +495,49 @@ def _matching_lp(rng):
     return g, kr, kb
 
 
-def _solve_matching_lp(g, kr, kb):
-    return solve_lp(build_lp(g, kr, kb))
+def _solve_matching_lp(g, kr, kb, solver):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", solver)
+        return solve_lp(build_lp(g, kr, kb))
 
 
-def _solve_with(monkeypatch, tableau, solve):
-    made = []
-    monkeypatch.setattr(simplex, "_Tableau", _recording(tableau, made))
-    result = solve()
-    return result, [t.pivots for t in made]
+def _solve_lp(lp, solver):
+    return solver(*lp)
+
+
+# Edge cases: no variables, a coefficient-free equality row with rhs 0 and
+# with rhs > 0, a redundant equality row left basic in its artificial, and
+# duplicate coefficients of one variable in a row.
+_EDGE_LPS = [
+    (0, [], [], []),
+    (0, [], [([], 2)], []),
+    (0, [], [], [([], 0)]),
+    (0, [], [], [([], 1)]),
+    (2, [1, 1], [([(0, 1)], 1), ([(1, 1)], 1)], [([], 0)]),
+    (2, [1, 1], [([(0, 1)], 1), ([(1, 1)], 1)], [([], 3)]),
+    (2, [1, 1], [([(0, 1), (1, 1)], 2)], [([(0, 1)], 1), ([(0, 1)], 1)]),
+    (2, [1, 2], [([(0, 1), (0, 1), (1, 2)], 3), ([(1, 1), (1, -1), (1, 1)], 1)], [([(0, 2), (0, -1)], 1)]),
+]
 
 
 def test_sparse_pivot_matches_dense_reference(monkeypatch):
     rng = random.Random(99)
-    solves = [partial(solve_standard_form, *_random_lp(rng)[0]) for _ in range(1500)]
+    solves = [partial(_solve_lp, lp) for lp in _EDGE_LPS]
+    solves += [partial(_solve_lp, _random_lp(rng)[0]) for _ in range(1500)]
     solves += [partial(_solve_matching_lp, *_matching_lp(rng)) for _ in range(150)]
     cases = Counter()
+    made: list = []
+    monkeypatch.setattr(simplex, "_Tableau", _lockstep(cases, made))
+    finals = []
     for solve in solves:
-        want, want_pivots = _solve_with(monkeypatch, _DenseTableau, solve)
-        got, got_pivots = _solve_with(monkeypatch, _lockstep(cases), solve)
+        dense_made: list = []
+        want = solve(partial(_dense_solve, made=dense_made))
+        made.clear()
+        got = solve(solve_standard_form)
         assert got == want
-        assert got_pivots == want_pivots
+        assert [t.pivots for t in made] == [t.pivots for t in dense_made]
+        finals.append([t.basis for t in made])
+    # the redundant equality row stays basic in its artificial, variable 4
+    assert 4 in finals[6][0]
     # every branch of the sparse update, and the drive-out's sign flip
     assert len(cases) == 4 and min(cases.values()) >= 100, cases
