@@ -11,9 +11,9 @@ tries the two endpoints and then runs that scan; the integer and the
 fractional solvers differ only in the profiles they pass it.
 
 The near-perfect matchings are exactly the paper's good-path quasi-matchings
-minus one of their two colliding edges.  find_good_path and
-quasi_matching_from_good_path implement that constructive lemma on the
-imbalance curve; the tests check it on the paper's figures.
+minus one of their two colliding edges, so the scan needs no imbalance
+curve; the tests build the paper's constructive good-path lemma on it and
+check it against the paper's figures.
 
 Paths reduce to cycles (_closed): an even path identifies its extremes, an
 odd path gains one dummy yellow edge which is stripped from the answer.
@@ -22,9 +22,9 @@ odd path gains one dummy yellow edge which is stripped from the answer.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .curve import find_intersecting_pair, imbalance_curve, on_open_segment, on_segment
+from .curve import on_segment
 from .errors import InvariantError
 from .graph import (
     BLUE,
@@ -33,7 +33,6 @@ from .graph import (
     YELLOW,
     CycleOrPath,
     even_cycle_from_string,
-    profile_of_colors,
 )
 
 
@@ -165,88 +164,6 @@ def solve_fractional(
     ceil_blue = -((-k_blue.numerator) // k_blue.denominator)
     targets = {(k_red, ceil_blue), (k_red, ceil_blue - 1)}
     return _select(cycle, (k_red, k_blue), targets, targets) - {dummy}
-
-
-class GoodPath(NamedTuple):
-    v: int
-    u: int
-
-
-def is_proper_cycle(comp: CycleOrPath) -> bool:
-    n = len(comp)
-    return all(comp.colors[i] != comp.colors[(i + 1) % n] for i in range(n))
-
-
-def find_good_path(
-    cycle: CycleOrPath | str | Iterable[str], k_red: int, k_blue: int
-) -> GoodPath:
-    """Even-start path indices (v, u) whose imbalance equals the requirement
-    offset; edges 2v..2u-1 of the cycle, taken modulo its length."""
-    comp = _as_cycle(cycle)
-    if not is_proper_cycle(comp):
-        raise ValueError("good-path search requires a proper coloring")
-    p0 = comp.even_profile().rb
-    p1 = comp.odd_profile().rb
-    if not on_open_segment((k_red, k_blue), p0, p1):
-        raise ValueError("requirement must lie strictly between the endpoint profiles")
-    q = (k_red - p0[0], k_blue - p0[1])
-    poly = imbalance_curve(comp)
-    pair = find_intersecting_pair(poly, q)
-    if pair is None:
-        raise InvariantError("no good path exists; falsifies the intersecting-pair guarantee")
-    u, v = pair.u, pair.v
-    ell = poly.period_length
-    if v >= ell:
-        u, v = u - ell, v - ell
-    return GoodPath(v=v, u=u)
-
-
-def quasi_matching_from_good_path(
-    cycle: CycleOrPath | str | Iterable[str],
-    v: int,
-    u: int,
-    k_red: int,
-    k_blue: int,
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The odd-in/even-out quasi-matching of a good path and its repaired matching.
-
-    The quasi-matching takes the odd edges inside the path and the even edges
-    outside it: one adjacent pair (2u-1, 2u) remains, and dropping whichever
-    member is not red (preferring yellow, which keeps the blue count exact)
-    yields a matching with exactly k_red red and k_blue or k_blue - 1 blue
-    edges, exposing two nodes.
-    """
-    comp = _as_cycle(cycle)
-    n = len(comp)
-    ell = n // 2
-    if not (0 <= v < ell and v < u < v + ell):
-        raise ValueError("(v, u) must satisfy 0 <= v < ell and v < u < v + ell")
-    path = [(2 * v + i) % n for i in range(2 * (u - v))]
-    odd_in = path[1::2]
-    delta = _imbalance(comp, path)
-    q = (k_red - comp.even_profile().red, k_blue - comp.even_profile().blue)
-    if delta != q:
-        raise ValueError(f"path imbalance {delta} does not match requirement offset {q}")
-    outside = set(range(n)) - set(path)
-    even_out = [p for p in outside if p % 2 == 0]
-    quasi = frozenset(odd_in) | frozenset(even_out)
-    if len(quasi) != ell:
-        raise InvariantError("quasi-matching must have exactly half the edges")
-    last_in = (2 * u - 1) % n
-    first_out = (2 * u) % n
-    colors = comp.colors
-    non_red = [p for p in (last_in, first_out) if colors[p] != RED]
-    if not non_red:
-        raise ValueError("both boundary edges red; the coloring is not proper")
-    yellow = [p for p in non_red if colors[p] == YELLOW]
-    drop = yellow[0] if yellow else non_red[0]
-    return quasi, quasi - {drop}
-
-
-def _imbalance(comp: CycleOrPath, path_positions: list[int]) -> tuple[int, int]:
-    odd = profile_of_colors(comp.colors[p] for p in path_positions[1::2])
-    even = profile_of_colors(comp.colors[p] for p in path_positions[0::2])
-    return (odd.red - even.red, odd.blue - even.blue)
 
 
 def segment_integer_points(p0, p1) -> list[tuple[int, int]]:

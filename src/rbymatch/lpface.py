@@ -2,13 +2,14 @@
 
 The model is the classical matching polytope description (nonnegativity,
 degree constraints, and one blossom inequality per odd vertex set) with two
-equality rows pinning the red and blue totals, solved in exact rational
-arithmetic.  The model's blossom rows are a lazy sequence, generated only
-when iterated or indexed; the solver activates them in rounds until none is
-violated, which yields a basic optimal solution of the full model (a vertex
-of a relaxation that is feasible for the full region is a vertex of it).
-Separation and tightness scans run in integers, on the support scaled by the
-lcm of its denominators.
+equality rows pinning the red and blue totals, solved exactly by the
+integer simplex; its optimum stays integers over one denominator d from the
+last pivot to the face.  The model's blossom rows are a lazy sequence,
+generated only when iterated; the solver activates them in rounds until
+none is violated, which yields a basic optimal solution of the full model
+(a vertex of a relaxation that is feasible for the full region is a vertex
+of it).  Separation and tightness scans run in integers, on the support
+scaled by the lcm of its reduced denominators.
 
 Both scans read the optimum's structure first.  At a point x of the degree
 rows, an edge with x_e = 1 leaves its two ends no other support edge, and
@@ -49,16 +50,15 @@ forming a point, segment, triangle, or parallelogram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations, islice
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from .curve import on_segment
 from .errors import InvariantError
 from .graph import BLUE, RED, ColoredGraph, profile_of_colors, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
-from .simplex import solve_standard_form
+from .simplex import LPResult, solve_standard_form
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class BlossomRow:
 
 
 @dataclass(frozen=True)
-class BlossomRows(Sequence[BlossomRow]):
+class BlossomRows:
     """One row per odd vertex set of size >= 3, by size and then in
     lexicographic order, generated on demand: len() is 2^(n-1) - n."""
 
@@ -93,10 +93,6 @@ class BlossomRows(Sequence[BlossomRow]):
             for subset in combinations(range(n), size):
                 yield BlossomRow(sum(1 << v for v in subset), (size - 1) // 2)
 
-    def __getitem__(self, index: int) -> BlossomRow:
-        """O(index): nothing on the solve path indexes the rows."""
-        return next(islice(self, range(len(self))[index], None))
-
 
 @dataclass(frozen=True)
 class LPModel:
@@ -104,16 +100,6 @@ class LPModel:
     k_red: int
     k_blue: int
     blossom_rows: BlossomRows
-
-    @property
-    def degree_row_count(self) -> int:
-        return self.graph.vertex_count
-
-
-@dataclass(frozen=True)
-class RationalSolution:
-    values: tuple[Fraction, ...]  # per edge id
-    objective: Fraction
 
 
 SINGLETON = "singleton"
@@ -244,8 +230,8 @@ def _top_violated(
     return ranked
 
 
-def solve_lp(model: LPModel) -> RationalSolution | None:
-    """Basic optimal solution of the full model in exact rationals, or None.
+def solve_lp(model: LPModel) -> LPResult | None:
+    """Basic optimal solution of the full model, exact in integers, or None.
 
     Violated blossom rows are activated in rounds (most violated first, at
     most 24 per round) and the LP re-solved from scratch with Bland's rule,
@@ -258,10 +244,10 @@ def solve_lp(model: LPModel) -> RationalSolution | None:
         res = _solve_activated(model, active)
         if res is None:
             return None
-        support, den = _scaled_support(model.graph, res.numerators, res.d)
+        support, den = _scaled_support(model.graph, res.x, res.d)
         violated = _odd_sets([(emask, x) for emask, x in support if x != den], den, tight=False)
         if not violated:
-            return RationalSolution(values=tuple(res.x), objective=res.objective)
+            return res
         # active rows hold at res, so every violated set is a new one; the
         # excess is the violation times 2 den, common to all sets, so it
         # orders them as the rational violation does
@@ -283,7 +269,7 @@ def _laminar(sets: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
 def minimal_face(
     graph: ColoredGraph,
     model: LPModel,
-    solution: RationalSolution,
+    solution: LPResult,
     cap: OracleCap = DEFAULT_CAP,
 ) -> FaceDescriptor:
     """Vertices of the smallest matching-polytope face containing the optimum.
@@ -300,10 +286,8 @@ def minimal_face(
     would contradict the dimension bound and is a fatal internal error.
     """
     check_cap(graph, cap)
-    d = lcm(*(x.denominator for x in solution.values))
-    numerators = [x.numerator * (d // x.denominator) for x in solution.values]
-    support, den = _scaled_support(graph, numerators, d)
-    scaled = list(zip((e for e, num in enumerate(numerators) if num), support))
+    support, den = _scaled_support(graph, solution.x, solution.d)
+    scaled = list(zip((e for e, num in enumerate(solution.x) if num), support))
     unit_edges = frozenset(e for e, (_, x) in scaled if x == den)
     if len(unit_edges) == len(scaled):
         if not validate_matching(graph, unit_edges):

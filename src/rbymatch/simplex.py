@@ -3,7 +3,7 @@
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): it holds integers
 over one positive common denominator ``d = |det B|``, and every entry is a
 minor of the integer input, so each division is exact and the solver never
-builds a ``Fraction`` until it reports the solution.
+builds a ``Fraction``: it reports the solution in those integers too.
 
 It is condensed, as in Avis's lrs (2000): the column of the variable basic
 in row i is always ``d * e_i``, so a row stores only one integer per
@@ -46,25 +46,37 @@ The interface is standard form:
 
 with integer data (``int`` or integral ``Fraction``) and all right-hand
 sides nonnegative, which is the only case the callers here produce.
-Returns a basic optimal solution (a vertex of the feasible region) or None
-when infeasible.
+Returns a basic optimal solution (a vertex of the feasible region) as an
+``LPResult``, the final tableau's integers over its denominator, or None when
+infeasible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvariantError
 
 
-@dataclass
+@dataclass(frozen=True)
 class LPResult:
-    x: list[Fraction]
-    objective: Fraction
-    numerators: list[int]  # x = numerators / d, as the final tableau holds it
+    """A basic optimum as the final tableau holds it, x_j = x[j] / d at
+    objective value / d, with ``Fraction`` views built on first read."""
+
+    x: list[int]
+    value: int
     d: int
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, self.d) for num in self.x)
+
+    @property
+    def objective(self) -> Fraction:
+        return Fraction(self.value, self.d)
 
 
 def _integral(value) -> int:
@@ -240,11 +252,4 @@ def solve_standard_form(
     for row, var in zip(tab.rows, tab.basis):
         if var < n_vars:
             x_num[var] = row[-1]
-    d = tab.d
-    value = sum(c * x for c, x in zip(obj, x_num))
-    return LPResult(
-        x=[Fraction(x, d) for x in x_num],
-        objective=Fraction(value, d),
-        numerators=x_num,
-        d=d,
-    )
+    return LPResult(x_num, sum(c * x for c, x in zip(obj, x_num)), tab.d)

@@ -2,20 +2,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
+from rbymatch.curve import find_intersecting_pair, imbalance_curve, on_open_segment
 from rbymatch.cycles import (
-    find_good_path,
-    is_proper_cycle,
     on_segment,
-    quasi_matching_from_good_path,
     segment_integer_points,
     solve_even_cycle,
     solve_fractional,
     solve_path_or_cycle,
 )
+from rbymatch.errors import InvariantError
 from rbymatch.graph import (
+    RED,
+    YELLOW,
     CycleOrPath,
     color_profile,
     cycle_graph,
@@ -29,6 +31,86 @@ FIG1 = "RBYBRBYB"
 FIG3 = "YBYBYRYRYBRBYRBRBR"
 FIG5 = "YBYBYRYRYR"
 TIGHT_PATH = "BRYRYBYBYRYRB"
+
+
+# The paper's constructive good-path lemma: a path of the cycle whose
+# imbalance equals the requirement offset yields a quasi-matching with the
+# requirement's profile, and dropping one of its two colliding edges a
+# near-perfect matching.  The selector in cycles.py scans those matchings
+# directly; these build them from the imbalance curve, as the paper does.
+class GoodPath(NamedTuple):
+    v: int
+    u: int
+
+
+def is_proper_cycle(comp: CycleOrPath) -> bool:
+    n = len(comp)
+    return all(comp.colors[i] != comp.colors[(i + 1) % n] for i in range(n))
+
+
+def find_good_path(colors: str, k_red: int, k_blue: int) -> GoodPath:
+    """Even-start path indices (v, u) whose imbalance equals the requirement
+    offset; edges 2v..2u-1 of the cycle, taken modulo its length."""
+    comp = even_cycle_from_string(colors)
+    if not is_proper_cycle(comp):
+        raise ValueError("good-path search requires a proper coloring")
+    p0 = comp.even_profile().rb
+    p1 = comp.odd_profile().rb
+    if not on_open_segment((k_red, k_blue), p0, p1):
+        raise ValueError("requirement must lie strictly between the endpoint profiles")
+    q = (k_red - p0[0], k_blue - p0[1])
+    poly = imbalance_curve(comp)
+    pair = find_intersecting_pair(poly, q)
+    if pair is None:
+        raise InvariantError("no good path exists; falsifies the intersecting-pair guarantee")
+    u, v = pair.u, pair.v
+    ell = poly.period_length
+    if v >= ell:
+        u, v = u - ell, v - ell
+    return GoodPath(v=v, u=u)
+
+
+def quasi_matching_from_good_path(
+    colors: str, v: int, u: int, k_red: int, k_blue: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The odd-in/even-out quasi-matching of a good path and its repaired matching.
+
+    The quasi-matching takes the odd edges inside the path and the even edges
+    outside it: one adjacent pair (2u-1, 2u) remains, and dropping whichever
+    member is not red (preferring yellow, which keeps the blue count exact)
+    yields a matching with exactly k_red red and k_blue or k_blue - 1 blue
+    edges, exposing two nodes.
+    """
+    comp = even_cycle_from_string(colors)
+    n = len(comp)
+    ell = n // 2
+    if not (0 <= v < ell and v < u < v + ell):
+        raise ValueError("(v, u) must satisfy 0 <= v < ell and v < u < v + ell")
+    path = [(2 * v + i) % n for i in range(2 * (u - v))]
+    odd_in = path[1::2]
+    delta = _imbalance(comp, path)
+    q = (k_red - comp.even_profile().red, k_blue - comp.even_profile().blue)
+    if delta != q:
+        raise ValueError(f"path imbalance {delta} does not match requirement offset {q}")
+    outside = set(range(n)) - set(path)
+    even_out = [p for p in outside if p % 2 == 0]
+    quasi = frozenset(odd_in) | frozenset(even_out)
+    if len(quasi) != ell:
+        raise InvariantError("quasi-matching must have exactly half the edges")
+    last_in = (2 * u - 1) % n
+    first_out = (2 * u) % n
+    non_red = [p for p in (last_in, first_out) if colors[p] != RED]
+    if not non_red:
+        raise ValueError("both boundary edges red; the coloring is not proper")
+    yellow = [p for p in non_red if colors[p] == YELLOW]
+    drop = yellow[0] if yellow else non_red[0]
+    return quasi, quasi - {drop}
+
+
+def _imbalance(comp: CycleOrPath, path_positions: list[int]) -> tuple[int, int]:
+    odd = profile_of_colors(comp.colors[p] for p in path_positions[1::2])
+    even = profile_of_colors(comp.colors[p] for p in path_positions[0::2])
+    return (odd.red - even.red, odd.blue - even.blue)
 
 
 def _check(colors: str, positions, size_min: int, rb):

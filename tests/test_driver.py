@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from rbymatch.driver import SolveReport, solve, verify
 from rbymatch.graph import ColoredGraph, color_profile, cycle_graph
-from rbymatch.lpface import RationalSolution, build_lp, minimal_face, solve_lp
+from rbymatch.lpface import build_lp, minimal_face, solve_lp
 from rbymatch.oracle import enumerate_matchings, exact_optimum
+from test_lpface import lp_point
 
 FIG1 = "RBYBRBYB"
 
@@ -256,8 +257,7 @@ def test_solve_and_face_do_not_depend_on_labels(data):
     model = build_lp(g, kr, kb)
     sol = solve_lp(model)
     face = minimal_face(g, model, sol)
-    values = tuple(sol.values[e] for e in order)
-    mapped = minimal_face(h, build_lp(h, kr, kb), RationalSolution(values, sol.objective))
+    mapped = minimal_face(h, build_lp(h, kr, kb), lp_point([sol.values[e] for e in order]))
     assert mapped.classification == face.classification
     assert set(mapped.vertex_matchings) == {
         frozenset(new_id[e] for e in v) for v in face.vertex_matchings

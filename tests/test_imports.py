@@ -1,19 +1,24 @@
-"""Every name imported by a library module is used there or exported, and
-every private function, class and method is referenced in its own module.
+"""Every name imported by a library module is used there or exported,
+every private function, class and method is referenced in its own module,
+and every public one is read outside its own definition by the library, the
+benchmark or the acceptance suite.
 
 A stdlib ``ast`` scan of ``src/rbymatch/*.py``: deleting code tends to leave
-its imports and private helpers behind, and nothing else notices an import
-that is never read or a helper that nothing calls.
+its imports and helpers behind, and nothing else notices an import that is
+never read or a helper that nothing calls, or that only unit tests call.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rbymatch"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "rbymatch"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -66,7 +71,7 @@ def unreferenced_privates(source: str) -> list[str]:
     tree = ast.parse(source)
     defined: dict[str, int] = {}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, DEFINITIONS):
             if _is_private(node.name):
                 defined.setdefault(node.name, node.lineno)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -94,3 +99,59 @@ def test_scan_flags_an_unreferenced_private():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_privates_are_referenced(path):
     assert unreferenced_privates(path.read_text()) == []
+
+
+def _reads(tree: ast.AST) -> Counter[str]:
+    """Names, attribute names and string constants (``__all__`` entries
+    among them) read anywhere in ``tree``."""
+    reads: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads[node.value] += 1
+    return reads
+
+
+def unread_publics(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """``file line N: name`` for each public function, class and method
+    defined in ``sources`` that no code reads but its own definition, in
+    ``sources`` or in ``readers``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads: Counter[str] = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        reads += _reads(tree)
+    return [
+        f"{name} line {node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS)
+        and not node.name.startswith("_")
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+
+
+def test_scan_flags_an_unread_public():
+    sources = {
+        "a.py": (
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def called(): pass\n"
+            "def recursive(): recursive()\n"
+            "class Box:\n"
+            "    def read(self): pass\n"
+            "    def unread(self): pass\n"
+            "    def _private(self): pass\n"
+        ),
+        "b.py": "from a import called\ncalled()\n",
+    }
+    readers = ["import a\na.Box().read()\n"]
+    assert unread_publics(sources, readers) == ["a.py line 4: recursive", "a.py line 7: unread"]
+
+
+def test_library_publics_are_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [REPO / "tests" / "test_acceptance.py", *sorted((REPO / "perfbench").glob("*.py"))]
+    assert unread_publics(sources, [path.read_text() for path in readers]) == []
