@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification, 2 infeasible LP, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -237,14 +238,7 @@ def _cmd_verify(args) -> int:
     if report is None:
         print("infeasible")
         return EXIT_INFEASIBLE
-    candidate = driver.SolveReport(
-        matching=ids,
-        profile=report.profile,
-        alpha_star=report.alpha_star,
-        face_class=report.face_class,
-        guarantee_ok=report.guarantee_ok,
-        trace=(),
-    )
+    candidate = dataclasses.replace(report, matching=ids, trace=())
     ok = driver.verify(graph, kr, kb, candidate)
     print("ok" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -292,13 +292,6 @@ class PeriodicCurve:
         return self._side(_quadruple(p))
 
 
-def side_of(polyline: LatticePolyline, p) -> str:
-    """Classify p against the periodic curve; requires an injective curve."""
-    if not check_injective(polyline):
-        raise ValueError("side classification needs an injective periodic curve")
-    return PeriodicCurve(polyline).side_of(p)
-
-
 class IntersectingPair(NamedTuple):
     """(u, v) with curve(u) == curve(v) + offset and v < u < v + period."""
 

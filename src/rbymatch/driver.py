@@ -2,10 +2,12 @@
 
 Solving the color-constrained matching LP exactly puts a basic optimum in
 the relative interior of a face with at most four matching vertices.  The
-projected face shape drives the construction:
+optimum is a vertex of the polytope cut by the two color rows, so the face's
+projection onto (red, blue) keeps the face's dimension: a lost dimension
+would leave a segment through the optimum with both color sums fixed.  The
+driver checks that rank and splits on the face's class:
 
-  * point: some face vertex already has the required profile; take the
-    largest.
+  * point: the face's one vertex has the required profile; take it.
   * segment: the requirement sits between two adjacent matchings; their
     symmetric difference is one alternating path or cycle and the cycle
     selector finishes.
@@ -34,15 +36,7 @@ from .graph import (
     symdiff_components,
     validate_matching,
 )
-from .lpface import (
-    SEGMENT,
-    SINGLETON,
-    DispatchFace,
-    build_lp,
-    dispatch_face,
-    minimal_face,
-    solve_lp,
-)
+from .lpface import SEGMENT, SINGLETON, FaceDescriptor, build_lp, minimal_face, solve_lp
 from .oracle import OracleCap, DEFAULT_CAP
 from .union import combine_two_matchings
 
@@ -113,23 +107,40 @@ def solve(
 def _from_optimum(
     graph, model, solution, k_red, k_blue, cap, trace
 ) -> tuple[str, frozenset[int]]:
-    """(dispatched face class, matching) built from the LP optimum."""
+    """(face class, matching) built from the LP optimum."""
     face = minimal_face(graph, model, solution, cap)
     trace.append(f"face: route={face.route}")
     trace.append(
         f"face: {face.classification} vertices={[sorted(m) for m in face.vertex_matchings]}"
     )
-    dispatch = dispatch_face(face, k_red, k_blue)
-    if dispatch.classification != face.classification:
-        trace.append(f"face: degenerate projection, dispatched as {dispatch.classification}")
+    rank = _point_affine_rank(face.projected_vertices)
+    if rank != min(len(face.vertex_matchings) - 1, 2):
+        raise InvariantError(
+            f"{face.classification} face projects with affine rank {rank}; "
+            "the optimum is not basic"
+        )
 
-    if dispatch.classification == SINGLETON:
-        matching = _case_singleton(graph, dispatch, k_red, k_blue, trace)
-    elif dispatch.classification == SEGMENT:
-        matching = _case_segment(graph, dispatch, k_red, k_blue, trace)
+    if face.classification == SINGLETON:
+        matching = _case_singleton(graph, face, k_red, k_blue, trace)
+    elif face.classification == SEGMENT:
+        matching = _case_segment(graph, face, k_red, k_blue, trace)
     else:
-        matching = _case_cut_and_combine(graph, dispatch, k_red, k_blue, trace)
-    return dispatch.classification, matching
+        matching = _case_cut_and_combine(graph, face, k_red, k_blue, trace)
+    return face.classification, matching
+
+
+def _point_affine_rank(points: tuple[tuple[int, int], ...]) -> int:
+    """Dimension (0, 1 or 2) of the affine hull of the projected vertices."""
+    base = points[0]
+    diffs = [(p[0] - base[0], p[1] - base[1]) for p in points[1:]]
+    diffs = [d for d in diffs if d != (0, 0)]
+    if not diffs:
+        return 0
+    first = diffs[0]
+    for d in diffs[1:]:
+        if first[0] * d[1] - first[1] * d[0] != 0:
+            return 2
+    return 1
 
 
 def verify(
@@ -152,8 +163,8 @@ def verify(
     return True
 
 
-def _case_singleton(graph, dispatch: DispatchFace, k_red, k_blue, trace) -> frozenset[int]:
-    matching = dispatch.vertex_matchings[0]
+def _case_singleton(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
+    matching = face.vertex_matchings[0]
     # a face vertex, validated when the face was built
     prof = profile_of_colors(graph.color(e) for e in matching)
     if prof.rb != (k_red, k_blue):
@@ -176,8 +187,8 @@ def _pair_component(graph, ma: frozenset[int], mb: frozenset[int]):
     return shared, comps[0]
 
 
-def _case_segment(graph, dispatch: DispatchFace, k_red, k_blue, trace) -> frozenset[int]:
-    ma, mb = dispatch.vertex_matchings
+def _case_segment(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
+    ma, mb = face.vertex_matchings
     shared, comp = _pair_component(graph, ma, mb)
     sp = color_profile(graph, shared)
     trace.append(
@@ -187,13 +198,13 @@ def _case_segment(graph, dispatch: DispatchFace, k_red, k_blue, trace) -> frozen
     return frozenset(shared | comp.to_edge_ids(positions))
 
 
-def _boundary_cuts(dispatch: DispatchFace, k_red: int):
+def _boundary_cuts(face: FaceDescriptor, k_red: int):
     """Intersections of the line (red == k_red) with the projected boundary.
 
     Returns a list of (blue_value, host) where host is either
     ("vertex", index) or ("side", i, j); one entry per distinct blue value.
     """
-    pts = dispatch.projected_vertices
+    pts = face.projected_vertices
     k = len(pts)
     if k == 3:
         sides = [(0, 1), (0, 2), (1, 2)]
@@ -215,14 +226,14 @@ def _boundary_cuts(dispatch: DispatchFace, k_red: int):
     return sorted(hosts.items())
 
 
-def _matching_for_cut(graph, dispatch: DispatchFace, host, k_red, blue_target, trace):
+def _matching_for_cut(graph, face: FaceDescriptor, host, k_red, blue_target, trace):
     if host[0] == "vertex":
-        matching = dispatch.vertex_matchings[host[1]]
+        matching = face.vertex_matchings[host[1]]
         trace.append(f"cut: vertex host blue={blue_target}")
         return matching
     _, i, j = host
-    ma = dispatch.vertex_matchings[i]
-    mb = dispatch.vertex_matchings[j]
+    ma = face.vertex_matchings[i]
+    mb = face.vertex_matchings[j]
     shared, comp = _pair_component(graph, ma, mb)
     sp = color_profile(graph, shared)
     positions = solve_fractional(
@@ -235,9 +246,9 @@ def _matching_for_cut(graph, dispatch: DispatchFace, host, k_red, blue_target, t
 
 
 def _case_cut_and_combine(
-    graph, dispatch: DispatchFace, k_red, k_blue, trace
+    graph, face: FaceDescriptor, k_red, k_blue, trace
 ) -> frozenset[int]:
-    cuts = _boundary_cuts(dispatch, k_red)
+    cuts = _boundary_cuts(face, k_red)
     if len(cuts) != 2:
         raise InvariantError(
             f"cut line meets the projected boundary at {len(cuts)} points"
@@ -248,10 +259,10 @@ def _case_cut_and_combine(
             f"requirement blue {k_blue} outside cut window ({blue_lo}, {blue_hi})"
         )
     trace.append(
-        f"{dispatch.classification}: cut window blue=({blue_lo}, {blue_hi})"
+        f"{face.classification}: cut window blue=({blue_lo}, {blue_hi})"
     )
-    m_low = _matching_for_cut(graph, dispatch, host_lo, k_red, blue_lo, trace)
-    m_high = _matching_for_cut(graph, dispatch, host_hi, k_red, blue_hi, trace)
+    m_low = _matching_for_cut(graph, face, host_lo, k_red, blue_lo, trace)
+    m_high = _matching_for_cut(graph, face, host_hi, k_red, blue_hi, trace)
     p_low = color_profile(graph, m_low)
     p_high = color_profile(graph, m_high)
     if p_low.red != k_red or p_high.red != k_red:
@@ -261,11 +272,8 @@ def _case_cut_and_combine(
             f"cut matchings have blues {(p_low.blue, p_high.blue)}; "
             f"requirement {k_blue} not between them"
         )
-    diff_cyclic = any(
-        c.is_cycle for c in symdiff_components(graph, m_low, m_high)
-    )
     trace.append(
         f"combine: sizes=({len(m_low)},{len(m_high)}) "
-        f"blues=({p_low.blue},{p_high.blue}) diff_has_cycle={diff_cyclic}"
+        f"blues=({p_low.blue},{p_high.blue})"
     )
     return combine_two_matchings(graph, m_low, m_high, k_red, k_blue)

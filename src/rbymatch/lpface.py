@@ -44,7 +44,8 @@ sets tight on the fractional vertices, which by uncrossing spans every tight
 blossom row (Edmonds 1965; Cunningham & Marsh 1978).  Every face vertex holds
 the x_e = 1 edges, the only support edges at their tight ends, so they are
 added to each survivor rather than enumerated.  At most four survive,
-forming a point, segment, triangle, or parallelogram.
+forming a point, segment, triangle, or parallelogram; the face layer ends at
+that ``FaceDescriptor``, which the driver's case split reads as it is.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .curve import on_segment
 from .errors import InvariantError
 from .graph import BLUE, RED, ColoredGraph, profile_of_colors, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
@@ -381,65 +381,3 @@ def _char_sum_equal(a, b, c, d) -> bool:
         if (e in a) + (e in b) != (e in c) + (e in d):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class DispatchFace:
-    """Face normalized for the driver's case split on the projected shape.
-
-    When the projection collapses dimensions (all vertices share a profile,
-    or a two-dimensional face projects onto a segment), the face shrinks to
-    the boundary piece of the projection hosting the requirement point so
-    that each case sees the requirement in relative-interior position.
-    """
-
-    classification: str
-    vertex_matchings: tuple[frozenset[int], ...]
-    projected_vertices: tuple[tuple[int, int], ...]
-
-
-def _adjacent_pairs(face: FaceDescriptor) -> list[tuple[int, int]]:
-    k = len(face.vertex_matchings)
-    if k == 2:
-        return [(0, 1)]
-    if k == 3:
-        return [(0, 1), (0, 2), (1, 2)]
-    return [(0, 1), (1, 2), (2, 3), (3, 0)]  # cyclic order
-
-
-def dispatch_face(face: FaceDescriptor, k_red: int, k_blue: int) -> DispatchFace:
-    projected = face.projected_vertices
-    vertices = face.vertex_matchings
-    point = (k_red, k_blue)
-    proj_rank = _point_affine_rank(projected)
-    if proj_rank == 0:
-        if projected[0] != point:
-            raise InvariantError("projected face does not contain the requirement")
-        best = max(vertices, key=lambda m: (len(m), [-e for e in sorted(m)]))
-        idx = vertices.index(best)
-        return DispatchFace(SINGLETON, (best,), (projected[idx],))
-    if proj_rank == 1:
-        for i, j in _adjacent_pairs(face):
-            if projected[i] != projected[j] and on_segment(
-                point, projected[i], projected[j]
-            ):
-                return DispatchFace(
-                    SEGMENT,
-                    (vertices[i], vertices[j]),
-                    (projected[i], projected[j]),
-                )
-        raise InvariantError("no adjacent pair hosts the requirement point")
-    return DispatchFace(face.classification, vertices, projected)
-
-
-def _point_affine_rank(points: Sequence[tuple[int, int]]) -> int:
-    base = points[0]
-    diffs = [(p[0] - base[0], p[1] - base[1]) for p in points[1:]]
-    diffs = [d for d in diffs if d != (0, 0)]
-    if not diffs:
-        return 0
-    first = diffs[0]
-    for d in diffs[1:]:
-        if first[0] * d[1] - first[1] * d[0] != 0:
-            return 2
-    return 1

@@ -26,7 +26,6 @@ from rbymatch.curve import (
     on_segment,
     periodic_eval,
     polyline_from_moves,
-    side_of,
 )
 
 FIG3 = "YBYBYRYRYBRBYRBRBR"
@@ -145,6 +144,13 @@ def test_check_injective_backtracking_moves():
     # right, left: retraces its own image
     p = polyline_from_moves([(1, 0), (-1, 0), (1, 0)])
     assert check_injective(p) is False
+
+
+def side_of(polyline: LatticePolyline, p) -> str:
+    """Classify p against the periodic curve of an injective polyline."""
+    if not check_injective(polyline):
+        raise ValueError("side classification needs an injective periodic curve")
+    return PeriodicCurve(polyline).side_of(p)
 
 
 def test_side_of_straight_line():

@@ -9,10 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbymatch.driver import SolveReport, solve, verify
+from rbymatch.driver import (
+    SolveReport,
+    _boundary_cuts,
+    _from_optimum,
+    _point_affine_rank,
+    solve,
+    verify,
+)
+from rbymatch.errors import InvariantError
 from rbymatch.graph import ColoredGraph, color_profile, cycle_graph
-from rbymatch.lpface import build_lp, minimal_face, solve_lp
-from rbymatch.oracle import enumerate_matchings, exact_optimum
+from rbymatch.lpface import SEGMENT, FaceDescriptor, build_lp, minimal_face, solve_lp
+from rbymatch.oracle import DEFAULT_CAP, enumerate_matchings, exact_optimum
 from test_lpface import lp_point
 
 FIG1 = "RBYBRBYB"
@@ -184,19 +192,30 @@ def test_solve_parallelogram_face_instance():
 
 
 def test_boundary_cut_geometry():
-    from rbymatch.driver import _boundary_cuts
-    from rbymatch.lpface import DispatchFace
-
-    dispatch = DispatchFace(
-        classification="triangle",
+    face = FaceDescriptor(
         vertex_matchings=(frozenset(), frozenset(), frozenset()),
+        classification="triangle",
         projected_vertices=((1, 0), (3, 1), (1, 2)),
+        route="hand-made",
     )
-    cuts = _boundary_cuts(dispatch, 1)
+    cuts = _boundary_cuts(face, 1)
     assert [(y, host[0]) for y, host in cuts] == [(0, "vertex"), (2, "vertex")]
-    cuts = _boundary_cuts(dispatch, 2)
+    cuts = _boundary_cuts(face, 2)
     assert [host[0] for _, host in cuts] == ["side", "side"]
     assert [y for y, _ in cuts] == [Fraction(1, 2), Fraction(3, 2)]
+
+
+def test_face_step_rejects_a_projection_that_loses_rank():
+    # both perfect matchings of RYYR have profile (1, 0): their midpoint is
+    # no basic optimum, and its segment face projects onto a single point
+    g = cycle_graph("RYYR")
+    model = build_lp(g, 1, 0)
+    mid = lp_point((Fraction(1, 2),) * 4)
+    face = minimal_face(g, model, mid)
+    assert face.classification == SEGMENT
+    assert set(face.projected_vertices) == {(1, 0)}
+    with pytest.raises(InvariantError, match="affine rank 0"):
+        _from_optimum(g, model, mid, 1, 0, DEFAULT_CAP, [])
 
 
 def test_solve_adversarial_lp_only_instances():
@@ -264,3 +283,23 @@ def test_solve_and_face_do_not_depend_on_labels(data):
     }
     # which crossing sets the greedy laminar family keeps depends on labels
     assert mapped.route.split()[:3] == face.route.split()[:3]
+
+
+def test_basic_optimum_faces_keep_their_dimension_in_projection():
+    # about one optimum in 150 has a parallelogram face, so 600 optimums see
+    # every class
+    rng = random.Random(13)
+    classes = set()
+    optimums = 0
+    while optimums < 600:
+        g, (kr, kb) = _criterion_7_request(rng)
+        model = build_lp(g, kr, kb)
+        sol = solve_lp(model)
+        if sol is None:
+            continue
+        optimums += 1
+        face = minimal_face(g, model, sol)
+        k = len(face.vertex_matchings)
+        assert _point_affine_rank(face.projected_vertices) == min(k - 1, 2)
+        classes.add(face.classification)
+    assert classes == {"singleton", "segment", "triangle", "parallelogram"}

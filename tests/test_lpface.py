@@ -26,7 +26,6 @@ from rbymatch.lpface import (
     _solve_activated,
     _top_violated,
     build_lp,
-    dispatch_face,
     minimal_face,
     solve_lp,
 )
@@ -331,30 +330,6 @@ def test_face_vertex_sizes_close():
     face = minimal_face(g, model, sol)
     sizes = [len(m) for m in face.vertex_matchings]
     assert max(sizes) - min(sizes) <= 2
-
-
-def test_dispatch_face_singleton_collapse():
-    # both perfect matchings share the profile (1, 0): a mid-segment optimum
-    # projects onto a single point and must dispatch as a singleton
-    g = cycle_graph("RYYR")
-    model = build_lp(g, 1, 0)
-    mid = lp_point((Fraction(1, 2),) * 4)
-    face = minimal_face(g, model, mid)
-    assert face.classification == SEGMENT
-    assert set(face.projected_vertices) == {(1, 0)}
-    dispatch = dispatch_face(face, 1, 0)
-    assert dispatch.classification == SINGLETON
-    assert len(dispatch.vertex_matchings[0]) == 2
-
-
-def test_dispatch_face_keeps_full_rank_faces():
-    g = _two_c4_instance()
-    model = build_lp(g, 1, 1)
-    sol = solve_lp(model)
-    face = minimal_face(g, model, sol)
-    dispatch = dispatch_face(face, 1, 1)
-    assert dispatch.classification == PARALLELOGRAM
-    assert dispatch.vertex_matchings == face.vertex_matchings
 
 
 def test_minimal_face_random_convexity():
