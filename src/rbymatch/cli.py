@@ -34,6 +34,13 @@ EXIT_CAP = 4
 EXIT_INVARIANT = 5
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -135,7 +142,7 @@ def _cmd_cycle(args) -> int:
 
 def _cmd_fractional(args) -> int:
     comp = even_cycle_from_string(args.colors.upper())
-    kb = Fraction(args.kb)
+    kb = _fraction(args.kb)
     positions = solve_fractional(comp, args.kr, kb)
     prof = comp.profile_of(positions)
     if args.json:
@@ -214,13 +221,13 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    weights = tuple(Fraction(w) for w in args.weights.split(","))
+    weights = tuple(_fraction(w) for w in args.weights.split(","))
     if len(weights) != 3:
         raise ParseError("weights must be three comma-separated numbers")
     spec = GenSpec(
         mode=args.mode,
         vertex_count=args.nodes,
-        edge_density=Fraction(args.density),
+        edge_density=_fraction(args.density),
         color_weights=weights,  # type: ignore[arg-type]
         seed=args.seed,
     )
@@ -231,15 +238,16 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     graph, kr, kb = parse_instance(_read(args.file))
     try:
-        ids = frozenset(int(t) for t in args.matching.split(",") if t.strip() != "")
+        ids = [int(t) for t in args.matching.split(",") if t.strip() != ""]
     except ValueError:
         raise ParseError("matching must be comma-separated edge ids") from None
     report = driver.solve(graph, kr, kb)
     if report is None:
         print("infeasible")
         return EXIT_INFEASIBLE
-    candidate = dataclasses.replace(report, matching=ids, trace=())
-    ok = driver.verify(graph, kr, kb, candidate)
+    candidate = dataclasses.replace(report, matching=frozenset(ids), trace=())
+    # the frozenset hides a repeated id, which validate_matching rejects
+    ok = len(set(ids)) == len(ids) and driver.verify(graph, kr, kb, candidate)
     print("ok" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

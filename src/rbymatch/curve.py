@@ -149,28 +149,19 @@ def _eval_int(polyline: LatticePolyline, t: int) -> IntPoint:
 def check_injective(polyline: LatticePolyline) -> bool:
     """Whether the periodic extension never revisits a point.
 
-    Distinct translated copies of a unit-move polyline can only meet at
-    integer points, so an integer scan over the copies within reach is
-    exhaustive.
+    Translated copies of a unit-move polyline can only meet at integer
+    points, and d(i + kL) = d(i) + k*delta, so the extension revisits a point
+    iff delta = 0 or two of d(0..L-1) differ by a multiple of delta.  On a
+    coordinate h with delta[h] != 0, p - (p[h] // delta[h]) * delta is one
+    representative per class of points modulo delta, so the curve is
+    injective iff the L representatives are distinct.
     """
     delta = polyline.period_shift
     if delta == (0, 0):
         return False
-    ell = polyline.period_length
-    dmax = max(abs(delta[0]), abs(delta[1]))
-    kmax = (2 * ell) // dmax
-    pts = [polyline.points[i] for i in range(ell)]
-    index = {}
-    for v, p in enumerate(pts):
-        index.setdefault(p, []).append(v)
-    for k in range(0, kmax + 1):
-        shift = _scale(delta, k)
-        for u in range(ell):
-            target = _sub(pts[u], shift)
-            for v in index.get(target, ()):  # d(u) == d(v) + k*delta
-                if k != 0 or u != v:
-                    return False
-    return True
+    h = 0 if delta[0] else 1
+    reps = {_sub(p, _scale(delta, p[h] // delta[h])) for p in polyline.points[:-1]}
+    return len(reps) == polyline.period_length
 
 
 def on_segment(p, a, b) -> bool:

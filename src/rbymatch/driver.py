@@ -8,13 +8,18 @@ would leave a segment through the optimum with both color sums fixed.  The
 driver checks that rank and splits on the face's class:
 
   * point: the face's one vertex has the required profile; take it.
-  * segment: the requirement sits between two adjacent matchings; their
-    symmetric difference is one alternating path or cycle and the cycle
-    selector finishes.
+  * segment: the requirement sits on the face's one side.
   * triangle / parallelogram: the vertical line through the required red
-    count cuts the projected boundary twice; each cut point yields a matching
-    via the fractional cycle selector on a face side (or the hosting vertex
-    itself), and the two results merge through the two-matchings combiner.
+    count cuts the projected boundary twice, each time on a non-vertical
+    side; the two matchings of the cuts merge through the two-matchings
+    combiner.
+
+The segment's point and every cut are resolved on a face side (_on_side):
+adjacent vertices of the matching polytope differ in one alternating path or
+cycle, and the cycle selector finishes on it.  A cut through a projected
+vertex is an end of a side and needs no case of its own: at full rank the
+two ends of a side project to different points, so the selector's endpoint
+check returns that vertex's matching.
 
 Every produced matching keeps the red requirement exactly, loses at most one
 blue edge, and has size at least floor(optimum) - 3.
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import solve_fractional, solve_path_or_cycle
+from .cycles import solve_fractional
 from .errors import InvariantError
 from .graph import (
     ColoredGraph,
@@ -79,17 +84,12 @@ def solve(
         # internal guarantee, not bad input
         raise InvariantError(f"{exc}; trace={trace}") from exc
 
-    if not validate_matching(graph, matching):
+    checked = _guarantees(graph, k_red, k_blue, matching, alpha)
+    if checked is None:
         raise InvariantError(f"driver produced an invalid matching; trace={trace}")
-    profile = profile_of_colors(graph.color(e) for e in matching)
-    floor_alpha = math.floor(alpha)
-    guarantee = (
-        len(matching) >= floor_alpha - 3,
-        profile.red == k_red,
-        profile.blue in (k_blue - 1, k_blue),
-    )
+    guarantee, profile = checked
     trace.append(
-        f"result: size={len(matching)} profile={profile.rb} floor_alpha={floor_alpha}"
+        f"result: size={len(matching)} profile={profile.rb} floor_alpha={math.floor(alpha)}"
     )
     report = SolveReport(
         matching=frozenset(matching),
@@ -102,6 +102,16 @@ def solve(
     if not report.ok:
         raise InvariantError(f"guarantee check failed: {guarantee}; trace={trace}")
     return report
+
+
+def _guarantees(graph, k_red, k_blue, matching, alpha):
+    """((size bound, red exact, blue window), profile) of a matching against
+    the requirement and the optimum alpha; None if it is no matching."""
+    if not validate_matching(graph, matching):
+        return None
+    profile = profile_of_colors(graph.color(e) for e in matching)
+    size_ok = len(matching) >= math.floor(alpha) - 3
+    return (size_ok, profile.red == k_red, profile.blue in (k_blue - 1, k_blue)), profile
 
 
 def _from_optimum(
@@ -123,7 +133,7 @@ def _from_optimum(
     if face.classification == SINGLETON:
         matching = _case_singleton(graph, face, k_red, k_blue, trace)
     elif face.classification == SEGMENT:
-        matching = _case_segment(graph, face, k_red, k_blue, trace)
+        matching = _on_side(graph, face, 0, 1, k_red, k_blue, trace)
     else:
         matching = _case_cut_and_combine(graph, face, k_red, k_blue, trace)
     return face.classification, matching
@@ -143,24 +153,11 @@ def _point_affine_rank(points: tuple[tuple[int, int], ...]) -> int:
     return 1
 
 
-def verify(
-    graph: ColoredGraph, k_red: int, k_blue: int, report: SolveReport
-) -> bool:
+def verify(graph: ColoredGraph, k_red: int, k_blue: int, report: SolveReport) -> bool:
     """Re-check a report from scratch: matching validity, exact red count,
     blue within one, and the size bound against the reported optimum."""
-    if not validate_matching(graph, report.matching):
-        return False
-    try:
-        profile = color_profile(graph, report.matching)
-    except ValueError:
-        return False
-    if profile.red != k_red:
-        return False
-    if profile.blue not in (k_blue - 1, k_blue):
-        return False
-    if len(report.matching) < math.floor(report.alpha_star) - 3:
-        return False
-    return True
+    checked = _guarantees(graph, k_red, k_blue, report.matching, report.alpha_star)
+    return checked is not None and all(checked[0])
 
 
 def _case_singleton(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
@@ -175,94 +172,61 @@ def _case_singleton(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozen
     return matching
 
 
-def _pair_component(graph, ma: frozenset[int], mb: frozenset[int]):
-    """Shared edges plus the single alternating component of two adjacent
-    matchings."""
+def _on_side(graph, face: FaceDescriptor, i, j, k_red, k_blue, trace) -> frozenset[int]:
+    """Matching on the face side (i, j) with k_red red edges and ceil(k_blue)
+    or ceil(k_blue) - 1 blue ones (k_blue may be fractional): the shared
+    edges plus the selector's answer on the one alternating component."""
+    ma, mb = face.vertex_matchings[i], face.vertex_matchings[j]
     shared = ma & mb
     comps = symdiff_components(graph, ma - shared, mb - shared)
     if len(comps) != 1:
-        raise InvariantError(
-            f"adjacent face vertices differ in {len(comps)} components"
-        )
-    return shared, comps[0]
-
-
-def _case_segment(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
-    ma, mb = face.vertex_matchings
-    shared, comp = _pair_component(graph, ma, mb)
-    sp = color_profile(graph, shared)
+        raise InvariantError(f"adjacent face vertices differ in {len(comps)} components")
+    comp = comps[0]
+    sp = profile_of_colors(graph.color(e) for e in shared)
     trace.append(
-        f"segment: shared={len(shared)} component={comp.kind} len={len(comp)}"
+        f"side ({i},{j}): shared={len(shared)} component={comp.kind} "
+        f"len={len(comp)} blue={k_blue}"
     )
-    positions = solve_path_or_cycle(comp, k_red - sp.red, k_blue - sp.blue)
+    positions = solve_fractional(comp, k_red - sp.red, k_blue - sp.blue)
     return frozenset(shared | comp.to_edge_ids(positions))
 
 
 def _boundary_cuts(face: FaceDescriptor, k_red: int):
     """Intersections of the line (red == k_red) with the projected boundary.
 
-    Returns a list of (blue_value, host) where host is either
-    ("vertex", index) or ("side", i, j); one entry per distinct blue value.
+    Returns a sorted list of (blue_value, (i, j)), one entry per distinct blue
+    value, where (i, j) is a non-vertical side holding the point.  A point at
+    a vertex is held by both sides through it and keeps the first; a vertical
+    side's ends lie on the non-vertical sides next to it.
     """
     pts = face.projected_vertices
-    k = len(pts)
-    if k == 3:
-        sides = [(0, 1), (0, 2), (1, 2)]
-    else:
-        sides = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    hosts: dict[Fraction, tuple] = {}
-    for idx, p in enumerate(pts):
-        if p[0] == k_red:
-            hosts[Fraction(p[1])] = ("vertex", idx)
-    for i, j in sides:
+    k = len(pts)  # a triangle, or a parallelogram in cyclic order
+    cuts: dict[Fraction, tuple[int, int]] = {}
+    for i in range(k):
+        j = (i + 1) % k
         a, b = pts[i], pts[j]
         if a[0] == b[0]:
-            continue  # vertical side through the cut is impossible here
+            continue
         lo, hi = sorted((a[0], b[0]))
         if not (lo <= k_red <= hi):
             continue
         y = Fraction(a[1]) + Fraction(b[1] - a[1]) * Fraction(k_red - a[0], b[0] - a[0])
-        hosts.setdefault(y, ("side", i, j))
-    return sorted(hosts.items())
+        cuts.setdefault(y, (i, j))
+    return sorted(cuts.items())
 
 
-def _matching_for_cut(graph, face: FaceDescriptor, host, k_red, blue_target, trace):
-    if host[0] == "vertex":
-        matching = face.vertex_matchings[host[1]]
-        trace.append(f"cut: vertex host blue={blue_target}")
-        return matching
-    _, i, j = host
-    ma = face.vertex_matchings[i]
-    mb = face.vertex_matchings[j]
-    shared, comp = _pair_component(graph, ma, mb)
-    sp = color_profile(graph, shared)
-    positions = solve_fractional(
-        comp, k_red - sp.red, Fraction(blue_target) - sp.blue
-    )
-    trace.append(
-        f"cut: side host ({i},{j}) blue_target={blue_target} component={comp.kind}"
-    )
-    return frozenset(shared | comp.to_edge_ids(positions))
-
-
-def _case_cut_and_combine(
-    graph, face: FaceDescriptor, k_red, k_blue, trace
-) -> frozenset[int]:
+def _case_cut_and_combine(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
     cuts = _boundary_cuts(face, k_red)
     if len(cuts) != 2:
-        raise InvariantError(
-            f"cut line meets the projected boundary at {len(cuts)} points"
-        )
-    (blue_lo, host_lo), (blue_hi, host_hi) = cuts
+        raise InvariantError(f"cut line meets the projected boundary at {len(cuts)} points")
+    (blue_lo, side_lo), (blue_hi, side_hi) = cuts
     if not (blue_lo < k_blue < blue_hi):
         raise InvariantError(
             f"requirement blue {k_blue} outside cut window ({blue_lo}, {blue_hi})"
         )
-    trace.append(
-        f"{face.classification}: cut window blue=({blue_lo}, {blue_hi})"
-    )
-    m_low = _matching_for_cut(graph, face, host_lo, k_red, blue_lo, trace)
-    m_high = _matching_for_cut(graph, face, host_hi, k_red, blue_hi, trace)
+    trace.append(f"{face.classification}: cut window blue=({blue_lo}, {blue_hi})")
+    m_low = _on_side(graph, face, *side_lo, k_red, blue_lo, trace)
+    m_high = _on_side(graph, face, *side_hi, k_red, blue_hi, trace)
     p_low = color_profile(graph, m_low)
     p_high = color_profile(graph, m_high)
     if p_low.red != k_red or p_high.red != k_red:
@@ -272,8 +236,5 @@ def _case_cut_and_combine(
             f"cut matchings have blues {(p_low.blue, p_high.blue)}; "
             f"requirement {k_blue} not between them"
         )
-    trace.append(
-        f"combine: sizes=({len(m_low)},{len(m_high)}) "
-        f"blues=({p_low.blue},{p_high.blue})"
-    )
+    trace.append(f"combine: sizes=({len(m_low)},{len(m_high)}) blues=({p_low.blue},{p_high.blue})")
     return combine_two_matchings(graph, m_low, m_high, k_red, k_blue)

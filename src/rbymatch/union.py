@@ -9,6 +9,11 @@ handled by recursing on one component at a time.  The result keeps the red
 requirement exactly, loses at most one blue edge, and has size at least two
 below the smaller matching (one below when the union is acyclic).
 
+Each component is held as a _Block.  It alternates between the two
+matchings, so one parity bit, the matching of its edge 0, labels every edge:
+reversal, rotation, contraction of a pair and joining two paths update that
+bit instead of a per-edge list.
+
 The module owns the contraction state: vertex classes, each a member list
 shared by its members and merged small into large, and one record
 (edge_a, edge_b, outer_a, outer_b) per contracted pair, from which _lift
@@ -41,13 +46,14 @@ class _Block:
     """One alternating component during normalization.
 
     ``verts[i]`` is an original vertex inside the class sitting left of edge
-    i (paths carry one extra trailing vertex); sources are 0/1 matching
-    labels.  Cycles keep verts the same length as edges.
+    i (paths carry one extra trailing vertex); cycles keep verts the same
+    length as edges.  ``first`` is the matching (0 or 1) of edge 0; the
+    component alternates, so edge i comes from matching ``first ^ (i & 1)``.
     """
 
     edges: list[int]
     colors: list[str]
-    sources: list[int]
+    first: int
     verts: list[int]
     is_cycle: bool
 
@@ -63,23 +69,17 @@ class _Block:
             return "cycle"
         if len(self.edges) % 2 == 0:
             return "even"
-        return "aug0" if self.sources[0] == 1 else "aug1"
+        return "aug0" if self.first == 1 else "aug1"
         # aug0: extremes in matching 1 (matching 0 can augment along it)
         # aug1: extremes in matching 0
 
 
 def _block_from_component(comp: CycleOrPath) -> _Block:
-    if comp.sources is None or comp.edge_ids is None or comp.vertices is None:
-        raise ValueError("components must carry matching labels, edge ids and vertices")
-    for a, b in zip(comp.sources, comp.sources[1:]):
-        if a == b:
-            raise ValueError("component does not alternate between the matchings")
-    if comp.is_cycle and comp.sources[0] == comp.sources[-1]:
-        raise ValueError("component does not alternate between the matchings")
+    # symdiff_components labels every edge and rejects a broken alternation
     return _Block(
         edges=list(comp.edge_ids),
         colors=list(comp.colors),
-        sources=list(comp.sources),
+        first=comp.sources[0],
         verts=list(comp.vertices),
         is_cycle=comp.is_cycle,
     )
@@ -88,25 +88,24 @@ def _block_from_component(comp: CycleOrPath) -> _Block:
 def _reverse_block(block: _Block) -> None:
     block.edges.reverse()
     block.colors.reverse()
-    block.sources.reverse()
     block.verts.reverse()
+    if len(block) % 2 == 0:
+        block.first ^= 1
 
 
 def _rotate_cycle(block: _Block, start: int) -> None:
     block.edges = block.edges[start:] + block.edges[:start]
     block.colors = block.colors[start:] + block.colors[:start]
-    block.sources = block.sources[start:] + block.sources[:start]
     block.verts = block.verts[start:] + block.verts[:start]
+    block.first ^= start & 1
 
 
 def _orient_start_source0(block: _Block) -> None:
     if block.is_cycle:
-        starts = [i for i, s in enumerate(block.sources) if s == 0]
-        best = min(starts, key=lambda i: block.edges[i])
+        best = min(range(block.first, len(block), 2), key=lambda i: block.edges[i])
         _rotate_cycle(block, best)
-    else:
-        if block.sources[0] != 0 and block.sources[-1] == 0:
-            _reverse_block(block)
+    elif block.first == 1 and len(block) % 2 == 0:
+        _reverse_block(block)
 
 
 # A contraction record: the two contracted edges and the vertex classes
@@ -164,7 +163,6 @@ def _contract_block(
             db += 1
         del block.edges[hit : hit + 2]
         del block.colors[hit : hit + 2]
-        del block.sources[hit : hit + 2]
         del block.verts[hit + 1 : hit + 3]
     return dr, db
 
@@ -217,29 +215,21 @@ def glue_components(blocks: Sequence[_Block]) -> GluedCycle:
 
     colors: list[str] = []
     edge_map: list[int | None] = []
-    sources: list[int] = []
     opened: list[tuple[int, int]] = []
     for block, padded in pieces:
+        if len(colors) % 2 != block.first:
+            raise InvariantError("first-matching edges must land on even glued positions")
         if block.is_cycle:
             opened.append((len(colors), len(colors) + len(block) - 1))
         colors += block.colors
         edge_map += block.edges
-        sources += block.sources
         if padded:
             colors.append(YELLOW)
             edge_map.append(None)
-            sources.append(1)
 
-    glued = GluedCycle(tuple(colors), tuple(edge_map), tuple(opened))
-    n = len(colors)
-    if n % 2 != 0:
+    if len(colors) % 2 != 0:
         raise InvariantError("glued cycle has odd length")
-    for pos, src in enumerate(sources):
-        if src != pos % 2:
-            raise InvariantError(
-                "first-matching edges must land on even glued positions"
-            )
-    return glued
+    return GluedCycle(tuple(colors), tuple(edge_map), tuple(opened))
 
 
 def combine_two_matchings(
@@ -362,13 +352,11 @@ def _rb(graph: ColoredGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
 
 
 def _side(blocks: Sequence[_Block], source: int) -> frozenset[int]:
-    return frozenset(e for b in blocks for e, s in zip(b.edges, b.sources) if s == source)
+    return frozenset(e for b in blocks for e in b.edges[source ^ b.first :: 2])
 
 
 def _side_profile(blocks: Sequence[_Block], source: int) -> tuple[int, int]:
-    return profile_of_colors(
-        c for b in blocks for c, s in zip(b.colors, b.sources) if s == source
-    ).rb
+    return profile_of_colors(c for b in blocks for c in b.colors[source ^ b.first :: 2]).rb
 
 
 def _solve_single_block(block: _Block, kr: int, kb: int) -> frozenset[int]:
@@ -428,7 +416,7 @@ def _case_no_yellow(
         joined = _Block(
             edges=b1.edges + b0.edges,
             colors=b1.colors + b0.colors,
-            sources=b1.sources + b0.sources,
+            first=b1.first,
             verts=b1.verts + b0.verts[1:],
             is_cycle=False,
         )
@@ -456,7 +444,7 @@ def _recurse_no_yellow(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]
 
     # component types: even part red vs even part blue (strict alternation)
     def block_type(b: _Block) -> str:
-        return "RB" if b.colors[b.sources.index(0)] == RED else "BR"
+        return "RB" if b.colors[b.first] == RED else "BR"
 
     r0, r1 = p0[0], p1[0]
     crossing = "RB" if r1 > r0 else "BR"

@@ -67,7 +67,7 @@ TWO_C4_INSTANCE = (
     "callee, error, instance",
     [
         ("symdiff_components", InvalidAlternation("cycle does not alternate"), FIG1_INSTANCE),
-        ("solve_path_or_cycle", ValueError("requirement 1 is not on the segment"), FIG1_INSTANCE),
+        ("solve_fractional", ValueError("requirement 1 is not on the segment"), FIG1_INSTANCE),
         ("combine_two_matchings", ValueError("inputs must be matchings"), TWO_C4_INSTANCE),
     ],
 )
@@ -173,3 +173,24 @@ def test_verify_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ok"
     assert main(["verify", str(p), "--matching", ""]) == 1
     assert capsys.readouterr().out.strip() == "FAIL"
+
+
+def test_verify_rejects_a_repeated_edge_id(tmp_path, capsys):
+    p = tmp_path / "one.txt"
+    p.write_text("graph 2\ne 0 1 R\nrequire 1 0\n")
+    for ids in ("0,0", "0,5"):
+        assert main(["verify", str(p), "--matching", ids]) == 1
+        assert capsys.readouterr().out.strip() == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fractional", "RBRB", "--kr", "1", "--kb", "1/0"],
+        ["gen", "--mode", "random_graph", "--nodes", "4", "--seed", "1", "--weights", "1/0,1,1"],
+        ["gen", "--mode", "random_graph", "--nodes", "4", "--seed", "1", "--density", "1/0"],
+    ],
+)
+def test_zero_denominator_is_a_parse_error(capsys, argv):
+    assert main(argv) == 3
+    assert "parse error: zero denominator in '1/0'" in capsys.readouterr().err

@@ -146,6 +146,41 @@ def test_check_injective_backtracking_moves():
     assert check_injective(p) is False
 
 
+def _scan_injective(polyline: LatticePolyline) -> bool:
+    """Reference: look for d(u) == d(v) + k*delta over every copy k within
+    reach of the base period."""
+    delta = polyline.period_shift
+    if delta == (0, 0):
+        return False
+    ell = polyline.period_length
+    kmax = (2 * ell) // max(abs(delta[0]), abs(delta[1]))
+    pts = polyline.points[:ell]
+    index: dict = {}
+    for v, p in enumerate(pts):
+        index.setdefault(p, []).append(v)
+    for k in range(kmax + 1):
+        for u in range(ell):
+            target = (pts[u][0] - k * delta[0], pts[u][1] - k * delta[1])
+            if any(k != 0 or u != v for v in index.get(target, ())):
+                return False
+    return True
+
+
+def test_check_injective_matches_the_copy_scan():
+    rng = random.Random(31)
+    moves = sorted(MOVE_OF_PAIR.values())
+    seen = {"zero_shift": 0, True: 0, False: 0}
+    for _ in range(4000):
+        steps = [rng.choice(moves) for _ in range(rng.randrange(1, 25))]
+        if rng.randrange(8) == 0:  # close the period: delta = 0
+            steps += [(-dx, -dy) for dx, dy in reversed(steps)]
+        poly = polyline_from_moves(steps)
+        want = _scan_injective(poly)
+        assert check_injective(poly) is want, steps
+        seen["zero_shift" if poly.period_shift == (0, 0) else want] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def side_of(polyline: LatticePolyline, p) -> str:
     """Classify p against the periodic curve of an injective polyline."""
     if not check_injective(polyline):

@@ -13,6 +13,7 @@ from rbymatch.driver import (
     SolveReport,
     _boundary_cuts,
     _from_optimum,
+    _on_side,
     _point_affine_rank,
     solve,
     verify,
@@ -178,8 +179,15 @@ def test_solve_triangle_face_instance():
     assert rep.profile.red == 1 and rep.profile.blue in (0, 1)
     assert len(rep.matching) >= math.floor(rep.alpha_star) - 3
     assert verify(g, 1, 1, rep)
-    # the vertical cut passes through a projected vertex on this instance
-    assert any("vertex host" in t for t in rep.trace)
+    # the vertical cut passes through a projected vertex on this instance;
+    # the side holding that cut returns exactly the vertex's matching
+    model = build_lp(g, 1, 1)
+    face = minimal_face(g, model, solve_lp(model))
+    (idx,) = [v for v, p in enumerate(face.projected_vertices) if p[0] == 1]
+    blue = Fraction(face.projected_vertices[idx][1])
+    side = dict(_boundary_cuts(face, 1))[blue]
+    assert idx in side
+    assert _on_side(g, face, *side, 1, blue, []) == face.vertex_matchings[idx]
 
 
 def test_solve_parallelogram_face_instance():
@@ -198,11 +206,9 @@ def test_boundary_cut_geometry():
         projected_vertices=((1, 0), (3, 1), (1, 2)),
         route="hand-made",
     )
-    cuts = _boundary_cuts(face, 1)
-    assert [(y, host[0]) for y, host in cuts] == [(0, "vertex"), (2, "vertex")]
-    cuts = _boundary_cuts(face, 2)
-    assert [host[0] for _, host in cuts] == ["side", "side"]
-    assert [y for y, _ in cuts] == [Fraction(1, 2), Fraction(3, 2)]
+    # through the vertices (1, 0) and (1, 2), skipping the vertical side
+    assert _boundary_cuts(face, 1) == [(0, (0, 1)), (2, (1, 2))]
+    assert _boundary_cuts(face, 2) == [(Fraction(1, 2), (0, 1)), (Fraction(3, 2), (1, 2))]
 
 
 def test_face_step_rejects_a_projection_that_loses_rank():

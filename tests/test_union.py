@@ -13,12 +13,16 @@ from rbymatch.graph import (
     symdiff_components,
     validate_matching,
 )
+from rbymatch import union
 from rbymatch.oracle import best_profile_size, exact_optimum
 from rbymatch.union import (
     _block_from_component,
     _contract_block,
     _lift,
     _merge,
+    _orient_start_source0,
+    _reverse_block,
+    _rotate_cycle,
     combine_two_matchings,
     glue_components,
 )
@@ -272,22 +276,24 @@ def test_combine_random_contract():
         trials += 1
 
 
-def _structured_union(rng: random.Random):
+def _structured_union(rng: random.Random, palettes=("RB", "RBY", "RRBB", "RRBBYY"), mixed=False):
     """Disjoint alternating components biased toward same-color runs,
-    forcing contraction cascades, joins, and the no-yellow recursion."""
+    forcing contraction cascades, joins, and the no-yellow recursion.  Each
+    component starts in m0, or in either matching when ``mixed``."""
     edges = []
     m0, m1 = set(), set()
     base = 0
-    palette = rng.choice(["RB", "RBY", "RRBB", "RRBBYY"])
+    palette = rng.choice(palettes)
     for _ in range(rng.randrange(1, 5)):
         length = rng.randrange(1, 9)
         is_cycle = length >= 4 and length % 2 == 0 and rng.randrange(2) == 0
         n = length if is_cycle else length + 1
+        start = rng.randrange(2) if mixed else 0
         for i in range(length):
             u = base + i
             v = base + (i + 1) % n if is_cycle else base + i + 1
             edges.append((u, v, rng.choice(palette)))
-            (m0 if i % 2 == 0 else m1).add(len(edges) - 1)
+            (m0 if (i + start) % 2 == 0 else m1).add(len(edges) - 1)
         base += n
     return ColoredGraph(base, edges), frozenset(m0), frozenset(m1)
 
@@ -328,3 +334,53 @@ def test_combine_output_at_most_oracle():
         prof = color_profile(g, got)
         oracle_best = exact_optimum(g, prof.red, prof.blue)
         assert oracle_best is not None and len(oracle_best) >= len(got)
+
+
+def _labels_kept(block, label) -> bool:
+    return all(label[e] == block.first ^ (i & 1) for i, e in enumerate(block.edges))
+
+
+def test_first_bit_labels_every_edge(monkeypatch):
+    # edge i of a block comes from matching first ^ (i & 1): the bit must
+    # follow every reversal, rotation, contraction and join
+    rng = random.Random(4242)
+    for _ in range(300):
+        g, m0, m1 = _structured_union(rng)
+        for comp in symdiff_components(g, m0, m1):
+            label = dict(zip(comp.edge_ids, comp.sources))
+            block = _block_from_component(comp)
+            assert _labels_kept(block, label)
+            _reverse_block(block)
+            assert _labels_kept(block, label)
+            if block.is_cycle:
+                _rotate_cycle(block, rng.randrange(len(block)))
+                assert _labels_kept(block, label)
+            _orient_start_source0(block)
+            assert _labels_kept(block, label)
+            _contract_block(block, [[v] for v in range(g.vertex_count)], [])
+            assert _labels_kept(block, label)
+
+    # joins happen inside the no-yellow case; check the blocks it recurses on
+    recurse = union._recurse_no_yellow
+    checked = {"blocks": 0, "joined": 0}
+    state = {}
+
+    def spy(blocks, kr, kb):
+        for b in blocks:
+            assert _labels_kept(b, state["label"])
+            checked["blocks"] += 1
+            checked["joined"] += len({state["comp_of"][e] for e in b.edges}) > 1
+        return recurse(blocks, kr, kb)
+
+    monkeypatch.setattr(union, "_recurse_no_yellow", spy)
+    for _ in range(800):
+        g, ma, mb = _structured_union(rng, ("RB", "RRBB"), mixed=True)
+        a0, a1 = ma - mb, mb - ma
+        if len(a0) < len(a1):
+            a0, a1 = a1, a0  # the combiner's own orientation
+        state["label"] = {e: 0 for e in a0} | {e: 1 for e in a1}
+        comps = symdiff_components(g, ma, mb)
+        state["comp_of"] = {e: k for k, c in enumerate(comps) for e in c.edge_ids}
+        pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)
+        combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
+    assert checked["blocks"] > 0 and checked["joined"] > 0
