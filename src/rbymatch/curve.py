@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CrossingNotFoundError, InvariantError
-from .graph import EVEN_CYCLE, CycleOrPath
+from .graph import CycleOrPath
 
 Point = tuple[Fraction, Fraction]
 IntPoint = tuple[int, int]
@@ -106,7 +106,7 @@ def imbalance_curve(cycle: CycleOrPath | str | Sequence[str]) -> LatticePolyline
     equal colors has no move and is rejected (the pairing must be proper).
     """
     if isinstance(cycle, CycleOrPath):
-        if cycle.kind != EVEN_CYCLE:
+        if not cycle.is_cycle:
             raise ValueError("imbalance curves are defined for even cycles")
         colors = cycle.colors
     else:

@@ -28,7 +28,6 @@ from .curve import on_segment
 from .errors import InvariantError
 from .graph import (
     BLUE,
-    EVEN_CYCLE,
     RED,
     YELLOW,
     CycleOrPath,
@@ -38,7 +37,7 @@ from .graph import (
 
 def _as_cycle(cycle: CycleOrPath | str | Iterable[str]) -> CycleOrPath:
     if isinstance(cycle, CycleOrPath):
-        if cycle.kind != EVEN_CYCLE:
+        if not cycle.is_cycle:
             raise ValueError("expected an even cycle")
         return cycle
     return even_cycle_from_string(tuple(cycle))
@@ -113,8 +112,8 @@ def _closed(
     else:
         colors = tuple(comp)
     if len(colors) % 2 == 0:
-        return CycleOrPath(EVEN_CYCLE, colors), None
-    return CycleOrPath(EVEN_CYCLE, colors + (YELLOW,)), len(colors)
+        return CycleOrPath(colors, True), None
+    return CycleOrPath(colors + (YELLOW,), True), len(colors)
 
 
 def solve_even_cycle(

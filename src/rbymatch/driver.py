@@ -184,7 +184,7 @@ def _on_side(graph, face: FaceDescriptor, i, j, k_red, k_blue, trace) -> frozens
     comp = comps[0]
     sp = profile_of_colors(graph.color(e) for e in shared)
     trace.append(
-        f"side ({i},{j}): shared={len(shared)} component={comp.kind} "
+        f"side ({i},{j}): shared={len(shared)} component={'cycle' if comp.is_cycle else 'path'} "
         f"len={len(comp)} blue={k_blue}"
     )
     positions = solve_fractional(comp, k_red - sp.red, k_blue - sp.blue)

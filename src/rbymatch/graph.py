@@ -4,6 +4,10 @@ Edges carry a color in {R, B, Y} and a stable integer id (their index in the
 input edge sequence).  Parallel edges are allowed; self-loops are not.  All
 types are immutable after construction and every operation here is a pure
 function, so they are safe to share across test shards.
+
+The symmetric difference of two matchings splits into alternating paths and
+even cycles.  Each is a CycleOrPath: its colors in walk order, whether it
+closes, and one parity bit, the matching of edge 0, that labels every edge.
 """
 
 from __future__ import annotations
@@ -128,57 +132,40 @@ def path_graph(colors: str | Iterable[str]) -> ColoredGraph:
     return ColoredGraph(len(cols) + 1, [(i, i + 1, c) for i, c in enumerate(cols)])
 
 
-EVEN_CYCLE = "even_cycle"
-EVEN_PATH = "even_path"
-ODD_PATH = "odd_path"
-
-
 @dataclass(frozen=True)
 class CycleOrPath:
-    """A colored path or cycle with edges numbered consecutively from 0.
+    """A colored path or even cycle with edges numbered consecutively from 0.
 
-    For components extracted from a host graph, ``edge_ids[i]`` is the original
-    id of edge i and ``sources[i]`` records which of the two input matchings
-    edge i came from (0 or 1), and ``vertices[i]`` is the vertex before edge
-    i (a path adds its last vertex, so it has one more vertex than edges).
-    Even positions form one matching of the structure, odd positions the
-    other.
+    Consecutive edges come from different matchings, so edge i comes from
+    matching ``first ^ (i & 1)``: even positions form one matching of the
+    structure, odd positions the other.  For components extracted from a
+    host graph, ``edge_ids[i]`` is the original id of edge i and
+    ``vertices[i]`` is the vertex before edge i (a path adds its last vertex,
+    so it has one more vertex than edges).
     """
 
-    kind: str
     colors: tuple[str, ...]
+    is_cycle: bool
     edge_ids: tuple[int, ...] | None = None
-    sources: tuple[int, ...] | None = None
+    first: int = 0
     vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n = len(self.colors)
-        if self.kind in (EVEN_CYCLE, EVEN_PATH):
-            if n % 2 != 0:
-                raise ValueError(f"{self.kind} must have an even number of edges")
-        elif self.kind == ODD_PATH:
-            if n % 2 != 1:
-                raise ValueError("odd_path must have an odd number of edges")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == EVEN_CYCLE and n < 2:
-            raise ValueError("cycle needs at least 2 edges")
+        if self.is_cycle and (n % 2 != 0 or n < 2):
+            raise ValueError("a cycle needs an even number of edges, at least 2")
         for c in self.colors:
             if c not in COLORS:
                 raise ValueError(f"unknown color {c!r}")
+        if self.first not in (0, 1):
+            raise ValueError(f"first must be 0 or 1, not {self.first!r}")
         if self.edge_ids is not None and len(self.edge_ids) != n:
             raise ValueError("edge_ids length mismatch")
-        if self.sources is not None and len(self.sources) != n:
-            raise ValueError("sources length mismatch")
         if self.vertices is not None and len(self.vertices) != n + (not self.is_cycle):
             raise ValueError("vertices length mismatch")
 
     def __len__(self) -> int:
         return len(self.colors)
-
-    @property
-    def is_cycle(self) -> bool:
-        return self.kind == EVEN_CYCLE
 
     def even_edges(self) -> tuple[int, ...]:
         return tuple(range(0, len(self.colors), 2))
@@ -203,13 +190,12 @@ class CycleOrPath:
 
 def even_cycle_from_string(colors: str | Iterable[str]) -> CycleOrPath:
     cols = tuple(colors)
-    return CycleOrPath(EVEN_CYCLE, cols, edge_ids=tuple(range(len(cols))))
+    return CycleOrPath(cols, True, edge_ids=tuple(range(len(cols))))
 
 
 def path_from_string(colors: str | Iterable[str]) -> CycleOrPath:
     cols = tuple(colors)
-    kind = EVEN_PATH if len(cols) % 2 == 0 else ODD_PATH
-    return CycleOrPath(kind, cols, edge_ids=tuple(range(len(cols))))
+    return CycleOrPath(cols, False, edge_ids=tuple(range(len(cols))))
 
 
 def validate_matching(graph: ColoredGraph, edge_ids: Iterable[int]) -> bool:
@@ -248,12 +234,15 @@ def symdiff_components(
 ) -> list[CycleOrPath]:
     """Decompose M0 symmetric-difference M1 into alternating paths and cycles.
 
-    Each component is walked once from its smallest edge id.  A cycle starts
-    there and proceeds toward the smaller of the two neighbouring ids; a path
-    starts at its end edge with the smaller id.  Components are emitted in
-    order of their first edge id, which for a path is its smaller end edge,
-    not necessarily the smallest id it contains.  ``sources[i]`` is 0 for M0
-    edges, 1 for M1; ``vertices`` follows the walk (ascending for one edge).
+    Each matching puts at most one edge at a vertex, so a vertex meets at
+    most two difference edges, consecutive edges come from different
+    matchings and every closed walk is an even cycle.  Each component is
+    walked once from its smallest edge id.  A cycle starts there and proceeds
+    toward the smaller of the two neighbouring ids; a path starts at its end
+    edge with the smaller id.  Components are emitted in order of their first
+    edge id, which for a path is its smaller end edge, not necessarily the
+    smallest id it contains.  ``first`` is 0 when edge 0 is in M0, 1 when it
+    is in M1; ``vertices`` follows the walk (ascending for one edge).
     """
     set0, set1 = frozenset(m0), frozenset(m1)
     if not validate_matching(graph, set0):
@@ -266,9 +255,6 @@ def symdiff_components(
     for eid in diff:
         for vtx in graph.endpoints(eid):
             incident.setdefault(vtx, []).append(eid)
-    for ids in incident.values():
-        if len(ids) > 2:
-            raise InvalidAlternation("vertex incident to three difference edges")
 
     def next_edge(eid: int, vtx: int) -> int | None:
         return next((e for e in incident[vtx] if e != eid), None)
@@ -308,25 +294,10 @@ def symdiff_components(
                 order.reverse()
                 vertices.reverse()
         visited.update(order)
-
-        sources = tuple(0 if e in set0 else 1 for e in order)
-        if any(a == b for a, b in zip(sources, sources[1:])):
-            raise InvalidAlternation("component does not alternate")
-        if closed:
-            if len(order) % 2 != 0:
-                raise InvalidAlternation("odd cycle in symmetric difference")
-            if sources[0] == sources[-1]:
-                raise InvalidAlternation("cycle does not alternate")
-            kind = EVEN_CYCLE
-        else:
-            kind = EVEN_PATH if len(order) % 2 == 0 else ODD_PATH
         colors = tuple(graph.color(e) for e in order)
+        first = 0 if order[0] in set0 else 1
         components.append(
-            CycleOrPath(kind, colors, tuple(order), sources, tuple(vertices))
+            CycleOrPath(colors, closed, tuple(order), first, tuple(vertices))
         )
     components.sort(key=lambda c: c.edge_ids[0])  # type: ignore[index]
     return components
-
-
-class InvalidAlternation(ValueError):
-    """The symmetric difference of two matchings was structurally invalid."""

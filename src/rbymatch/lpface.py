@@ -361,7 +361,10 @@ def _order_parallelogram(vertices: list[frozenset[int]]) -> list[frozenset[int]]
     for opp_idx in range(3):
         opposite = rest[opp_idx]
         others = [rest[i] for i in range(3) if i != opp_idx]
-        if _char_sum_equal(v1, opposite, others[0], others[1]):
+        c, d = others
+        # chi(v1) + chi(opposite) == chi(c) + chi(d): entry 2 is the
+        # intersection, entry 1 the symmetric difference
+        if v1 & opposite == c & d and v1 ^ opposite == c ^ d:
             a, b = sorted(others, key=lambda m: tuple(sorted(m)))
             ordered = [v1, a, opposite, b]
             d1 = v1 ^ a
@@ -373,11 +376,3 @@ def _order_parallelogram(vertices: list[frozenset[int]]) -> list[frozenset[int]]
             return ordered
     raise InvariantError("four face vertices do not form a parallelogram")
 
-
-def _char_sum_equal(a, b, c, d) -> bool:
-    """chi(a) + chi(b) == chi(c) + chi(d) as integer vectors."""
-    edges = a | b | c | d
-    for e in edges:
-        if (e in a) + (e in b) != (e in c) + (e in d):
-            return False
-    return True

@@ -4,8 +4,9 @@ The union of two disjoint matchings decomposes into alternating paths and
 even cycles.  After contracting same-color consecutive pairs, either some
 slack exists (size imbalance or a yellow edge) and all components glue into
 a single even cycle solvable by the cycle selector at the cost of dummy edges
-and at most one repair edge, or the instance is a tight red-blue situation
-handled by recursing on one component at a time.  The result keeps the red
+and at most one repair edge, or the instance is a tight red-blue situation:
+odd paths are joined in pairs and components are peeled one at a time.  One
+recursive solver (_solve_blocks) runs both.  The result keeps the red
 requirement exactly, loses at most one blue edge, and has size at least two
 below the smaller matching (one below when the union is acyclic).
 
@@ -43,7 +44,8 @@ from .graph import (
 
 @dataclass
 class _Block:
-    """One alternating component during normalization.
+    """One alternating component during normalization: a mutable copy of a
+    CycleOrPath that contraction, rotation and joining edit in place.
 
     ``verts[i]`` is an original vertex inside the class sitting left of edge
     i (paths carry one extra trailing vertex); cycles keep verts the same
@@ -75,11 +77,10 @@ class _Block:
 
 
 def _block_from_component(comp: CycleOrPath) -> _Block:
-    # symdiff_components labels every edge and rejects a broken alternation
     return _Block(
         edges=list(comp.edge_ids),
         colors=list(comp.colors),
-        first=comp.sources[0],
+        first=comp.first,
         verts=list(comp.vertices),
         is_cycle=comp.is_cycle,
     )
@@ -279,26 +280,7 @@ def combine_two_matchings(
         dr, db = _contract_block(b, classes, records)
         kr -= dr
         kb -= db
-    blocks = [b for b in blocks if len(b)]
-
-    side0, side1 = _side(blocks, 0), _side(blocks, 1)
-    rp0, rp1 = _side_profile(blocks, 0), _side_profile(blocks, 1)
-    if not on_segment((kr, kb), rp0, rp1):
-        raise InvariantError("requirement left the profile segment after contraction")
-
-    if (kr, kb) == rp0:
-        inner = side0
-    elif (kr, kb) == rp1:
-        inner = side1
-    elif not blocks:
-        raise InvariantError("no components left but requirement not met")
-    elif len(blocks) == 1:
-        inner = _solve_single_block(blocks[0], kr, kb)
-    elif len(side0) > len(side1) or any(YELLOW in b.colors for b in blocks):
-        inner = _case_glue(blocks, kr, kb)
-    else:
-        inner = _case_no_yellow(blocks, kr, kb, classes, records)
-
+    inner = _solve_blocks([b for b in blocks if len(b)], kr, kb, classes, records)
     result = frozenset(shared | _lift(records, inner, graph.endpoints))
     prof = color_profile(graph, result)
     if prof.red != k_red or prof.blue not in (k_blue - 1, k_blue):
@@ -401,53 +383,64 @@ def _case_glue(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _case_no_yellow(
+def _solve_blocks(
     blocks: list[_Block],
     kr: int,
     kb: int,
     classes: list[list[int]],
     records: list[_Record],
 ) -> frozenset[int]:
-    """Equal sizes, no yellow: join odd paths, then peel components."""
-    rest, aug0, aug1 = _classify(blocks)
-    if len(aug1) != len(aug0):
-        raise InvariantError("odd paths unbalanced although the matchings have equal size")
-    for b1, b0 in zip(aug1, aug0):
-        joined = _Block(
-            edges=b1.edges + b0.edges,
-            colors=b1.colors + b0.colors,
-            first=b1.first,
-            verts=b1.verts + b0.verts[1:],
-            is_cycle=False,
-        )
-        _merge(classes, b1.verts[-1], b0.verts[0])
-        dr, db = _contract_block(joined, classes, records)
-        kr -= dr
-        kb -= db
-        if len(joined):
-            rest.append(joined)
-    for b in rest:
-        _orient_start_source0(b)
-    return _recurse_no_yellow(rest, kr, kb)
+    """Matching of the contracted blocks with exactly kr red and kb or kb - 1
+    blue edges.
 
-
-def _recurse_no_yellow(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]:
+    A requirement at a side's profile takes that side, and one block goes to
+    the cycle selector.  Slack (unequal sides or a yellow edge) glues every
+    block into one cycle.  Otherwise the sides are equal and red-blue only:
+    odd paths are joined in pairs and the result solved again, and with no
+    odd path left one component is peeled off, the half of it that keeps the
+    requirement on the rest's segment taken, and the rest solved.
+    """
     p0, p1 = _side_profile(blocks, 0), _side_profile(blocks, 1)
     if not on_segment((kr, kb), p0, p1):
-        raise InvariantError("requirement left the segment during recursion")
+        raise InvariantError(f"requirement {(kr, kb)} left the segment {p0}..{p1}")
     if (kr, kb) == p0:
         return _side(blocks, 0)
     if (kr, kb) == p1:
         return _side(blocks, 1)
     if len(blocks) == 1:
         return _solve_single_block(blocks[0], kr, kb)
+    rest, aug0, aug1 = _classify(blocks)
+    # the sides differ in size exactly when the two kinds of odd path differ
+    # in number
+    if len(aug0) != len(aug1) or any(YELLOW in b.colors for b in blocks):
+        return _case_glue(blocks, kr, kb)
+
+    for b in rest:
+        _orient_start_source0(b)
+    if aug0:
+        # a joined path starts in matching 0 and has even length, so every
+        # block the next call sees is oriented before its one-block solve
+        for b1, b0 in zip(aug1, aug0):
+            joined = _Block(
+                edges=b1.edges + b0.edges,
+                colors=b1.colors + b0.colors,
+                first=b1.first,
+                verts=b1.verts + b0.verts[1:],
+                is_cycle=False,
+            )
+            _merge(classes, b1.verts[-1], b0.verts[0])
+            dr, db = _contract_block(joined, classes, records)
+            kr -= dr
+            kb -= db
+            if len(joined):
+                rest.append(joined)
+        return _solve_blocks(rest, kr, kb, classes, records)
 
     # component types: even part red vs even part blue (strict alternation)
     def block_type(b: _Block) -> str:
         return "RB" if b.colors[b.first] == RED else "BR"
 
-    r0, r1 = p0[0], p1[0]
-    crossing = "RB" if r1 > r0 else "BR"
+    crossing = "RB" if p1[0] > p0[0] else "BR"
     candidates = [b for b in blocks if block_type(b) == crossing]
     if candidates:
         chosen = min(candidates, key=lambda b: b.min_edge)
@@ -460,5 +453,5 @@ def _recurse_no_yellow(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]
     for source, (dr, db) in enumerate((ev, od)):
         k = (kr - dr, kb - db)
         if on_segment(k, rp0, rp1):
-            return _side([chosen], source) | _recurse_no_yellow(rest, *k)
+            return _side([chosen], source) | _solve_blocks(rest, *k, classes, records)
     raise InvariantError("neither half of the chosen component keeps the segment")

@@ -6,7 +6,6 @@ import pytest
 
 from rbymatch import driver
 from rbymatch.cli import main
-from rbymatch.graph import InvalidAlternation
 
 FIG1_INSTANCE = "cycle RBYBRBYB\nrequire 1 2\n"
 
@@ -66,7 +65,7 @@ TWO_C4_INSTANCE = (
 @pytest.mark.parametrize(
     "callee, error, instance",
     [
-        ("symdiff_components", InvalidAlternation("cycle does not alternate"), FIG1_INSTANCE),
+        ("symdiff_components", ValueError("m0 is not a matching"), FIG1_INSTANCE),
         ("solve_fractional", ValueError("requirement 1 is not on the segment"), FIG1_INSTANCE),
         ("combine_two_matchings", ValueError("inputs must be matchings"), TWO_C4_INSTANCE),
     ],

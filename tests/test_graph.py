@@ -7,13 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbymatch.graph import (
-    EVEN_CYCLE,
-    EVEN_PATH,
-    ODD_PATH,
     ColoredGraph,
     ColorProfile,
     CycleOrPath,
-    InvalidAlternation,
     color_profile,
     cycle_graph,
     even_cycle_from_string,
@@ -80,19 +76,19 @@ def test_symdiff_four_cycle():
     comps = symdiff_components(g, {0, 2}, {1, 3})
     assert len(comps) == 1
     (c,) = comps
-    assert c.kind == "even_cycle"
+    assert c.is_cycle
     assert len(c) == 4
     assert set(c.edge_ids) == {0, 1, 2, 3}
     assert c.edge_ids[0] == 0
-    assert c.sources[0] == 0
+    assert c.first == 0
 
 
 def test_symdiff_two_isolated_edges():
     g = ColoredGraph(4, [(0, 1, "R"), (2, 3, "B")])
     comps = symdiff_components(g, {0}, {1})
-    assert [c.kind for c in comps] == ["odd_path", "odd_path"]
+    assert [c.is_cycle for c in comps] == [False, False]
     assert [c.edge_ids for c in comps] == [(0,), (1,)]
-    assert [c.sources for c in comps] == [(0,), (1,)]
+    assert [c.first for c in comps] == [0, 1]
 
 
 def test_symdiff_path_numbering_starts_at_smaller_extremal_id():
@@ -101,8 +97,8 @@ def test_symdiff_path_numbering_starts_at_smaller_extremal_id():
     comps = symdiff_components(g, {1, 3}, {0, 2})
     (c,) = comps
     assert c.edge_ids == (0, 1, 2, 3)
-    assert c.sources == (1, 0, 1, 0)
-    assert c.kind == "even_path"
+    assert c.first == 1
+    assert not c.is_cycle
 
 
 def test_symdiff_orders_components_by_first_edge_not_smallest_id():
@@ -149,14 +145,20 @@ def test_symdiff_alternation_random():
         m0 = _random_matching(rng, g)
         m1 = _random_matching(rng, g)
         comps = symdiff_components(g, m0, m1)
+        degree: dict[int, int] = {}
+        for eid in m0 ^ m1:
+            for vtx in g.endpoints(eid):
+                degree[vtx] = degree.get(vtx, 0) + 1
         seen: set[int] = set()
         for c in comps:
-            assert c.edge_ids is not None and c.sources is not None
-            for a, b in zip(c.sources, c.sources[1:]):
-                assert a != b
-            if c.kind == "even_cycle":
+            assert c.edge_ids is not None
+            for i, eid in enumerate(c.edge_ids):
+                assert c.first ^ (i & 1) == (0 if eid in m0 else 1)
+            # a closed walk is the component whose every vertex has degree 2
+            closed = all(degree[v] == 2 for e in c.edge_ids for v in g.endpoints(e))
+            assert c.is_cycle == closed
+            if c.is_cycle:
                 assert len(c) % 2 == 0
-                assert c.sources[0] != c.sources[-1]
             seen |= set(c.edge_ids)
         assert seen == (m0 ^ m1)
 
@@ -181,14 +183,19 @@ def test_profile_additive_over_disjoint_sets(colors):
 
 def test_cycle_or_path_validation():
     with pytest.raises(ValueError):
-        CycleOrPath("even_cycle", ("R", "B", "Y"))
+        CycleOrPath(("R", "B", "Y"), True)  # an odd cycle
     with pytest.raises(ValueError):
-        CycleOrPath("odd_path", ("R", "B"))
+        CycleOrPath((), True)
     with pytest.raises(ValueError):
-        CycleOrPath("odd_path", ("R",), vertices=(0,))
+        CycleOrPath(("R",), False, vertices=(0,))
     with pytest.raises(ValueError):
-        CycleOrPath("even_cycle", ("R", "B"), vertices=(0, 1, 0))
-    assert CycleOrPath("odd_path", ("R",), vertices=(0, 1)).vertices == (0, 1)
+        CycleOrPath(("R", "B"), True, vertices=(0, 1, 0))
+    with pytest.raises(ValueError):
+        CycleOrPath(("R", "B"), False, first=2)
+    with pytest.raises(ValueError):
+        CycleOrPath(("R", "Q"), False)
+    assert CycleOrPath(("R",), False, vertices=(0, 1)).vertices == (0, 1)
+    assert CycleOrPath(("R", "B"), False, first=1).first == 1
     c = even_cycle_from_string("RBYB")
     assert c.even_edges() == (0, 2)
     assert c.even_profile() == ColorProfile(1, 0, 1)
@@ -203,8 +210,6 @@ def _reference_symdiff(graph, m0, m1):
     for eid in diff:
         for vtx in graph.endpoints(eid):
             incident.setdefault(vtx, []).append(eid)
-    if any(len(ids) > 2 for ids in incident.values()):
-        raise InvalidAlternation("vertex incident to three difference edges")
 
     def other_endpoint(eid, vtx):
         u, v = graph.endpoints(eid)
@@ -258,16 +263,16 @@ def _reference_symdiff(graph, m0, m1):
             u, v = graph.endpoints(first)
             inner = v if degree[u] == 1 else u
             order = walk(first, inner, component)
-            kind = EVEN_PATH if len(order) % 2 == 0 else ODD_PATH
+            is_cycle = False
         else:
             first = min(component)
             u, v = graph.endpoints(first)
             nb_u = [e for e in incident[u] if e != first]
             nb_v = [e for e in incident[v] if e != first]
             order = walk(first, v if nb_v[0] <= nb_u[0] else u, component)
-            kind = EVEN_CYCLE
-        sources = tuple(0 if e in set0 else 1 for e in order)
-        out.append((kind, tuple(order), sources, vertices(order, kind == EVEN_CYCLE)))
+            is_cycle = True
+        matching = 0 if order[0] in set0 else 1
+        out.append((is_cycle, tuple(order), matching, vertices(order, is_cycle)))
     out.sort(key=lambda c: c[1][0])
     return out
 
@@ -286,16 +291,16 @@ def _random_multigraph(rng: random.Random) -> ColoredGraph:
 
 def test_symdiff_matches_reference_walk():
     rng = random.Random(6)
-    kinds: dict[str, int] = {}
+    kinds = {"cycle": 0, "even path": 0, "odd path": 0}
     two_cycles = 0
     for _ in range(2000):
         g = _random_multigraph(rng)
         m0, m1 = _random_matching(rng, g), _random_matching(rng, g)
         got = symdiff_components(g, m0, m1)
         want = _reference_symdiff(g, m0, m1)
-        assert [(c.kind, c.edge_ids, c.sources, c.vertices) for c in got] == want
+        assert [(c.is_cycle, c.edge_ids, c.first, c.vertices) for c in got] == want
         for c in got:
-            kinds[c.kind] = kinds.get(c.kind, 0) + 1
+            kinds["cycle" if c.is_cycle else ("even path", "odd path")[len(c) % 2]] += 1
             two_cycles += c.is_cycle and len(c) == 2
     assert two_cycles >= 50
-    assert min(kinds[k] for k in (EVEN_CYCLE, EVEN_PATH, ODD_PATH)) >= 200
+    assert min(kinds.values()) >= 200, kinds

@@ -69,7 +69,7 @@ def test_glue_two_cycles():
         8 + i for i in range(8) if i % 2 == 1
     )
     comps = symdiff_components(g, m0, m1)
-    assert [c.kind for c in comps] == ["even_cycle", "even_cycle"]
+    assert [c.is_cycle for c in comps] == [True, True]
     glued = _glue(g, m0, m1)
     assert len(glued.colors) == 16
     assert None not in glued.edge_map
@@ -277,9 +277,11 @@ def test_combine_random_contract():
 
 
 def _structured_union(rng: random.Random, palettes=("RB", "RBY", "RRBB", "RRBBYY"), mixed=False):
-    """Disjoint alternating components biased toward same-color runs,
-    forcing contraction cascades, joins, and the no-yellow recursion.  Each
-    component starts in m0, or in either matching when ``mixed``."""
+    """Disjoint alternating components biased toward same-color runs, which
+    force contraction cascades and the no-yellow recursion.  Each component
+    starts in m0, or in either matching when ``mixed``; only mixed starts
+    give odd paths that augment each matching, so only they reach joins,
+    and only with a palette without yellow."""
     edges = []
     m0, m1 = set(), set()
     base = 0
@@ -298,26 +300,42 @@ def _structured_union(rng: random.Random, palettes=("RB", "RBY", "RRBB", "RRBBYY
     return ColoredGraph(base, edges), frozenset(m0), frozenset(m1)
 
 
-def test_combine_structured_components_torture():
+def test_combine_structured_components_torture(monkeypatch):
+    # every third trial draws mixed starts without yellow, which reach joins
+    solve_blocks = union._solve_blocks
+    joined = 0
+    comp_of: dict[int, int] = {}
+
+    def spy(blocks, *args):
+        nonlocal joined
+        joined += sum(len({comp_of[e] for e in b.edges}) > 1 for b in blocks)
+        return solve_blocks(blocks, *args)
+
+    monkeypatch.setattr(union, "_solve_blocks", spy)
     rng = random.Random(616)
     trials = 0
     while trials < 800:
-        g, ma, mb = _structured_union(rng)
+        if trials % 3 == 2:
+            g, ma, mb = _structured_union(rng, ("RB", "RRBB"), mixed=True)
+        else:
+            g, ma, mb = _structured_union(rng)
         if len(ma) < len(mb):
             ma, mb = mb, ma
         pa = color_profile(g, ma).rb
         pb = color_profile(g, mb).rb
         pts = _segment_points(pa, pb)
         kr, kb = pts[rng.randrange(len(pts))]
+        comps = symdiff_components(g, ma - mb, mb - ma)
+        comp_of = {e: k for k, c in enumerate(comps) for e in c.edge_ids}
         got = combine_two_matchings(g, ma, mb, kr, kb)
         assert validate_matching(g, got)
         prof = color_profile(g, got)
         assert prof.red == kr and prof.blue in (kb - 1, kb)
         assert len(got) >= len(mb) - 2
-        comps = symdiff_components(g, ma - mb, mb - ma)
         if all(not c.is_cycle for c in comps):
             assert len(got) >= len(mb) - 1
         trials += 1
+    assert joined > 0
 
 
 def test_combine_output_at_most_oracle():
@@ -346,8 +364,8 @@ def test_first_bit_labels_every_edge(monkeypatch):
     rng = random.Random(4242)
     for _ in range(300):
         g, m0, m1 = _structured_union(rng)
+        label = {e: 0 if e in m0 else 1 for e in m0 ^ m1}
         for comp in symdiff_components(g, m0, m1):
-            label = dict(zip(comp.edge_ids, comp.sources))
             block = _block_from_component(comp)
             assert _labels_kept(block, label)
             _reverse_block(block)
@@ -360,19 +378,19 @@ def test_first_bit_labels_every_edge(monkeypatch):
             _contract_block(block, [[v] for v in range(g.vertex_count)], [])
             assert _labels_kept(block, label)
 
-    # joins happen inside the no-yellow case; check the blocks it recurses on
-    recurse = union._recurse_no_yellow
+    # joins happen inside the no-yellow case; check every block solved
+    solve_blocks = union._solve_blocks
     checked = {"blocks": 0, "joined": 0}
     state = {}
 
-    def spy(blocks, kr, kb):
+    def spy(blocks, *args):
         for b in blocks:
             assert _labels_kept(b, state["label"])
             checked["blocks"] += 1
             checked["joined"] += len({state["comp_of"][e] for e in b.edges}) > 1
-        return recurse(blocks, kr, kb)
+        return solve_blocks(blocks, *args)
 
-    monkeypatch.setattr(union, "_recurse_no_yellow", spy)
+    monkeypatch.setattr(union, "_solve_blocks", spy)
     for _ in range(800):
         g, ma, mb = _structured_union(rng, ("RB", "RRBB"), mixed=True)
         a0, a1 = ma - mb, mb - ma
