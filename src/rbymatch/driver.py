@@ -36,7 +36,6 @@ from .errors import InvariantError
 from .graph import (
     ColoredGraph,
     ColorProfile,
-    color_profile,
     profile_of_colors,
     symdiff_components,
     validate_matching,
@@ -227,8 +226,9 @@ def _case_cut_and_combine(graph, face: FaceDescriptor, k_red, k_blue, trace) -> 
     trace.append(f"{face.classification}: cut window blue=({blue_lo}, {blue_hi})")
     m_low = _on_side(graph, face, *side_lo, k_red, blue_lo, trace)
     m_high = _on_side(graph, face, *side_hi, k_red, blue_hi, trace)
-    p_low = color_profile(graph, m_low)
-    p_high = color_profile(graph, m_high)
+    # the combiner validates both; count their colors only
+    p_low = profile_of_colors(graph.color(e) for e in m_low)
+    p_high = profile_of_colors(graph.color(e) for e in m_high)
     if p_low.red != k_red or p_high.red != k_red:
         raise InvariantError("cut matchings lost the exact red count")
     if not (p_low.blue <= k_blue <= p_high.blue):

@@ -176,11 +176,16 @@ class CycleOrPath:
     def profile_of(self, positions: Iterable[int]) -> ColorProfile:
         return profile_of_colors(self.colors[p] for p in positions)
 
+    def _slice_profile(self, start: int) -> ColorProfile:
+        # __post_init__ admits only R, B and Y, so three counts cover the slice
+        colors = self.colors[start::2]
+        return ColorProfile(colors.count(RED), colors.count(BLUE), colors.count(YELLOW))
+
     def even_profile(self) -> ColorProfile:
-        return self.profile_of(self.even_edges())
+        return self._slice_profile(0)
 
     def odd_profile(self) -> ColorProfile:
-        return self.profile_of(self.odd_edges())
+        return self._slice_profile(1)
 
     def to_edge_ids(self, positions: Iterable[int]) -> frozenset[int]:
         if self.edge_ids is None:
@@ -199,16 +204,16 @@ def path_from_string(colors: str | Iterable[str]) -> CycleOrPath:
 
 
 def validate_matching(graph: ColoredGraph, edge_ids: Iterable[int]) -> bool:
-    """True iff the ids exist in the graph and no two edges share a vertex."""
-    seen: set[int] = set()
+    """True iff the ids exist in the graph and no two edges share a vertex.
+
+    A repeated id shares both its ends with itself, so it fails too."""
+    edges = graph.edges
+    count = len(edges)
     used: set[int] = set()
     for eid in edge_ids:
-        if not isinstance(eid, int) or not (0 <= eid < graph.edge_count):
+        if not isinstance(eid, int) or not 0 <= eid < count:
             return False
-        if eid in seen:
-            return False
-        seen.add(eid)
-        u, v = graph.endpoints(eid)
+        u, v, _ = edges[eid]
         if u in used or v in used:
             return False
         used.add(u)
@@ -243,6 +248,10 @@ def symdiff_components(
     edge id, which for a path is its smaller end edge, not necessarily the
     smallest id it contains.  ``first`` is 0 when edge 0 is in M0, 1 when it
     is in M1; ``vertices`` follows the walk (ascending for one edge).
+
+    This is the call that validates M0 and M1 (ValueError if either is no
+    matching), so callers that pass the full matchings need no check of
+    their own.  Shared edges cancel and change nothing in the output.
     """
     set0, set1 = frozenset(m0), frozenset(m1)
     if not validate_matching(graph, set0):
@@ -250,14 +259,19 @@ def symdiff_components(
     if not validate_matching(graph, set1):
         raise ValueError("m1 is not a matching")
     diff = sorted(set0 ^ set1)
+    host = graph.edges
 
     incident: dict[int, list[int]] = {}
     for eid in diff:
-        for vtx in graph.endpoints(eid):
-            incident.setdefault(vtx, []).append(eid)
+        u, v, _ = host[eid]
+        incident.setdefault(u, []).append(eid)
+        incident.setdefault(v, []).append(eid)
 
     def next_edge(eid: int, vtx: int) -> int | None:
-        return next((e for e in incident[vtx] if e != eid), None)
+        for e in incident[vtx]:
+            if e != eid:
+                return e
+        return None
 
     def walk(seed: int, vtx: int) -> tuple[list[int], list[int], bool]:
         # edges after seed through vtx, vertices from vtx on, back at seed?
@@ -265,7 +279,7 @@ def symdiff_components(
         eid = next_edge(seed, vtx)
         while eid is not None and eid != seed:
             edges.append(eid)
-            u, v = graph.endpoints(eid)
+            u, v, _ = host[eid]
             vtx = v if vtx == u else u
             verts.append(vtx)
             eid = next_edge(eid, vtx)
@@ -276,7 +290,7 @@ def symdiff_components(
     for seed in diff:
         if seed in visited:
             continue
-        u, v = graph.endpoints(seed)
+        u, v, _ = host[seed]
         nb_u, nb_v = next_edge(seed, u), next_edge(seed, v)
         if nb_u is not None and (nb_v is None or nb_u < nb_v):
             u, v = v, u  # leave through v, toward the smaller neighbour
@@ -294,7 +308,7 @@ def symdiff_components(
                 order.reverse()
                 vertices.reverse()
         visited.update(order)
-        colors = tuple(graph.color(e) for e in order)
+        colors = tuple(host[e].color for e in order)
         first = 0 if order[0] in set0 else 1
         components.append(
             CycleOrPath(colors, closed, tuple(order), first, tuple(vertices))

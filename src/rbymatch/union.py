@@ -19,6 +19,10 @@ The module owns the contraction state: vertex classes, each a member list
 shared by its members and merged small into large, and one record
 (edge_a, edge_b, outer_a, outer_b) per contracted pair, from which _lift
 re-inserts one edge of each pair into the reduced answer.
+
+combine_two_matchings validates its inputs in its one symdiff_components
+call and a built result once, which must then pass two checks: its profile
+meets the requirement, and it has at least |smaller matching| - 2 edges.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ from .graph import (
     ColoredGraph,
     CycleOrPath,
     color_profile,
-    profile_of_colors,
     symdiff_components,
-    validate_matching,
 )
 
 
@@ -245,37 +247,37 @@ def combine_two_matchings(
     Requires the requirement point on the segment between the two matchings'
     profiles.  The result has size at least |smaller matching| - 2, improving
     to -1 when the union contains no cycle.
+
+    symdiff_components validates both inputs (ValueError if either is no
+    matching).  A built result is validated, and InvariantError is raised
+    unless it meets the requirement and that size bound.
     """
     set0 = frozenset(m0)
     set1 = frozenset(m1)
-    if not validate_matching(graph, set0) or not validate_matching(graph, set1):
-        raise ValueError("inputs must be matchings")
-    p0 = _rb(graph, set0)
-    p1 = _rb(graph, set1)
+    blocks = [_block_from_component(c) for c in symdiff_components(graph, set0, set1)]
+    shared = set0 & set1
+    shared_red, shared_blue = _rb(graph, shared)
+    (r0, b0), (r1, b1) = _side_profile(blocks, 0), _side_profile(blocks, 1)
+    p0 = (shared_red + r0, shared_blue + b0)
+    p1 = (shared_red + r1, shared_blue + b1)
     if not on_segment((k_red, k_blue), p0, p1):
         raise ValueError(
             f"requirement {(k_red, k_blue)} not on the segment {p0}..{p1}"
         )
+    if len(set0) < len(set1):
+        # matching 0 is the larger one from here on
+        set0, set1, p0, p1 = set1, set0, p1, p0
+        for b in blocks:
+            b.first ^= 1
+    if (k_red, k_blue) == p0:
+        return set0
+    if (k_red, k_blue) == p1:
+        return set1
 
-    shared = set0 & set1
-    shared_red, shared_blue = _rb(graph, shared)
     kr = k_red - shared_red
     kb = k_blue - shared_blue
-    a0 = set0 - shared
-    a1 = set1 - shared
-    if len(a0) < len(a1):
-        a0, a1 = a1, a0
-
-    q0 = _rb(graph, a0)
-    q1 = _rb(graph, a1)
-    if (kr, kb) == q0:
-        return frozenset(shared | a0)
-    if (kr, kb) == q1:
-        return frozenset(shared | a1)
-
     classes = [[v] for v in range(graph.vertex_count)]
     records: list[_Record] = []
-    blocks = [_block_from_component(c) for c in symdiff_components(graph, a0, a1)]
     for b in blocks:
         dr, db = _contract_block(b, classes, records)
         kr -= dr
@@ -286,6 +288,10 @@ def combine_two_matchings(
     if prof.red != k_red or prof.blue not in (k_blue - 1, k_blue):
         raise InvariantError(
             f"combined matching has profile {prof.rb}, requirement {(k_red, k_blue)}"
+        )
+    if len(result) < len(set1) - 2:
+        raise InvariantError(
+            f"combined matching has {len(result)} edges, the smaller input {len(set1)}"
         )
     return result
 
@@ -330,7 +336,9 @@ def _lift(
 
 def _rb(graph: ColoredGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
     # (red, blue) of edges from the two matchings validated on entry
-    return profile_of_colors(graph.color(e) for e in edge_ids).rb
+    edges = graph.edges
+    colors = [edges[e].color for e in edge_ids]
+    return colors.count(RED), colors.count(BLUE)
 
 
 def _side(blocks: Sequence[_Block], source: int) -> frozenset[int]:
@@ -338,7 +346,12 @@ def _side(blocks: Sequence[_Block], source: int) -> frozenset[int]:
 
 
 def _side_profile(blocks: Sequence[_Block], source: int) -> tuple[int, int]:
-    return profile_of_colors(c for b in blocks for c in b.colors[source ^ b.first :: 2]).rb
+    red = blue = 0
+    for b in blocks:
+        colors = b.colors[source ^ b.first :: 2]
+        red += colors.count(RED)
+        blue += colors.count(BLUE)
+    return red, blue
 
 
 def _solve_single_block(block: _Block, kr: int, kb: int) -> frozenset[int]:

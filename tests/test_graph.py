@@ -53,6 +53,28 @@ def test_validate_matching_cases():
     assert not validate_matching(g, {0, 8})
 
 
+@pytest.mark.parametrize(
+    "ids, ok",
+    [
+        (["0"], False),
+        ([0.0], False),
+        ([None], False),
+        ([2, "0"], False),
+        ([0, 0], False),  # a repeated id is two edges sharing both ends
+        ([3, 3], False),
+        ([-1], False),
+        ([8], False),  # equal to edge_count
+        ([7], True),
+        ([], True),
+        ([0, 2, 4, 6], True),
+        ((i for i in (1, 3)), True),
+    ],
+)
+def test_validate_matching_contract(ids, ok):
+    g = cycle_graph(FIG1)
+    assert validate_matching(g, ids) is ok
+
+
 def test_graph_rejects_self_loop_and_bad_color():
     with pytest.raises(ValueError):
         ColoredGraph(2, [(0, 0, "R")])

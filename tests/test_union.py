@@ -13,6 +13,7 @@ from rbymatch.graph import (
     symdiff_components,
     validate_matching,
 )
+from rbymatch import graph as graph_module
 from rbymatch import union
 from rbymatch.oracle import best_profile_size, exact_optimum
 from rbymatch.union import (
@@ -178,20 +179,39 @@ def test_combine_identical_matchings():
     assert got == m
 
 
+def _two_cycles_matchings() -> tuple[frozenset[int], frozenset[int]]:
+    # the even and the odd edges of both cycles of _two_cycles_instance
+    return (
+        frozenset(range(0, 16, 2)),
+        frozenset(range(1, 16, 2)),
+    )
+
+
 def test_combine_two_cycles_tightness():
     g = _two_cycles_instance()
-    m0 = frozenset(i for i in range(8) if i % 2 == 0) | frozenset(
-        8 + i for i in range(8) if i % 2 == 0
-    )
-    m1 = frozenset(i for i in range(8) if i % 2 == 1) | frozenset(
-        8 + i for i in range(8) if i % 2 == 1
-    )
+    m0, m1 = _two_cycles_matchings()
     got = combine_two_matchings(g, m0, m1, 2, 2)
     assert validate_matching(g, got)
     prof = color_profile(g, got)
     assert prof.red == 2 and prof.blue in (1, 2)
     assert len(got) == 6  # |m1| - 2; the oracle confirms optimality below
     assert best_profile_size(g, [(2, 2), (2, 1)]) == 6
+
+
+def test_combine_checks_its_size_bound(monkeypatch):
+    # the answer sits exactly at |m1| - 2, so losing one yellow edge keeps
+    # the profile but breaks the size bound, which the combiner checks itself
+    g = _two_cycles_instance()
+    m0, m1 = _two_cycles_matchings()
+    solve_blocks = union._solve_blocks
+
+    def drop_a_yellow(blocks, *args):
+        got = solve_blocks(blocks, *args)
+        return got - {min(e for e in got if g.color(e) == "Y")}
+
+    monkeypatch.setattr(union, "_solve_blocks", drop_a_yellow)
+    with pytest.raises(InvariantError, match="5 edges, the smaller input 8"):
+        combine_two_matchings(g, m0, m1, 2, 2)
 
 
 def test_combine_requires_on_segment():
@@ -402,3 +422,47 @@ def test_first_bit_labels_every_edge(monkeypatch):
         pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)
         combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
     assert checked["blocks"] > 0 and checked["joined"] > 0
+
+
+def _maximal_matching(rng: random.Random, g: ColoredGraph) -> frozenset[int]:
+    ids = list(range(g.edge_count))
+    rng.shuffle(ids)
+    used, out = set(), set()
+    for e in ids:
+        u, v = g.endpoints(e)
+        if u not in used and v not in used:
+            used |= {u, v}
+            out.add(e)
+    return frozenset(out)
+
+
+def test_combine_validates_each_matching_once(monkeypatch):
+    # requests shaped like the benchmark's combiner calls: n = 20, m <= 40,
+    # two random maximal matchings and an interior lattice requirement; the
+    # two inputs and the result are validated once each, wherever the call
+    # comes from
+    calls = 0
+
+    def spy(graph, edge_ids):
+        nonlocal calls
+        calls += 1
+        return validate_matching(graph, edge_ids)
+
+    monkeypatch.setattr(graph_module, "validate_matching", spy)
+    monkeypatch.setattr(union, "validate_matching", spy, raising=False)
+    rng = random.Random(16)
+    combined = 0
+    while combined < 60:
+        edges = []
+        for _ in range(rng.randrange(20, 41)):
+            u, v = rng.sample(range(20), 2)
+            edges.append((u, v, rng.choice("RBY")))
+        g = ColoredGraph(20, edges)
+        ma, mb = _maximal_matching(rng, g), _maximal_matching(rng, g)
+        pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)[1:-1]
+        if not pts:
+            continue
+        calls = 0
+        combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
+        assert calls == 3
+        combined += 1
