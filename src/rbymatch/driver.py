@@ -130,7 +130,7 @@ def _from_optimum(
         )
 
     if face.classification == SINGLETON:
-        matching = _case_singleton(graph, face, k_red, k_blue, trace)
+        matching = _case_singleton(face, k_red, k_blue, trace)
     elif face.classification == SEGMENT:
         matching = _on_side(graph, face, 0, 1, k_red, k_blue, trace)
     else:
@@ -159,13 +159,12 @@ def verify(graph: ColoredGraph, k_red: int, k_blue: int, report: SolveReport) ->
     return checked is not None and all(checked[0])
 
 
-def _case_singleton(graph, face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
+def _case_singleton(face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int]:
     matching = face.vertex_matchings[0]
-    # a face vertex, validated when the face was built
-    prof = profile_of_colors(graph.color(e) for e in matching)
-    if prof.rb != (k_red, k_blue):
+    prof = face.projected_vertices[0]
+    if prof != (k_red, k_blue):
         raise InvariantError(
-            f"singleton face vertex has profile {prof.rb}, not {(k_red, k_blue)}"
+            f"singleton face vertex has profile {prof}, not {(k_red, k_blue)}"
         )
     trace.append(f"singleton: size={len(matching)}")
     return matching
@@ -177,7 +176,7 @@ def _on_side(graph, face: FaceDescriptor, i, j, k_red, k_blue, trace) -> frozens
     edges plus the selector's answer on the one alternating component."""
     ma, mb = face.vertex_matchings[i], face.vertex_matchings[j]
     shared = ma & mb
-    comps = symdiff_components(graph, ma - shared, mb - shared)
+    comps = symdiff_components(graph, ma, mb)
     if len(comps) != 1:
         raise InvariantError(f"adjacent face vertices differ in {len(comps)} components")
     comp = comps[0]

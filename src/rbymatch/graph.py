@@ -224,9 +224,6 @@ def validate_matching(graph: ColoredGraph, edge_ids: Iterable[int]) -> bool:
 def color_profile(graph: ColoredGraph, edge_ids: Iterable[int]) -> ColorProfile:
     """Exact per-color counts of a matching's edges."""
     ids = list(edge_ids)
-    for eid in ids:
-        if not (0 <= eid < graph.edge_count):
-            raise ValueError(f"edge id {eid} out of range")
     if not validate_matching(graph, ids):
         raise ValueError("edge set is not a matching")
     return profile_of_colors(graph.color(eid) for eid in ids)

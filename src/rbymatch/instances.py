@@ -21,12 +21,13 @@ from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
 Instance = tuple[ColoredGraph, int, int]
 
 
-def _check_vertex_cap(vertex_count: int) -> None:
+def _check_vertex_cap(vertex_count: int, cap: OracleCap = DEFAULT_CAP) -> None:
     # solve, oracle and verify all reject larger instances; checking at the
-    # header keeps an oversized file from allocating its graph first.
-    if vertex_count > DEFAULT_CAP.max_vertices:
+    # header, or before a generator draws, keeps an oversized instance from
+    # allocating its graph first.
+    if vertex_count > cap.max_vertices:
         raise CapExceededError(
-            f"{vertex_count} vertices exceeds oracle cap {DEFAULT_CAP.max_vertices}"
+            f"{vertex_count} vertices exceeds oracle cap {cap.max_vertices}"
         )
 
 
@@ -167,13 +168,21 @@ def _color_picker(rng: random.Random, weights):
 
 
 def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
-    """Deterministic instance text for a generator spec."""
+    """Deterministic instance text for a generator spec.
+
+    Raises CapExceededError before drawing anything if the instance would
+    have more vertices than the cap allows; a cycle has the spec's vertex
+    count rounded down to even, and at least 2.
+    """
+    n = spec.vertex_count
+    if spec.mode == RANDOM_CYCLE:
+        n = max(2 * (n // 2), 2)
+    _check_vertex_cap(n, cap)
     rng = random.Random(spec.seed)
     pick = _color_picker(rng, spec.color_weights)
     density = Fraction(spec.edge_density)
 
     if spec.mode == RANDOM_CYCLE:
-        n = max(2 * (spec.vertex_count // 2), 2)
         colors = "".join(pick() for _ in range(n))
         g = cycle_graph(colors)
         even = color_profile(g, range(0, n, 2))
@@ -184,11 +193,11 @@ def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
         return "\n".join(lines) + "\n"
 
     edges = []
-    for u in range(spec.vertex_count):
-        for v in range(u + 1, spec.vertex_count):
+    for u in range(n):
+        for v in range(u + 1, n):
             if rng.randrange(density.denominator) < density.numerator:
                 edges.append((u, v, pick()))
-    g = ColoredGraph(spec.vertex_count, edges)
+    g = ColoredGraph(n, edges)
 
     if spec.mode == FEASIBLE_PROFILE:
         check_cap(g, cap)

@@ -1,16 +1,7 @@
 """Combining two arbitrary matchings into one meeting a requirement point.
 
 The union of two disjoint matchings decomposes into alternating paths and
-even cycles.  After contracting same-color consecutive pairs, either some
-slack exists (size imbalance or a yellow edge) and all components glue into
-a single even cycle solvable by the cycle selector at the cost of dummy edges
-and at most one repair edge, or the instance is a tight red-blue situation:
-odd paths are joined in pairs and components are peeled one at a time.  One
-recursive solver (_solve_blocks) runs both.  The result keeps the red
-requirement exactly, loses at most one blue edge, and has size at least two
-below the smaller matching (one below when the union is acyclic).
-
-Each component is held as a _Block.  It alternates between the two
+even cycles, each held as a _Block.  A block alternates between the two
 matchings, so one parity bit, the matching of its edge 0, labels every edge:
 reversal, rotation, contraction of a pair and joining two paths update that
 bit instead of a per-edge list.
@@ -19,6 +10,16 @@ The module owns the contraction state: vertex classes, each a member list
 shared by its members and merged small into large, and one record
 (edge_a, edge_b, outer_a, outer_b) per contracted pair, from which _lift
 re-inserts one edge of each pair into the reduced answer.
+
+One recursive solver (_solve_blocks) runs on the contracted blocks, and each
+level sorts them once into three kinds (_classify): cycles and even paths,
+and the odd paths that augment matching 0 or matching 1.  With slack (more
+paths of one kind, or a yellow edge) every block is glued into one even
+cycle for the cycle selector; _case_glue holds the layout and the repair of
+an opened cycle.  Otherwise the blocks are red-blue: odd paths are joined in
+pairs, and then components are peeled one at a time.  The result keeps the
+red requirement exactly, loses at most one blue edge, and has size at least
+two below the smaller matching (one below when the union is acyclic).
 
 combine_two_matchings validates its inputs in its one symdiff_components
 call and a built result once, which must then pass two checks: its profile
@@ -67,15 +68,6 @@ class _Block:
     @property
     def min_edge(self) -> int:
         return min(self.edges)
-
-    def path_class(self) -> str:
-        if self.is_cycle:
-            return "cycle"
-        if len(self.edges) % 2 == 0:
-            return "even"
-        return "aug0" if self.first == 1 else "aug1"
-        # aug0: extremes in matching 1 (matching 0 can augment along it)
-        # aug1: extremes in matching 0
 
 
 def _block_from_component(comp: CycleOrPath) -> _Block:
@@ -170,69 +162,18 @@ def _contract_block(
     return dr, db
 
 
-@dataclass(frozen=True)
-class GluedCycle:
-    """All components glued into one even cycle.
-
-    Edges of the first matching sit on even positions; edges of the second
-    matching and dummy yellow edges sit on odd positions.  ``edge_map`` sends
-    positions back to original edge ids (None for dummies); ``opened`` holds
-    the [start, end] positions of each opened cycle, whose first and last
-    edges still collide in the host graph.
-    """
-
-    colors: tuple[str, ...]
-    edge_map: tuple[int | None, ...]
-    opened: tuple[tuple[int, int], ...]
-
-
 def _classify(
     blocks: Sequence[_Block],
 ) -> tuple[list[_Block], list[_Block], list[_Block]]:
     """(cycles and even paths in input order, aug0 paths, aug1 paths), the
-    augmenting paths sorted by smallest edge id."""
-    even = [b for b in blocks if b.path_class() in ("cycle", "even")]
-    aug0, aug1 = (
-        sorted((b for b in blocks if b.path_class() == c), key=lambda b: b.min_edge)
-        for c in ("aug0", "aug1")
-    )
-    return even, aug0, aug1
-
-
-def glue_components(blocks: Sequence[_Block]) -> GluedCycle:
-    """Open cycles, patch augmenting paths in pairs, pad the rest with dummy
-    yellow edges, and concatenate everything into one even cycle."""
-    even_blocks, aug0, aug1 = _classify(blocks)
-    if len(aug0) > len(aug1):
-        raise ValueError("more paths augment the larger matching than the smaller")
-
-    for b in even_blocks:
-        _orient_start_source0(b)
-    even_blocks.sort(key=lambda b: b.min_edge)
-
-    # (block, padded): a leftover path is padded with a dummy edge
-    pieces = [(b, False) for b in even_blocks]
-    pairs = sorted(zip(aug1, aug0), key=lambda p: min(p[0].min_edge, p[1].min_edge))
-    pieces += [(b, False) for pair in pairs for b in pair]
-    pieces += [(b, True) for b in aug1[len(aug0):]]
-
-    colors: list[str] = []
-    edge_map: list[int | None] = []
-    opened: list[tuple[int, int]] = []
-    for block, padded in pieces:
-        if len(colors) % 2 != block.first:
-            raise InvariantError("first-matching edges must land on even glued positions")
-        if block.is_cycle:
-            opened.append((len(colors), len(colors) + len(block) - 1))
-        colors += block.colors
-        edge_map += block.edges
-        if padded:
-            colors.append(YELLOW)
-            edge_map.append(None)
-
-    if len(colors) % 2 != 0:
-        raise InvariantError("glued cycle has odd length")
-    return GluedCycle(tuple(colors), tuple(edge_map), tuple(opened))
+    odd paths by smallest edge id.  Only a path can have odd length; one with
+    edge 0 in matching 1 has both ends there and augments matching 0."""
+    even: list[_Block] = []
+    odd: list[_Block] = []
+    for b in blocks:
+        (odd if len(b.edges) & 1 else even).append(b)
+    odd.sort(key=lambda b: b.min_edge)
+    return even, [b for b in odd if b.first], [b for b in odd if not b.first]
 
 
 def combine_two_matchings(
@@ -256,7 +197,9 @@ def combine_two_matchings(
     set1 = frozenset(m1)
     blocks = [_block_from_component(c) for c in symdiff_components(graph, set0, set1)]
     shared = set0 & set1
-    shared_red, shared_blue = _rb(graph, shared)
+    edges = graph.edges
+    shared_colors = [edges[e].color for e in shared]
+    shared_red, shared_blue = shared_colors.count(RED), shared_colors.count(BLUE)
     (r0, b0), (r1, b1) = _side_profile(blocks, 0), _side_profile(blocks, 1)
     p0 = (shared_red + r0, shared_blue + b0)
     p1 = (shared_red + r1, shared_blue + b1)
@@ -334,13 +277,6 @@ def _lift(
     return frozenset(current)
 
 
-def _rb(graph: ColoredGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
-    # (red, blue) of edges from the two matchings validated on entry
-    edges = graph.edges
-    colors = [edges[e].color for e in edge_ids]
-    return colors.count(RED), colors.count(BLUE)
-
-
 def _side(blocks: Sequence[_Block], source: int) -> frozenset[int]:
     return frozenset(e for b in blocks for e in b.edges[source ^ b.first :: 2])
 
@@ -354,46 +290,54 @@ def _side_profile(blocks: Sequence[_Block], source: int) -> tuple[int, int]:
     return red, blue
 
 
-def _solve_single_block(block: _Block, kr: int, kb: int) -> frozenset[int]:
-    # an even path is solved as the even cycle on the same colors, so a
-    # cycle block needs no separate kind
-    positions = solve_path_or_cycle(block.colors, kr, kb)
-    return frozenset(block.edges[p] for p in positions)
+def _case_glue(
+    even: list[_Block], aug0: list[_Block], aug1: list[_Block], kr: int, kb: int
+) -> frozenset[int]:
+    """Glue every block into one even cycle, solve, strip dummies, repair.
 
+    Layout: the cycles and even paths, oriented, by smallest edge id; the
+    odd paths in (aug1, aug0) pairs by the pair's smallest edge id; each
+    leftover aug1 path followed by a dummy yellow edge.  Matching-0 edges
+    land on even positions.  An opened cycle's ends share a vertex, and in a
+    proper block they differ in color: if the selector takes both, the end
+    edge goes when the start edge is red or the end edge blue, else the
+    start edge.
+    """
+    if len(aug0) > len(aug1):
+        raise ValueError("more paths augment the larger matching than the smaller")
+    for b in even:
+        _orient_start_source0(b)
+    pairs = sorted(zip(aug1, aug0), key=lambda p: min(p[0].min_edge, p[1].min_edge))
+    pieces = [(b, False) for b in sorted(even, key=lambda b: b.min_edge)]
+    pieces += [(b, False) for pair in pairs for b in pair]
+    pieces += [(b, True) for b in aug1[len(aug0):]]
 
-def _case_glue(blocks: list[_Block], kr: int, kb: int) -> frozenset[int]:
-    """Glue everything into one cycle, solve, strip dummies, repair."""
-    glued = glue_components(blocks)
-    positions = solve_even_cycle(glued.colors, kr, kb)
-    chosen = set(positions)
-    conflicts = []
-    for start, end in glued.opened:
-        if start in chosen and end in chosen:
-            conflicts.append((start, end))
+    colors: list[str] = []
+    edge_map: list[int | None] = []
+    opened: list[tuple[int, int]] = []  # (start, end) positions of a cycle
+    for block, padded in pieces:
+        if len(colors) % 2 != block.first:
+            raise InvariantError("first-matching edges must land on even glued positions")
+        if block.is_cycle:
+            opened.append((len(colors), len(colors) + len(block) - 1))
+        colors += block.colors
+        edge_map += block.edges
+        if padded:
+            colors.append(YELLOW)
+            edge_map.append(None)
+    if len(colors) % 2 != 0:
+        raise InvariantError("glued cycle has odd length")
+
+    chosen = set(solve_even_cycle(colors, kr, kb))
+    conflicts = [(s, e) for s, e in opened if s in chosen and e in chosen]
     if len(conflicts) > 1:
         raise InvariantError("two opened cycles conflict; contradiction with parity")
     if conflicts:
-        start, end = conflicts[0]
-        ca, cb = glued.colors[start], glued.colors[end]
-        if ca == RED and cb == RED:
-            raise InvariantError("both conflicting edges red in a proper component")
-        if ca == RED:
-            drop = end
-        elif cb == RED:
-            drop = start
-        elif ca == BLUE:
-            drop = start
-        elif cb == BLUE:
-            drop = end
-        else:
+        [(start, end)] = conflicts
+        if colors[start] == colors[end]:
             raise InvariantError("conflicting edges share a color in a proper component")
-        chosen.discard(drop)
-    out = set()
-    for p in chosen:
-        orig = glued.edge_map[p]
-        if orig is not None:
-            out.add(orig)
-    return frozenset(out)
+        chosen.discard(end if colors[start] == RED or colors[end] == BLUE else start)
+    return frozenset(edge_map[p] for p in chosen if edge_map[p] is not None)
 
 
 def _solve_blocks(
@@ -404,15 +348,11 @@ def _solve_blocks(
     records: list[_Record],
 ) -> frozenset[int]:
     """Matching of the contracted blocks with exactly kr red and kb or kb - 1
-    blue edges.
-
-    A requirement at a side's profile takes that side, and one block goes to
-    the cycle selector.  Slack (unequal sides or a yellow edge) glues every
-    block into one cycle.  Otherwise the sides are equal and red-blue only:
-    odd paths are joined in pairs and the result solved again, and with no
-    odd path left one component is peeled off, the half of it that keeps the
-    requirement on the rest's segment taken, and the rest solved.
-    """
+    blue edges: a side at its profile, the selector on a single block, the
+    glue case with slack, else the odd paths joined in pairs and solved
+    again, else one component peeled off, the half of it that keeps the
+    requirement on the rest's segment taken, and the rest solved."""
+    even, aug0, aug1 = _classify(blocks)
     p0, p1 = _side_profile(blocks, 0), _side_profile(blocks, 1)
     if not on_segment((kr, kb), p0, p1):
         raise InvariantError(f"requirement {(kr, kb)} left the segment {p0}..{p1}")
@@ -421,14 +361,16 @@ def _solve_blocks(
     if (kr, kb) == p1:
         return _side(blocks, 1)
     if len(blocks) == 1:
-        return _solve_single_block(blocks[0], kr, kb)
-    rest, aug0, aug1 = _classify(blocks)
+        # a path is solved as the cycle that closes it, so no kind is needed
+        block = blocks[0]
+        positions = solve_path_or_cycle(block.colors, kr, kb)
+        return frozenset(block.edges[p] for p in positions)
     # the sides differ in size exactly when the two kinds of odd path differ
     # in number
     if len(aug0) != len(aug1) or any(YELLOW in b.colors for b in blocks):
-        return _case_glue(blocks, kr, kb)
+        return _case_glue(even, aug0, aug1, kr, kb)
 
-    for b in rest:
+    for b in even:
         _orient_start_source0(b)
     if aug0:
         # a joined path starts in matching 0 and has even length, so every
@@ -446,15 +388,13 @@ def _solve_blocks(
             kr -= dr
             kb -= db
             if len(joined):
-                rest.append(joined)
-        return _solve_blocks(rest, kr, kb, classes, records)
+                even.append(joined)
+        return _solve_blocks(even, kr, kb, classes, records)
 
-    # component types: even part red vs even part blue (strict alternation)
-    def block_type(b: _Block) -> str:
-        return "RB" if b.colors[b.first] == RED else "BR"
-
-    crossing = "RB" if p1[0] > p0[0] else "BR"
-    candidates = [b for b in blocks if block_type(b) == crossing]
+    # every block is red-blue and proper: peel one whose matching-0 edges
+    # are red exactly when the red count grows toward side 1
+    red_first = p1[0] > p0[0]
+    candidates = [b for b in blocks if (b.colors[b.first] == RED) == red_first]
     if candidates:
         chosen = min(candidates, key=lambda b: b.min_edge)
     else:

@@ -165,6 +165,13 @@ def test_gen_round_trip(capsys):
     assert first.startswith("cycle ")
 
 
+@pytest.mark.parametrize("mode", ["random_graph", "random_cycle", "feasible_profile"])
+def test_gen_rejects_nodes_over_the_cap(capsys, mode):
+    assert main(["gen", "--mode", mode, "--nodes", "3000", "--seed", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "3000 vertices exceeds oracle cap 20" in captured.err
+
+
 def test_verify_subcommand(tmp_path, capsys):
     p = tmp_path / "one.txt"
     p.write_text("graph 2\ne 0 1 R\nrequire 1 0\n")

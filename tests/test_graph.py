@@ -40,8 +40,10 @@ def test_color_profile_fig3_odd_edges():
 
 def test_color_profile_rejects_out_of_range():
     g = cycle_graph(FIG1)
-    with pytest.raises(ValueError):
-        color_profile(g, {99})
+    # a non-int id is rejected like every other bad id
+    for ids in ({99}, ["0"], [None]):
+        with pytest.raises(ValueError, match="edge set is not a matching"):
+            color_profile(g, ids)
 
 
 def test_validate_matching_cases():

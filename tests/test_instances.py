@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbymatch import instances
 from rbymatch.errors import CapExceededError, ParseError
 from rbymatch.graph import ColoredGraph, color_profile, validate_matching
 from rbymatch.instances import (
@@ -109,6 +110,29 @@ def test_generator_zero_density_edgeless():
     text = generate_instance(spec)
     g, kr, kb = parse_instance(text)
     assert g.edge_count == 0 and (kr, kb) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "mode, vertex_count",
+    [(RANDOM_GRAPH, 21), (RANDOM_CYCLE, 22), (FEASIBLE_PROFILE, 21)],
+)
+def test_generator_rejects_counts_over_the_vertex_cap(monkeypatch, mode, vertex_count):
+    # the cap is checked before any graph is built
+    def unbuilt(*args):
+        raise AssertionError("graph built past the vertex cap")
+
+    monkeypatch.setattr(instances, "ColoredGraph", unbuilt)
+    monkeypatch.setattr(instances, "cycle_graph", unbuilt)
+    with pytest.raises(CapExceededError, match=f"{vertex_count} vertices"):
+        generate_instance(GenSpec(mode=mode, vertex_count=vertex_count))
+
+
+@pytest.mark.parametrize("mode, vertex_count", [(RANDOM_GRAPH, 20), (RANDOM_CYCLE, 21)])
+def test_generator_keeps_counts_at_the_vertex_cap(mode, vertex_count):
+    # read the header only: a 20-vertex random graph may still have more
+    # edges than the cap allows
+    header = generate_instance(GenSpec(mode=mode, vertex_count=vertex_count)).split()[:2]
+    assert header == ["graph", "20"] or (header[0] == "cycle" and len(header[1]) == 20)
 
 
 def test_generator_feasible_profile_is_lp_feasible():

@@ -25,7 +25,6 @@ from rbymatch.union import (
     _reverse_block,
     _rotate_cycle,
     combine_two_matchings,
-    glue_components,
 )
 
 
@@ -38,29 +37,34 @@ def _two_cycles_instance() -> ColoredGraph:
     return ColoredGraph(16, edges)
 
 
-def _glue(g: ColoredGraph, m0, m1):
-    return glue_components(
-        [_block_from_component(c) for c in symdiff_components(g, m0, m1)]
-    )
+def _glue(monkeypatch, g: ColoredGraph, m0, m1, positions):
+    # the glue case on the blocks of m0 and m1, its selector replaced by one
+    # that records the glued colors and takes the given positions
+    glued = []
+
+    def select(colors, kr, kb):
+        glued.append("".join(colors))
+        return frozenset(positions)
+
+    monkeypatch.setattr(union, "solve_even_cycle", select)
+    blocks = [_block_from_component(c) for c in symdiff_components(g, m0, m1)]
+    return glued, union._case_glue(*union._classify(blocks), 0, 0)
 
 
-def test_glue_single_augmenting_pair():
+def test_glue_single_augmenting_pair(monkeypatch):
     g = ColoredGraph(4, [(0, 1, "R"), (2, 3, "B")])
-    glued = _glue(g, {0}, {1})
-    assert glued.colors == ("R", "B")
-    assert glued.edge_map == (0, 1)
-    assert glued.opened == ()
+    assert _glue(monkeypatch, g, {0}, {1}, {0, 1}) == (["RB"], {0, 1})
+    assert _glue(monkeypatch, g, {0}, {1}, {1}) == (["RB"], {1})
 
 
-def test_glue_single_leftover_path_gets_dummy():
+def test_glue_single_leftover_path_gets_dummy(monkeypatch):
     g = ColoredGraph(2, [(0, 1, "R")])
-    glued = _glue(g, {0}, set())
-    assert glued.colors == ("R", "Y")
-    assert glued.edge_map == (0, None)
-    assert glued.opened == ()
+    # the dummy at position 1 maps to no edge
+    assert _glue(monkeypatch, g, {0}, set(), {0, 1}) == (["RY"], {0})
+    assert _glue(monkeypatch, g, {0}, set(), {1}) == (["RY"], set())
 
 
-def test_glue_two_cycles():
+def test_glue_two_cycles(monkeypatch):
     g = _two_cycles_instance()
     # matching of all red/blue edges: even positions within each cycle
     m0 = frozenset(i for i in range(8) if i % 2 == 0) | frozenset(
@@ -71,10 +75,50 @@ def test_glue_two_cycles():
     )
     comps = symdiff_components(g, m0, m1)
     assert [c.is_cycle for c in comps] == [True, True]
-    glued = _glue(g, m0, m1)
-    assert len(glued.colors) == 16
-    assert None not in glued.edge_map
-    assert glued.opened == ((0, 7), (8, 15))
+    glued = ["RY" * 4 + "BY" * 4]
+    # the opened spans are (0, 7) and (8, 15): taking both ends of one drops
+    # one end, the end after a red start and the start before a yellow end
+    assert _glue(monkeypatch, g, m0, m1, {0, 7}) == (glued, {0})
+    assert _glue(monkeypatch, g, m0, m1, {8, 15}) == (glued, {15})
+    assert _glue(monkeypatch, g, m0, m1, {7, 8}) == (glued, {7, 8})
+    with pytest.raises(InvariantError, match="two opened cycles"):
+        _glue(monkeypatch, g, m0, m1, {0, 7, 8, 15})
+
+
+def _cycle_block(colors: str):
+    # even ids form m0, so the block starts at edge 0 in matching 0 and no
+    # orientation rotates it: its opened ends are edges 0 and n - 1
+    g = cycle_graph(colors)
+    m0 = frozenset(range(0, len(colors), 2))
+    (comp,) = symdiff_components(g, m0, frozenset(range(g.edge_count)) - m0)
+    block = _block_from_component(comp)
+    assert block.edges == list(range(len(colors))) and block.first == 0
+    return block
+
+
+@pytest.mark.parametrize(
+    "colors, kept",
+    [
+        ("RYRB", 0),  # red start: the end goes
+        ("RBRY", 0),
+        ("BRBR", 3),  # red end: the start goes
+        ("YRYR", 3),
+        ("BRBY", 3),  # blue start, yellow end: the start goes
+        ("YRYB", 0),  # yellow start, blue end: the end goes
+    ],
+)
+def test_glue_repairs_an_opened_cycle(monkeypatch, colors, kept):
+    # the selector takes both ends of the opened cycle, which share vertex 0
+    n = len(colors)
+    monkeypatch.setattr(union, "solve_even_cycle", lambda c, kr, kb: frozenset({0, n - 1}))
+    assert union._case_glue([_cycle_block(colors)], [], [], 0, 0) == {kept}
+
+
+def test_glue_rejects_opened_ends_of_one_color(monkeypatch):
+    # an uncontracted block: its ends are both red
+    monkeypatch.setattr(union, "solve_even_cycle", lambda c, kr, kb: frozenset({0, 3}))
+    with pytest.raises(InvariantError, match="in a proper component"):
+        union._case_glue([_cycle_block("RBYR")], [], [], 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -466,3 +510,34 @@ def test_combine_validates_each_matching_once(monkeypatch):
         combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
         assert calls == 3
         combined += 1
+
+
+def test_classify_runs_once_per_level(monkeypatch):
+    # benchmark-shaped requests as above: every _solve_blocks level sorts
+    # its blocks into kinds once, glue levels included
+    counts = dict.fromkeys(("_solve_blocks", "_classify", "_case_glue"), 0)
+    for name in counts:
+
+        def counted(*args, name=name, original=getattr(union, name)):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(union, name, counted)
+    rng = random.Random(18)
+    combined = glued = 0
+    while combined < 60:
+        edges = []
+        for _ in range(rng.randrange(20, 41)):
+            u, v = rng.sample(range(20), 2)
+            edges.append((u, v, rng.choice("RBY")))
+        g = ColoredGraph(20, edges)
+        ma, mb = _maximal_matching(rng, g), _maximal_matching(rng, g)
+        pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)[1:-1]
+        if not pts:
+            continue
+        counts.update(dict.fromkeys(counts, 0))
+        combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
+        assert counts["_classify"] == counts["_solve_blocks"] > 0
+        glued += counts["_case_glue"]
+        combined += 1
+    assert glued > 0
