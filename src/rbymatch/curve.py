@@ -10,13 +10,15 @@ pairs between the curve and its translate by a lattice offset.
 
 All arithmetic is in integer coordinates.  Side classification scales the
 plane by four, so that the curve's breakpoints, its segment midpoints and
-every probe are integer points; a Fraction appears only at the public
-boundary, in `periodic_eval`, in the points handed to `PeriodicCurve` and in
-the fields of `CrossingPair`.  Pair searches are exhaustive integer scans,
-since unit-move curves and their lattice translates meet only at integer
-points; period lengths are small at the scale this package targets, and
-certified search plus verification is the executable counterpart of the
-existence guarantees the solvers rely on.
+every probe are integer points.  `periodic_eval` computes in integers on
+t's numerator and denominator and builds its two Fractions once, so a
+Fraction appears only at the public boundary: in what `periodic_eval`
+returns, in the points handed to `PeriodicCurve` and in the fields of
+`CrossingPair`.  Pair searches are exhaustive integer scans, since unit-move
+curves and their lattice translates meet only at integer points; period
+lengths are small at the scale this package targets, and certified search
+plus verification is the executable counterpart of the existence guarantees
+the solvers rely on.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ MOVE_OF_PAIR: dict[tuple[str, str], IntPoint] = {
 }
 PAIR_OF_MOVE = {m: p for p, m in MOVE_OF_PAIR.items()}
 UNIT_MOVES = frozenset(PAIR_OF_MOVE)
-
-
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
 
 
 def _sub(a, b):
@@ -89,13 +87,14 @@ class LatticePolyline:
 
     @property
     def moves(self) -> tuple[IntPoint, ...]:
-        return tuple(_sub(b, a) for a, b in zip(self.points, self.points[1:]))
+        pts = self.points
+        return tuple((bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:]))
 
 
 def polyline_from_moves(moves: Iterable[IntPoint], origin: IntPoint = (0, 0)) -> LatticePolyline:
     pts = [origin]
     for m in moves:
-        pts.append(_add(pts[-1], m))
+        pts.append((pts[-1][0] + m[0], pts[-1][1] + m[1]))
     return LatticePolyline(tuple(pts))
 
 
@@ -126,24 +125,23 @@ def imbalance_curve(cycle: CycleOrPath | str | Sequence[str]) -> LatticePolyline
 def periodic_eval(polyline: LatticePolyline, t) -> Point:
     """d-infinity(t): periodic extension with linear interpolation."""
     t = Fraction(t)
-    ell = polyline.period_length
-    k = t // ell
-    r = t - k * ell
-    i = int(r)
-    frac = r - i
-    a = polyline.points[i]
-    b = polyline.points[i + 1]
-    base = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-    dx, dy = polyline.period_shift
-    return (base[0] + k * dx, base[1] + k * dy)
+    num, den = t.numerator, t.denominator  # t lies part/den along segment i of period k
+    pts = polyline.points
+    (x0, y0), (xl, yl) = pts[0], pts[-1]
+    k, rem = divmod(num, den * (len(pts) - 1))
+    i, part = divmod(rem, den)
+    (ax, ay), (bx, by) = pts[i], pts[i + 1]
+    return (
+        Fraction((ax + k * (xl - x0)) * den + part * (bx - ax), den),
+        Fraction((ay + k * (yl - y0)) * den + part * (by - ay), den),
+    )
 
 
 def _eval_int(polyline: LatticePolyline, t: int) -> IntPoint:
-    ell = polyline.period_length
-    k, r = divmod(t, ell)
-    dx, dy = polyline.period_shift
-    p = polyline.points[r]
-    return (p[0] + k * dx, p[1] + k * dy)
+    pts = polyline.points
+    k, r = divmod(t, len(pts) - 1)
+    (x0, y0), (xl, yl), (x, y) = pts[0], pts[-1], pts[r]
+    return (x + k * (xl - x0), y + k * (yl - y0))
 
 
 def check_injective(polyline: LatticePolyline) -> bool:
@@ -193,7 +191,9 @@ class PeriodicCurve:
     Everything here runs in integer coordinates scaled by four, which make the
     quarter lattice integral: it holds the curve's breakpoints, the midpoints
     of its segments and every probe.  `on_curve` and `side_of` convert their
-    point once and reject a point off that lattice with a ValueError.
+    point once and reject a point off that lattice with a ValueError.  The
+    constructor builds its point set and ray crossers in plain tuple
+    arithmetic, and a classification finds its copies of the period once.
 
     The plane minus the curve has exactly two connected components.  Side
     labels are fixed deterministically: the component adjacent to the left of
@@ -214,31 +214,33 @@ class PeriodicCurve:
     ON = "on"
 
     def __init__(self, polyline: LatticePolyline):
-        delta = polyline.period_shift
-        if delta == (0, 0):
-            raise ValueError("periodic curve requires a nonzero period shift")
         pts, moves = polyline.points, polyline.moves
-        h = self._held = 1 if delta[1] else 0
+        (x0, y0), (xl, yl) = pts[0], pts[-1]
+        if xl == x0 and yl == y0:
+            raise ValueError("periodic curve requires a nonzero period shift")
+        h = self._held = 1 if yl != y0 else 0
         f = 1 - h
-        self._shift = _scale(delta, 4)
-        quads = [_scale(p, 4) for p in pts]
-        self._lo = min(p[h] for p in quads)
-        self._hi = max(p[h] for p in quads)
+        self._shift = (4 * (xl - x0), 4 * (yl - y0))
+        quads = [(4 * x, 4 * y) for x, y in pts]
+        held = [p[h] for p in quads]
+        self._lo, self._hi = min(held), max(held)
         # the 4L quarter-lattice points of one period, each segment without its end
         self._points = frozenset(
-            _add(a, _scale(m, j)) for a, m in zip(quads, moves) for j in range(4)
+            [(x + j * mx, y + j * my) for (x, y), (mx, my) in zip(quads, moves) for j in range(4)]
         )
-        # (low, high held coordinate, start, slope) of each segment the ray can cross
-        self._crossers = tuple(
-            (min(a[h], b[h]), max(a[h], b[h]), a, m[f] * m[h])
+        # (low, high held coordinate, intercept, slope) of each segment the ray
+        # can cross: at held coordinate c it has free coordinate intercept + c * slope
+        self._crossers = [
+            (min(a[h], b[h]), max(a[h], b[h]), a[f] - a[h] * m[f] * m[h], m[f] * m[h])
             for a, b, m in zip(quads, quads[1:], moves)
             if m[h]
-        )
-        a, m = pts[0], moves[0]
-        probe = (4 * a[0] + 2 * m[0] - m[1], 4 * a[1] + 2 * m[1] + m[0])
-        if self._on_curve(probe):
+        ]
+        mx, my = moves[0]
+        probe = (4 * x0 + 2 * mx - my, 4 * y0 + 2 * my + mx)
+        ks = self._k_range(probe[h])
+        if self._on_curve(probe, ks):
             raise InvariantError("the side-A reference probe lies on the curve")
-        self._ref_parity = self._ray_parity(probe)
+        self._ref_parity = self._ray_parity(probe, ks)
 
     def _k_range(self, v: int) -> range:
         """Every k whose copy, shifted by k periods, spans held coordinate v."""
@@ -248,36 +250,37 @@ class PeriodicCurve:
             step, lo, hi = -step, -hi, -lo
         return range(-(-lo // step), hi // step + 1)
 
-    def _on_curve(self, p: IntPoint) -> bool:
-        sx, sy = self._shift
-        return any(
-            (p[0] - k * sx, p[1] - k * sy) in self._points
-            for k in self._k_range(p[self._held])
-        )
+    def _on_curve(self, p: IntPoint, ks: range) -> bool:
+        (x, y), (sx, sy), points = p, self._shift, self._points
+        for k in ks:
+            if (x - k * sx, y - k * sy) in points:
+                return True
+        return False
 
-    def _ray_parity(self, p: IntPoint) -> int:
+    def _ray_parity(self, p: IntPoint, ks: range) -> int:
         h = self._held
-        f = 1 - h
+        ph, pf, sh, sf = p[h], p[1 - h], self._shift[h], self._shift[1 - h]
         count = 0
-        for k in self._k_range(p[h]):
-            ph = p[h] - k * self._shift[h]
-            pf = p[f] - k * self._shift[f]
-            for lo, hi, a, slope in self._crossers:
-                if lo <= ph < hi:
-                    at = a[f] + (ph - a[h]) * slope
-                    if at == pf:
+        for k in ks:
+            c, free = ph - k * sh, pf - k * sf
+            for lo, hi, intercept, slope in self._crossers:
+                if lo <= c < hi:
+                    at = intercept + c * slope
+                    if at == free:
                         raise InvariantError("ray test anchored on the curve")
-                    if at > pf:
+                    if at > free:
                         count += 1
         return count & 1
 
     def _side(self, p: IntPoint) -> str:
-        if self._on_curve(p):
+        ks = self._k_range(p[self._held])
+        if self._on_curve(p, ks):
             return self.ON
-        return self.SIDE_A if self._ray_parity(p) == self._ref_parity else self.SIDE_B
+        return self.SIDE_A if self._ray_parity(p, ks) == self._ref_parity else self.SIDE_B
 
     def on_curve(self, p) -> bool:
-        return self._on_curve(_quadruple(p))
+        p = _quadruple(p)
+        return self._on_curve(p, self._k_range(p[self._held]))
 
     def side_of(self, p) -> str:
         return self._side(_quadruple(p))
@@ -293,15 +296,21 @@ class IntersectingPair(NamedTuple):
 def all_intersecting_pairs(polyline: LatticePolyline, q: IntPoint) -> list[IntersectingPair]:
     """Every integer pair (u, v), 0 <= v <= L, v < u < v + L, with
     d-infinity(u) = d(v) + (q - d(0)); ordered by (v, u)."""
-    offset = _require_lattice_offset(polyline, q)
-    ell = polyline.period_length
-    pairs = []
+    return _intersecting_pairs(polyline, _require_lattice_offset(polyline, q))
+
+
+def _intersecting_pairs(polyline: LatticePolyline, offset: IntPoint) -> list[IntersectingPair]:
+    pts = polyline.points
+    ell = len(pts) - 1
+    dx, dy = pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1]
+    ox, oy = offset
     values: dict[IntPoint, list[int]] = {}
-    for u in range(1, 2 * ell):
-        values.setdefault(_eval_int(polyline, u), []).append(u)
-    for v in range(0, ell + 1):  # each u list ascends, so pairs come in (v, u) order
-        target = _add(polyline.points[v], offset)
-        for u in values.get(target, ()):
+    # d-infinity(1..2L - 1): the rest of the base period, then the next period
+    for u, p in enumerate(pts[1:] + tuple([(x + dx, y + dy) for x, y in pts[1:-1]]), 1):
+        values.setdefault(p, []).append(u)
+    pairs = []
+    for v, (x, y) in enumerate(pts):  # each u list ascends, so pairs come in (v, u) order
+        for u in values.get((x + ox, y + oy), ()):
             if v < u < v + ell:
                 pairs.append(IntersectingPair(u, v))
     return pairs
@@ -352,10 +361,10 @@ def find_crossing_pair(polyline: LatticePolyline, q: IntPoint) -> CrossingPair:
     """
     if not check_injective(polyline):
         raise ValueError("crossing search requires an injective periodic curve")
-    _require_lattice_offset(polyline, q)
+    offset = _require_lattice_offset(polyline, q)
     if q in polyline.points:  # a lattice point meets a unit segment only at its ends
         raise ValueError("q must not lie on the curve itself")
-    result = _crossing_lattice(polyline, q)
+    result = _crossing_lattice(polyline, offset)
     if result is None:
         raise CrossingNotFoundError(
             "no certified crossing pair exists; this falsifies the crossing guarantee"
@@ -364,28 +373,28 @@ def find_crossing_pair(polyline: LatticePolyline, q: IntPoint) -> CrossingPair:
     return CrossingPair(Fraction(u), Fraction(v), kind, overlap)
 
 
-def _midpoint4(polyline: LatticePolyline, t: int, offset: IntPoint) -> IntPoint:
-    """4 (d-infinity(t - 1/2) + offset): the translate's midpoint before t."""
-    a, b = _eval_int(polyline, t - 1), _eval_int(polyline, t)
-    return (2 * (a[0] + b[0]) + 4 * offset[0], 2 * (a[1] + b[1]) + 4 * offset[1])
+def _midpoint4(pts: tuple[IntPoint, ...], t: int, offset: IntPoint) -> IntPoint:
+    """4 (d(t - 1/2) + offset), 0 < t <= L: the translate's midpoint before t."""
+    (ax, ay), (bx, by) = pts[t - 1], pts[t]
+    return (2 * (ax + bx) + 4 * offset[0], 2 * (ay + by) + 4 * offset[1])
 
 
 def _crossing_lattice(
-    polyline: LatticePolyline, q: IntPoint
+    polyline: LatticePolyline, offset: IntPoint
 ) -> tuple[int, int, str, int] | None:
     """First contact (v, u), 0 < v < L, whose overlap run [s, v] the
     translate enters and leaves on opposite sides of the curve, as
     (u, v, kind, overlap length)."""
-    ell = polyline.period_length
-    offset = _sub(q, polyline.points[0])
+    pts = polyline.points
+    ell = len(pts) - 1
     curve = PeriodicCurve(polyline)
-    for u, v in all_intersecting_pairs(polyline, q):
+    for u, v in _intersecting_pairs(polyline, offset):
         if not 0 < v < ell:
             continue
         i_a = 0
         while i_a < v - 1:
             j = i_a + 1
-            if _eval_int(polyline, u - j) == _add(polyline.points[v - j], offset):
+            if _sub(_eval_int(polyline, u - j), pts[v - j]) == offset:
                 i_a = j
             else:
                 break
@@ -393,7 +402,7 @@ def _crossing_lattice(
         i_b = 0
         while i_b < cap_b:
             j = i_b + 1
-            if _eval_int(polyline, u + j) == _add(polyline.points[v - j], offset):
+            if _sub(_eval_int(polyline, u + j), pts[v - j]) == offset:
                 i_b = j
             else:
                 break
@@ -406,8 +415,8 @@ def _crossing_lattice(
         else:
             kind, i = SIMPLE, 0
         s = v - i
-        side_before = curve._side(_midpoint4(polyline, s, offset))
-        side_after = curve._side(_midpoint4(polyline, v + 1, offset))
+        side_before = curve._side(_midpoint4(pts, s, offset))
+        side_after = curve._side(_midpoint4(pts, v + 1, offset))
         if PeriodicCurve.ON in (side_before, side_after):
             continue
         if side_before != side_after:

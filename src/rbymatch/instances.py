@@ -172,7 +172,9 @@ def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
 
     Raises CapExceededError before drawing anything if the instance would
     have more vertices than the cap allows; a cycle has the spec's vertex
-    count rounded down to even, and at least 2.
+    count rounded down to even, and at least 2.  A graph drawn with more
+    edges than the cap allows raises it too, so no mode writes an instance
+    that `parse_instance` rejects.
     """
     n = spec.vertex_count
     if spec.mode == RANDOM_CYCLE:
@@ -198,9 +200,9 @@ def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
             if rng.randrange(density.denominator) < density.numerator:
                 edges.append((u, v, pick()))
     g = ColoredGraph(n, edges)
+    check_cap(g, cap)
 
     if spec.mode == FEASIBLE_PROFILE:
-        check_cap(g, cap)
         matchings = list(enumerate_matchings(g, cap=cap))
         chosen = matchings[rng.randrange(len(matchings))]
         prof = color_profile(g, chosen)

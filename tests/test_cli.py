@@ -172,6 +172,12 @@ def test_gen_rejects_nodes_over_the_cap(capsys, mode):
     assert captured.out == "" and "3000 vertices exceeds oracle cap 20" in captured.err
 
 
+def test_gen_rejects_edge_counts_over_the_cap(capsys):
+    assert main(["gen", "--mode", "random_graph", "--nodes", "20", "--seed", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "57 edges exceeds oracle cap 40" in captured.err
+
+
 def test_verify_subcommand(tmp_path, capsys):
     p = tmp_path / "one.txt"
     p.write_text("graph 2\ne 0 1 R\nrequire 1 0\n")

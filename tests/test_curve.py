@@ -17,6 +17,7 @@ from rbymatch.curve import (
     SIMPLE,
     LatticePolyline,
     PeriodicCurve,
+    _eval_int,
     all_intersecting_pairs,
     check_injective,
     find_crossing_pair,
@@ -120,6 +121,38 @@ def test_periodicity_holds_for_any_move_polyline(moves, t):
     a = periodic_eval(p, t + p.period_length)
     b = periodic_eval(p, t)
     assert a == (b[0] + dx, b[1] + dy)
+
+
+def _fraction_periodic_eval(polyline, t):
+    """The Fraction formula periodic_eval replaced, kept as the reference."""
+    t = Fraction(t)
+    ell = polyline.period_length
+    k = t // ell
+    r = t - k * ell
+    i = int(r)
+    frac = r - i
+    a = polyline.points[i]
+    b = polyline.points[i + 1]
+    base = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
+    dx, dy = polyline.period_shift
+    return (base[0] + k * dx, base[1] + k * dy)
+
+
+def test_periodic_eval_matches_fraction_reference():
+    # negative t and t several periods out, on every segment of each polyline
+    rng = random.Random(1919)
+    moves = sorted(MOVE_OF_PAIR.values())
+    for ell in range(1, 16):
+        for _ in range(3):
+            p = polyline_from_moves(rng.choice(moves) for _ in range(ell))
+            for den in (1, 2, 3, 4, 7):
+                for num in range(-60, 60):
+                    t = Fraction(num, den)
+                    point = periodic_eval(p, t)
+                    assert point == _fraction_periodic_eval(p, t), (p.points, t)
+                    assert all(type(c) is Fraction for c in point)
+            for t in range(-40, 40):
+                assert _eval_int(p, t) == periodic_eval(p, t), (p.points, t)
 
 
 def test_integrality_of_lattice_points():
@@ -607,3 +640,13 @@ def test_periodic_curve_rejects_points_off_the_quarter_lattice():
             curve.on_curve(p)
     assert curve.side_of((Fraction(1, 4), Fraction(-3, 4))) != PeriodicCurve.ON
 
+
+
+
+def test_curve_calls_leave_the_polyline_unmemoized():
+    # the benchmark serves the same polyline objects on every pass, so data
+    # memoized on one would make later passes cheaper than a fresh request
+    poly = imbalance_curve(FIG3)
+    cp = find_crossing_pair(poly, (2, 1))
+    PeriodicCurve(poly).side_of(periodic_eval(poly, cp.v + Fraction(1, 2)))
+    assert vars(poly) == {"points": poly.points}

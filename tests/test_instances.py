@@ -127,12 +127,25 @@ def test_generator_rejects_counts_over_the_vertex_cap(monkeypatch, mode, vertex_
         generate_instance(GenSpec(mode=mode, vertex_count=vertex_count))
 
 
-@pytest.mark.parametrize("mode, vertex_count", [(RANDOM_GRAPH, 20), (RANDOM_CYCLE, 21)])
-def test_generator_keeps_counts_at_the_vertex_cap(mode, vertex_count):
-    # read the header only: a 20-vertex random graph may still have more
-    # edges than the cap allows
-    header = generate_instance(GenSpec(mode=mode, vertex_count=vertex_count)).split()[:2]
-    assert header == ["graph", "20"] or (header[0] == "cycle" and len(header[1]) == 20)
+@pytest.mark.parametrize(
+    "mode, vertex_count, seed",
+    [
+        pytest.param(RANDOM_GRAPH, 20, 5, id="random_graph-20"),
+        pytest.param(RANDOM_CYCLE, 21, 0, id="random_cycle-21"),
+    ],
+)
+def test_generator_keeps_counts_at_the_vertex_cap(mode, vertex_count, seed):
+    # seed 5 draws exactly 40 edges on 20 vertices: both caps are met, not passed
+    spec = GenSpec(mode=mode, vertex_count=vertex_count, seed=seed)
+    g, _, _ = parse_instance(generate_instance(spec))
+    assert g.vertex_count == 20
+    assert mode == RANDOM_CYCLE or g.edge_count == DEFAULT_CAP.max_edges
+
+
+def test_generator_rejects_edge_counts_over_the_cap():
+    # seed 0 draws 57 edges on 20 vertices, which parse_instance would reject
+    with pytest.raises(CapExceededError, match="57 edges exceeds oracle cap 40"):
+        generate_instance(GenSpec(RANDOM_GRAPH, 20, seed=0))
 
 
 def test_generator_feasible_profile_is_lp_feasible():
