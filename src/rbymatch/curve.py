@@ -50,10 +50,6 @@ def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _scale(a, s):
-    return (a[0] * s, a[1] * s)
-
-
 def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -154,12 +150,12 @@ def check_injective(polyline: LatticePolyline) -> bool:
     representative per class of points modulo delta, so the curve is
     injective iff the L representatives are distinct.
     """
-    delta = polyline.period_shift
-    if delta == (0, 0):
+    pts = polyline.points
+    dx, dy = pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1]
+    if dx == dy == 0:
         return False
-    h = 0 if delta[0] else 1
-    reps = {_sub(p, _scale(delta, p[h] // delta[h])) for p in polyline.points[:-1]}
-    return len(reps) == polyline.period_length
+    reps = {(x - (k := x // dx if dx else y // dy) * dx, y - k * dy) for x, y in pts[:-1]}
+    return len(reps) == len(pts) - 1
 
 
 def on_segment(p, a, b) -> bool:
@@ -187,6 +183,10 @@ def _quadruple(p) -> IntPoint:
 
 class PeriodicCurve:
     """Point classification against an injective periodic polyline.
+
+    The constructor rejects a polyline with a zero period shift or one that
+    `check_injective` rejects with a ValueError, since only an injective
+    curve cuts the plane into the two components the labels name.
 
     Everything here runs in integer coordinates scaled by four, which make the
     quarter lattice integral: it holds the curve's breakpoints, the midpoints
@@ -218,6 +218,8 @@ class PeriodicCurve:
         (x0, y0), (xl, yl) = pts[0], pts[-1]
         if xl == x0 and yl == y0:
             raise ValueError("periodic curve requires a nonzero period shift")
+        if not check_injective(polyline):
+            raise ValueError("periodic curve requires an injective polyline")
         h = self._held = 1 if yl != y0 else 0
         f = 1 - h
         self._shift = (4 * (xl - x0), 4 * (yl - y0))
@@ -359,12 +361,11 @@ def find_crossing_pair(polyline: LatticePolyline, q: IntPoint) -> CrossingPair:
     Failure to find one would falsify a structural guarantee and raises
     CrossingNotFoundError.
     """
-    if not check_injective(polyline):
-        raise ValueError("crossing search requires an injective periodic curve")
+    curve = PeriodicCurve(polyline)  # a ValueError unless the curve is injective
     offset = _require_lattice_offset(polyline, q)
     if q in polyline.points:  # a lattice point meets a unit segment only at its ends
         raise ValueError("q must not lie on the curve itself")
-    result = _crossing_lattice(polyline, offset)
+    result = _crossing_lattice(polyline, curve, offset)
     if result is None:
         raise CrossingNotFoundError(
             "no certified crossing pair exists; this falsifies the crossing guarantee"
@@ -380,14 +381,13 @@ def _midpoint4(pts: tuple[IntPoint, ...], t: int, offset: IntPoint) -> IntPoint:
 
 
 def _crossing_lattice(
-    polyline: LatticePolyline, offset: IntPoint
+    polyline: LatticePolyline, curve: PeriodicCurve, offset: IntPoint
 ) -> tuple[int, int, str, int] | None:
     """First contact (v, u), 0 < v < L, whose overlap run [s, v] the
-    translate enters and leaves on opposite sides of the curve, as
-    (u, v, kind, overlap length)."""
+    translate enters and leaves on opposite sides of ``curve``, the
+    polyline's, as (u, v, kind, overlap length)."""
     pts = polyline.points
     ell = len(pts) - 1
-    curve = PeriodicCurve(polyline)
     for u, v in _intersecting_pairs(polyline, offset):
         if not 0 < v < ell:
             continue

@@ -9,7 +9,8 @@ generated only when iterated; the solver activates them in rounds until
 none is violated, which yields a basic optimal solution of the full model
 (a vertex of a relaxation that is feasible for the full region is a vertex
 of it).  Separation and tightness scans run in integers, on the support
-scaled by the lcm of its reduced denominators.
+scaled by the lcm of its reduced denominators, as a search pruned by each
+odd set's degree slack plus cut (``_odd_sets``).
 
 Both scans read the optimum's structure first.  At a point x of the degree
 rows, an edge with x_e = 1 leaves its two ends no other support edge, and
@@ -68,12 +69,7 @@ class BlossomRow:
 
     def edge_ids(self, graph: ColoredGraph) -> list[int]:
         mask = self.vertex_mask
-        out = []
-        for eid in range(graph.edge_count):
-            u, v = graph.endpoints(eid)
-            if (mask >> u) & 1 and (mask >> v) & 1:
-                out.append(eid)
-        return out
+        return [eid for eid, (u, v, _) in enumerate(graph.edges) if (mask >> u) & (mask >> v) & 1]
 
 
 @dataclass(frozen=True)
@@ -163,38 +159,63 @@ def _odd_sets(
     support edges whose excess 2 * den * (x(E(S)) - rhs) is 0 (tight) or > 0
     (violated), by mask.
 
-    The scan covers every vertex the given edges touch, 2^s subsets for s
-    vertices.  The solver passes only the fractional edges (0 < x_e < 1) of
-    a point of the degree rows: it finds a violated set iff the full support
-    has one, its violated sets rank the support's (``_top_violated``), and
-    its tight sets with the tight degree rows span every tight blossom row
-    on the support (see the module docstring).
+    With X = den * x and slacks s_v = den - X(delta(v)), a set T has excess
+    den - c(T) at cost c(T) = s(T) + X(delta(T)).  At a point of the degree
+    rows (every s_v >= 0, else InvariantError) a partial set's cost never
+    falls, so a search over the covered vertices in breadth-first order drops
+    it once the cost passes den (tight) or reaches den (violated).  The work
+    follows the qualifying sets, not the 2^s subsets of s vertices, but is
+    not polynomial: k disjoint half-integral triangles have 2^(k-1) violated
+    unions.  The solver passes the fractional edges (0 < x_e < 1) of an LP
+    point: it finds a violated set iff the full support has one, its violated
+    sets rank the support's (``_top_violated``), and its tight sets with the
+    tight degree rows span every tight blossom row on the support (see the
+    module docstring).
     """
-    covered = 0
-    pair: dict[int, int] = {}
+    slack: dict[int, int] = {}
+    adjacent: dict[int, dict[int, int]] = {}
     for emask, x in support:
-        covered |= emask
-        pair[emask] = pair.get(emask, 0) + 2 * x
-    # g[T] = 2 den x(E(T)) - den (|T| - 1) over the subsets T of the vertices
-    # added so far, indexed by local mask (bit k for vertices[k]); adding v
-    # appends g[T + v] = g[T] + a[T] for every T, a[T] = 2 den x(E(v, T)) - den
-    vertices = [v for v in range(covered.bit_length()) if (covered >> v) & 1]
-    g = [den]
-    for k, v in enumerate(vertices):
-        a = [-den]
-        for u in vertices[:k]:
-            w = pair.get((1 << u) | (1 << v), 0)
-            a = a + [t + w for t in a] if w else a * 2
-        g += [s + t for s, t in zip(g, a)]
-    if tight:
-        selected = [t for t, excess in enumerate(g) if excess == 0]
-    else:
-        selected = [t for t, excess in enumerate(g) if excess > 0]
-    return [
-        (sum(1 << v for k, v in enumerate(vertices) if (t >> k) & 1), size // 2, g[t])
-        for t in selected
-        if (size := t.bit_count()) & 1 and size >= 3
-    ]
+        low = emask & -emask
+        for v, u in ((low, emask ^ low), (emask ^ low, low)):
+            slack[v] = slack.get(v, den) - x
+            row = adjacent.setdefault(v, {})
+            row[u] = row.get(u, 0) + x
+    if any(s < 0 for s in slack.values()):
+        raise InvariantError("odd-set scan needs a point of the degree rows")
+    # (mask, cost so far) of each partial set over the decided vertices; the
+    # cost counts the slacks taken and X on edges cut between decided vertices
+    bound = den if tight else den - 1
+    partial = [(0, 0)]
+    queued = decided = 0
+    for start in sorted(slack):
+        queue = [] if start & queued else [start]
+        queued |= start
+        for v in queue:
+            # X from v into each subset of its decided neighbours
+            back = 0
+            inside = {0: 0}
+            for u, x in adjacent[v].items():
+                if u & decided:
+                    back |= u
+                    inside.update([(k | u, w + x) for k, w in inside.items()])
+                elif not u & queued:
+                    queued |= u
+                    queue.append(u)
+            decided |= v
+            taken = slack[v] + inside[back]
+            grown = []
+            for mask, cost in partial:
+                w = inside[mask & back]
+                if cost + w <= bound:
+                    grown.append((mask, cost + w))
+                if cost + taken - w <= bound:
+                    grown.append((mask | v, cost + taken - w))
+            partial = grown
+    return sorted(
+        (mask, size // 2, den - cost)
+        for mask, cost in partial
+        if (size := mask.bit_count()) & 1 and size >= 3 and (cost == den or not tight)
+    )
 
 
 def _top_violated(
@@ -208,10 +229,13 @@ def _top_violated(
     T's excess (see the module docstring).  The pairs are disjoint, so
     building the unions in ascending pair order lists them by mask, and
     so does ``T | union`` for one T: the group's first ``room`` sets lie
-    among the first ``room`` unions of each of its sets T.
+    among the first ``room`` unions of each of its sets T.  Later unions sort
+    after earlier ones, so the doubling stops once ``limit`` are built.
     """
     unions = [(0, 0)]  # (mask, pairs in it)
     for pair in sorted(unit_pairs):
+        if len(unions) >= limit:
+            break
         unions += [(mask | pair, count + 1) for mask, count in unions]
     groups: dict[int, list[tuple[int, int]]] = {}
     for mask, rhs, excess in violated:

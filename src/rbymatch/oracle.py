@@ -48,26 +48,31 @@ def enumerate_matchings(
         for eid in candidates:
             if not (0 <= eid < graph.edge_count):
                 raise ValueError(f"edge id {eid} out of range")
-    endpoints = [graph.endpoints(e) for e in candidates]
+    masks = [(1 << u) | (1 << v) for u, v in map(graph.endpoints, candidates)]
 
-    used: set[int] = set()
-    chosen: list[int] = []
-
-    def rec(start: int) -> Iterator[frozenset[int]]:
-        yield frozenset(chosen)
-        for idx in range(start, len(candidates)):
-            u, v = endpoints[idx]
-            if u in used or v in used:
+    def walk() -> Iterator[frozenset[int]]:
+        # depth-first on an explicit stack, so a yield costs the same at any
+        # depth: resume[i] is the next candidate to try at depth i, and the
+        # edge that opened depth i sits just before resume[i - 1]
+        used, ids, resume = 0, [], [0]
+        yield frozenset()
+        while resume:
+            idx = resume[-1]
+            while idx < len(masks) and used & masks[idx]:
+                idx += 1
+            if idx == len(masks):
+                resume.pop()
+                if resume:
+                    used ^= masks[resume[-1] - 1]
+                    ids.pop()
                 continue
-            used.add(u)
-            used.add(v)
-            chosen.append(candidates[idx])
-            yield from rec(idx + 1)
-            chosen.pop()
-            used.discard(u)
-            used.discard(v)
+            resume[-1] = idx + 1
+            used |= masks[idx]
+            ids.append(candidates[idx])
+            resume.append(idx + 1)
+            yield frozenset(ids)
 
-    return rec(0)
+    return walk()
 
 
 def _search_best(

@@ -357,6 +357,16 @@ def test_crossing_requires_injective():
         find_crossing_pair(p, (0, 0))
 
 
+def test_periodic_curve_rejects_a_non_injective_polyline():
+    # a unit square repeated up the y axis: nonzero shift, self-touching copies
+    poly = polyline_from_moves([(1, 0), (0, 1), (-1, 0), (0, -1), (0, 1)])
+    assert poly.period_shift == (0, 1) and not check_injective(poly)
+    with pytest.raises(ValueError, match="injective"):
+        PeriodicCurve(poly)
+    with pytest.raises(ValueError, match="nonzero period shift"):
+        PeriodicCurve(imbalance_curve("RBBR"))
+
+
 def test_period_shift_equals_profile_difference():
     # the endpoint of the curve is the odd-minus-even profile of the cycle
     rng = random.Random(55)

@@ -365,7 +365,37 @@ def test_minimal_face_random_convexity():
         done += 1
 
 
-def _tight_rows(model, solution):
+def _reference_odd_sets(support, den, tight):
+    """What ``_odd_sets`` returns, from a table of the excess over all 2^s
+    subsets of the s covered vertices; it needs no point of the degree rows."""
+    covered = 0
+    pair: dict[int, int] = {}
+    for emask, x in support:
+        covered |= emask
+        pair[emask] = pair.get(emask, 0) + 2 * x
+    # g[T] = 2 den x(E(T)) - den (|T| - 1) over the subsets T of the vertices
+    # added so far, indexed by local mask (bit k for vertices[k]); adding v
+    # appends g[T + v] = g[T] + a[T] for every T, a[T] = 2 den x(E(v, T)) - den
+    vertices = [v for v in range(covered.bit_length()) if (covered >> v) & 1]
+    g = [den]
+    for k, v in enumerate(vertices):
+        a = [-den]
+        for u in vertices[:k]:
+            w = pair.get((1 << u) | (1 << v), 0)
+            a = a + [t + w for t in a] if w else a * 2
+        g += [s + t for s, t in zip(g, a)]
+    if tight:
+        selected = [t for t, excess in enumerate(g) if excess == 0]
+    else:
+        selected = [t for t, excess in enumerate(g) if excess > 0]
+    return [
+        (sum(1 << v for k, v in enumerate(vertices) if (t >> k) & 1), size // 2, g[t])
+        for t in selected
+        if (size := t.bit_count()) & 1 and size >= 3
+    ]
+
+
+def _tight_rows(model, solution, scan=_odd_sets):
     """Tight degree vertices and tight odd sets (mask, rhs) scanned over the
     whole support: the reference for the fractional-vertex scan."""
     support, den = _scaled(model.graph, solution.values)
@@ -374,7 +404,7 @@ def _tight_rows(model, solution):
         for v in range(model.graph.vertex_count)
         if sum(x for emask, x in support if (emask >> v) & 1) == den
     ]
-    return tight_degree, [(mask, rhs) for mask, rhs, _ in _odd_sets(support, den, tight=True)]
+    return tight_degree, [(mask, rhs) for mask, rhs, _ in scan(support, den, tight=True)]
 
 
 def _fraction_tight_rows(graph, values):
@@ -405,10 +435,11 @@ def test_integer_tight_rows_match_fraction_scan():
     from test_acceptance import _random_instance
 
     # parallel edges, denominators 2 and 3 (the largest is not their lcm),
-    # and a point outside the polytope, where {0, 1, 2} is violated
+    # and a point outside the polytope, where {0, 1, 2} is violated: outside
+    # the degree rows too, so only the table scan takes it
     g = ColoredGraph(5, [(0, 1, "R"), (0, 1, "B"), (1, 2, "Y"), (2, 3, "R"), (3, 4, "B")])
     values = (Fraction(1, 2), Fraction(1, 2)) + (Fraction(1, 3),) * 3
-    degree, blossoms = _tight_rows(build_lp(g, 0, 0), lp_point(values))
+    degree, blossoms = _tight_rows(build_lp(g, 0, 0), lp_point(values), _reference_odd_sets)
     assert (degree, blossoms) == _fraction_tight_rows(g, values)
     assert (0b01011, 1) in blossoms and (0b11111, 2) in blossoms
 
@@ -782,3 +813,102 @@ def test_face_of_a_half_integral_triangle_with_three_unit_edges():
     # only the matchings of the 4-cycle are enumerated, not those of the
     # whole support with its three unit edges
     assert len(yielded) == 2 * 7
+
+
+def _degree_row_point(rng):
+    """(support, den) of a random point of the degree rows in integers over
+    den: odd and even cycles, paths, parallel pairs and unit pairs on
+    shuffled labels, then random edges at whatever slack is left."""
+    den = rng.randrange(2, 8)
+    labels = list(range(20))
+    rng.shuffle(labels)
+    budget = rng.randrange(3, 17)
+    vertices, fresh = labels[:budget], iter(labels[:budget])
+    room = dict.fromkeys(vertices, den)
+    support = []
+
+    def add(u, v, x):
+        x = min(x, room[u], room[v])
+        if x > 0:
+            support.append(((1 << u) | (1 << v), x))
+            room[u] -= x
+            room[v] -= x
+
+    left = budget
+    while left >= 2:
+        kind = rng.choice(("odd", "odd", "even", "path", "parallel", "unit"))
+        size = {"odd": rng.choice((3, 5, 7)), "even": rng.choice((4, 6)), "path": 3}.get(kind, 2)
+        if size > left:
+            continue
+        left -= size
+        vs = [next(fresh) for _ in range(size)]
+        if kind == "unit":
+            add(*vs, den)
+        elif kind == "parallel":
+            a = rng.randrange(1, den)
+            add(*vs, a)
+            add(*vs, rng.randrange(1, den - a + 1))
+        else:
+            x = rng.choice((den // 2, den // 2, rng.randrange(1, den)))
+            ring = vs + vs[:1] if kind != "path" else vs
+            for u, v in zip(ring, ring[1:]):
+                add(u, v, x)
+    for _ in range(rng.randrange(6)):
+        u, v = rng.sample(vertices, 2)
+        add(u, v, rng.randrange(1, den + 1))
+    return support, den
+
+
+def test_odd_set_search_matches_the_table_scan():
+    rng = random.Random(2020)
+    found = Counter()
+    for _ in range(400):
+        support, den = _degree_row_point(rng)
+        covered = 0
+        for emask, _ in support:
+            covered |= emask
+        for tight in (False, True):
+            sets = _odd_sets(support, den, tight)
+            assert sets == _reference_odd_sets(support, den, tight)
+            found["tight" if tight else "violated"] += bool(sets)
+        found["f >= 14"] += covered.bit_count() >= 14
+    assert min(found.values()) >= 40, found
+
+
+def test_odd_set_search_on_a_long_half_integral_even_cycle():
+    # x = 1/2 on a 40-cycle: every vertex is degree-tight, so the tight odd
+    # sets are those cut by exactly two edges, the odd arcs of >= 3 vertices,
+    # and none is violated; the table would hold 2^40 entries
+    n = 40
+    support = [((1 << v) | (1 << (v + 1) % n), 1) for v in range(n)]
+    arcs = sorted(
+        (sum(1 << (start + i) % n for i in range(size)), size // 2, 0)
+        for start in range(n)
+        for size in range(3, n, 2)
+    )
+    assert _odd_sets(support, 2, tight=True) == arcs
+    assert _odd_sets(support, 2, tight=False) == []
+
+
+def test_odd_set_search_needs_a_point_of_the_degree_rows():
+    # X(delta(1)) = 3 > den at vertex 1 of a path
+    support = [(0b011, 2), (0b110, 1)]
+    for tight in (False, True):
+        with pytest.raises(InvariantError, match="degree rows"):
+            _odd_sets(support, 2, tight)
+
+
+def test_top_violated_builds_only_the_unions_it_reads():
+    # 20 unit pairs above one violated triangle: the first 24 unions in mask
+    # order are those of the first pairs, counted in binary
+    pairs = [0b11 << (3 + 2 * k) for k in range(20)]
+    unions = [sum(pairs[k] for k in range(5) if (i >> k) & 1) for i in range(24)]
+    expected = [(0b111 | union, 1 + union.bit_count() // 2, 2) for union in unions]
+    tracemalloc.start()
+    try:
+        ranked = _top_violated([(0b111, 1, 2)], pairs[::-1], 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranked == expected
+    assert peak < 1_000_000  # every union of the 20 pairs is 2^20 tuples

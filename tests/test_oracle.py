@@ -162,3 +162,54 @@ def test_max_matching_size_equals_enumeration_max():
                 edges.append((u, v, rng.choice("RBY")))
         g = ColoredGraph(n, edges)
         assert max_matching_size(g) == max(len(m) for m in enumerate_matchings(g))
+
+
+def _reference_enumerate_matchings(graph, restrict_support=None):
+    """The recursive enumeration, one nested generator per depth: the order
+    reference for the explicit-stack walk."""
+    if restrict_support is None:
+        candidates = list(range(graph.edge_count))
+    else:
+        candidates = sorted(set(restrict_support))
+    used: set[int] = set()
+    chosen: list[int] = []
+
+    def rec(start):
+        yield frozenset(chosen)
+        for idx in range(start, len(candidates)):
+            u, v = graph.endpoints(candidates[idx])
+            if u in used or v in used:
+                continue
+            used.update((u, v))
+            chosen.append(candidates[idx])
+            yield from rec(idx + 1)
+            chosen.pop()
+            used.difference_update((u, v))
+
+    return rec(0)
+
+
+def test_enumeration_order_matches_the_recursive_reference():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randrange(1, 13)
+        edges = []
+        for _ in range(rng.randrange(0, 22)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.append((u, v, rng.choice("RBY")))
+        g = ColoredGraph(n, edges)
+        assert list(enumerate_matchings(g)) == list(_reference_enumerate_matchings(g))
+        support = [e for e in range(g.edge_count) if rng.random() < 0.6]
+        support += support[: rng.randrange(3)]  # repeats are read once
+        assert list(enumerate_matchings(g, restrict_support=support)) == list(
+            _reference_enumerate_matchings(g, support)
+        )
+
+
+def test_enumeration_checks_its_input_before_the_first_yield():
+    g = ColoredGraph(3, [(0, 1, "R")])
+    with pytest.raises(ValueError):
+        enumerate_matchings(g, restrict_support=[1])
+    with pytest.raises(CapExceededError):
+        enumerate_matchings(ColoredGraph(30, []))
