@@ -22,7 +22,7 @@ from .curve import (
 )
 from .cycles import solve_even_cycle, solve_fractional
 from .errors import CapExceededError, InvariantError, ParseError
-from .graph import even_cycle_from_string
+from .graph import ColorProfile, even_cycle_from_string
 from .instances import GenSpec, generate_instance, parse_instance
 from .oracle import exact_optimum, max_matching_size
 
@@ -45,14 +45,21 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _answer_payload(positions, p: ColorProfile) -> dict:
+    return {"matching": sorted(positions), "size": len(positions), "profile": p._asdict()}
+
+
+def _print_answer(matching, size: str, p: ColorProfile) -> None:
+    """The matching, size and profile lines of a human-readable answer."""
+    print("matching:", " ".join(map(str, sorted(matching))))
+    print(f"size: {size}")
+    print(f"profile: red={p.red} blue={p.blue} yellow={p.yellow}")
+
+
 def _report_payload(report: driver.SolveReport) -> dict:
     return {
         "matching": sorted(report.matching),
-        "profile": {
-            "red": report.profile.red,
-            "blue": report.profile.blue,
-            "yellow": report.profile.yellow,
-        },
+        "profile": report.profile._asdict(),
         "alpha_star": _frac_str(report.alpha_star),
         "face_class": report.face_class,
         "guarantees": {
@@ -70,10 +77,7 @@ def _print_report(report: driver.SolveReport, as_json: bool) -> None:
         return
     print(f"alpha_star: {report.alpha_star}")
     print(f"face: {report.face_class}")
-    print("matching:", " ".join(map(str, sorted(report.matching))))
-    print(f"size: {len(report.matching)}")
-    p = report.profile
-    print(f"profile: red={p.red} blue={p.blue} yellow={p.yellow}")
+    _print_answer(report.matching, str(len(report.matching)), report.profile)
     g = report.guarantee_ok
     print(f"guarantees: size_bound={g[0]} red_exact={g[1]} blue_window={g[2]}")
     print("trace:")
@@ -120,23 +124,17 @@ def _cmd_cycle(args) -> int:
     positions = solve_even_cycle(comp, args.kr, args.kb)
     prof = comp.profile_of(positions)
     half = len(comp) // 2
-    payload = {
-        "matching": sorted(positions),
-        "size": len(positions),
-        "profile": {"red": prof.red, "blue": prof.blue, "yellow": prof.yellow},
-        "certificate": {
-            "size_at_least": half - 1,
-            "size_ok": len(positions) >= half - 1,
-            "red_exact": prof.red == args.kr,
-            "blue_window": prof.blue in (args.kb - 1, args.kb),
-        },
+    payload = _answer_payload(positions, prof)
+    payload["certificate"] = {
+        "size_at_least": half - 1,
+        "size_ok": len(positions) >= half - 1,
+        "red_exact": prof.red == args.kr,
+        "blue_window": prof.blue in (args.kb - 1, args.kb),
     }
     if args.json:
         print(json.dumps(payload))
     else:
-        print("matching:", " ".join(map(str, sorted(positions))))
-        print(f"size: {len(positions)} (guarantee >= {half - 1})")
-        print(f"profile: red={prof.red} blue={prof.blue} yellow={prof.yellow}")
+        _print_answer(positions, f"{len(positions)} (guarantee >= {half - 1})", prof)
     return EXIT_OK
 
 
@@ -146,23 +144,9 @@ def _cmd_fractional(args) -> int:
     positions = solve_fractional(comp, args.kr, kb)
     prof = comp.profile_of(positions)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "matching": sorted(positions),
-                    "size": len(positions),
-                    "profile": {
-                        "red": prof.red,
-                        "blue": prof.blue,
-                        "yellow": prof.yellow,
-                    },
-                }
-            )
-        )
+        print(json.dumps(_answer_payload(positions, prof)))
     else:
-        print("matching:", " ".join(map(str, sorted(positions))))
-        print(f"size: {len(positions)}")
-        print(f"profile: red={prof.red} blue={prof.blue} yellow={prof.yellow}")
+        _print_answer(positions, str(len(positions)), prof)
     return EXIT_OK
 
 

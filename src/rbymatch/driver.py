@@ -66,11 +66,8 @@ def solve(
     cap: OracleCap = DEFAULT_CAP,
 ) -> SolveReport | None:
     """Solve the requirement on a colored graph; None iff the LP is infeasible."""
-    if k_red < 0 or k_blue < 0:
-        raise ValueError("color requirements must be nonnegative")
-    trace: list[str] = []
     model = build_lp(graph, k_red, k_blue, cap)
-    trace.append(f"lp: edges={graph.edge_count} blossom_rows={len(model.blossom_rows)}")
+    trace = [f"lp: edges={graph.edge_count}"]
     solution = solve_lp(model)
     if solution is None:
         return None
@@ -79,7 +76,7 @@ def solve(
     try:
         face_class, matching = _from_optimum(graph, model, solution, k_red, k_blue, cap, trace)
     except ValueError as exc:
-        # the input was checked above: past the LP, a ValueError is a broken
+        # build_lp checked the input: past the LP, a ValueError is a broken
         # internal guarantee, not bad input
         raise InvariantError(f"{exc}; trace={trace}") from exc
 

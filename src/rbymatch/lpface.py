@@ -5,12 +5,13 @@ degree constraints, and one blossom inequality per odd vertex set) with two
 equality rows pinning the red and blue totals, solved exactly by the
 integer simplex; its optimum stays integers over one denominator d from the
 last pivot to the face.  The model's blossom rows are a lazy sequence,
-generated only when iterated; the solver activates them in rounds until
-none is violated, which yields a basic optimal solution of the full model
-(a vertex of a relaxation that is feasible for the full region is a vertex
-of it).  Separation and tightness scans run in integers, on the support
-scaled by the lcm of its reduced denominators, as a search pruned by each
-odd set's degree slack plus cut (``_odd_sets``).
+generated only when iterated, and the solver never reads them: it starts
+from the degree and color rows and appends the rows that separation finds
+violated, round by round, until none is, which yields a basic optimal
+solution of the full model (a vertex of a relaxation that is feasible for
+the full region is a vertex of it).  Separation and tightness scans run in
+integers, on the support scaled by the lcm of its reduced denominators, as
+a search pruned by each odd set's degree slack plus cut (``_odd_sets``).
 
 Both scans read the optimum's structure first.  At a point x of the degree
 rows, an edge with x_e = 1 leaves its two ends no other support edge, and
@@ -75,7 +76,10 @@ class BlossomRow:
 @dataclass(frozen=True)
 class BlossomRows:
     """One row per odd vertex set of size >= 3, by size and then in
-    lexicographic order, generated on demand: len() is 2^(n-1) - n."""
+    lexicographic order, generated on demand: len() is 2^(n-1) - n.
+
+    The full model, for checks that a solution meets every row; the solver
+    never iterates it or counts it."""
 
     vertex_count: int
 
@@ -118,9 +122,9 @@ def build_lp(
     graph: ColoredGraph, k_red: int, k_blue: int, cap: OracleCap = DEFAULT_CAP
 ) -> LPModel:
     """The full model, one blossom row per odd set of >= 3 vertices."""
-    check_cap(graph, cap)
     if k_red < 0 or k_blue < 0:
         raise ValueError("color requirements must be nonnegative")
+    check_cap(graph, cap)
     return LPModel(graph, k_red, k_blue, BlossomRows(graph.vertex_count))
 
 
@@ -137,19 +141,6 @@ def _scaled_support(
             u, v = graph.endpoints(e)
             scaled.append(((1 << u) | (1 << v), num // g))
     return scaled, d // g
-
-
-def _solve_activated(model: LPModel, active: list[BlossomRow]):
-    graph = model.graph
-    m = graph.edge_count
-    ub_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
-    for row in active:
-        ub_rows.append(([(e, 1) for e in row.edge_ids(graph)], row.rhs))
-    eq_rows = [
-        ([(e, 1) for e in range(m) if graph.color(e) == RED], model.k_red),
-        ([(e, 1) for e in range(m) if graph.color(e) == BLUE], model.k_blue),
-    ]
-    return solve_standard_form(m, [1] * m, ub_rows, eq_rows)
 
 
 def _odd_sets(
@@ -257,27 +248,43 @@ def _top_violated(
 def solve_lp(model: LPModel) -> LPResult | None:
     """Basic optimal solution of the full model, exact in integers, or None.
 
-    Violated blossom rows are activated in rounds (most violated first, at
-    most 24 per round) and the LP re-solved from scratch with Bland's rule,
-    so the result is deterministic.  Both the test for a last round and the
-    ranking of the rows a round activates scan the fractional vertices only
-    (none at an integral optimum).
+    The degree and color rows are built once; violated blossom rows are
+    appended in rounds (most violated first, at most 24 per round) and the
+    LP re-solved from scratch with Bland's rule, so the result is
+    deterministic.  Both the test for a last round and the ranking of the
+    rows a round activates scan the fractional vertices only (none at an
+    integral optimum).
+
+    The loop ends: every active row holds at a round's optimum, so every
+    set a round finds violated is new, and there are finitely many odd
+    sets.  A round that would activate a set again breaks that argument
+    and raises InvariantError.
     """
-    active: list[BlossomRow] = []
-    for _ in range(len(model.blossom_rows) + 1):
-        res = _solve_activated(model, active)
+    graph = model.graph
+    m = graph.edge_count
+    ub_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
+    eq_rows = [
+        ([(e, 1) for e in range(m) if graph.color(e) == RED], model.k_red),
+        ([(e, 1) for e in range(m) if graph.color(e) == BLUE], model.k_blue),
+    ]
+    objective = [1] * m
+    active: set[int] = set()
+    while True:
+        res = solve_standard_form(m, objective, ub_rows, eq_rows)
         if res is None:
             return None
-        support, den = _scaled_support(model.graph, res.x, res.d)
+        support, den = _scaled_support(graph, res.x, res.d)
         violated = _odd_sets([(emask, x) for emask, x in support if x != den], den, tight=False)
         if not violated:
             return res
-        # active rows hold at res, so every violated set is a new one; the
-        # excess is the violation times 2 den, common to all sets, so it
+        # the excess is the violation times 2 den, common to all sets, so it
         # orders them as the rational violation does
         units = [emask for emask, x in support if x == den]
-        active += [BlossomRow(mask, rhs) for mask, rhs, _ in _top_violated(violated, units, 24)]
-    raise InvariantError("blossom separation did not converge")
+        for mask, rhs, _ in _top_violated(violated, units, 24):
+            if mask in active:
+                raise InvariantError(f"separation found the active odd set {mask:#x} violated")
+            active.add(mask)
+            ub_rows.append(([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs))
 
 
 def _laminar(sets: list[tuple[int, int, int]]) -> list[tuple[int, int]]:

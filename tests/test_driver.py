@@ -19,9 +19,18 @@ from rbymatch.driver import (
     verify,
 )
 from rbymatch.errors import InvariantError
-from rbymatch.graph import ColoredGraph, color_profile, cycle_graph
-from rbymatch.lpface import SEGMENT, FaceDescriptor, build_lp, minimal_face, solve_lp
-from rbymatch.oracle import DEFAULT_CAP, enumerate_matchings, exact_optimum
+from rbymatch.graph import ColoredGraph, color_profile, cycle_graph, path_graph
+from rbymatch.lpface import (
+    SEGMENT,
+    BlossomRows,
+    FaceDescriptor,
+    build_lp,
+    minimal_face,
+    solve_lp,
+)
+from rbymatch.oracle import DEFAULT_CAP, OracleCap, enumerate_matchings, exact_optimum
+from test_acceptance import _random_instance as _criterion_7_instance
+from test_acceptance import _random_matching_profile
 from test_lpface import lp_point
 
 FIG1 = "RBYBRBYB"
@@ -89,6 +98,39 @@ def test_solve_rejects_negative_requirements():
     g = cycle_graph(FIG1)
     with pytest.raises(ValueError):
         solve(g, -1, 0)
+
+
+def test_solve_past_64_vertices_under_a_raised_cap():
+    # 2^(n-1) - n, the full model's row count, fits no index from n = 65
+    cap = OracleCap(128, 400)
+    for n in (64, 65, 66):
+        colors = ("RBY" * n)[:n]
+        for g in (path_graph(colors[: n - 1]), cycle_graph(colors)):
+            assert g.vertex_count == n
+            rep = solve(g, 5, 5, cap)
+            assert rep is not None and verify(g, 5, 5, rep)
+
+
+def test_solve_never_reads_the_full_blossom_model(monkeypatch):
+    def exponential(self):
+        raise AssertionError("the solve path read the 2^(n-1)-row model")
+
+    monkeypatch.setattr(BlossomRows, "__len__", exponential)
+    monkeypatch.setattr(BlossomRows, "__iter__", exponential)
+    rng = random.Random(1414)
+    solved = 0
+    for _ in range(100):
+        g = _criterion_7_instance(rng)
+        if rng.randrange(10) < 7:
+            kr, kb = _random_matching_profile(rng, g)
+        else:
+            counts = g.color_counts()
+            kr, kb = rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1)
+        rep = solve(g, kr, kb)
+        if rep is not None:
+            assert verify(g, kr, kb, rep)
+            solved += 1
+    assert solved >= 70, solved
 
 
 def test_verify_rejects_tampered_reports():

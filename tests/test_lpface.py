@@ -23,7 +23,6 @@ from rbymatch.lpface import (
     _describe_face,
     _odd_sets,
     _scaled_support,
-    _solve_activated,
     _top_violated,
     build_lp,
     minimal_face,
@@ -465,13 +464,37 @@ def test_integer_tight_rows_match_fraction_scan():
     assert fractional >= 100
 
 
+def _reference_rows(model, active):
+    """(ub_rows, eq_rows) of the LP over the degree rows, the ``active``
+    blossom rows and the two color rows, built edge by edge."""
+    graph = model.graph
+    m = graph.edge_count
+    ub_rows = [
+        ([(e, 1) for e in range(m) if v in graph.endpoints(e)], 1)
+        for v in range(graph.vertex_count)
+    ]
+    for row in active:
+        inside = [e for e in range(m) if all((row.vertex_mask >> u) & 1 for u in graph.endpoints(e))]
+        ub_rows.append(([(e, 1) for e in inside], row.rhs))
+    eq_rows = [
+        ([(e, 1) for e in range(m) if graph.color(e) == color], k)
+        for color, k in ((RED, model.k_red), (BLUE, model.k_blue))
+    ]
+    return ub_rows, eq_rows
+
+
+def _reference_lp(model, active):
+    m = model.graph.edge_count
+    return solve_standard_form(m, [1] * m, *_reference_rows(model, active))
+
+
 def _reference_solve_lp(model, rounds):
     """The separation loop that scanned the whole support in every round;
-    appends the rows active in each round to ``rounds``."""
+    appends the LP rows of each round, as (ub_rows, eq_rows), to ``rounds``."""
     active = []
     for _ in range(len(model.blossom_rows) + 1):
-        rounds.append(list(active))
-        res = _solve_activated(model, active)
+        rounds.append(_reference_rows(model, active))
+        res = _reference_lp(model, active)
         if res is None:
             return None
         violated = _odd_sets(*_scaled(model.graph, res.values), tight=False)
@@ -511,17 +534,17 @@ def _face_vertices(model, solution):
 def _assert_routes_agree(model, solution=None):
     """solve_lp and minimal_face against the full-support reference, at the
     optimum (or at ``solution``, a point of the polytope); at the optimum
-    both loops must also activate the same rows in the same order in every
-    round."""
+    both loops must also hand the simplex the same rows in the same order in
+    every round."""
     if solution is None:
         rounds, want_rounds = [], []
 
-        def recorded(model, active):
-            rounds.append(list(active))
-            return _solve_activated(model, active)
+        def recorded(n_vars, objective, ub_rows, eq_rows):
+            rounds.append((list(ub_rows), list(eq_rows)))
+            return solve_standard_form(n_vars, objective, ub_rows, eq_rows)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lpface, "_solve_activated", recorded)
+            mp.setattr(lpface, "solve_standard_form", recorded)
             solution = solve_lp(model)
         assert solution == _reference_solve_lp(model, want_rounds)
         assert rounds == want_rounds
@@ -619,7 +642,7 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
     # {0, 1, 2, 3, 4} are violated by as much, and both must be activated
     g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
     model = build_lp(g, 1, 0)
-    first = _solve_activated(model, [])
+    first = _reference_lp(model, [])
     assert list(first.values) == [Fraction(1, 2)] * 3 + [1, 0]
     assert [mask for mask, _, _ in _odd_sets(*_scaled(g, first.values), tight=False)] == [
         0b00111,
@@ -627,6 +650,23 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
     ]
     sol = _assert_routes_agree(model)
     assert sol.objective == 2
+
+
+def test_separation_raises_when_a_round_would_reactivate_a_row(monkeypatch):
+    # two disjoint half-integral triangles; the ranking is made to offer the
+    # first triangle in every round, so round 2, with the second triangle
+    # still violated, would activate it again
+    g = ColoredGraph(6, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "Y"), (4, 5, "Y"), (3, 5, "Y")])
+    calls = []
+
+    def stale(violated, unit_pairs, limit):
+        calls.append([mask for mask, _, _ in violated])
+        return [(0b111, 1, 2)]
+
+    monkeypatch.setattr(lpface, "_top_violated", stale)
+    with pytest.raises(InvariantError, match="active odd set 0x7"):
+        solve_lp(build_lp(g, 0, 0))
+    assert calls == [[0b000111, 0b111000], [0b111000]]
 
 
 def test_face_with_tight_sets_that_split_unit_edges():
