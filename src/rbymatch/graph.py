@@ -19,6 +19,7 @@ RED = "R"
 BLUE = "B"
 YELLOW = "Y"
 COLORS = (RED, BLUE, YELLOW)
+_COLOR_SET = frozenset(COLORS)
 
 
 class Edge(NamedTuple):
@@ -154,9 +155,9 @@ class CycleOrPath:
         n = len(self.colors)
         if self.is_cycle and (n % 2 != 0 or n < 2):
             raise ValueError("a cycle needs an even number of edges, at least 2")
-        for c in self.colors:
-            if c not in COLORS:
-                raise ValueError(f"unknown color {c!r}")
+        if not _COLOR_SET.issuperset(self.colors):
+            bad = next(c for c in self.colors if c not in COLORS)
+            raise ValueError(f"unknown color {bad!r}")
         if self.first not in (0, 1):
             raise ValueError(f"first must be 0 or 1, not {self.first!r}")
         if self.edge_ids is not None and len(self.edge_ids) != n:

@@ -252,8 +252,8 @@ def solve_lp(model: LPModel) -> LPResult | None:
     appended in rounds (most violated first, at most 24 per round) and the
     LP re-solved from scratch with Bland's rule, so the result is
     deterministic.  Both the test for a last round and the ranking of the
-    rows a round activates scan the fractional vertices only (none at an
-    integral optimum).
+    rows a round activates scan the fractional vertices only; an optimum
+    with no fractional edge violates no odd set and is returned unscanned.
 
     The loop ends: every active row holds at a round's optimum, so every
     set a round finds violated is new, and there are finitely many odd
@@ -274,7 +274,8 @@ def solve_lp(model: LPModel) -> LPResult | None:
         if res is None:
             return None
         support, den = _scaled_support(graph, res.x, res.d)
-        violated = _odd_sets([(emask, x) for emask, x in support if x != den], den, tight=False)
+        fractional = [(emask, x) for emask, x in support if x != den]
+        violated = fractional and _odd_sets(fractional, den, tight=False)
         if not violated:
             return res
         # the excess is the violation times 2 den, common to all sets, so it

@@ -8,26 +8,30 @@ builds a ``Fraction``: it reports the solution in those integers too.
 It is condensed, as in Avis's lrs (2000): the column of the variable basic
 in row i is always ``d * e_i``, so a row stores only one integer per
 nonbasic variable, ``cols[j]`` naming the variable in slot j, plus the rhs.
-A pivot on ``p = T[r][s]`` maps each entry ``a`` of every other row, and of
-the carried reduced-cost row, at a slot ``j != s`` to ``(a*p - f*b) // d``,
-where ``f`` is the row's entry in slot s and ``b`` the pivot row's in slot
-j, which is the full tableau's Bareiss update.  Slot s then takes the
-column of the leaving variable: the full update maps its ``d * e_r`` to
-``-f`` in every other row and keeps ``d`` in the pivot row, whose other
-entries the update leaves alone.  ``d`` becomes ``p``, the entering and the
-leaving variable swap between ``basis[r]`` and ``cols[s]``, and everything is
-negated when ``p < 0``.  So every stored integer is the same minor as the
-full tableau's entry for that variable, and Bland's rule, scanning the
-nonbasic variables in index order, takes the same pivots.
+The full tableau's Bareiss update on ``p = T[r][s]`` maps each entry ``a``
+of every other row, and of the carried reduced-cost row, to
+``(a*p - f*b) // d``, where ``f`` is the row's entry in the entering
+column and ``b`` the pivot row's in a's column, makes ``p`` the new ``d``
+and, when ``p < 0``, negates everything to keep ``d`` positive.  The
+condensed pivot folds that sign into the pivot row: when ``p < 0`` it
+negates that row alone, first, so that its slot s holds ``q = |p|``; every
+other row then maps ``a`` to ``(a*q - f*b) // d`` at each slot ``j != s``,
+and slot s takes the column of the leaving variable, ``-f`` (``f`` when
+``p < 0``).  The pivot row, which the update leaves alone, takes ``d``
+(``-d`` when ``p < 0``) at slot s, ``d`` becomes ``q``, and the entering
+and the leaving variable swap between ``basis[r]`` and ``cols[s]``.  So
+every stored integer is the same minor as the full tableau's entry for
+that variable, and Bland's rule, taking the smallest nonbasic variable
+with a positive reduced cost, takes the same pivots.
 
 A minor is one integer however it is computed, so the pivot does only the
-work that changes an entry.  When ``p = d``, as on most pivots of the 0/1
-matching models, the new entry ``a - f*b/d`` is an integer, so ``d`` divides
-``f*b``: a row with ``f = 0`` is left alone, and any other row changes in
-place at the pivot row's nonzero slots only, by ``f*b // d``, and takes
-``-f`` at slot s; the pivot row keeps ``d = p`` there and is unchanged.  When
-``p != d`` a row with ``f = 0`` is rescaled to ``a*p // d`` (itself a
-minor) and any other row takes the full formula.
+work that changes an entry.  When ``p = d`` or ``p = -d`` (``q = d``), as
+on most pivots of the 0/1 matching models, the new entry ``a - f*b/d`` is
+an integer, so ``d`` divides ``f*b``: a row with ``f = 0`` is left alone,
+and any other row changes in place at the pivot row's nonzero slots only,
+by ``f*b // d``, and at slot s; ``d`` stays.  Otherwise a row with
+``f = 0`` is rescaled to ``a*q // d`` (itself a minor) and any other row
+takes the full formula.  At ``d = 1`` no update divides.
 
 The guarantees downstream are combinatorial equalities and inequalities on
 integers, so floating point is disqualified.  Bland's rule (smallest
@@ -96,9 +100,6 @@ class _Tableau:
         self.rows = rows
         self.basis = basis        # basis[i] = variable index basic in row i
         self.cols = cols          # cols[j] = variable index held in slot j
-        self.slot = [-1] * (len(basis) + len(cols))  # variable -> slot, -1 if basic
-        for j, var in enumerate(cols):
-            self.slot[var] = j
         self.d = 1
 
     def reduced_costs(self, cost: list[int]) -> list[int]:
@@ -113,43 +114,46 @@ class _Tableau:
         return z
 
     def pivot(self, row: int, s: int, z: list[int] | None = None) -> list[int] | None:
-        """Bareiss pivot on (row, slot s) in place, swapping ``basis[row]``
-        into slot s; returns the carried reduced-cost row, updated like any
-        other row."""
+        """Sign-folded Bareiss pivot on (row, slot s) in place (see the
+        module docstring), swapping ``basis[row]`` into slot s; returns the
+        carried reduced-cost row, updated like any other row."""
         prow = self.rows[row]
         p = prow[s]
         if p == 0:
             raise InvariantError("pivot on zero element")
-        d = self.d
+        d, q = self.d, abs(p)
+        if p < 0:
+            prow[:] = [-a for a in prow]
         others = [r for r in self.rows if r is not prow]
         if z is not None:
             others.append(z)
-        if p == d:
+        if q == d:
             nonzero = [(j, b) for j, b in enumerate(prow) if b and j != s]
             for r in others:
                 f = r[s]
-                if f:
+                if not f:
+                    continue
+                if d == 1:
+                    for j, b in nonzero:
+                        r[j] -= f * b
+                else:
                     for j, b in nonzero:
                         r[j] -= f * b // d
-                    r[s] = -f
+                r[s] = -f if p > 0 else f
         else:
             for r in others:
                 f = r[s]
-                if f:
-                    r[:] = [(a * p - f * b) // d for a, b in zip(r, prow)]
-                    r[s] = -f
+                if not f:
+                    r[:] = [a * q for a in r] if d == 1 else [a * q // d for a in r]
+                    continue
+                if d == 1:
+                    r[:] = [a * q - f * b for a, b in zip(r, prow)]
                 else:
-                    r[:] = [a * p // d for a in r]
-            prow[s] = d
-        self.d = p
-        enter, leave = self.cols[s], self.basis[row]
-        self.basis[row], self.cols[s] = enter, leave
-        self.slot[enter], self.slot[leave] = -1, s
-        if p < 0:
-            for r in others:
-                r[:] = [-a for a in r]
-            prow[:] = [-a for a in prow]
-            self.d = -p
+                    r[:] = [(a * q - f * b) // d for a, b in zip(r, prow)]
+                r[s] = -f if p > 0 else f
+        prow[s] = d if p > 0 else -d
+        self.d = q
+        self.basis[row], self.cols[s] = self.cols[s], self.basis[row]
         return z
 
 
@@ -157,16 +161,14 @@ def _run_simplex(tab: _Tableau, cost: list[int], n_allowed: int) -> int:
     """Minimize cost with Bland's rule in place, entering only variables
     below ``n_allowed``; returns d times the optimum."""
     z = tab.reduced_costs(cost)
-    slot = tab.slot
+    cols = tab.cols
     stalled = 0  # pivots since the objective last changed
     seen: set[frozenset[int]] = set()  # bases past len(rows) of those pivots
     while True:
-        enter = -1
-        for var in range(n_allowed):
-            j = slot[var]
-            if j >= 0 and z[j] > 0:
-                enter = j
-                break
+        enter, first = -1, n_allowed
+        for j, var in enumerate(cols):
+            if var < first and z[j] > 0:
+                enter, first = j, var
         if enter < 0:
             return z[-1]
         leave = -1

@@ -216,8 +216,10 @@ def test_cycle_or_path_validation():
         CycleOrPath(("R", "B"), True, vertices=(0, 1, 0))
     with pytest.raises(ValueError):
         CycleOrPath(("R", "B"), False, first=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown color 'Q'"):
         CycleOrPath(("R", "Q"), False)
+    with pytest.raises(ValueError, match="unknown color 'X'"):  # the first bad one
+        CycleOrPath(("B", "X", "Y", "Q"), False)
     assert CycleOrPath(("R",), False, vertices=(0, 1)).vertices == (0, 1)
     assert CycleOrPath(("R", "B"), False, first=1).first == 1
     c = even_cycle_from_string("RBYB")

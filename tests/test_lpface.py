@@ -669,6 +669,29 @@ def test_separation_raises_when_a_round_would_reactivate_a_row(monkeypatch):
     assert calls == [[0b000111, 0b111000], [0b111000]]
 
 
+def test_an_integral_first_round_scans_no_odd_set(monkeypatch):
+    # an optimum with no fractional edge violates no odd set, so a request
+    # whose first round is integral solves without the scan
+    from rbymatch.driver import solve, verify
+    from test_acceptance import _random_instance, _random_matching_profile
+
+    def no_scan(support, den, tight):
+        raise AssertionError("odd-set scan at an integral optimum")
+
+    monkeypatch.setattr(lpface, "_odd_sets", no_scan)
+    rng = random.Random(2718)
+    solved = 0
+    for _ in range(120):
+        g = _random_instance(rng)
+        kr, kb = _random_matching_profile(rng, g)
+        first = _reference_lp(build_lp(g, kr, kb), [])
+        if first is not None and not _has_fractional_edge(first.values):
+            rep = solve(g, kr, kb)
+            assert rep is not None and verify(g, kr, kb, rep)
+            solved += 1
+    assert solved >= 80, solved
+
+
 def test_face_with_tight_sets_that_split_unit_edges():
     # a 4-cycle at 1/2 beside the unit edges 4-5 and 6-7; {4, 5, 6} and
     # {0, 1, 2, 3, 4} are tight and each holds one end of a unit edge

@@ -416,7 +416,7 @@ def _full(tab, r, i=None):
     """Condensed row ``r`` (row i of ``tab``, or the carried reduced-cost
     row) at full width: slot j in column cols[j], d at the row's own basic
     column and 0 at every other."""
-    full = [0] * (len(tab.slot) + 1)
+    full = [0] * (len(tab.basis) + len(tab.cols) + 1)
     for var, a in zip(tab.cols, r):
         full[var] = a
     if i is not None:
@@ -430,13 +430,14 @@ def _lockstep(cases, made):
     take the same pivot, and afterwards every stored row, rhs included,
     must be the shadow's row at the stored columns, with the shadow's basic
     columns d * e_i (z = 0 on them), and basis and d must agree.  Appends
-    each tableau to ``made``; ``cases`` counts the update kinds exercised."""
+    each tableau to ``made``; ``cases`` counts the pivot kinds exercised
+    and the pivots at d > 1 on 30 rows or more."""
 
     class Lockstep(_CondensedTableau):
         def __init__(self, rows, basis, cols):
             super().__init__(rows, basis, cols)
             full = [_full(self, r, i) for i, r in enumerate(rows)]
-            self.dense = _DenseTableau(full, list(basis), len(self.slot))
+            self.dense = _DenseTableau(full, list(basis), len(basis) + len(cols))
             self.dense_z = None
             self.pivots = 0
             made.append(self)
@@ -449,14 +450,13 @@ def _lockstep(cases, made):
 
         def pivot(self, row, s, z=None):
             p, d = self.rows[row][s], self.d
-            cases["p < 0"] += p < 0
-            carried = [] if z is None else [z]
-            for r in [r for i, r in enumerate(self.rows) if i != row] + carried:
-                f = r[s]
-                if p == d:
-                    cases["p = d, f != 0"] += f != 0
-                else:
-                    cases["p != d, f != 0" if f else "p != d, f = 0"] += 1
+            if p == -d:
+                cases["p = -d"] += 1
+            else:
+                kind = "p = d" if p == d else "p != +-d"
+                cases[f"{kind}, d {'= 1' if d == 1 else '> 1'}"] += 1
+                cases["p < 0, p != -d"] += p < 0
+            cases["d > 1, 30+ rows"] += d > 1 and len(self.rows) >= 30
             dense_z = self.dense.pivot(row, self.cols[s], None if z is None else self.dense_z)
             got = super().pivot(row, s, z)
             self.pivots += 1
@@ -471,16 +471,17 @@ def _lockstep(cases, made):
     return Lockstep
 
 
-def _matching_lp(rng):
+def _matching_lp(rng, n_lo=3, n_hi=10, sparsity=3):
     """A color-constrained matching instance for ``lpface``: a random graph
+    on n_lo..n_hi vertices, each pair an edge with probability 1/sparsity,
     and the profile of a random matching, or random counts that may be
     infeasible."""
-    n = rng.randrange(3, 11)
+    n = rng.randrange(n_lo, n_hi + 1)
     edges = [
         (u, v, rng.choice("RBY"))
         for u in range(n)
         for v in range(u + 1, n)
-        if rng.randrange(3) == 0
+        if rng.randrange(sparsity) == 0
     ]
     g = ColoredGraph(n, edges)
     if rng.randrange(4):
@@ -524,6 +525,9 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
     solves = [partial(_solve_lp, lp) for lp in _EDGE_LPS]
     solves += [partial(_solve_lp, _random_lp(rng)[0]) for _ in range(1500)]
     solves += [partial(_solve_matching_lp, *_matching_lp(rng)) for _ in range(150)]
+    # larger graphs, whose separation rounds reach 30 rows and more at d > 1
+    big = random.Random(44)
+    solves += [partial(_solve_matching_lp, *_matching_lp(big, 12, 16, 4)) for _ in range(10)]
     cases = Counter()
     made: list = []
     monkeypatch.setattr(simplex, "_Tableau", _lockstep(cases, made))
@@ -538,5 +542,6 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
         finals.append([t.basis for t in made])
     # the redundant equality row stays basic in its artificial, variable 4
     assert 4 in finals[6][0]
-    # every branch of the sparse update, and the drive-out's sign flip
-    assert len(cases) == 4 and min(cases.values()) >= 100, cases
+    # every branch of the pivot, and pivots at d > 1 on 30 rows or more
+    assert cases.pop("d > 1, 30+ rows", 0) >= 5, cases
+    assert len(cases) == 6 and min(cases.values()) >= 30, cases
