@@ -105,7 +105,8 @@ def _guarantees(graph, k_red, k_blue, matching, alpha):
     the requirement and the optimum alpha; None if it is no matching."""
     if not validate_matching(graph, matching):
         return None
-    profile = profile_of_colors(graph.color(e) for e in matching)
+    edges = graph.edges
+    profile = profile_of_colors(edges[e][2] for e in matching)
     size_ok = len(matching) >= math.floor(alpha) - 3
     return (size_ok, profile.red == k_red, profile.blue in (k_blue - 1, k_blue)), profile
 

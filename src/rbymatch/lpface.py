@@ -37,17 +37,19 @@ unions of the k unit pairs, which picks the same rows as the full scan.
 
 An integral optimum is a matching (self-loops are rejected and parallel
 edges share a degree row); it meets every blossom row and is its own minimal
-face, so neither scan runs.
+face, so neither scan runs.  It is read from the LP's integers, every x_e in
+{0, d}, without building a support.
 
 The minimal face of the matching polytope containing the optimum is
-recovered by enumerating matchings on the fractional edges and keeping those
-tight on the tight degree rows and on a maximal laminar family of the odd
-sets tight on the fractional vertices, which by uncrossing spans every tight
-blossom row (Edmonds 1965; Cunningham & Marsh 1978).  Every face vertex holds
-the x_e = 1 edges, the only support edges at their tight ends, so they are
-added to each survivor rather than enumerated.  At most four survive,
-forming a point, segment, triangle, or parallelogram; the face layer ends at
-that ``FaceDescriptor``, which the driver's case split reads as it is.
+recovered by enumerating the matchings on the fractional edges that cover
+the tight degree vertices (the enumerator prunes the rest) and keeping those
+tight on a maximal laminar family of the odd sets tight on the fractional
+vertices, which by uncrossing spans every tight blossom row (Edmonds 1965;
+Cunningham & Marsh 1978).  Every face vertex holds the x_e = 1 edges, the
+only support edges at their tight ends, so they are added to each survivor
+rather than enumerated.  At most four survive, forming a point, segment,
+triangle, or parallelogram; the face layer ends at that ``FaceDescriptor``,
+which the driver's case split reads as it is.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ def solve_lp(model: LPModel) -> LPResult | None:
     LP re-solved from scratch with Bland's rule, so the result is
     deterministic.  Both the test for a last round and the ranking of the
     rows a round activates scan the fractional vertices only; an optimum
-    with no fractional edge violates no odd set and is returned unscanned.
+    whose integers are all 0 or d has no fractional edge, violates no odd
+    set and is returned without a support or a scan.
 
     The loop ends: every active row holds at a round's optimum, so every
     set a round finds violated is new, and there are finitely many odd
@@ -263,19 +266,23 @@ def solve_lp(model: LPModel) -> LPResult | None:
     graph = model.graph
     m = graph.edge_count
     ub_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
-    eq_rows = [
-        ([(e, 1) for e in range(m) if graph.color(e) == RED], model.k_red),
-        ([(e, 1) for e in range(m) if graph.color(e) == BLUE], model.k_blue),
-    ]
+    red: list[tuple[int, int]] = []
+    blue: list[tuple[int, int]] = []
+    for e, (_, _, color) in enumerate(graph.edges):
+        if color == RED:
+            red.append((e, 1))
+        elif color == BLUE:
+            blue.append((e, 1))
+    eq_rows = [(red, model.k_red), (blue, model.k_blue)]
     objective = [1] * m
     active: set[int] = set()
     while True:
         res = solve_standard_form(m, objective, ub_rows, eq_rows)
-        if res is None:
-            return None
+        if res is None or set(res.x) <= {0, res.d}:
+            return res
         support, den = _scaled_support(graph, res.x, res.d)
         fractional = [(emask, x) for emask, x in support if x != den]
-        violated = fractional and _odd_sets(fractional, den, tight=False)
+        violated = _odd_sets(fractional, den, tight=False)
         if not violated:
             return res
         # the excess is the violation times 2 den, common to all sets, so it
@@ -306,25 +313,27 @@ def minimal_face(
 ) -> FaceDescriptor:
     """Vertices of the smallest matching-polytope face containing the optimum.
 
-    A solution whose support values are all 1 must be a matching, which is a
+    A solution whose integers are all 0 or d must be a matching, which is a
     vertex of the polytope and so its own minimal face.  Otherwise a matching
     is a face vertex iff its support stays inside the optimum's support and
     its characteristic vector is tight on every degree constraint tight at
     the optimum and on a maximal laminar family of the odd sets tight on the
     fractional vertices; these span every tight blossom row (see the module
     docstring).  Such a matching holds every x_e = 1 edge, so only the
-    fractional edges are enumerated, against the tight fractional vertices,
-    and the unit edges are added to each survivor.  More than four vertices
-    would contradict the dimension bound and is a fatal internal error.
+    matchings of the fractional edges that cover the tight fractional
+    vertices are enumerated (``cover``), and the unit edges are added to
+    each survivor.  More than four vertices would contradict the dimension
+    bound and is a fatal internal error.
     """
     check_cap(graph, cap)
-    support, den = _scaled_support(graph, solution.x, solution.d)
-    scaled = list(zip((e for e, num in enumerate(solution.x) if num), support))
-    unit_edges = frozenset(e for e, (_, x) in scaled if x == den)
-    if len(unit_edges) == len(scaled):
+    if set(solution.x) <= {0, solution.d}:
+        unit_edges = frozenset(e for e, num in enumerate(solution.x) if num)
         if not validate_matching(graph, unit_edges):
             raise InvariantError("integral optimum is not a matching")
         return _describe_face(graph, [unit_edges], "integral")
+    support, den = _scaled_support(graph, solution.x, solution.d)
+    scaled = list(zip((e for e, num in enumerate(solution.x) if num), support))
+    unit_edges = frozenset(e for e, (_, x) in scaled if x == den)
     edge_mask = {e: emask for e, (emask, x) in scaled if x != den}
     fractional = [(emask, x) for emask, x in support if x != den]
     tight_degree = 0
@@ -334,13 +343,8 @@ def minimal_face(
     tight = _odd_sets(fractional, den, tight=True)
     laminar = _laminar(tight)
     vertices = []
-    for m in enumerate_matchings(graph, restrict_support=edge_mask, cap=cap):
+    for m in enumerate_matchings(graph, restrict_support=edge_mask, cap=cap, cover=tight_degree):
         masks = [edge_mask[e] for e in m]
-        covered = 0
-        for emask in masks:
-            covered |= emask
-        if tight_degree & ~covered:
-            continue
         if all(
             sum(emask & mask == emask for emask in masks) == rhs for mask, rhs in laminar
         ):
@@ -375,9 +379,8 @@ def _describe_face(
         vertices = _order_parallelogram(vertices)
     # every vertex is a matching already: validated on the integral route,
     # enumerated as one on the others
-    projected = tuple(
-        profile_of_colors(graph.color(e) for e in m).rb for m in vertices
-    )
+    edges = graph.edges
+    projected = tuple(profile_of_colors(edges[e][2] for e in m).rb for m in vertices)
     return FaceDescriptor(
         vertex_matchings=tuple(vertices),
         classification=classification,

@@ -38,8 +38,15 @@ def enumerate_matchings(
     graph: ColoredGraph,
     restrict_support: Iterable[int] | None = None,
     cap: OracleCap = DEFAULT_CAP,
+    cover: int = 0,
 ) -> Iterator[frozenset[int]]:
-    """Yield every matching exactly once, lexicographic by sorted id list."""
+    """Yield every matching exactly once, lexicographic by sorted id list.
+
+    ``cover`` is a vertex mask: only the matchings that cover all of its
+    vertices are yielded, in the same order.  The search drops a branch
+    once a vertex of the mask is neither covered nor an end of a candidate
+    edge at or after the branch's next one.
+    """
     check_cap(graph, cap)
     if restrict_support is None:
         candidates = list(range(graph.edge_count))
@@ -49,18 +56,22 @@ def enumerate_matchings(
             if not (0 <= eid < graph.edge_count):
                 raise ValueError(f"edge id {eid} out of range")
     masks = [(1 << u) | (1 << v) for u, v in map(graph.endpoints, candidates)]
+    reach = [0] * (len(masks) + 1)  # reach[i]: the ends of candidates i and on
+    for i in range(len(masks) - 1, -1, -1):
+        reach[i] = reach[i + 1] | masks[i]
 
     def walk() -> Iterator[frozenset[int]]:
         # depth-first on an explicit stack, so a yield costs the same at any
         # depth: resume[i] is the next candidate to try at depth i, and the
         # edge that opened depth i sits just before resume[i - 1]
         used, ids, resume = 0, [], [0]
-        yield frozenset()
+        if not cover:
+            yield frozenset()
         while resume:
             idx = resume[-1]
             while idx < len(masks) and used & masks[idx]:
                 idx += 1
-            if idx == len(masks):
+            if idx == len(masks) or cover & ~(used | reach[idx]):
                 resume.pop()
                 if resume:
                     used ^= masks[resume[-1] - 1]
@@ -70,7 +81,8 @@ def enumerate_matchings(
             used |= masks[idx]
             ids.append(candidates[idx])
             resume.append(idx + 1)
-            yield frozenset(ids)
+            if not cover & ~used:
+                yield frozenset(ids)
 
     return walk()
 

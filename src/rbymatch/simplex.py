@@ -9,7 +9,7 @@ It is condensed, as in Avis's lrs (2000): the column of the variable basic
 in row i is always ``d * e_i``, so a row stores only one integer per
 nonbasic variable, ``cols[j]`` naming the variable in slot j, plus the rhs.
 The full tableau's Bareiss update on ``p = T[r][s]`` maps each entry ``a``
-of every other row, and of the carried reduced-cost row, to
+of every other row, and of the carried reduced-cost rows, to
 ``(a*p - f*b) // d``, where ``f`` is the row's entry in the entering
 column and ``b`` the pivot row's in a's column, makes ``p`` the new ``d``
 and, when ``p < 0``, negates everything to keep ``d`` positive.  The
@@ -32,6 +32,13 @@ and any other row changes in place at the pivot row's nonzero slots only,
 by ``f*b // d``, and at slot s; ``d`` stays.  Otherwise a row with
 ``f = 0`` is rescaled to ``a*q // d`` (itself a minor) and any other row
 takes the full formula.  At ``d = 1`` no update divides.
+
+Both phases price from reduced-cost rows kept beside the tableau, as in the
+textbook two-phase method.  At the starting basis (the slacks and the
+artificials), phase 1's row, for the sum of the artificials, is the column
+sum of the equality rows, and phase 2's, for ``-c.x``, is ``c`` with a 0
+rhs.  Every phase-1 pivot and every pivot that drives an artificial out
+updates the phase-2 row like any other row, so phase 2 starts from it.
 
 The guarantees downstream are combinatorial equalities and inequalities on
 integers, so floating point is disqualified.  Bland's rule (smallest
@@ -102,21 +109,10 @@ class _Tableau:
         self.cols = cols          # cols[j] = variable index held in slot j
         self.d = 1
 
-    def reduced_costs(self, cost: list[int]) -> list[int]:
-        """d * (c_B B^-1 [A | b] - [c | 0]) at the nonbasic slots and rhs;
-        it is 0 at every basic column."""
-        d = self.d
-        z = [-cost[var] * d for var in self.cols] + [0]
-        for row, var in zip(self.rows, self.basis):
-            cb = cost[var]
-            if cb:
-                z = [a + cb * b for a, b in zip(z, row)]
-        return z
-
-    def pivot(self, row: int, s: int, z: list[int] | None = None) -> list[int] | None:
+    def pivot(self, row: int, s: int, *carried: list[int]) -> None:
         """Sign-folded Bareiss pivot on (row, slot s) in place (see the
-        module docstring), swapping ``basis[row]`` into slot s; returns the
-        carried reduced-cost row, updated like any other row."""
+        module docstring), swapping ``basis[row]`` into slot s; the carried
+        reduced-cost rows are updated in place like any other row."""
         prow = self.rows[row]
         p = prow[s]
         if p == 0:
@@ -125,8 +121,7 @@ class _Tableau:
         if p < 0:
             prow[:] = [-a for a in prow]
         others = [r for r in self.rows if r is not prow]
-        if z is not None:
-            others.append(z)
+        others += carried
         if q == d:
             nonzero = [(j, b) for j, b in enumerate(prow) if b and j != s]
             for r in others:
@@ -154,14 +149,13 @@ class _Tableau:
         prow[s] = d if p > 0 else -d
         self.d = q
         self.basis[row], self.cols[s] = self.cols[s], self.basis[row]
-        return z
 
 
-def _run_simplex(tab: _Tableau, cost: list[int], n_allowed: int) -> int:
-    """Minimize cost with Bland's rule in place, entering only variables
-    below ``n_allowed``; returns d times the optimum."""
-    z = tab.reduced_costs(cost)
-    cols = tab.cols
+def _run_simplex(tab: _Tableau, z: list[int], n_allowed: int, *carried: list[int]) -> int:
+    """Minimize with Bland's rule in place from the reduced-cost row z,
+    entering only variables below ``n_allowed`` and updating the ``carried``
+    rows with every pivot; returns d times the optimum."""
+    rows, basis, cols = tab.rows, tab.basis, tab.cols
     stalled = 0  # pivots since the objective last changed
     seen: set[frozenset[int]] = set()  # bases past len(rows) of those pivots
     while True:
@@ -172,31 +166,29 @@ def _run_simplex(tab: _Tableau, cost: list[int], n_allowed: int) -> int:
         if enter < 0:
             return z[-1]
         leave = -1
-        for i, row in enumerate(tab.rows):
+        for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                lead = tab.rows[leave]
-                # rhs_i / a < rhs_leave / a_leave, cross-multiplied (a > 0)
-                diff = row[-1] * lead[enter] - lead[-1] * a
-                if diff < 0 or (diff == 0 and tab.basis[i] < tab.basis[leave]):
-                    leave = i
+                if leave >= 0:
+                    # rhs_i / a < rhs_leave / a_leave, cross-multiplied (a > 0)
+                    diff = row[-1] * lead_a - lead_b * a
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave, lead_a, lead_b = i, a, row[-1]
         if leave < 0:
             raise InvariantError("LP unbounded; impossible for bounded models")
         value, d = z[-1], tab.d
-        z = tab.pivot(leave, enter, z)
+        tab.pivot(leave, enter, z, *carried)
         if z[-1] * d != value * tab.d:
             stalled = 0
             seen.clear()
             continue
         stalled += 1
-        if stalled > len(tab.rows):
-            basis = frozenset(tab.basis)
-            if basis in seen:
+        if stalled > len(rows):
+            key = frozenset(basis)
+            if key in seen:
                 raise InvariantError("simplex revisited a basis; Bland's rule never cycles")
-            seen.add(basis)
+            seen.add(key)
 
 
 def solve_standard_form(
@@ -227,10 +219,14 @@ def solve_standard_form(
         rows.append(row)
     obj = [c if type(c) is int else _integral(c) for c in objective]
     tab = _Tableau(rows, list(range(n_vars, n_total)), list(range(n_vars)))
+    # the phase-2 row (minimize -c.x) at the all-slack basis, carried
+    # through phase 1 and the drive-out
+    z2 = obj + [0]
 
     if n_art:
-        phase1_cost = [0] * (n_vars + n_slack) + [1] * n_art
-        if _run_simplex(tab, phase1_cost, n_total) != 0:
+        # phase 1 minimizes the artificials' sum: its row starts as the
+        # column sum of the equality rows, whose artificials are basic
+        if _run_simplex(tab, [sum(col) for col in zip(*rows[n_slack:])], n_total, z2):
             return None
         # drive remaining artificial variables out of the basis on the
         # smallest non-artificial variable with a nonzero entry (every basic
@@ -245,10 +241,9 @@ def solve_standard_form(
                     default=-1,
                 )
                 if s >= 0:
-                    tab.pivot(i, s)
+                    tab.pivot(i, s, z2)
 
-    phase2_cost = [-c for c in obj] + [0] * (n_slack + n_art)  # minimize -c.x
-    _run_simplex(tab, phase2_cost, n_vars + n_slack)
+    _run_simplex(tab, z2, n_vars + n_slack)
 
     x_num = [0] * n_vars
     for row, var in zip(tab.rows, tab.basis):

@@ -669,16 +669,16 @@ def test_separation_raises_when_a_round_would_reactivate_a_row(monkeypatch):
     assert calls == [[0b000111, 0b111000], [0b111000]]
 
 
-def test_an_integral_first_round_scans_no_odd_set(monkeypatch):
-    # an optimum with no fractional edge violates no odd set, so a request
-    # whose first round is integral solves without the scan
+def _solve_integral_first_rounds(monkeypatch, name):
+    """Solves and verifies the seeded criterion-7 requests whose first round
+    is integral with ``lpface.<name>`` patched to raise; returns how many."""
     from rbymatch.driver import solve, verify
     from test_acceptance import _random_instance, _random_matching_profile
 
-    def no_scan(support, den, tight):
-        raise AssertionError("odd-set scan at an integral optimum")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called at an integral optimum")
 
-    monkeypatch.setattr(lpface, "_odd_sets", no_scan)
+    monkeypatch.setattr(lpface, name, refuse)
     rng = random.Random(2718)
     solved = 0
     for _ in range(120):
@@ -689,7 +689,52 @@ def test_an_integral_first_round_scans_no_odd_set(monkeypatch):
             rep = solve(g, kr, kb)
             assert rep is not None and verify(g, kr, kb, rep)
             solved += 1
-    assert solved >= 80, solved
+    return solved
+
+
+def test_an_integral_first_round_scans_no_odd_set(monkeypatch):
+    # an optimum with no fractional edge violates no odd set, so a request
+    # whose first round is integral solves without the scan
+    assert _solve_integral_first_rounds(monkeypatch, "_odd_sets") >= 80
+
+
+def test_an_integral_optimum_builds_no_support(monkeypatch):
+    # solve_lp and minimal_face read an integral optimum (every x_e in
+    # {0, d}) from the LP's integers, without scaling it into a support
+    assert _solve_integral_first_rounds(monkeypatch, "_scaled_support") >= 80
+
+
+@pytest.mark.parametrize(
+    "x, d, integral",
+    [
+        ([3, 0, 3, 0, 3], 3, True),  # d > 1, every x_e in {0, d}
+        ([0, 0, 0, 0, 0], 7, True),  # the empty matching
+        ([1, 1, 1, 1, 2], 2, False),  # x_e = d beside 0 < x_e < d
+    ],
+    ids=["integral-d3", "empty", "mixed"],
+)
+def test_the_integrality_test_reads_the_lp_integers(monkeypatch, x, d, integral):
+    # a 4-cycle and a separate edge; the mixed point is the 4-cycle at 1/2,
+    # which violates no odd set, beside the unit edge
+    g = ColoredGraph(6, [(0, 1, "R"), (1, 2, "B"), (2, 3, "R"), (3, 0, "B"), (4, 5, "Y")])
+    point = LPResult(x, sum(x), d)
+    built = []
+
+    def spy(graph, numerators, den):
+        built.append(numerators)
+        return _scaled_support(graph, numerators, den)
+
+    monkeypatch.setattr(lpface, "_scaled_support", spy)
+    monkeypatch.setattr(lpface, "solve_standard_form", lambda *lp: point)
+    model = build_lp(g, 0, 0)
+    assert solve_lp(model) is point
+    face = minimal_face(g, model, point)
+    if integral:
+        assert built == [] and face.route == "integral"
+        assert face.vertex_matchings == (frozenset(e for e, num in enumerate(x) if num),)
+    else:
+        assert built == [x, x] and face.route.startswith("fractional vertices=4 ")
+        assert set(face.vertex_matchings) == {frozenset({0, 2, 4}), frozenset({1, 3, 4})}
 
 
 def test_face_with_tight_sets_that_split_unit_edges():
@@ -873,9 +918,10 @@ def test_face_of_a_half_integral_triangle_with_three_unit_edges():
     assert face == _describe_face(g, _reference_face_vertices(model, point), "")
     assert set(face.vertex_matchings) == {frozenset({0, 4, 5, 6, 7}), frozenset({2, 3, 5, 6, 7})}
     assert face.route == "fractional vertices=4 tight_sets=4 laminar_rows=1"
-    # only the matchings of the 4-cycle are enumerated, not those of the
+    # only the matchings of the 4-cycle that cover its four tight vertices
+    # are enumerated, its two perfect matchings per call, not those of the
     # whole support with its three unit edges
-    assert len(yielded) == 2 * 7
+    assert len(yielded) == 2 * 2
 
 
 def _degree_row_point(rng):

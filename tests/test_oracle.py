@@ -207,6 +207,39 @@ def test_enumeration_order_matches_the_recursive_reference():
         )
 
 
+def test_a_cover_mask_filters_the_walk_and_keeps_its_order():
+    # seeded multigraphs (parallel edges included): cover=m yields exactly
+    # the matchings of the unpruned walk that cover m, in its order, and
+    # cover=0 the unchanged walk
+    rng = random.Random(4711)
+    pruned = 0
+    for _ in range(300):
+        n = rng.randrange(1, 11)
+        edges = []
+        for _ in range(rng.randrange(0, 20)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.append((u, v, rng.choice("RBY")))
+        g = ColoredGraph(n, edges)
+        support = [e for e in range(g.edge_count) if rng.random() < 0.7]
+        full = list(_reference_enumerate_matchings(g, support))
+        assert list(enumerate_matchings(g, restrict_support=support, cover=0)) == full
+        for _ in range(4):
+            cover = rng.randrange(1 << n)
+            want = []
+            for m in full:
+                covered = 0
+                for e in m:
+                    u, v = g.endpoints(e)
+                    covered |= (1 << u) | (1 << v)
+                if not cover & ~covered:
+                    want.append(m)
+            got = list(enumerate_matchings(g, restrict_support=support, cover=cover))
+            assert got == want
+            pruned += 0 < len(want) < len(full)
+    assert pruned >= 100, pruned
+
+
 def test_enumeration_checks_its_input_before_the_first_yield():
     g = ColoredGraph(3, [(0, 1, "R")])
     with pytest.raises(ValueError):

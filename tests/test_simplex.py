@@ -31,17 +31,16 @@ def test_single_variable_forced_by_equality():
 
 
 def test_a_pivot_loop_that_stops_improving_raises(monkeypatch):
-    # a pivot that leaves the carried reduced-cost row as it was breaks the
-    # loop's invariant: the same column enters again and again, the basis
+    # a pivot that leaves the carried reduced-cost rows as they were breaks
+    # the loop's invariant: the same column enters again and again, the basis
     # recurs and the objective stands still, which must raise, not hang
     pivot = simplex._Tableau.pivot
 
-    def stale_z(self, row, col, z=None):
-        kept = None if z is None else list(z)
-        out = pivot(self, row, col, z)
-        if kept is not None:
-            out[:] = kept
-        return out
+    def stale_z(self, row, col, *carried):
+        kept = [list(z) for z in carried]
+        pivot(self, row, col, *carried)
+        for z, old in zip(carried, kept):
+            z[:] = old
 
     monkeypatch.setattr(simplex._Tableau, "pivot", stale_z)
     with pytest.raises(InvariantError, match="revisited a basis"):
@@ -60,12 +59,10 @@ def test_beale_cycling_example_terminates(monkeypatch):
     pivot = simplex._Tableau.pivot
     stalled = []
 
-    def watch(self, row, col, z=None):
-        before = None if z is None else (z[-1], self.d)
-        out = pivot(self, row, col, z)
-        if z is not None:
-            stalled.append(out[-1] * before[1] == before[0] * self.d)
-        return out
+    def watch(self, row, col, z):  # no equality rows: every pivot is phase 2's
+        before = (z[-1], self.d)
+        pivot(self, row, col, z)
+        stalled.append(z[-1] * before[1] == before[0] * self.d)
 
     monkeypatch.setattr(simplex._Tableau, "pivot", watch)
     res = solve_standard_form(
@@ -333,7 +330,8 @@ def test_inputs_are_left_unchanged():
 # every row at every column and runs Bland's rule over all columns, so it
 # shows that the condensed rows hold the same integers and take the same path.
 
-_CondensedTableau = simplex._Tableau  # bound before any test patches the module
+# bound before any test patches the module
+_CondensedTableau, _run_simplex = simplex._Tableau, simplex._run_simplex
 
 
 class _DenseTableau:
@@ -349,7 +347,8 @@ class _DenseTableau:
             z = [a + cost[var] * b for a, b in zip(z, row)]
         return z
 
-    def pivot(self, row, col, z=None):
+    def pivot(self, row, col, *zs):
+        """Returns the reduced-cost rows ``zs``, updated like the others."""
         prow, p, d = self.rows[row], self.rows[row][col], self.d
         assert p != 0
 
@@ -357,14 +356,14 @@ class _DenseTableau:
             return [(a * p - r[col] * b) // d for a, b in zip(r, prow)]
 
         self.rows = [r if i == row else eliminate(r) for i, r in enumerate(self.rows)]
-        z = None if z is None else eliminate(z)
+        zs = [eliminate(z) for z in zs]
         self.d, self.basis[row] = p, col
         if p < 0:
             self.rows = [[-a for a in r] for r in self.rows]
-            z = None if z is None else [-a for a in z]
+            zs = [[-a for a in z] for z in zs]
             self.d = -p
         self.pivots += 1
-        return z
+        return zs
 
 
 def _dense_run(tab, cost, allowed):
@@ -378,7 +377,7 @@ def _dense_run(tab, cost, allowed):
             for i, row in enumerate(tab.rows)
             if row[enter] > 0
         ]
-        z = tab.pivot(min(candidates)[2], enter, z)
+        (z,) = tab.pivot(min(candidates)[2], enter, z)
 
 
 def _dense_solve(n_vars, objective, ub_rows, eq_rows, made):
@@ -425,30 +424,42 @@ def _full(tab, r, i=None):
     return full
 
 
-def _lockstep(cases, made):
+def _lockstep(cases, made, lps):
     """The production tableau driven beside a full-width dense shadow: both
     take the same pivot, and afterwards every stored row, rhs included,
     must be the shadow's row at the stored columns, with the shadow's basic
-    columns d * e_i (z = 0 on them), and basis and d must agree.  Appends
-    each tableau to ``made``; ``cases`` counts the pivot kinds exercised
-    and the pivots at d > 1 on 30 rows or more."""
+    columns d * e_i, and basis and d must agree.  So must every reduced-cost
+    row the pivot carries (z = 0 on the basic columns): phase 1's and phase
+    2's through phase 1, phase 2's alone through the drive-out and phase 2.
+    ``run`` replaces ``_run_simplex`` and checks at the start of each phase
+    that the rows it prices from and carries equal a fresh dense
+    reduced-cost computation for the LP last appended to ``lps``.  Appends
+    each tableau to ``made``; ``cases`` counts the pivot kinds exercised and
+    the pivots at d > 1 on 30 rows or more."""
 
     class Lockstep(_CondensedTableau):
         def __init__(self, rows, basis, cols):
             super().__init__(rows, basis, cols)
             full = [_full(self, r, i) for i, r in enumerate(rows)]
             self.dense = _DenseTableau(full, list(basis), len(basis) + len(cols))
-            self.dense_z = None
-            self.pivots = 0
+            n_vars, objective, ub_rows, eq_rows = lps[-1]
+            n_slack, n_art = len(ub_rows), len(eq_rows)
+            # phase 1's cost, when there are equality rows, then phase 2's
+            self.costs = [[0] * (n_vars + n_slack) + [1] * n_art] if n_art else []
+            self.costs.append([-int(c) for c in objective] + [0] * (n_slack + n_art))
+            self.dense_z = [self.dense.reduced_costs(c) for c in self.costs]
+            self.runs = self.pivots = 0
             made.append(self)
 
-        def reduced_costs(self, cost):
-            z = super().reduced_costs(cost)
-            self.dense_z = self.dense.reduced_costs(cost)
-            assert _full(self, z) == self.dense_z
-            return z
+        @staticmethod
+        def run(tab, z, n_allowed, *carried):
+            fresh = [tab.dense.reduced_costs(c) for c in tab.costs[tab.runs :]]
+            assert [_full(tab, r) for r in (z, *carried)] == fresh
+            cases["phase 2 after phase 1"] += tab.runs == 1
+            tab.runs += 1
+            return _run_simplex(tab, z, n_allowed, *carried)
 
-        def pivot(self, row, s, z=None):
+        def pivot(self, row, s, *carried):
             p, d = self.rows[row][s], self.d
             if p == -d:
                 cases["p = -d"] += 1
@@ -457,16 +468,16 @@ def _lockstep(cases, made):
                 cases[f"{kind}, d {'= 1' if d == 1 else '> 1'}"] += 1
                 cases["p < 0, p != -d"] += p < 0
             cases["d > 1, 30+ rows"] += d > 1 and len(self.rows) >= 30
-            dense_z = self.dense.pivot(row, self.cols[s], None if z is None else self.dense_z)
-            got = super().pivot(row, s, z)
+            cases["drive-out"] += self.runs == 1 and len(carried) == 1
+            # phase 1's row is no longer carried once phase 1 ends
+            del self.dense_z[: len(self.dense_z) - len(carried)]
+            self.dense_z = self.dense.pivot(row, self.cols[s], *self.dense_z)
+            super().pivot(row, s, *carried)
             self.pivots += 1
             assert [_full(self, r, i) for i, r in enumerate(self.rows)] == self.dense.rows
             assert self.basis == self.dense.basis
             assert self.d == self.dense.d
-            if z is not None:
-                assert _full(self, got) == dense_z
-                self.dense_z = dense_z
-            return got
+            assert [_full(self, z) for z in carried] == self.dense_z
 
     return Lockstep
 
@@ -530,18 +541,30 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
     solves += [partial(_solve_matching_lp, *_matching_lp(big, 12, 16, 4)) for _ in range(10)]
     cases = Counter()
     made: list = []
-    monkeypatch.setattr(simplex, "_Tableau", _lockstep(cases, made))
+    lps: list = []
+    lockstep = _lockstep(cases, made, lps)
+    monkeypatch.setattr(simplex, "_Tableau", lockstep)
+    monkeypatch.setattr(simplex, "_run_simplex", lockstep.run)
+
+    def recorded(*lp):
+        lps.append(lp)
+        return solve_standard_form(*lp)
+
     finals = []
     for solve in solves:
         dense_made: list = []
         want = solve(partial(_dense_solve, made=dense_made))
         made.clear()
-        got = solve(solve_standard_form)
+        got = solve(recorded)
         assert got == want
         assert [t.pivots for t in made] == [t.pivots for t in dense_made]
+        # every phase started from checked rows; an infeasible LP has no phase 2
+        assert all(t.runs == len(t.costs) - (got is None) for t in made)
         finals.append([t.basis for t in made])
     # the redundant equality row stays basic in its artificial, variable 4
     assert 4 in finals[6][0]
     # every branch of the pivot, and pivots at d > 1 on 30 rows or more
     assert cases.pop("d > 1, 30+ rows", 0) >= 5, cases
+    # and the phase-2 row carried through drive-out pivots into phase 2
+    assert cases.pop("drive-out", 0) >= 300 and cases.pop("phase 2 after phase 1", 0) >= 300, cases
     assert len(cases) == 6 and min(cases.values()) >= 30, cases
