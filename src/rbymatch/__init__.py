@@ -4,8 +4,9 @@ Given a graph whose edges are colored red, blue, or yellow and a requirement
 (k_red, k_blue), the solver finds a matching with exactly k_red red edges,
 k_blue or k_blue - 1 blue edges, and size at least floor(opt) - 3, where opt
 is the optimum of the color-constrained matching LP over the matching
-polytope.  A brute-force oracle, an exact rational LP layer, and the lattice
-curve machinery behind the cycle solvers are exposed as submodules.
+polytope.  A brute-force oracle, an exact integer LP layer, and the lattice
+curve machinery of the crossing certificates are exposed as submodules; the
+cycle solvers take only the curve module's segment test.
 """
 
 from .driver import SolveReport, solve, verify

@@ -9,9 +9,9 @@ generated only when iterated, and the solver never reads them: it starts
 from the degree and color rows and appends the rows that separation finds
 violated, round by round, until none is, which yields a basic optimal
 solution of the full model (a vertex of a relaxation that is feasible for
-the full region is a vertex of it).  Separation and tightness scans run in
-integers, on the support scaled by the lcm of its reduced denominators, as
-a search pruned by each odd set's degree slack plus cut (``_odd_sets``).
+the full region is a vertex of it).  Separation and tightness scans run on
+the LP's own integers over d, as a search pruned by each odd set's degree
+slack plus cut (``_odd_sets``).
 
 Both scans read the optimum's structure first.  At a point x of the degree
 rows, an edge with x_e = 1 leaves its two ends no other support edge, and
@@ -38,25 +38,24 @@ unions of the k unit pairs, which picks the same rows as the full scan.
 An integral optimum is a matching (self-loops are rejected and parallel
 edges share a degree row); it meets every blossom row and is its own minimal
 face, so neither scan runs.  It is read from the LP's integers, every x_e in
-{0, d}, without building a support.
+{0, d}, without splitting the point.
 
-The minimal face of the matching polytope containing the optimum is
-recovered by enumerating the matchings on the fractional edges that cover
-the tight degree vertices (the enumerator prunes the rest) and keeping those
-tight on a maximal laminar family of the odd sets tight on the fractional
-vertices, which by uncrossing spans every tight blossom row (Edmonds 1965;
-Cunningham & Marsh 1978).  Every face vertex holds the x_e = 1 edges, the
-only support edges at their tight ends, so they are added to each survivor
-rather than enumerated.  At most four survive, forming a point, segment,
-triangle, or parallelogram; the face layer ends at that ``FaceDescriptor``,
-which the driver's case split reads as it is.
+The minimal face of the matching polytope containing the optimum is, by its
+definition, the set of matchings inside the support that are tight on every
+degree and blossom row tight at the optimum.  By the argument above these
+are the matchings of the fractional edges that cover the tight fractional
+vertices (the enumerator prunes the rest) and are tight on every odd set
+tight on the fractional vertices, each with the x_e = 1 edges added: they
+are the only support edges at their tight ends, so they are added to each
+survivor rather than enumerated.  At most four survive, forming a point,
+segment, triangle, or parallelogram; the face layer ends at that
+``FaceDescriptor``, which the driver's case split reads as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
 from typing import Sequence
 
 from .errors import InvariantError
@@ -116,7 +115,7 @@ class FaceDescriptor:
     classification: str
     projected_vertices: tuple[tuple[int, int], ...]
     # how the vertices were found: "integral", or "fractional" with the
-    # fractional vertex, tight odd set and laminar row counts
+    # fractional vertex and tight odd set counts
     route: str = field(compare=False)
 
 
@@ -130,27 +129,28 @@ def build_lp(
     return LPModel(graph, k_red, k_blue, BlossomRows(graph.vertex_count))
 
 
-def _scaled_support(
+def _split_point(
     graph: ColoredGraph, numerators: Sequence[int], d: int
-) -> tuple[list[tuple[int, int]], int]:
-    """((edge vertex mask, den * x_e) per support edge, den) for the point
-    x = numerators / d, where den = d / gcd(d, numerators) is the lcm of the
-    support's reduced denominators."""
-    g = gcd(d, *numerators)
-    scaled = []
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """(the ids of the edges with x_e = 1, (edge id, edge vertex mask, d *
+    x_e) per other support edge) for the point x = numerators / d."""
+    units: list[int] = []
+    fractional: list[tuple[int, int, int]] = []
     for e, num in enumerate(numerators):
-        if num:
+        if num == d:
+            units.append(e)
+        elif num:
             u, v = graph.endpoints(e)
-            scaled.append(((1 << u) | (1 << v), num // g))
-    return scaled, d // g
+            fractional.append((e, (1 << u) | (1 << v), num))
+    return units, fractional
 
 
 def _odd_sets(
     support: list[tuple[int, int]], den: int, tight: bool
 ) -> list[tuple[int, int, int]]:
     """(mask, rhs, excess) for every odd set S of >= 3 vertices of the given
-    support edges whose excess 2 * den * (x(E(S)) - rhs) is 0 (tight) or > 0
-    (violated), by mask.
+    support edges, each (vertex mask, den * x_e), whose excess
+    2 * den * (x(E(S)) - rhs) is 0 (tight) or > 0 (violated), by mask.
 
     With X = den * x and slacks s_v = den - X(delta(v)), a set T has excess
     den - c(T) at cost c(T) = s(T) + X(delta(T)).  At a point of the degree
@@ -160,10 +160,11 @@ def _odd_sets(
     follows the qualifying sets, not the 2^s subsets of s vertices, but is
     not polynomial: k disjoint half-integral triangles have 2^(k-1) violated
     unions.  The solver passes the fractional edges (0 < x_e < 1) of an LP
-    point: it finds a violated set iff the full support has one, its violated
-    sets rank the support's (``_top_violated``), and its tight sets with the
-    tight degree rows span every tight blossom row on the support (see the
-    module docstring).
+    point over the LP's own d: it finds a violated set iff the full support
+    has one, its violated sets rank the support's (``_top_violated``), and a
+    matching of the support that covers the tight degree vertices is tight
+    on every tight blossom row iff on its tight sets (see the module
+    docstring).
     """
     slack: dict[int, int] = {}
     adjacent: dict[int, dict[int, int]] = {}
@@ -256,7 +257,7 @@ def solve_lp(model: LPModel) -> LPResult | None:
     deterministic.  Both the test for a last round and the ranking of the
     rows a round activates scan the fractional vertices only; an optimum
     whose integers are all 0 or d has no fractional edge, violates no odd
-    set and is returned without a support or a scan.
+    set and is returned without a split or a scan.
 
     The loop ends: every active row holds at a round's optimum, so every
     set a round finds violated is new, and there are finitely many odd
@@ -280,29 +281,18 @@ def solve_lp(model: LPModel) -> LPResult | None:
         res = solve_standard_form(m, objective, ub_rows, eq_rows)
         if res is None or set(res.x) <= {0, res.d}:
             return res
-        support, den = _scaled_support(graph, res.x, res.d)
-        fractional = [(emask, x) for emask, x in support if x != den]
-        violated = _odd_sets(fractional, den, tight=False)
+        units, fractional = _split_point(graph, res.x, res.d)
+        violated = _odd_sets([(emask, x) for _, emask, x in fractional], res.d, tight=False)
         if not violated:
             return res
-        # the excess is the violation times 2 den, common to all sets, so it
+        # the excess is the violation times 2 d, common to all sets, so it
         # orders them as the rational violation does
-        units = [emask for emask, x in support if x == den]
-        for mask, rhs, _ in _top_violated(violated, units, 24):
+        pairs = [(1 << u) | (1 << v) for u, v in map(graph.endpoints, units)]
+        for mask, rhs, _ in _top_violated(violated, pairs, 24):
             if mask in active:
                 raise InvariantError(f"separation found the active odd set {mask:#x} violated")
             active.add(mask)
             ub_rows.append(([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs))
-
-
-def _laminar(sets: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
-    """(mask, rhs) of each set, in order, that is nested in or disjoint from
-    every set kept before it: a maximal laminar subfamily."""
-    kept: list[tuple[int, int]] = []
-    for mask, rhs, _ in sets:
-        if all(mask & t in (0, mask, t) for t, _ in kept):
-            kept.append((mask, rhs))
-    return kept
 
 
 def minimal_face(
@@ -316,46 +306,37 @@ def minimal_face(
     A solution whose integers are all 0 or d must be a matching, which is a
     vertex of the polytope and so its own minimal face.  Otherwise a matching
     is a face vertex iff its support stays inside the optimum's support and
-    its characteristic vector is tight on every degree constraint tight at
-    the optimum and on a maximal laminar family of the odd sets tight on the
-    fractional vertices; these span every tight blossom row (see the module
-    docstring).  Such a matching holds every x_e = 1 edge, so only the
+    its characteristic vector is tight on every degree and blossom row tight
+    at the optimum.  Such a matching holds every x_e = 1 edge, so only the
     matchings of the fractional edges that cover the tight fractional
-    vertices are enumerated (``cover``), and the unit edges are added to
-    each survivor.  More than four vertices would contradict the dimension
-    bound and is a fatal internal error.
+    vertices are enumerated (``cover``), kept if tight on every odd set
+    tight on the fractional vertices (see the module docstring), and the
+    unit edges are added to each survivor.  More than four vertices would
+    contradict the dimension bound and is a fatal internal error.
     """
     check_cap(graph, cap)
-    if set(solution.x) <= {0, solution.d}:
+    d = solution.d
+    if set(solution.x) <= {0, d}:
         unit_edges = frozenset(e for e, num in enumerate(solution.x) if num)
         if not validate_matching(graph, unit_edges):
             raise InvariantError("integral optimum is not a matching")
         return _describe_face(graph, [unit_edges], "integral")
-    support, den = _scaled_support(graph, solution.x, solution.d)
-    scaled = list(zip((e for e, num in enumerate(solution.x) if num), support))
-    unit_edges = frozenset(e for e, (_, x) in scaled if x == den)
-    edge_mask = {e: emask for e, (emask, x) in scaled if x != den}
-    fractional = [(emask, x) for emask, x in support if x != den]
-    tight_degree = 0
-    for v in range(graph.vertex_count):
-        if sum(x for emask, x in fractional if (emask >> v) & 1) == den:
-            tight_degree |= 1 << v
-    tight = _odd_sets(fractional, den, tight=True)
-    laminar = _laminar(tight)
+    units, fractional = _split_point(graph, solution.x, d)
+    edge_mask = {e: emask for e, emask, _ in fractional}
+    # d * x(delta(v)) per fractional vertex v, keyed by its bit
+    load: dict[int, int] = {}
+    for _, emask, x in fractional:
+        low = emask & -emask
+        for v in (low, emask ^ low):
+            load[v] = load.get(v, 0) + x
+    tight_degree = sum(v for v, x in load.items() if x == d)
+    tight = _odd_sets([(emask, x) for _, emask, x in fractional], d, tight=True)
     vertices = []
     for m in enumerate_matchings(graph, restrict_support=edge_mask, cap=cap, cover=tight_degree):
         masks = [edge_mask[e] for e in m]
-        if all(
-            sum(emask & mask == emask for emask in masks) == rhs for mask, rhs in laminar
-        ):
-            vertices.append(m | unit_edges)
-    fractional_vertices = 0
-    for emask, _ in fractional:
-        fractional_vertices |= emask
-    route = (
-        f"fractional vertices={fractional_vertices.bit_count()} "
-        f"tight_sets={len(tight)} laminar_rows={len(laminar)}"
-    )
+        if all(sum(emask & mask == emask for emask in masks) == rhs for mask, rhs, _ in tight):
+            vertices.append(m.union(units))
+    route = f"fractional vertices={len(load)} tight_sets={len(tight)}"
     return _describe_face(graph, vertices, route)
 
 
@@ -401,13 +382,6 @@ def _order_parallelogram(vertices: list[frozenset[int]]) -> list[frozenset[int]]
         # intersection, entry 1 the symmetric difference
         if v1 & opposite == c & d and v1 ^ opposite == c ^ d:
             a, b = sorted(others, key=lambda m: tuple(sorted(m)))
-            ordered = [v1, a, opposite, b]
-            d1 = v1 ^ a
-            d2 = a ^ opposite
-            if d1 & d2:
-                raise InvariantError(
-                    "parallelogram side supports intersect; ordering invalid"
-                )
-            return ordered
+            return [v1, a, opposite, b]
     raise InvariantError("four face vertices do not form a parallelogram")
 

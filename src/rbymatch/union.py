@@ -304,7 +304,7 @@ def _case_glue(
     start edge.
     """
     if len(aug0) > len(aug1):
-        raise ValueError("more paths augment the larger matching than the smaller")
+        raise InvariantError("more paths augment the larger matching than the smaller")
     for b in even:
         _orient_start_source0(b)
     pairs = sorted(zip(aug1, aug0), key=lambda p: min(p[0].min_edge, p[1].min_edge))

@@ -22,7 +22,7 @@ def test_solve_human(fig1_file, capsys):
     out = capsys.readouterr().out
     assert "alpha_star: 4" in out
     assert "face: segment" in out
-    assert "  - face: route=fractional vertices=8 tight_sets=24 laminar_rows=3\n" in out
+    assert "  - face: route=fractional vertices=8 tight_sets=24\n" in out
 
 
 def test_solve_json(fig1_file, capsys):

@@ -22,7 +22,7 @@ from rbymatch.lpface import (
     FaceDescriptor,
     _describe_face,
     _odd_sets,
-    _scaled_support,
+    _split_point,
     _top_violated,
     build_lp,
     minimal_face,
@@ -145,9 +145,9 @@ def lp_point(values) -> LPResult:
 
 
 def _scaled(graph, values):
-    """What ``_scaled_support`` returns for a point given as Fractions,
-    built from them alone: (edge vertex mask, den * x_e) per support edge,
-    and den, the lcm of the denominators."""
+    """The support of a point given as Fractions, scaled to integers by the
+    lcm den of the denominators: (edge vertex mask, den * x_e) per support
+    edge, and den.  The reference scans read it."""
     den = lcm(*(Fraction(x).denominator for x in values))
     support = [
         (sum(1 << u for u in graph.endpoints(e)), int(x * den))
@@ -700,8 +700,8 @@ def test_an_integral_first_round_scans_no_odd_set(monkeypatch):
 
 def test_an_integral_optimum_builds_no_support(monkeypatch):
     # solve_lp and minimal_face read an integral optimum (every x_e in
-    # {0, d}) from the LP's integers, without scaling it into a support
-    assert _solve_integral_first_rounds(monkeypatch, "_scaled_support") >= 80
+    # {0, d}) from the LP's integers, without splitting it
+    assert _solve_integral_first_rounds(monkeypatch, "_split_point") >= 80
 
 
 @pytest.mark.parametrize(
@@ -722,9 +722,9 @@ def test_the_integrality_test_reads_the_lp_integers(monkeypatch, x, d, integral)
 
     def spy(graph, numerators, den):
         built.append(numerators)
-        return _scaled_support(graph, numerators, den)
+        return _split_point(graph, numerators, den)
 
-    monkeypatch.setattr(lpface, "_scaled_support", spy)
+    monkeypatch.setattr(lpface, "_split_point", spy)
     monkeypatch.setattr(lpface, "solve_standard_form", lambda *lp: point)
     model = build_lp(g, 0, 0)
     assert solve_lp(model) is point
@@ -787,7 +787,7 @@ def test_face_check_keeps_nested_tight_sets():
     _assert_routes_agree(model, point)
     face = minimal_face(g, model, point)
     assert face.vertex_matchings == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3, 4}))
-    assert face.route == "fractional vertices=5 tight_sets=3 laminar_rows=2"
+    assert face.route == "fractional vertices=5 tight_sets=3"
 
 
 def test_describe_face_classifies_by_vertex_count():
@@ -804,6 +804,27 @@ def test_describe_face_classifies_by_vertex_count():
     # four affinely independent vertices span a 3-dimensional simplex
     with pytest.raises(InvariantError):
         _describe_face(g, matchings, "")
+
+
+def test_parallelogram_sides_have_disjoint_supports():
+    # v1 + v3 = a + b as 0/1 vectors: every element of v1 ^ v3 lies in
+    # exactly one of a and b, so consecutive sides never share an edge, and
+    # no other pairing of four distinct vertices sums alike
+    rng = random.Random(522)
+    found = 0
+    while found < 300:
+        quad = [frozenset(i for i in range(4) if rng.randrange(2)) for _ in range(4)]
+        v1, a, v3, b = quad
+        if len(set(quad)) < 4 or v1 & v3 != a & b or v1 ^ v3 != a ^ b:
+            continue
+        found += 1
+        rest = [a, v3, b]
+        rng.shuffle(rest)
+        ordered = lpface._order_parallelogram([v1, *rest])
+        assert ordered[0] == v1 and ordered[2] == v3 and {ordered[1], ordered[3]} == {a, b}
+        for i in range(4):
+            before, at, after = ordered[i - 1], ordered[i], ordered[(i + 1) % 4]
+            assert not (before ^ at) & (at ^ after)
 
 
 def _ranking_point(rng):
@@ -856,9 +877,22 @@ def test_ranking_from_the_fractional_scan_matches_the_full_support():
     assert many >= 100 and tied >= 1000, (many, tied)
 
 
-def test_integer_hand_off_scales_like_the_lcm_of_the_denominators(monkeypatch):
-    # den = d / gcd(d, numerators) on random integer points: zeros, common
-    # factors of every numerator with d, and d = 1
+def _fraction_split(graph, values, d):
+    """What ``_split_point`` returns, read from the Fraction values: the
+    edges at 1, and (edge id, vertex mask, d * x_e) for every other edge
+    in the support."""
+    units = [e for e, x in enumerate(values) if x == 1]
+    rest = [
+        (e, sum(1 << u for u in graph.endpoints(e)), int(x * d))
+        for e, x in enumerate(values)
+        if x not in (0, 1)
+    ]
+    return units, rest
+
+
+def test_the_split_matches_the_fraction_values(monkeypatch):
+    # random integer points: zeros, common factors of every numerator with
+    # d, numerators equal to d, and d = 1
     rng = random.Random(5151)
     g = ColoredGraph(6, [(u, v, "RBY"[(u + v) % 3]) for u in range(6) for v in range(u + 1, 6)])
     for _ in range(2000):
@@ -866,7 +900,7 @@ def test_integer_hand_off_scales_like_the_lcm_of_the_denominators(monkeypatch):
         k = rng.choice((1, 1, 2, 3, 5))
         numerators = [rng.choice((0, 0, k * rng.randrange(d + 1))) for _ in range(g.edge_count)]
         values = [Fraction(num, d) for num in numerators]
-        assert _scaled_support(g, numerators, d) == _scaled(g, values)
+        assert _split_point(g, numerators, d) == _fraction_split(g, values, d)
     # and every LP of the separation rounds on criterion-7 requests
     results = []
 
@@ -884,7 +918,7 @@ def test_integer_hand_off_scales_like_the_lcm_of_the_denominators(monkeypatch):
         prof = color_profile(g, matchings[rng.randrange(len(matchings))])
         solve_lp(build_lp(g, prof.red, prof.blue))
         for res in results:
-            assert _scaled_support(g, res.x, res.d) == _scaled(g, res.values)
+            assert _split_point(g, res.x, res.d) == _fraction_split(g, res.values, res.d)
             fractional += _has_fractional_edge(res.values)
         results.clear()
     assert fractional >= 50, fractional
@@ -917,7 +951,7 @@ def test_face_of_a_half_integral_triangle_with_three_unit_edges():
         face = minimal_face(g, model, point)
     assert face == _describe_face(g, _reference_face_vertices(model, point), "")
     assert set(face.vertex_matchings) == {frozenset({0, 4, 5, 6, 7}), frozenset({2, 3, 5, 6, 7})}
-    assert face.route == "fractional vertices=4 tight_sets=4 laminar_rows=1"
+    assert face.route == "fractional vertices=4 tight_sets=4"
     # only the matchings of the 4-cycle that cover its four tight vertices
     # are enumerated, its two perfect matchings per call, not those of the
     # whole support with its three unit edges

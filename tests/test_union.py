@@ -121,6 +121,16 @@ def test_glue_rejects_opened_ends_of_one_color(monkeypatch):
         union._case_glue([_cycle_block("RBYR")], [], [], 0, 0)
 
 
+def test_glue_rejects_an_aug0_path_without_an_aug1_partner():
+    # combine_two_matchings makes matching 0 the larger one, so more aug0
+    # paths than aug1 paths is a broken invariant, not bad input
+    (comp,) = symdiff_components(path_graph("R"), frozenset(), frozenset({0}))
+    block = _block_from_component(comp)
+    assert union._classify([block]) == ([], [block], [])
+    with pytest.raises(InvariantError, match="more paths augment"):
+        union._case_glue([], [block], [], 0, 0)
+
+
 @pytest.mark.parametrize(
     "two_cycle,rest",
     [
