@@ -68,15 +68,15 @@ def solve(
     """Solve the requirement on a colored graph; None iff the LP is infeasible."""
     model = build_lp(graph, k_red, k_blue, cap)
     trace = [f"lp: edges={graph.edge_count}"]
-    solution = solve_lp(model)
-    if solution is None:
-        return None
-    alpha = solution.objective
-    trace.append(f"lp: alpha_star={alpha}")
     try:
+        solution = solve_lp(model)
+        if solution is None:
+            return None
+        alpha = solution.objective
+        trace.append(f"lp: alpha_star={alpha}")
         face_class, matching = _from_optimum(graph, model, solution, k_red, k_blue, cap, trace)
     except ValueError as exc:
-        # build_lp checked the input: past the LP, a ValueError is a broken
+        # build_lp checked the input: past it, a ValueError is a broken
         # internal guarantee, not bad input
         raise InvariantError(f"{exc}; trace={trace}") from exc
 

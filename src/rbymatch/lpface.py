@@ -7,7 +7,9 @@ integer simplex; its optimum stays integers over one denominator d from the
 last pivot to the face.  The model's blossom rows are a lazy sequence,
 generated only when iterated, and the solver never reads them: it starts
 from the degree and color rows and appends the rows that separation finds
-violated, round by round, until none is, which yields a basic optimal
+violated, round by round, each round re-optimizing the last one's tableau
+by the dual simplex and purging the rows slack at its optimum, until none
+is violated, which yields a basic optimal
 solution of the full model (a vertex of a relaxation that is feasible for
 the full region is a vertex of it).  Separation and tightness scans run on
 the LP's own integers over d, as a search pruned by each odd set's degree
@@ -251,22 +253,26 @@ def _top_violated(
 def solve_lp(model: LPModel) -> LPResult | None:
     """Basic optimal solution of the full model, exact in integers, or None.
 
-    The degree and color rows are built once; violated blossom rows are
-    appended in rounds (most violated first, at most 24 per round) and the
-    LP re-solved from scratch with Bland's rule, so the result is
-    deterministic.  Both the test for a last round and the ranking of the
-    rows a round activates scan the fractional vertices only; an optimum
-    whose integers are all 0 or d has no fractional edge, violates no odd
-    set and is returned without a split or a scan.
+    The degree and color rows are built once and solved from scratch with
+    Bland's rule.  Violated blossom rows are then appended in rounds (most
+    violated first, at most 24 per round), and each round re-optimizes the
+    last round's final tableau by the dual simplex (``start=``), so the
+    result is deterministic.  Before a round appends, it purges the active
+    rows slack at the last optimum: their slacks are basic, so each is a
+    row deletion and the point stays optimal.  Both the test for a last
+    round and the ranking of the rows a round activates scan the
+    fractional vertices only; an optimum whose integers are all 0 or d has
+    no fractional edge, violates no odd set and is returned without a split
+    or a scan.
 
     The loop ends: every active row holds at a round's optimum, so every
-    set a round finds violated is new, and there are finitely many odd
-    sets.  A round that would activate a set again breaks that argument
-    and raises InvariantError.
+    set a round finds violated is not active, and a set is purged at most
+    once, so no set is activated more than twice.  A round that would
+    activate an active set breaks that argument and raises InvariantError.
     """
     graph = model.graph
     m = graph.edge_count
-    ub_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
+    degree_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
     red: list[tuple[int, int]] = []
     blue: list[tuple[int, int]] = []
     for e, (_, _, color) in enumerate(graph.edges):
@@ -276,23 +282,29 @@ def solve_lp(model: LPModel) -> LPResult | None:
             blue.append((e, 1))
     eq_rows = [(red, model.k_red), (blue, model.k_blue)]
     objective = [1] * m
-    active: set[int] = set()
+    res = solve_standard_form(m, objective, degree_rows, eq_rows)
+    active: dict[int, tuple[list[tuple[int, int]], int]] = {}  # mask: row, in order
+    purged: set[int] = set()
     while True:
-        res = solve_standard_form(m, objective, ub_rows, eq_rows)
         if res is None or set(res.x) <= {0, res.d}:
             return res
         units, fractional = _split_point(graph, res.x, res.d)
         violated = _odd_sets([(emask, x) for _, emask, x in fractional], res.d, tight=False)
         if not violated:
             return res
+        x, d = res.x, res.d
+        for mask, (coeffs, rhs) in list(active.items()):
+            if mask not in purged and sum(x[e] for e, _ in coeffs) < rhs * d:
+                purged.add(mask)
+                del active[mask]
         # the excess is the violation times 2 d, common to all sets, so it
         # orders them as the rational violation does
         pairs = [(1 << u) | (1 << v) for u, v in map(graph.endpoints, units)]
         for mask, rhs, _ in _top_violated(violated, pairs, 24):
             if mask in active:
                 raise InvariantError(f"separation found the active odd set {mask:#x} violated")
-            active.add(mask)
-            ub_rows.append(([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs))
+            active[mask] = ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs)
+        res = solve_standard_form(m, objective, degree_rows + list(active.values()), eq_rows, start=res)
 
 
 def minimal_face(

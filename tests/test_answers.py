@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # workload: (seed, requests, or 0 for the workload's own count, digest)
 PINNED = {
-    "graphs_small": (7, 220, "3d722533b50d42cc01c6ebb1c85ad3b3bf5eb8e11cd96c4194afe33c8e5f7782"),
+    "graphs_small": (7, 220, "eed11c60cd0ad6947719b508fe79d21809c6ee9596e4955f9f970ec3f7bda659"),
     "select_combine": (7, 220, "156c25908ee0e834e901e4ef115294f9985c3238de190904454259982988944d"),
-    "graphs_cap": (1, 0, "56525ebc5336f0a35ac00c2bd4aeb3e344d1ae2d77971f73c4c8e5b35540b443"),
+    "graphs_cap": (1, 0, "27347f8eb2651d13be0beee99414029ec81c6ce1d40e421f13d7d8fa29174fa4"),
 }
 
 _DIGESTS = """

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rbymatch import driver
+from rbymatch import driver, lpface
 from rbymatch.cli import main
 
 FIG1_INSTANCE = "cycle RBYBRBYB\nrequire 1 2\n"
@@ -37,6 +37,14 @@ def test_solve_json(fig1_file, capsys):
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("cycle RBYBRBYB\nrequire 3 0\n")
+    assert main(["solve", str(p)]) == 2
+
+
+def test_infeasible_in_a_later_round_exit_code(tmp_path, capsys):
+    # round 1 of the LP is feasible; round 2's dual simplex finds it is not
+    p = tmp_path / "later.txt"
+    edges = ["0 2 R", "0 4 B", "1 3 R", "1 4 R", "1 5 B", "2 4 B", "3 5 R", "4 5 Y"]
+    p.write_text("graph 7\n" + "".join(f"e {e}\n" for e in edges) + "require 2 1\n")
     assert main(["solve", str(p)]) == 2
 
 
@@ -82,6 +90,20 @@ def test_internal_value_error_exit_code(tmp_path, capsys, monkeypatch, callee, e
     err = capsys.readouterr().err
     assert f"internal invariant failure: {error}; trace=" in err
     assert "face: route=fractional" in err
+
+
+def test_value_error_inside_the_lp_exit_code(tmp_path, capsys, monkeypatch):
+    # the simplex runs past the input checks, so its ValueError is a broken
+    # guarantee: exit 5, with the trace, and no parse error
+    def fail(*args, **kwargs):
+        raise ValueError("right-hand sides must be nonnegative")
+
+    p = tmp_path / "fig1.txt"
+    p.write_text(FIG1_INSTANCE)
+    monkeypatch.setattr(lpface, "solve_standard_form", fail)
+    assert main(["solve", str(p)]) == 5
+    err = capsys.readouterr().err
+    assert "internal invariant failure: right-hand sides must be nonnegative; trace=" in err
 
 
 def test_cap_exit_code(tmp_path):

@@ -18,6 +18,7 @@ from rbymatch.driver import (
     solve,
     verify,
 )
+from rbymatch import lpface
 from rbymatch.errors import InvariantError
 from rbymatch.graph import ColoredGraph, color_profile, cycle_graph, path_graph
 from rbymatch.lpface import (
@@ -29,6 +30,7 @@ from rbymatch.lpface import (
     solve_lp,
 )
 from rbymatch.oracle import DEFAULT_CAP, OracleCap, enumerate_matchings, exact_optimum
+from rbymatch.simplex import solve_standard_form
 from test_acceptance import _random_instance as _criterion_7_instance
 from test_acceptance import _random_matching_profile
 from test_lpface import lp_point
@@ -84,6 +86,42 @@ def test_solve_infeasible_returns_none():
     assert solve(g, 3, 0) is None
 
 
+# seven vertices, vertex 6 isolated: round 1 is feasible at a fractional
+# point, and round 2 adds blossom rows that leave no point meeting the color
+# rows, which the dual simplex of the warm round finds
+LATER_ROUND_INFEASIBLE = ColoredGraph(
+    7,
+    [(0, 2, "R"), (0, 4, "B"), (1, 3, "R"), (1, 4, "R"), (1, 5, "B"), (2, 4, "B"), (3, 5, "R"), (4, 5, "Y")],
+)
+
+
+def test_infeasibility_found_in_a_later_round(monkeypatch):
+    calls = []
+
+    def recorded(*lp, start=None):
+        res = solve_standard_form(*lp, start=start)
+        calls.append((start is not None, res is not None))
+        return res
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", recorded)
+        assert solve_lp(build_lp(LATER_ROUND_INFEASIBLE, 2, 1)) is None
+    assert calls == [(False, True), (True, False)]
+    assert solve(LATER_ROUND_INFEASIBLE, 2, 1) is None
+    assert exact_optimum(LATER_ROUND_INFEASIBLE, 2, 1) is None
+
+
+def test_a_value_error_inside_the_lp_is_an_invariant_failure(monkeypatch):
+    # build_lp has checked the input, so a ValueError from the simplex is a
+    # broken internal guarantee, not bad input
+    def fail(*args, **kwargs):
+        raise ValueError("right-hand sides must be nonnegative")
+
+    monkeypatch.setattr(lpface, "solve_standard_form", fail)
+    with pytest.raises(InvariantError, match="right-hand sides must be nonnegative; trace="):
+        solve(cycle_graph(FIG1), 1, 2)
+
+
 def test_solve_empty_graph():
     g = ColoredGraph(3, [])
     rep = solve(g, 0, 0)
@@ -109,6 +147,23 @@ def test_solve_past_64_vertices_under_a_raised_cap():
             assert g.vertex_count == n
             rep = solve(g, 5, 5, cap)
             assert rep is not None and verify(g, 5, 5, rep)
+
+
+@pytest.mark.parametrize("n", [65, 71])
+def test_an_odd_yellow_cycle_past_64_vertices(monkeypatch, n):
+    # at x = 1/2 the whole cycle is the one violated odd set; its row, over
+    # all n vertices, takes alpha* from n/2 to (n - 1)/2
+    g = cycle_graph("Y" * n)
+    rows = []
+
+    def recorded(*lp, start=None):
+        rows.append(lp[2][n:])
+        return solve_standard_form(*lp, start=start)
+
+    monkeypatch.setattr(lpface, "solve_standard_form", recorded)
+    rep = solve(g, 0, 0, OracleCap(128, 400))
+    assert rows == [[], [([(e, 1) for e in range(n)], (n - 1) // 2)]]
+    assert rep.alpha_star == (n - 1) // 2 and verify(g, 0, 0, rep)
 
 
 def test_solve_never_reads_the_full_blossom_model(monkeypatch):

@@ -531,29 +531,68 @@ def _face_vertices(model, solution):
     return sorted(vertices, key=lambda m: tuple(sorted(m)))
 
 
-def _assert_routes_agree(model, solution=None):
+def _assert_routes_agree(model, solution=None, purges=None):
     """solve_lp and minimal_face against the full-support reference, at the
-    optimum (or at ``solution``, a point of the polytope); at the optimum
-    both loops must also hand the simplex the same rows in the same order in
-    every round."""
-    if solution is None:
-        rounds, want_rounds = [], []
+    optimum (or at ``solution``, a point of the polytope).
 
-        def recorded(n_vars, objective, ub_rows, eq_rows):
-            rounds.append((list(ub_rows), list(eq_rows)))
-            return solve_standard_form(n_vars, objective, ub_rows, eq_rows)
+    At the optimum, solve_lp's rounds are replayed: each round must hand the
+    simplex the rows of the reference separation (``_next_rows``) at the last
+    round's optimum, and each round's warm optimum must equal a from-scratch
+    solve over the same rows in value and in feasibility.  The last must be
+    the solution, with no violated set on the whole support, and match the
+    from-scratch reference loop in value and feasibility.  Adds the rows
+    purged to the Counter ``purges``, if given."""
+    if solution is None:
+        graph, m = model.graph, model.graph.edge_count
+        rounds = []
+
+        def recorded(n_vars, objective, ub_rows, eq_rows, start=None):
+            res = solve_standard_form(n_vars, objective, ub_rows, eq_rows, start=start)
+            rounds.append((list(ub_rows), list(eq_rows), res))
+            return res
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lpface, "solve_standard_form", recorded)
             solution = solve_lp(model)
-        assert solution == _reference_solve_lp(model, want_rounds)
-        assert rounds == want_rounds
+        assert solution is rounds[-1][2]
+        active, purged = [], set()
+        for k, (ub_rows, eq_rows, res) in enumerate(rounds):
+            assert (ub_rows, eq_rows) == _reference_rows(model, active)
+            cold = solve_standard_form(m, [1] * m, ub_rows, eq_rows)
+            assert (res is None) == (cold is None)
+            if res is None:
+                break
+            assert res.objective == cold.objective
+            violated = _odd_sets(*_scaled(graph, res.values), tight=False)
+            assert bool(violated) == (k < len(rounds) - 1)
+            active = _next_rows(graph, active, purged, res, violated)
+        if purges is not None:
+            purges["purged"] += len(purged)
+        want = _reference_solve_lp(model, [])
+        assert (solution is None) == (want is None)
         if solution is None:
             return None
+        assert solution.objective == want.objective
         expected = _describe_face(model.graph, _reference_face_vertices(model, solution), "")
         assert minimal_face(model.graph, model, solution) == expected
     assert _face_vertices(model, solution) == _reference_face_vertices(model, solution)
     return solution
+
+
+def _next_rows(graph, active, purged, res, violated):
+    """The blossom rows of the round after the optimum ``res``: the
+    ``active`` rows less those slack at ``res`` that are not in ``purged``
+    (which takes them), then the first 24 ``violated`` sets of the whole
+    support by (-excess, mask)."""
+    kept = []
+    for row in active:
+        inside = sum(x for e, x in enumerate(res.values) if all((row.vertex_mask >> u) & 1 for u in graph.endpoints(e)))
+        if row.vertex_mask not in purged and inside < row.rhs:
+            purged.add(row.vertex_mask)
+        else:
+            kept.append(row)
+    ranked = sorted(violated, key=lambda row: (-row[2], row[0]))
+    return kept + [BlossomRow(mask, rhs) for mask, rhs, _ in ranked[:24]]
 
 
 def _has_fractional_edge(values):
@@ -612,7 +651,8 @@ def test_separation_rounds_match_the_full_scan_at_the_benchmark_size(monkeypatch
     # graphs_small's largest graphs (n 11..14, m = 24, the profile of a
     # random maximal matching): some rounds there have more than 24
     # violated sets or several excess groups, so the rows activated in
-    # each round are compared where the limit and the group order matter
+    # each round are compared where the limit and the group order matter,
+    # and where warm rounds purge slack rows
     rounds = Counter()
 
     def counted(violated, unit_pairs, limit):
@@ -632,8 +672,62 @@ def test_separation_rounds_match_the_full_scan_at_the_benchmark_size(monkeypatch
             if not used & {u, v}:
                 used |= {u, v}
                 kr, kb = kr + (c == RED), kb + (c == BLUE)
-        _assert_routes_agree(build_lp(ColoredGraph(n, edges), kr, kb))
+        _assert_routes_agree(build_lp(ColoredGraph(n, edges), kr, kb), purges=rounds)
     assert min(rounds.values()) >= 3, rounds
+
+
+def test_warm_rounds_match_the_reference_loop_past_the_cap():
+    # one seeded graph per n = 22..30 (edge probability 0.15, at most 2n
+    # edges, requirements from 2..6): alpha* and feasibility as the
+    # from-scratch loop over every row it activates finds them
+    rng = random.Random(2230)
+    cap = OracleCap(128, 400)
+    outcomes = Counter()
+    for n in range(22, 31):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+        rng.shuffle(pairs)
+        g = ColoredGraph(n, [(u, v, rng.choice("RBY")) for u, v in pairs[: 2 * n]])
+        model = build_lp(g, rng.randint(2, 6), rng.randint(2, 6), cap)
+        rounds = []
+        want = _reference_solve_lp(model, rounds)
+        got = solve_lp(model)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.objective == want.objective
+        outcomes["infeasible" if got is None else "several rounds" if len(rounds) > 1 else "one round"] += 1
+    assert min(outcomes.values()) >= 1 and len(outcomes) == 3, outcomes
+
+
+def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
+    # a seeded n = 44 graph (as above, at most 2n edges) whose warm rounds
+    # purge sets that are violated again later: re-activated, they stay, so
+    # no row leaves the LP twice; alpha* is the reference loop's
+    rng = random.Random("pastcap:1:44")
+    n = 44
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+    rng.shuffle(pairs)
+    g = ColoredGraph(n, [(u, v, rng.choice("RBY")) for u, v in pairs[: 2 * n]])
+    model = build_lp(g, rng.randint(2, 6), rng.randint(2, 6), OracleCap(128, 400))
+    rounds = []
+
+    def recorded(*lp, start=None):
+        rounds.append(lp)
+        return solve_standard_form(*lp, start=start)
+
+    monkeypatch.setattr(lpface, "solve_standard_form", recorded)
+    got = solve_lp(model)
+    # a blossom row by its edges and rhs
+    active = [{(tuple(coeffs), rhs) for coeffs, rhs in lp[2][n:]} for lp in rounds]
+    purges, reactivated, gone = Counter(), 0, set()
+    for before, after in zip(active, active[1:]):
+        purges.update(before - after)
+        reactivated += len(gone & (after - before))
+        gone |= before - after
+    assert max(purges.values()) == 1 and reactivated >= 5, (purges, reactivated)
+    # the last warm optimum is a from-scratch optimum over the same rows;
+    # the from-scratch loop over every row it activates (too slow here, as
+    # is its full-support scan) also ends at 21
+    assert got.objective == solve_standard_form(*rounds[-1]).objective == 21
 
 
 def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
@@ -904,8 +998,8 @@ def test_the_split_matches_the_fraction_values(monkeypatch):
     # and every LP of the separation rounds on criterion-7 requests
     results = []
 
-    def keep(*args):
-        results.append(solve_standard_form(*args))
+    def keep(*args, **kwargs):
+        results.append(solve_standard_form(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(lpface, "solve_standard_form", keep)

@@ -14,6 +14,7 @@ from rbymatch.errors import InvariantError
 from rbymatch.graph import ColoredGraph
 from rbymatch.lpface import build_lp, solve_lp
 from rbymatch.simplex import solve_standard_form
+from test_driver import LATER_ROUND_INFEASIBLE
 
 F = Fraction
 
@@ -116,6 +117,41 @@ def test_fractional_vertex():
     assert res is not None
     assert res.objective == F(3, 2)
     assert res.values == (F(1, 2),) * 3
+
+
+def test_a_warm_start_appends_purges_and_checks_its_start():
+    # the triangle at 1/2 each, then its blossom row appended; the box rows
+    # are slack at both optima, so their slacks are basic and may be purged
+    edges = [([(0, 1), (1, 1)], 1), ([(1, 1), (2, 1)], 1), ([(2, 1), (0, 1)], 1)]
+    boxes = [([(j, 1)], 1) for j in range(3)]
+    first = solve_standard_form(3, [1] * 3, edges + boxes, [])
+    assert first.values == (F(1, 2),) * 3 and first.tableau is not None
+    # equality and repr ignore the tableau
+    assert first == simplex.LPResult(first.x, first.value, first.d)
+    assert repr(first) == repr(simplex.LPResult(first.x, first.value, first.d))
+    tab = first.tableau
+    kept = copy.deepcopy((tab.rows, tab.basis, tab.cols, tab.d, tab.z, tab.ub_rows))
+    blossom = ([(0, 1), (1, 1), (2, 1)], 1)
+    second = solve_standard_form(3, [1] * 3, edges + [blossom], [], start=first)
+    assert second.objective == 1 and second.x.count(second.d) == 1
+    # the start is left as it was, so it can start another solve
+    assert (tab.rows, tab.basis, tab.cols, tab.d, tab.z, tab.ub_rows) == kept
+    assert solve_standard_form(3, [1] * 3, edges + [blossom], [], start=first) == second
+    assert second.objective == solve_standard_form(3, [1] * 3, edges + [blossom], []).objective
+    # an edge row is tight at the optimum, with its slack nonbasic
+    with pytest.raises(InvariantError, match="slack is nonbasic"):
+        solve_standard_form(3, [1] * 3, edges[1:] + boxes, [], start=first)
+    # the rows are matched as objects: an equal copy is a new row, and the
+    # originals it replaces are purged
+    with pytest.raises(InvariantError, match="slack is nonbasic"):
+        solve_standard_form(3, [1] * 3, [(list(c), b) for c, b in edges + boxes], [], start=first)
+    # the start must carry a tableau over the same variables and rows
+    with pytest.raises(ValueError, match="no tableau"):
+        solve_standard_form(3, [1] * 3, edges, [], start=simplex.LPResult(first.x, first.value, first.d))
+    with pytest.raises(ValueError, match="other variables"):
+        solve_standard_form(4, [1] * 4, edges + boxes, [], start=first)
+    with pytest.raises(ValueError, match="other variables"):
+        solve_standard_form(3, [1] * 3, edges + boxes, [([(0, 1)], 0)], start=first)
 
 
 def _brute_force_max(n, objective, ub_rows, eq_rows, grid):
@@ -329,16 +365,22 @@ def test_inputs_are_left_unchanged():
 # It stores every column, the basic identity block d * e_i included, rebuilds
 # every row at every column and runs Bland's rule over all columns, so it
 # shows that the condensed rows hold the same integers and take the same path.
+# A warm solve builds its tableau afresh at the resumed basis, d * B^-1 of the
+# whole LP by Fraction elimination, so the condensed copy, purge and appended
+# rows are checked against the definition, not against the same updates.
 
 # bound before any test patches the module
 _CondensedTableau, _run_simplex = simplex._Tableau, simplex._run_simplex
+_run_dual_simplex = simplex._run_dual_simplex
 
 
 class _DenseTableau:
-    """Integer rows (n_total coefficients + rhs) over the denominator d."""
+    """Integer rows (n_total coefficients + rhs) over the denominator d, and
+    the <= rows of the LP they were built from."""
 
-    def __init__(self, rows, basis, n_total):
-        self.rows, self.basis, self.n_total, self.d = rows, basis, n_total, 1
+    def __init__(self, rows, basis, n_total, ub_rows, d=1):
+        self.rows, self.basis, self.n_total, self.d = rows, basis, n_total, d
+        self.ub_rows = tuple(ub_rows)
         self.pivots = 0
 
     def reduced_costs(self, cost):
@@ -380,10 +422,28 @@ def _dense_run(tab, cost, allowed):
         (z,) = tab.pivot(min(candidates)[2], enter, z)
 
 
-def _dense_solve(n_vars, objective, ub_rows, eq_rows, made):
-    """The integer solver on full-width rows; appends its tableau to ``made``."""
-    n_slack, n_art = len(ub_rows), len(eq_rows)
-    n_total = n_vars + n_slack + n_art
+def _dense_dual_run(tab, cost, allowed):
+    """The dual simplex with Bland's rule over every column: of the rows with
+    a negative rhs, that of the smallest basic variable leaves, and the
+    allowed column of least z_j / a_j over a_j < 0 enters, ties to the
+    smallest; False iff the leaving row has no such column."""
+    z = tab.reduced_costs(cost)
+    while True:
+        out = [(tab.basis[i], i) for i, row in enumerate(tab.rows) if row[-1] < 0]
+        if not out:
+            return True
+        leave = min(out)[1]
+        row = tab.rows[leave]
+        candidates = [(Fraction(z[j], row[j]), j) for j in range(tab.n_total) if allowed[j] and row[j] < 0]
+        if not candidates:
+            return False
+        (z,) = tab.pivot(leave, min(candidates)[1], z)
+
+
+def _dense_rows(n_vars, ub_rows, eq_rows):
+    """The LP's rows at full width: the coefficients, 1 at the row's own
+    slack or artificial column, and the rhs."""
+    n_total = n_vars + len(ub_rows) + len(eq_rows)
     rows = []
     for i, (coeffs, rhs) in enumerate(list(ub_rows) + list(eq_rows)):
         row = [0] * (n_total + 1)
@@ -391,24 +451,81 @@ def _dense_solve(n_vars, objective, ub_rows, eq_rows, made):
             row[j] += int(a)
         row[n_vars + i], row[-1] = 1, int(rhs)
         rows.append(row)
-    tab = _DenseTableau(rows, list(range(n_vars, n_total)), n_total)
-    made.append(tab)
-    if n_art:
-        if _dense_run(tab, [0] * (n_vars + n_slack) + [1] * n_art, [True] * n_total):
-            return None
-        for i in range(len(tab.rows)):
-            if tab.basis[i] >= n_vars + n_slack:
-                col = next((j for j in range(n_vars + n_slack) if tab.rows[i][j]), -1)
-                if col >= 0:
-                    tab.pivot(i, col)
+    return rows
+
+
+def _dense_at_basis(n_vars, ub_rows, eq_rows, basis):
+    """The LP's full-width tableau at ``basis``, computed afresh: d * B^-1 of
+    its rows, with d = |det B|, by Fraction Gauss-Jordan elimination; row i
+    is that of the variable basis[i]."""
+    rows = _dense_rows(n_vars, ub_rows, eq_rows)
+    k = len(rows)
+    aug = [[F(r[var]) for var in basis] + [F(a) for a in r] for r in rows]
+    det = F(1)
+    for c in range(k):
+        p = next(i for i in range(c, k) if aug[i][c])
+        if p != c:
+            aug[c], aug[p], det = aug[p], aug[c], -det
+        pivot = aug[c][c]
+        det *= pivot
+        aug[c] = [a / pivot for a in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    d = abs(det)
+    full = [[a * d for a in r[k:]] for r in aug]
+    assert all(a.denominator == 1 for r in full for a in r)
+    n_total = len(rows[0]) - 1
+    return _DenseTableau([[int(a) for a in r] for r in full], list(basis), n_total, ub_rows, int(d))
+
+
+def _dense_solve(n_vars, objective, ub_rows, eq_rows, made, start=None):
+    """The integer solver on full-width rows; appends its tableau to ``made``.
+    With ``start``, a result of this function, it rebuilds the tableau at
+    start's final basis over the new rows (a purged row's slack must be
+    basic there; each appended row's slack joins the basis) and runs the
+    dual simplex."""
+    n_slack, n_art = len(ub_rows), len(eq_rows)
+    n_total = n_vars + n_slack + n_art
     cost = [-int(c) for c in objective] + [0] * (n_slack + n_art)
-    _dense_run(tab, cost, [True] * (n_vars + n_slack) + [False] * n_art)
+    allowed = [True] * (n_vars + n_slack) + [False] * n_art
+    if start is not None:
+        prev = start.tableau
+        # start's rows that ub_rows repeats at its front, as the same
+        # objects and in order, keep their slack; the others are purged
+        index, kept = list(range(n_vars)), 0
+        for row in prev.ub_rows:
+            repeated = kept < n_slack and ub_rows[kept] is row
+            index.append(n_vars + kept if repeated else None)
+            kept += repeated
+        index += range(n_vars + n_slack, n_total)
+        assert all(index[var] is not None for var in range(prev.n_total) if var not in prev.basis)
+        basis = [index[var] for var in prev.basis if index[var] is not None]
+        basis += range(n_vars + kept, n_vars + n_slack)
+        tab = _dense_at_basis(n_vars, ub_rows, eq_rows, basis)
+        made.append(tab)
+        if not _dense_dual_run(tab, cost, allowed):
+            return None
+    else:
+        rows = _dense_rows(n_vars, ub_rows, eq_rows)
+        tab = _DenseTableau(rows, list(range(n_vars, n_total)), n_total, ub_rows)
+        made.append(tab)
+        if n_art:
+            if _dense_run(tab, [0] * (n_vars + n_slack) + [1] * n_art, [True] * n_total):
+                return None
+            for i in range(len(tab.rows)):
+                if tab.basis[i] >= n_vars + n_slack:
+                    col = next((j for j in range(n_vars + n_slack) if tab.rows[i][j]), -1)
+                    if col >= 0:
+                        tab.pivot(i, col)
+        _dense_run(tab, cost, allowed)
     x = [0] * n_vars
     for row, var in zip(tab.rows, tab.basis):
         if var < n_vars:
             x[var] = row[-1]
     value = sum(int(c) * v for c, v in zip(objective, x))
-    return simplex.LPResult(x, value, tab.d)
+    return simplex.LPResult(x, value, tab.d, tab)
 
 
 def _full(tab, r, i=None):
@@ -430,45 +547,75 @@ def _lockstep(cases, made, lps):
     must be the shadow's row at the stored columns, with the shadow's basic
     columns d * e_i, and basis and d must agree.  So must every reduced-cost
     row the pivot carries (z = 0 on the basic columns): phase 1's and phase
-    2's through phase 1, phase 2's alone through the drive-out and phase 2.
-    ``run`` replaces ``_run_simplex`` and checks at the start of each phase
-    that the rows it prices from and carries equal a fresh dense
-    reduced-cost computation for the LP last appended to ``lps``.  Appends
-    each tableau to ``made``; ``cases`` counts the pivot kinds exercised and
-    the pivots at d > 1 on 30 rows or more."""
+    2's through phase 1, phase 2's alone through the drive-out, phase 2 and
+    the dual simplex.  The shadow starts from the LP last appended to
+    ``lps``: the rows as given, for a cold solve, or the tableau rebuilt
+    afresh at the resumed basis, for a warm one (``_dense_at_basis``), so
+    every copied, purged and appended row is checked against the B^-1 form
+    before the first dual pivot.  ``run`` and ``run_dual`` replace the
+    simplex loops and check at the start of each phase that the rows they
+    price from and carry equal a fresh dense reduced-cost computation.
+    Appends each tableau to ``made``; ``cases`` counts the pivot kinds
+    exercised and the pivots at d > 1 on 30 rows or more."""
 
     class Lockstep(_CondensedTableau):
         def __init__(self, rows, basis, cols):
             super().__init__(rows, basis, cols)
-            full = [_full(self, r, i) for i, r in enumerate(rows)]
-            self.dense = _DenseTableau(full, list(basis), len(basis) + len(cols))
-            n_vars, objective, ub_rows, eq_rows = lps[-1]
-            n_slack, n_art = len(ub_rows), len(eq_rows)
-            # phase 1's cost, when there are equality rows, then phase 2's
-            self.costs = [[0] * (n_vars + n_slack) + [1] * n_art] if n_art else []
-            self.costs.append([-int(c) for c in objective] + [0] * (n_slack + n_art))
-            self.dense_z = [self.dense.reduced_costs(c) for c in self.costs]
             self.runs = self.pivots = 0
+            self.dual = False
             made.append(self)
+
+        def start_phase(self, costs, z, *carried):
+            """Starts or checks the shadow, then checks the priced rows."""
+            n_vars, _, ub_rows, eq_rows = lps[-1]
+            if self.runs == 0:
+                if self.dual:
+                    dense = _dense_at_basis(n_vars, ub_rows, eq_rows, self.basis)
+                else:
+                    n_total = n_vars + len(ub_rows) + len(eq_rows)
+                    rows = _dense_rows(n_vars, ub_rows, eq_rows)
+                    dense = _DenseTableau(rows, list(range(n_vars, n_total)), n_total, ub_rows)
+                assert [_full(self, r, i) for i, r in enumerate(self.rows)] == dense.rows
+                assert (self.basis, self.d) == (dense.basis, dense.d)
+                self.dense, self.costs = dense, costs
+            fresh = [self.dense.reduced_costs(c) for c in self.costs[self.runs :]]
+            assert [_full(self, r) for r in (z, *carried)] == fresh
+            self.dense_z = fresh
+            self.runs += 1
 
         @staticmethod
         def run(tab, z, n_allowed, *carried):
-            fresh = [tab.dense.reduced_costs(c) for c in tab.costs[tab.runs :]]
-            assert [_full(tab, r) for r in (z, *carried)] == fresh
+            n_vars, objective, ub_rows, eq_rows = lps[-1]
+            n_slack, n_art = len(ub_rows), len(eq_rows)
+            # phase 1's cost, when there are equality rows, then phase 2's
+            costs = [[0] * (n_vars + n_slack) + [1] * n_art] if n_art else []
+            costs.append([-int(c) for c in objective] + [0] * (n_slack + n_art))
             cases["phase 2 after phase 1"] += tab.runs == 1
-            tab.runs += 1
+            tab.start_phase(costs, z, *carried)
             return _run_simplex(tab, z, n_allowed, *carried)
+
+        @staticmethod
+        def run_dual(tab, z, n_allowed):
+            n_vars, objective, ub_rows, eq_rows = lps[-1]
+            cost = [-int(c) for c in objective] + [0] * (len(ub_rows) + len(eq_rows))
+            tab.dual = True
+            tab.start_phase([cost], z)
+            feasible = _run_dual_simplex(tab, z, n_allowed)
+            cases["infeasible exit"] += not feasible
+            return feasible
 
         def pivot(self, row, s, *carried):
             p, d = self.rows[row][s], self.d
-            if p == -d:
+            if self.dual:
+                cases[f"dual, d {'= 1' if d == 1 else '> 1'}"] += 1
+            elif p == -d:
                 cases["p = -d"] += 1
             else:
                 kind = "p = d" if p == d else "p != +-d"
                 cases[f"{kind}, d {'= 1' if d == 1 else '> 1'}"] += 1
                 cases["p < 0, p != -d"] += p < 0
             cases["d > 1, 30+ rows"] += d > 1 and len(self.rows) >= 30
-            cases["drive-out"] += self.runs == 1 and len(carried) == 1
+            cases["drive-out"] += not self.dual and self.runs == 1 and len(carried) == 1
             # phase 1's row is no longer carried once phase 1 ends
             del self.dense_z[: len(self.dense_z) - len(carried)]
             self.dense_z = self.dense.pivot(row, self.cols[s], *self.dense_z)
@@ -531,6 +678,27 @@ _EDGE_LPS = [
 ]
 
 
+def _solve_warm_lp(lp, seed, solver):
+    """``lp``, then three warm rounds, each purging some of the <= rows
+    slack at the last optimum and appending random rows, which may cut it
+    off or make the LP infeasible."""
+    rng = random.Random(seed)
+    n, objective, ub_rows, eq_rows = lp
+    res = solver(n, objective, ub_rows, eq_rows)
+    for _ in range(3):
+        if res is None:
+            return None
+        x = res.values
+        ub_rows = [
+            row for row in ub_rows if rng.randrange(2) or sum(x[j] * a for j, a in row[0]) == row[1]
+        ]
+        for _ in range(rng.randrange(1, 4)):
+            support = rng.sample(range(n), rng.randrange(1, n + 1))
+            ub_rows.append(([(j, rng.randrange(-1, 3)) for j in support], rng.randrange(0, 3)))
+        res = solver(n, objective, ub_rows, eq_rows, start=res)
+    return res
+
+
 def test_sparse_pivot_matches_dense_reference(monkeypatch):
     rng = random.Random(99)
     solves = [partial(_solve_lp, lp) for lp in _EDGE_LPS]
@@ -539,16 +707,28 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
     # larger graphs, whose separation rounds reach 30 rows and more at d > 1
     big = random.Random(44)
     solves += [partial(_solve_matching_lp, *_matching_lp(big, 12, 16, 4)) for _ in range(10)]
+    # round 2 of this request is infeasible
+    solves.append(partial(_solve_matching_lp, LATER_ROUND_INFEASIBLE, 2, 1))
+    # warm rounds on the generic LPs, at d = 1 more often than the matching LPs
+    warm = random.Random(5)
+    solves += [partial(_solve_warm_lp, _random_lp(warm)[0], seed) for seed in range(300)]
     cases = Counter()
     made: list = []
     lps: list = []
     lockstep = _lockstep(cases, made, lps)
     monkeypatch.setattr(simplex, "_Tableau", lockstep)
     monkeypatch.setattr(simplex, "_run_simplex", lockstep.run)
+    monkeypatch.setattr(simplex, "_run_dual_simplex", lockstep.run_dual)
 
-    def recorded(*lp):
+    def recorded(*lp, start=None):
         lps.append(lp)
-        return solve_standard_form(*lp)
+        if start is not None:
+            kept = sum(any(row is r for r in lp[2]) for row in start.tableau.ub_rows)
+            cases["purged rows"] += len(start.tableau.ub_rows) - kept
+            cases["appended rows"] += len(lp[2]) - kept
+        res = solve_standard_form(*lp, start=start)
+        made[-1].feasible = res is not None
+        return res
 
     finals = []
     for solve in solves:
@@ -558,8 +738,9 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
         got = solve(recorded)
         assert got == want
         assert [t.pivots for t in made] == [t.pivots for t in dense_made]
-        # every phase started from checked rows; an infeasible LP has no phase 2
-        assert all(t.runs == len(t.costs) - (got is None) for t in made)
+        # every phase started from checked rows; an LP infeasible in phase 1
+        # has no phase 2, and a warm solve runs the dual simplex alone
+        assert all(t.runs == len(t.costs) - (not t.feasible and not t.dual) for t in made)
         finals.append([t.basis for t in made])
     # the redundant equality row stays basic in its artificial, variable 4
     assert 4 in finals[6][0]
@@ -567,4 +748,8 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
     assert cases.pop("d > 1, 30+ rows", 0) >= 5, cases
     # and the phase-2 row carried through drive-out pivots into phase 2
     assert cases.pop("drive-out", 0) >= 300 and cases.pop("phase 2 after phase 1", 0) >= 300, cases
+    # warm rounds: rows purged and appended, dual pivots at d = 1 and d > 1,
+    # and the dual simplex's infeasible exit
+    warm = {key: cases.pop(key, 0) for key in ("purged rows", "appended rows", "dual, d = 1", "dual, d > 1")}
+    assert cases.pop("infeasible exit", 0) >= 10 and min(warm.values()) >= 30, (warm, cases)
     assert len(cases) == 6 and min(cases.values()) >= 30, cases
