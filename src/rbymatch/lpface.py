@@ -259,7 +259,10 @@ def solve_lp(model: LPModel) -> LPResult | None:
     last round's final tableau by the dual simplex (``start=``), so the
     result is deterministic.  Before a round appends, it purges the active
     rows slack at the last optimum: their slacks are basic, so each is a
-    row deletion and the point stays optimal.  Both the test for a last
+    row deletion and the point stays optimal.  Each round passes the degree
+    rows and the rows still active as the objects it passed before, in
+    their order, ahead of the new ones, which is how ``solve_standard_form``
+    tells kept rows from purged ones.  Both the test for a last
     round and the ranking of the rows a round activates scan the
     fractional vertices only; an optimum whose integers are all 0 or d has
     no fractional edge, violates no odd set and is returned without a split

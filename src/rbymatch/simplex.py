@@ -46,7 +46,8 @@ phase-2 reduced-cost row and the ``<=`` rows it was built from) in its
 ``LPResult``, and a later solve over the same variables, objective and
 equality rows can start from it (``start=``), as a cutting-plane loop
 re-optimizes after adding rows (Lemke 1954).  The copy drops the rows the
-caller purged: each must have its slack basic, so its row holds the slack
+caller purged (``solve_standard_form`` states which rows those are): each
+must have its slack basic, so its row holds the slack
 alone among the other rows' constraints, deleting it is exact and ``d``
 stays ``|det B|``; a purged row with a nonbasic slack raises
 ``InvariantError``.  Each new ``<=`` row ``a.x <= b`` is appended in the
@@ -291,8 +292,9 @@ def _integer_rows(rows: Sequence[Row], width: int) -> list[list[int]]:
 
 def _resume(start: _Tableau, n_vars: int, ub: tuple[Row, ...], n_eq: int) -> _Tableau:
     """A copy of ``start``'s final tableau over the <= rows ``ub``, in the
-    copied basis plus the slack of every appended row (see the module
-    docstring)."""
+    copied basis plus the slack of every appended row: kept, purged and
+    appended rows as ``solve_standard_form`` defines them, the copy as the
+    module docstring describes it."""
     old = start.ub_rows
     if len(start.rows) + len(start.cols) != n_vars + len(old) + n_eq:
         raise ValueError("start was solved over other variables or equality rows")
@@ -353,10 +355,14 @@ def solve_standard_form(
 
     With ``start``, a result of a solve with the same ``n_vars``,
     ``objective`` and ``eq_rows``, the solve resumes from its final tableau
-    by the dual simplex.  The rows of ``start`` that ``ub_rows`` lists again,
-    as the same objects and in the same order, at its front, are kept; the
-    others are purged, and each must have its slack basic, else
-    InvariantError; the rest of ``ub_rows`` is appended.
+    by the dual simplex.  Which of ``start``'s rows are kept goes by object
+    identity, not equality: a row of ``start`` is kept when ``ub_rows``
+    lists that same object again, in ``start``'s order, in its leading
+    part; every other row of ``start`` is purged, and each purged row must
+    have its slack basic, else InvariantError.  Every entry of ``ub_rows``
+    past the kept ones is appended as a new row, so a row equal to a kept
+    one but a new object, or an old row out of order, counts as purged and
+    appended again.
     """
     ub = tuple(ub_rows)
     n_slack = len(ub)

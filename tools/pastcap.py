@@ -1,10 +1,10 @@
 """Past-the-cap solves: one seeded graph per vertex count, timed per layer.
 
-    python3 tools/pastcap.py [--sizes 40-60] [--seed 1] [--timeout 120] [--src DIR]
+    python3 tools/pastcap.py [--sizes 40-60] [--src DIR]
 
 Graph n has each vertex pair as an edge with probability 0.15, shuffled and
 cut to at most 2n edges, random colors, and both requirements drawn from
-2..6, all from ``Random(f"pastcap:{seed}:{n}")``.  Each request runs through
+2..6, all from ``Random(f"pastcap:{SEED}:{n}")``.  Each request runs through
 ``driver.solve`` under ``OracleCap(128, 400)`` and is checked by
 ``driver.verify``.  One line per graph gives ``alpha*``, the separation
 rounds (LPs after the first), the LP calls, the rows purged, the CPU
@@ -13,7 +13,7 @@ a summary line follows.  ``--src`` imports the library from another
 checkout's ``src`` directory, to compare two versions on one set.
 
 The process limits its own address space to 3 GB (``RLIMIT_AS``) and each
-solve to ``--timeout`` seconds of wall time (``SIGALRM``); a solve past
+solve to ``TIMEOUT_S`` seconds of wall time (``SIGALRM``); a solve past
 either is reported and the run goes on.  Exits 1 if any solve timed out,
 failed or did not verify.  Standard library only; not part of the test
 suite.
@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_SPACE = 3 << 30
+SEED = 1
+TIMEOUT_S = 120  # wall seconds per solve
 
 
 class _Timeout(Exception):
@@ -41,9 +43,9 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-def make_request(n: int, seed: int):
+def make_request(n: int):
     """(vertex count, edges, k_red, k_blue) of graph n of the set."""
-    rng = random.Random(f"pastcap:{seed}:{n}")
+    rng = random.Random(f"pastcap:{SEED}:{n}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
     rng.shuffle(pairs)
     edges = [(u, v, rng.choice("RBY")) for u, v in pairs[: 2 * n]]
@@ -92,8 +94,6 @@ def _sizes(text: str) -> range:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=_sizes, default=range(40, 61), help="vertex counts, such as 40-60")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--timeout", type=int, default=120, help="wall seconds per solve")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the library's src directory")
     args = parser.parse_args(argv)
 
@@ -111,16 +111,16 @@ def main(argv=None) -> int:
     total_lp = slowest = 0.0
     slowest_n = None
     for n in args.sizes:
-        _, edges, kr, kb = make_request(n, args.seed)
+        _, edges, kr, kb = make_request(n)
         graph = ColoredGraph(n, edges)
         head = f"n={n} m={len(edges)} require=({kr},{kb})"
         t0 = time.process_time()
         with _Counter(driver, lpface) as counter:
-            signal.alarm(args.timeout)
+            signal.alarm(TIMEOUT_S)
             try:
                 report = driver.solve(graph, kr, kb, cap)
             except _Timeout:
-                print(f"{head} TIMEOUT after {args.timeout} s", flush=True)
+                print(f"{head} TIMEOUT after {TIMEOUT_S} s", flush=True)
                 bad += 1
                 continue
             except Exception as exc:  # MemoryError included: report it, go on
