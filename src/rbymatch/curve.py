@@ -87,8 +87,8 @@ class LatticePolyline:
         return tuple((bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:]))
 
 
-def polyline_from_moves(moves: Iterable[IntPoint], origin: IntPoint = (0, 0)) -> LatticePolyline:
-    pts = [origin]
+def polyline_from_moves(moves: Iterable[IntPoint]) -> LatticePolyline:
+    pts = [(0, 0)]
     for m in moves:
         pts.append((pts[-1][0] + m[0], pts[-1][1] + m[1]))
     return LatticePolyline(tuple(pts))
@@ -131,13 +131,6 @@ def periodic_eval(polyline: LatticePolyline, t) -> Point:
         Fraction((ax + k * (xl - x0)) * den + part * (bx - ax), den),
         Fraction((ay + k * (yl - y0)) * den + part * (by - ay), den),
     )
-
-
-def _eval_int(polyline: LatticePolyline, t: int) -> IntPoint:
-    pts = polyline.points
-    k, r = divmod(t, len(pts) - 1)
-    (x0, y0), (xl, yl), (x, y) = pts[0], pts[-1], pts[r]
-    return (x + k * (xl - x0), y + k * (yl - y0))
 
 
 def check_injective(polyline: LatticePolyline) -> bool:
@@ -385,27 +378,25 @@ def _crossing_lattice(
 ) -> tuple[int, int, str, int] | None:
     """First contact (v, u), 0 < v < L, whose overlap run [s, v] the
     translate enters and leaves on opposite sides of ``curve``, the
-    polyline's, as (u, v, kind, overlap length)."""
+    polyline's, as (u, v, kind, overlap length).
+
+    A same-orientation run is the contacts (u - j, v - j), an opposite one
+    (u + j, v - j), for 0 < v - j.  The pair scan lists every contact with
+    v' < u' < v' + L, so the runs are read from its list, and that window
+    ends an opposite run before u + j - (v - j) reaches L."""
     pts = polyline.points
     ell = len(pts) - 1
-    for u, v in _intersecting_pairs(polyline, offset):
+    pairs = _intersecting_pairs(polyline, offset)
+    contacts = set(pairs)
+    for u, v in pairs:
         if not 0 < v < ell:
             continue
         i_a = 0
-        while i_a < v - 1:
-            j = i_a + 1
-            if _sub(_eval_int(polyline, u - j), pts[v - j]) == offset:
-                i_a = j
-            else:
-                break
-        cap_b = min(v - 1, -((u - v - ell) // 2) - 1)  # ceil((v-u+ell)/2) - 1
+        while i_a < v - 1 and (u - i_a - 1, v - i_a - 1) in contacts:
+            i_a += 1
         i_b = 0
-        while i_b < cap_b:
-            j = i_b + 1
-            if _sub(_eval_int(polyline, u + j), pts[v - j]) == offset:
-                i_b = j
-            else:
-                break
+        while i_b < v - 1 and (u + i_b + 1, v - i_b - 1) in contacts:
+            i_b += 1
         if i_a and i_b:
             raise InvariantError("overlap in both directions contradicts injectivity")
         if i_a:

@@ -33,13 +33,6 @@ class ColorProfile(NamedTuple):
     blue: int
     yellow: int
 
-    def __add__(self, other):  # type: ignore[override]
-        return ColorProfile(
-            self.red + other.red,
-            self.blue + other.blue,
-            self.yellow + other.yellow,
-        )
-
     @property
     def rb(self) -> tuple[int, int]:
         return (self.red, self.blue)

@@ -14,28 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import segment_integer_points
-from .errors import CapExceededError, ParseError
+from .errors import ParseError
 from .graph import COLORS, ColoredGraph, color_profile, cycle_graph
-from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
+from .oracle import OracleCap, DEFAULT_CAP, check_cap, check_size, enumerate_matchings
 
 Instance = tuple[ColoredGraph, int, int]
-
-
-def _check_vertex_cap(vertex_count: int, cap: OracleCap = DEFAULT_CAP) -> None:
-    # solve, oracle and verify all reject larger instances; checking at the
-    # header, or before a generator draws, keeps an oversized instance from
-    # allocating its graph first.
-    if vertex_count > cap.max_vertices:
-        raise CapExceededError(
-            f"{vertex_count} vertices exceeds oracle cap {cap.max_vertices}"
-        )
 
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance file into (graph, k_red, k_blue).
 
     Raises CapExceededError as soon as a header names more vertices, or an
-    edge line goes past more edges, than the default oracle cap allows.
+    edge line goes past more edges, than the default oracle cap allows, so
+    no over-cap graph is built.
     """
     vertex_count: int | None = None
     cycle_colors: str | None = None
@@ -50,10 +41,10 @@ def parse_instance(text: str) -> Instance:
         if kind == "graph":
             if vertex_count is not None or cycle_colors is not None:
                 raise ParseError("duplicate graph header", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("expected: graph <vertex_count>", lineno)
             vertex_count = int(parts[1])
-            _check_vertex_cap(vertex_count)
+            check_size(vertex_count, 0)
         elif kind == "cycle":
             if vertex_count is not None or cycle_colors is not None:
                 raise ParseError("duplicate graph header", lineno)
@@ -65,15 +56,12 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"unknown color letter {bad[0]!r}", lineno)
             if len(colors) < 2:
                 raise ParseError("cycle needs at least 2 edges", lineno)
-            _check_vertex_cap(len(colors))
+            check_size(len(colors), len(colors))
             cycle_colors = colors
         elif kind == "e":
             if vertex_count is None:
                 raise ParseError("edge line before graph header", lineno)
-            if len(edges) >= DEFAULT_CAP.max_edges:
-                raise CapExceededError(
-                    f"{len(edges) + 1} edges exceeds oracle cap {DEFAULT_CAP.max_edges}"
-                )
+            check_size(vertex_count, len(edges) + 1)
             if len(parts) != 4:
                 raise ParseError("expected: e <u> <v> <COLOR>", lineno)
             try:
@@ -179,7 +167,7 @@ def generate_instance(spec: GenSpec, cap: OracleCap = DEFAULT_CAP) -> str:
     n = spec.vertex_count
     if spec.mode == RANDOM_CYCLE:
         n = max(2 * (n // 2), 2)
-    _check_vertex_cap(n, cap)
+    check_size(n, 0, cap)
     rng = random.Random(spec.seed)
     pick = _color_picker(rng, spec.color_weights)
     density = Fraction(spec.edge_density)

@@ -23,15 +23,17 @@ class OracleCap:
 DEFAULT_CAP = OracleCap()
 
 
+def check_size(vertex_count: int, edge_count: int, cap: OracleCap = DEFAULT_CAP) -> None:
+    """CapExceededError if either count is past the cap, vertices first;
+    callers check counts before they build anything of that size."""
+    if vertex_count > cap.max_vertices:
+        raise CapExceededError(f"{vertex_count} vertices exceeds oracle cap {cap.max_vertices}")
+    if edge_count > cap.max_edges:
+        raise CapExceededError(f"{edge_count} edges exceeds oracle cap {cap.max_edges}")
+
+
 def check_cap(graph: ColoredGraph, cap: OracleCap = DEFAULT_CAP) -> None:
-    if graph.vertex_count > cap.max_vertices:
-        raise CapExceededError(
-            f"{graph.vertex_count} vertices exceeds oracle cap {cap.max_vertices}"
-        )
-    if graph.edge_count > cap.max_edges:
-        raise CapExceededError(
-            f"{graph.edge_count} edges exceeds oracle cap {cap.max_edges}"
-        )
+    check_size(graph.vertex_count, graph.edge_count, cap)
 
 
 def enumerate_matchings(

@@ -84,8 +84,8 @@ The interface is standard form:
 
     maximize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 
-with integer data (``int`` or integral ``Fraction``) and all right-hand
-sides nonnegative, which is the only case the callers here produce.
+with ``int`` data and all right-hand sides nonnegative, which is the only
+case the callers here produce.
 Returns a basic optimal solution (a vertex of the feasible region) as an
 ``LPResult``, the final tableau's integers over its denominator, or None when
 infeasible.
@@ -100,7 +100,7 @@ from typing import Sequence
 
 from .errors import InvariantError
 
-Row = tuple[Sequence[tuple[int, int | Fraction]], int | Fraction]
+Row = tuple[Sequence[tuple[int, int]], int]
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,7 @@ class LPResult:
 def _integral(value) -> int:
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    raise ValueError(f"LP data must be an int or an integral Fraction, got {value!r}")
+    raise ValueError(f"LP data must be an int, got {value!r}")
 
 
 class _Tableau:
@@ -342,7 +340,7 @@ def _resume(start: _Tableau, n_vars: int, ub: tuple[Row, ...], n_eq: int) -> _Ta
 
 def solve_standard_form(
     n_vars: int,
-    objective: Sequence[int | Fraction],
+    objective: Sequence[int],
     ub_rows: Sequence[Row],
     eq_rows: Sequence[Row],
     start: LPResult | None = None,
@@ -350,8 +348,7 @@ def solve_standard_form(
     """Maximize objective subject to sparse <= and = rows; None if infeasible.
 
     Rows are (sparse coefficients, rhs) with rhs >= 0 required; every number
-    must be an ``int`` or an integral ``Fraction``, else ValueError.  The
-    arguments are not modified.
+    must be an ``int``, else ValueError.  The arguments are not modified.
 
     With ``start``, a result of a solve with the same ``n_vars``,
     ``objective`` and ``eq_rows``, the solve resumes from its final tableau

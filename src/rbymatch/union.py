@@ -295,18 +295,16 @@ def _case_glue(
 ) -> frozenset[int]:
     """Glue every block into one even cycle, solve, strip dummies, repair.
 
-    Layout: the cycles and even paths, oriented, by smallest edge id; the
-    odd paths in (aug1, aug0) pairs by the pair's smallest edge id; each
-    leftover aug1 path followed by a dummy yellow edge.  Matching-0 edges
-    land on even positions.  An opened cycle's ends share a vertex, and in a
-    proper block they differ in color: if the selector takes both, the end
-    edge goes when the start edge is red or the end edge blue, else the
-    start edge.
+    Layout: the cycles and even paths, which the caller has oriented, by
+    smallest edge id; the odd paths in (aug1, aug0) pairs by the pair's
+    smallest edge id; each leftover aug1 path followed by a dummy yellow
+    edge.  Matching-0 edges land on even positions.  An opened cycle's ends
+    share a vertex, and in a proper block they differ in color: if the
+    selector takes both, the end edge goes when the start edge is red or the
+    end edge blue, else the start edge.
     """
     if len(aug0) > len(aug1):
         raise InvariantError("more paths augment the larger matching than the smaller")
-    for b in even:
-        _orient_start_source0(b)
     pairs = sorted(zip(aug1, aug0), key=lambda p: min(p[0].min_edge, p[1].min_edge))
     pieces = [(b, False) for b in sorted(even, key=lambda b: b.min_edge)]
     pieces += [(b, False) for pair in pairs for b in pair]
@@ -365,13 +363,12 @@ def _solve_blocks(
         block = blocks[0]
         positions = solve_path_or_cycle(block.colors, kr, kb)
         return frozenset(block.edges[p] for p in positions)
+    for b in even:
+        _orient_start_source0(b)
     # the sides differ in size exactly when the two kinds of odd path differ
     # in number
     if len(aug0) != len(aug1) or any(YELLOW in b.colors for b in blocks):
         return _case_glue(even, aug0, aug1, kr, kb)
-
-    for b in even:
-        _orient_start_source0(b)
     if aug0:
         # a joined path starts in matching 0 and has even length, so every
         # block the next call sees is oriented before its one-block solve

@@ -55,6 +55,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_superscript_vertex_count_exit_code(tmp_path, capsys):
+    p = tmp_path / "superscript.txt"
+    p.write_text("graph ²\nrequire 0 0\n", encoding="utf-8")
+    assert main(["solve", str(p)]) == 3
+    assert "line 1: expected: graph <vertex_count>" in capsys.readouterr().err
+
+
 def test_negative_requirement_exit_code(tmp_path, capsys):
     p = tmp_path / "negative.txt"
     p.write_text("cycle RBYBRBYB\nrequire -1 0\n")

@@ -15,9 +15,9 @@ from rbymatch.curve import (
     OVERLAP_SAME,
     PAIR_OF_MOVE,
     SIMPLE,
+    CrossingPair,
     LatticePolyline,
     PeriodicCurve,
-    _eval_int,
     all_intersecting_pairs,
     check_injective,
     find_crossing_pair,
@@ -151,8 +151,6 @@ def test_periodic_eval_matches_fraction_reference():
                     point = periodic_eval(p, t)
                     assert point == _fraction_periodic_eval(p, t), (p.points, t)
                     assert all(type(c) is Fraction for c in point)
-            for t in range(-40, 40):
-                assert _eval_int(p, t) == periodic_eval(p, t), (p.points, t)
 
 
 def test_integrality_of_lattice_points():
@@ -335,7 +333,7 @@ def test_polyline_rejects_non_unit_moves():
     with pytest.raises(ValueError):
         LatticePolyline(((0, 0), (Fraction(1), 0)))  # a unit move, not an int
     with pytest.raises(ValueError):
-        polyline_from_moves([(1, 0)], origin=(Fraction(1, 2), 0))
+        LatticePolyline(((Fraction(1, 2), 0), (Fraction(3, 2), 0)))  # a unit move off the lattice
 
 
 def test_crossing_rejects_non_lattice_q():
@@ -639,6 +637,74 @@ def test_crossing_pairs_match_fraction_reference():
         assert (cp.u, cp.v, cp.kind, cp.overlap_length) == _reference_crossing(poly, q)
         kinds[cp.kind] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def _eval_int(polyline, t):
+    """d-infinity(t) at an integer t."""
+    pts = polyline.points
+    k, r = divmod(t, len(pts) - 1)
+    (x0, y0), (xl, yl), (x, y) = pts[0], pts[-1], pts[r]
+    return (x + k * (xl - x0), y + k * (yl - y0))
+
+
+def _walked_crossing(polyline, q):
+    """The crossing search that measured each overlap run by evaluating the
+    curve again, kept as the reference for the one that reads the runs from
+    the pair list."""
+    pts = polyline.points
+    ell = len(pts) - 1
+    offset = (q[0] - pts[0][0], q[1] - pts[0][1])
+    curve = PeriodicCurve(polyline)
+
+    def contact(t, v):
+        x, y = _eval_int(polyline, t)
+        return (x - pts[v][0], y - pts[v][1]) == offset
+
+    def translated_midpoint(t):  # d(t - 1/2) + offset
+        (ax, ay), (bx, by) = pts[t - 1], pts[t]
+        return (Fraction(ax + bx, 2) + offset[0], Fraction(ay + by, 2) + offset[1])
+
+    for u, v in all_intersecting_pairs(polyline, q):
+        if not 0 < v < ell:
+            continue
+        i_a = 0
+        while i_a < v - 1 and contact(u - i_a - 1, v - i_a - 1):
+            i_a += 1
+        cap_b = min(v - 1, -((u - v - ell) // 2) - 1)
+        i_b = 0
+        while i_b < cap_b and contact(u + i_b + 1, v - i_b - 1):
+            i_b += 1
+        assert not (i_a and i_b)
+        kind, i = (OVERLAP_SAME, i_a) if i_a else (OVERLAP_OPPOSITE, i_b) if i_b else (SIMPLE, 0)
+        sides = {curve.side_of(translated_midpoint(v - i)), curve.side_of(translated_midpoint(v + 1))}
+        if PeriodicCurve.ON not in sides and len(sides) == 2:
+            return CrossingPair(Fraction(u), Fraction(v), kind, i)
+    return None
+
+
+def test_crossings_match_the_walked_overlap_scan():
+    # criterion-4 curves of 2..24 moves, every interior lattice q off the curve
+    rng = random.Random(406)
+    moves = sorted(MOVE_OF_PAIR.values())
+    kinds = {SIMPLE: 0, OVERLAP_SAME: 0, OVERLAP_OPPOSITE: 0}
+    curves = 0
+    while curves < 2000:
+        poly = polyline_from_moves(rng.choice(moves) for _ in range(rng.randrange(2, 25)))
+        qs = _segment_lattice_points(poly.period_shift)
+        if not qs or not check_injective(poly):
+            continue
+        curve = PeriodicCurve(poly)
+        qs = [q for q in qs if not curve.on_curve(q)]
+        if not qs:
+            continue
+        curves += 1
+        for t in range(-2 * poly.period_length, 2 * poly.period_length):
+            assert _eval_int(poly, t) == periodic_eval(poly, t), (poly.points, t)
+        for q in qs:
+            cp = find_crossing_pair(poly, q)
+            assert cp == _walked_crossing(poly, q), (poly.points, q)
+            kinds[cp.kind] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_periodic_curve_rejects_points_off_the_quarter_lattice():

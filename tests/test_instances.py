@@ -66,6 +66,7 @@ def test_parse_rejects_headers_over_the_vertex_cap(header):
         ("graph 2\ne 0 1 R\n", None),
         ("e 0 1 R\nrequire 0 0\n", 1),
         ("graph 2\ne 0 0 R\nrequire 0 0\n", 2),
+        ("graph ²\nrequire 0 0\n", 1),  # a digit to str.isdigit, not to int()
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

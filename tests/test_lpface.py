@@ -20,6 +20,7 @@ from rbymatch.lpface import (
     BlossomRow,
     BlossomRows,
     FaceDescriptor,
+    LPModel,
     _describe_face,
     _odd_sets,
     _split_point,
@@ -698,16 +699,24 @@ def test_warm_rounds_match_the_reference_loop_past_the_cap():
     assert min(outcomes.values()) >= 1 and len(outcomes) == 3, outcomes
 
 
-def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
-    # a seeded n = 44 graph (as above, at most 2n edges) whose warm rounds
-    # purge sets that are violated again later: re-activated, they stay, so
-    # no row leaves the LP twice; alpha* is the reference loop's
-    rng = random.Random("pastcap:1:44")
-    n = 44
+def _pastcap_model(seed: int, n: int) -> LPModel:
+    """The LP of ``tools/pastcap.py``'s graph n, drawn from
+    ``Random(f"pastcap:{seed}:{n}")``: each vertex pair an edge with
+    probability 0.15, shuffled and cut to 2n edges, random colors, both
+    requirements from 2..6, under OracleCap(128, 400)."""
+    rng = random.Random(f"pastcap:{seed}:{n}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
     rng.shuffle(pairs)
     g = ColoredGraph(n, [(u, v, rng.choice("RBY")) for u, v in pairs[: 2 * n]])
-    model = build_lp(g, rng.randint(2, 6), rng.randint(2, 6), OracleCap(128, 400))
+    return build_lp(g, rng.randint(2, 6), rng.randint(2, 6), OracleCap(128, 400))
+
+
+def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
+    # a seeded n = 44 graph whose warm rounds purge sets that are violated
+    # again later: re-activated, they stay, so no row leaves the LP twice;
+    # alpha* is the reference loop's
+    n = 44
+    model = _pastcap_model(1, n)
     rounds = []
 
     def recorded(*lp, start=None):
@@ -728,6 +737,22 @@ def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
     # the from-scratch loop over every row it activates (too slow here, as
     # is its full-support scan) also ends at 21
     assert got.objective == solve_standard_form(*rounds[-1]).objective == 21
+
+
+def test_separation_rows_past_the_cap_end_in_few_rounds(monkeypatch):
+    # the rows each round adds are the most violated odd sets of the whole
+    # support, the fractional vertices' sets widened by unions of the x_e = 1
+    # edges (_top_violated): activating the fractional vertices' sets alone
+    # takes 200 LPs on this n = 59 graph where these rows take 6
+    calls = []
+
+    def counted(*lp, start=None):
+        calls.append(start)
+        return solve_standard_form(*lp, start=start)
+
+    monkeypatch.setattr(lpface, "solve_standard_form", counted)
+    got = solve_lp(_pastcap_model(2, 59))
+    assert got.objective == 28 and len(calls) <= 12, len(calls)
 
 
 def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():

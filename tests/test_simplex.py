@@ -22,9 +22,9 @@ F = Fraction
 def test_single_variable_forced_by_equality():
     res = solve_standard_form(
         1,
-        [F(1)],
-        ub_rows=[([(0, F(1))], F(1))],
-        eq_rows=[([(0, F(1))], F(1))],
+        [1],
+        ub_rows=[([(0, 1)], 1)],
+        eq_rows=[([(0, 1)], 1)],
     )
     assert res is not None
     assert res.values == (F(1),)
@@ -47,9 +47,9 @@ def test_a_pivot_loop_that_stops_improving_raises(monkeypatch):
     with pytest.raises(InvariantError, match="revisited a basis"):
         solve_standard_form(
             1,
-            [F(1)],
-            ub_rows=[([(0, F(1))], F(1))],
-            eq_rows=[([(0, F(1))], F(1))],
+            [1],
+            ub_rows=[([(0, 1)], 1)],
+            eq_rows=[([(0, 1)], 1)],
         )
 
 
@@ -83,9 +83,9 @@ def test_beale_cycling_example_terminates(monkeypatch):
 def test_infeasible_equality():
     res = solve_standard_form(
         1,
-        [F(1)],
-        ub_rows=[([(0, F(1))], F(1))],
-        eq_rows=[([(0, F(1))], F(3))],
+        [1],
+        ub_rows=[([(0, 1)], 1)],
+        eq_rows=[([(0, 1)], 3)],
     )
     assert res is None
 
@@ -93,9 +93,9 @@ def test_infeasible_equality():
 def test_degenerate_redundant_equalities():
     res = solve_standard_form(
         2,
-        [F(1), F(1)],
-        ub_rows=[([(0, F(1)), (1, F(1))], F(2))],
-        eq_rows=[([(0, F(1))], F(1)), ([(0, F(1))], F(1))],
+        [1, 1],
+        ub_rows=[([(0, 1), (1, 1)], 2)],
+        eq_rows=[([(0, 1)], 1), ([(0, 1)], 1)],
     )
     assert res is not None
     assert res.values[0] == F(1)
@@ -106,11 +106,11 @@ def test_fractional_vertex():
     # x0 + x1 <= 1, x1 + x2 <= 1, x2 + x0 <= 1, maximize sum: vertex (1/2,1/2,1/2)
     res = solve_standard_form(
         3,
-        [F(1)] * 3,
+        [1] * 3,
         ub_rows=[
-            ([(0, F(1)), (1, F(1))], F(1)),
-            ([(1, F(1)), (2, F(1))], F(1)),
-            ([(2, F(1)), (0, F(1))], F(1)),
+            ([(0, 1), (1, 1)], 1),
+            ([(1, 1), (2, 1)], 1),
+            ([(2, 1), (0, 1)], 1),
         ],
         eq_rows=[],
     )
@@ -173,17 +173,17 @@ def test_random_small_lps_match_grid_search():
     rng = random.Random(42)
     for _ in range(60):
         n = rng.randrange(1, 4)
-        objective = [F(rng.randrange(0, 4)) for _ in range(n)]
+        objective = [rng.randrange(0, 4) for _ in range(n)]
         ub_rows = []
         for _ in range(rng.randrange(1, 4)):
-            coeffs = [(j, F(rng.randrange(0, 3))) for j in range(n)]
+            coeffs = [(j, rng.randrange(0, 3)) for j in range(n)]
             coeffs = [(j, a) for j, a in coeffs if a != 0]
             if not coeffs:
                 continue
-            ub_rows.append((coeffs, F(rng.randrange(1, 4))))
+            ub_rows.append((coeffs, rng.randrange(1, 4)))
         # box constraints keep the problem bounded and the grid finite
         for j in range(n):
-            ub_rows.append(([(j, F(1))], F(2)))
+            ub_rows.append(([(j, 1)], 2))
         res = solve_standard_form(n, objective, ub_rows, [])
         assert res is not None
         grid = [F(k, 2) for k in range(0, 5)]
@@ -198,8 +198,8 @@ def test_random_small_lps_match_grid_search():
 
 def test_zero_variables():
     assert solve_standard_form(0, [], [], []) is not None
-    assert solve_standard_form(0, [], [], [([], F(1))]) is None
-    res = solve_standard_form(0, [], [], [([], F(0))])
+    assert solve_standard_form(0, [], [], [([], 1)]) is None
+    res = solve_standard_form(0, [], [], [([], 0)])
     assert res is not None and res.objective == 0
 
 
@@ -331,9 +331,18 @@ def test_integer_tableau_matches_fraction_reference():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_integral_fractions_accepted_and_fractional_data_rejected():
-    res = solve_standard_form(1, [F(2)], [([(0, F(3))], F(6))], [])
+def test_non_int_data_rejected():
+    # integral Fractions are not int data either; the result's views are
+    res = solve_standard_form(1, [2], [([(0, 3)], 6)], [])
     assert res is not None and res.values == (F(2),) and res.objective == F(4)
+    for lp in (
+        ([F(2)], [([(0, 3)], 6)], []),
+        ([2], [([(0, F(3))], 6)], []),
+        ([2], [([(0, 3)], F(6))], []),
+        ([2], [], [([(0, 3)], F(6))]),
+    ):
+        with pytest.raises(ValueError, match="must be an int"):
+            solve_standard_form(1, *lp)
     with pytest.raises(ValueError):
         solve_standard_form(1, [F(1, 2)], [([(0, 1)], 1)], [])
     with pytest.raises(ValueError):
@@ -355,7 +364,6 @@ def test_inputs_are_left_unchanged():
     rng = random.Random(7)
     for _ in range(200):
         (n, objective, ub_rows, eq_rows), _ = _random_lp(rng)
-        objective = [F(c) if rng.randrange(2) else c for c in objective]
         before = copy.deepcopy((objective, ub_rows, eq_rows))
         solve_standard_form(n, objective, ub_rows, eq_rows)
         assert (objective, ub_rows, eq_rows) == before

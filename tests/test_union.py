@@ -48,7 +48,10 @@ def _glue(monkeypatch, g: ColoredGraph, m0, m1, positions):
 
     monkeypatch.setattr(union, "solve_even_cycle", select)
     blocks = [_block_from_component(c) for c in symdiff_components(g, m0, m1)]
-    return glued, union._case_glue(*union._classify(blocks), 0, 0)
+    even, aug0, aug1 = union._classify(blocks)
+    for b in even:  # as _solve_blocks orients them before the glue test
+        _orient_start_source0(b)
+    return glued, union._case_glue(even, aug0, aug1, 0, 0)
 
 
 def test_glue_single_augmenting_pair(monkeypatch):
