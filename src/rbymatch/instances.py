@@ -21,6 +21,13 @@ from .oracle import OracleCap, DEFAULT_CAP, check_cap, check_size, enumerate_mat
 Instance = tuple[ColoredGraph, int, int]
 
 
+def _integer(text: str) -> int | None:
+    """The value of ``text`` if it is an optional ``-`` and ``str.isdecimal``
+    digits, else None; ``int`` alone also reads a ``+`` sign and ``_``
+    between digits."""
+    return int(text) if text.removeprefix("-").isdecimal() else None
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance file into (graph, k_red, k_blue).
 
@@ -64,10 +71,9 @@ def parse_instance(text: str) -> Instance:
             check_size(vertex_count, len(edges) + 1)
             if len(parts) != 4:
                 raise ParseError("expected: e <u> <v> <COLOR>", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", lineno) from None
+            u, v = _integer(parts[1]), _integer(parts[2])
+            if u is None or v is None:
+                raise ParseError("edge endpoints must be integers", lineno)
             color = parts[3].upper()
             if color not in COLORS:
                 raise ParseError(f"unknown color letter {parts[3]!r}", lineno)
@@ -81,10 +87,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError("duplicate require line", lineno)
             if len(parts) != 3:
                 raise ParseError("expected: require <kR> <kB>", lineno)
-            try:
-                kr, kb = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("requirements must be integers", lineno) from None
+            kr, kb = _integer(parts[1]), _integer(parts[2])
+            if kr is None or kb is None:
+                raise ParseError("requirements must be integers", lineno)
             if kr < 0 or kb < 0:
                 raise ParseError("requirements must be nonnegative", lineno)
             require = (kr, kb)

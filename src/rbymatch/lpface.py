@@ -37,6 +37,18 @@ so it has T's excess; and every such union is violated.  A round that
 activates rows expands T's excess groups, from the highest, by the 2^k
 unions of the k unit pairs, which picks the same rows as the full scan.
 
+Most of those unions hang off T by one vertex, and their rows are implied:
+if a vertex w of S has at most one graph neighbour y inside S, then
+x(E(S)) <= x(E(S - {w, y})) + x(delta(y)) <= (|S| - 3) / 2 + 1, the rhs of
+S (for |S| = 3 every edge of S meets y).  Only 2-connected sets give facets
+(Pulleyblank & Edmonds 1974); the round drops the sets with a vertex of
+fewer than two neighbours in them, a test on the graph alone, and keeps the
+others where they ranked.  S - {w, y} is violated at least as much as S and
+has a smaller mask, so it ranks ahead of S; by induction on |S| each
+dropped row is implied by the round's kept rows and degree rows, and the
+region the round solves over is the one it would solve over with every
+ranked row.
+
 An integral optimum is a matching (self-loops are rejected and parallel
 edges share a degree row); it meets every blossom row and is its own minimal
 face, so neither scan runs.  It is read from the LP's integers, every x_e in
@@ -250,6 +262,16 @@ def _top_violated(
     return ranked
 
 
+def _implied(mask: int, neighbours: list[int]) -> bool:
+    """Whether some vertex of the odd set ``mask`` has fewer than two
+    distinct neighbours in it, ``neighbours[v]`` being the mask of v's graph
+    neighbours: then the set's blossom row is implied by a smaller set's
+    and a degree row (see the module docstring)."""
+    return any(
+        (neighbours[v] & mask).bit_count() < 2 for v in range(mask.bit_length()) if mask >> v & 1
+    )
+
+
 def solve_lp(model: LPModel) -> LPResult | None:
     """Basic optimal solution of the full model, exact in integers, or None.
 
@@ -268,10 +290,18 @@ def solve_lp(model: LPModel) -> LPResult | None:
     no fractional edge, violates no odd set and is returned without a split
     or a scan.
 
+    A round activates only the ranked sets whose every vertex has two
+    distinct graph neighbours in the set (``_implied``, see the module
+    docstring); the slots of the sets it drops stay empty.  Filling them
+    from further down the ranking took more rounds: 6 LP calls became 28
+    on one n = 59 graph past the cap.
+
     The loop ends: every active row holds at a round's optimum, so every
     set a round finds violated is not active, and a set is purged at most
-    once, so no set is activated more than twice.  A round that would
-    activate an active set breaks that argument and raises InvariantError.
+    once, so no set is activated more than twice.  Each round activates a
+    row, since the first-ranked set is never implied (a smaller set would
+    rank ahead of it).  A round that would activate an active set, or no
+    set, breaks that argument and raises InvariantError.
     """
     graph = model.graph
     m = graph.edge_count
@@ -288,6 +318,7 @@ def solve_lp(model: LPModel) -> LPResult | None:
     res = solve_standard_form(m, objective, degree_rows, eq_rows)
     active: dict[int, tuple[list[tuple[int, int]], int]] = {}  # mask: row, in order
     purged: set[int] = set()
+    neighbours: list[int] = []  # each vertex's neighbour mask, from the first round on
     while True:
         if res is None or set(res.x) <= {0, res.d}:
             return res
@@ -295,6 +326,11 @@ def solve_lp(model: LPModel) -> LPResult | None:
         violated = _odd_sets([(emask, x) for _, emask, x in fractional], res.d, tight=False)
         if not violated:
             return res
+        if not neighbours:
+            neighbours = [0] * graph.vertex_count
+            for u, v, _ in graph.edges:
+                neighbours[u] |= 1 << v
+                neighbours[v] |= 1 << u
         x, d = res.x, res.d
         for mask, (coeffs, rhs) in list(active.items()):
             if mask not in purged and sum(x[e] for e, _ in coeffs) < rhs * d:
@@ -303,7 +339,11 @@ def solve_lp(model: LPModel) -> LPResult | None:
         # the excess is the violation times 2 d, common to all sets, so it
         # orders them as the rational violation does
         pairs = [(1 << u) | (1 << v) for u, v in map(graph.endpoints, units)]
-        for mask, rhs, _ in _top_violated(violated, pairs, 24):
+        ranked = _top_violated(violated, pairs, 24)
+        rows = [(mask, rhs) for mask, rhs, _ in ranked if not _implied(mask, neighbours)]
+        if not rows:
+            raise InvariantError(f"separation offered only implied odd sets, {len(ranked)} of them")
+        for mask, rhs in rows:
             if mask in active:
                 raise InvariantError(f"separation found the active odd set {mask:#x} violated")
             active[mask] = ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs)

@@ -62,6 +62,22 @@ def test_superscript_vertex_count_exit_code(tmp_path, capsys):
     assert "line 1: expected: graph <vertex_count>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("graph 12\ne 1_0 2 R\nrequire 0 0\n", "line 2: edge endpoints must be integers"),
+        ("graph 5\ne +3 4 B\nrequire 0 0\n", "line 2: edge endpoints must be integers"),
+        ("graph 2\ne 0 1 R\nrequire 0_1 +0\n", "line 3: requirements must be integers"),
+    ],
+)
+def test_signed_or_underscored_integers_exit_code(tmp_path, capsys, text, message):
+    # int() reads these; the file format's integers are decimal digits only
+    p = tmp_path / "integers.txt"
+    p.write_text(text)
+    assert main(["solve", str(p)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_negative_requirement_exit_code(tmp_path, capsys):
     p = tmp_path / "negative.txt"
     p.write_text("cycle RBYBRBYB\nrequire -1 0\n")

@@ -67,6 +67,16 @@ def test_parse_rejects_headers_over_the_vertex_cap(header):
         ("e 0 1 R\nrequire 0 0\n", 1),
         ("graph 2\ne 0 0 R\nrequire 0 0\n", 2),
         ("graph ²\nrequire 0 0\n", 1),  # a digit to str.isdigit, not to int()
+        # int() reads a sign and _ between digits; no field of the file does
+        ("graph 1_0\nrequire 0 0\n", 1),
+        ("graph +3\nrequire 0 0\n", 1),
+        ("graph 12\ne 1_0 2 R\nrequire 0 0\n", 2),
+        ("graph 5\ne +3 4 B\nrequire 0 0\n", 2),
+        ("graph 5\ne 3 ² B\nrequire 0 0\n", 2),
+        ("graph 2\ne 0 1 R\nrequire 0_1 +0\n", 3),
+        ("graph 2\ne 0 1 R\nrequire 0 +1\n", 3),
+        ("graph 2\ne 0 1 R\nrequire - 0\n", 3),
+        ("graph 2\ne 0 -1 R\nrequire 0 0\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

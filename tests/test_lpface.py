@@ -583,8 +583,8 @@ def _assert_routes_agree(model, solution=None, purges=None):
 def _next_rows(graph, active, purged, res, violated):
     """The blossom rows of the round after the optimum ``res``: the
     ``active`` rows less those slack at ``res`` that are not in ``purged``
-    (which takes them), then the first 24 ``violated`` sets of the whole
-    support by (-excess, mask)."""
+    (which takes them), then those of the first 24 ``violated`` sets of the
+    whole support by (-excess, mask) that are not ``_loosely_attached``."""
     kept = []
     for row in active:
         inside = sum(x for e, x in enumerate(res.values) if all((row.vertex_mask >> u) & 1 for u in graph.endpoints(e)))
@@ -592,8 +592,19 @@ def _next_rows(graph, active, purged, res, violated):
             purged.add(row.vertex_mask)
         else:
             kept.append(row)
-    ranked = sorted(violated, key=lambda row: (-row[2], row[0]))
-    return kept + [BlossomRow(mask, rhs) for mask, rhs, _ in ranked[:24]]
+    ranked = sorted(violated, key=lambda row: (-row[2], row[0]))[:24]
+    return kept + [BlossomRow(mask, rhs) for mask, rhs, _ in ranked if not _loosely_attached(graph, mask)]
+
+
+def _loosely_attached(graph, mask):
+    """Whether some vertex of the set ``mask`` has fewer than two distinct
+    neighbours inside it, counted over the edge list."""
+    inside = {v: set() for v in range(graph.vertex_count) if (mask >> v) & 1}
+    for u, v, _ in graph.edges:
+        if u in inside and v in inside:
+            inside[u].add(v)
+            inside[v].add(u)
+    return any(len(neighbours) < 2 for neighbours in inside.values())
 
 
 def _has_fractional_edge(values):
@@ -665,16 +676,107 @@ def test_separation_rounds_match_the_full_scan_at_the_benchmark_size(monkeypatch
     monkeypatch.setattr(lpface, "_top_violated", counted)
     rng = random.Random(1)
     for _ in range(100):
-        n = rng.randint(11, 14)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = [(u, v, rng.choice("RBY")) for u, v in rng.sample(pairs, 24)]
-        used, kr, kb = set(), 0, 0
-        for u, v, c in rng.sample(edges, len(edges)):
-            if not used & {u, v}:
-                used |= {u, v}
-                kr, kb = kr + (c == RED), kb + (c == BLUE)
-        _assert_routes_agree(build_lp(ColoredGraph(n, edges), kr, kb), purges=rounds)
+        _assert_routes_agree(_benchmark_size_model(rng), purges=rounds)
     assert min(rounds.values()) >= 3, rounds
+
+
+def _benchmark_size_model(rng):
+    """The LP of one of graphs_small's largest graphs: n 11..14, m = 24, and
+    the profile of a random maximal matching as the requirement."""
+    n = rng.randint(11, 14)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v, rng.choice("RBY")) for u, v in rng.sample(pairs, 24)]
+    used, kr, kb = set(), 0, 0
+    for u, v, c in rng.sample(edges, len(edges)):
+        if not used & {u, v}:
+            used |= {u, v}
+            kr, kb = kr + (c == RED), kb + (c == BLUE)
+    return build_lp(ColoredGraph(n, edges), kr, kb)
+
+
+def _violation(graph, values, mask):
+    """x(E(S)) - (|S| - 1) / 2 at the point ``values`` for the set ``mask``."""
+    inside = sum(x for e, x in enumerate(values) if all((mask >> u) & 1 for u in graph.endpoints(e)))
+    return inside - (mask.bit_count() - 1) // 2
+
+
+def _assert_dropped_rows_are_implied(model, tally):
+    """Replays solve_lp's rounds: each appends the rows of the ranked sets
+    that are not ``_loosely_attached``, in ranked order, and keeps the first
+    ranked set; each dropped set S has a vertex w whose only neighbour in S,
+    if any, is y, with S - {w, y} of >= 3 vertices and violated at least as
+    much as S at the round's point.  Counts the rounds and the sets dropped
+    in ``tally``."""
+    graph = model.graph
+    lps, ranked = [], []
+
+    def recorded(*lp, start=None):
+        res = solve_standard_form(*lp, start=start)
+        lps.append((lp[2], res))
+        return res
+
+    def offered(violated, unit_pairs, limit):
+        ranked.append(_top_violated(violated, unit_pairs, limit))
+        return ranked[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", recorded)
+        mp.setattr(lpface, "_top_violated", offered)
+        solve_lp(model)
+    assert len(ranked) == len(lps) - 1
+    for (before, res), (after, _), top in zip(lps, lps[1:], ranked):
+        appended = [row for row in after if all(row is not r for r in before)]
+        rows = {mask: ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs) for mask, rhs, _ in top}
+        kept = [mask for mask, _, _ in top if not _loosely_attached(graph, mask)]
+        assert appended == [rows[mask] for mask in kept]
+        assert kept[0] == top[0][0]
+        for mask in set(rows) - set(kept):
+            assert any(_is_implied_at(graph, res.values, mask, w) for w in range(graph.vertex_count) if (mask >> w) & 1)
+            tally["dropped"] += 1
+        tally["rounds"] += 1
+
+
+def _is_implied_at(graph, values, mask, w):
+    """Whether w has at most one neighbour y in ``mask`` and some such y
+    (any vertex of the set if w has none) leaves a set of >= 3 vertices
+    violated at ``values`` at least as much as ``mask``."""
+    near = {v for u, v, _ in graph.edges if u == w} | {u for u, v, _ in graph.edges if v == w}
+    inside = {y for y in near if (mask >> y) & 1}
+    if len(inside) > 1:
+        return False
+    others = inside or {y for y in range(graph.vertex_count) if (mask >> y) & 1 and y != w}
+    return any(
+        (rest := mask & ~(1 << w) & ~(1 << y)).bit_count() >= 3
+        and _violation(graph, values, mask) <= _violation(graph, values, rest)
+        for y in others
+    )
+
+
+def test_dropped_rows_are_implied_and_the_first_set_is_kept():
+    # the criterion-8 generator and graphs_small's largest graphs
+    from test_acceptance import _random_instance
+
+    generator, benchmark = Counter(), Counter()
+    rng = random.Random(4242)
+    for _ in range(1000):
+        g = _random_instance(rng, n_lo=2, n_hi=10, max_edges=18)
+        counts = g.color_counts()
+        model = build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+        _assert_dropped_rows_are_implied(model, generator)
+    rng = random.Random(11)
+    for _ in range(100):
+        _assert_dropped_rows_are_implied(_benchmark_size_model(rng), benchmark)
+    for tally in (generator, benchmark):
+        assert tally["rounds"] >= 20 and tally["dropped"] >= 30, (generator, benchmark)
+
+
+def test_separation_raises_when_a_round_offers_only_implied_sets(monkeypatch):
+    # the half-integral triangle next to a unit edge, ranked as if only
+    # their union, where vertex 4 has one neighbour, were violated
+    g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
+    monkeypatch.setattr(lpface, "_top_violated", lambda violated, unit_pairs, limit: [(0b11111, 2, 1)])
+    with pytest.raises(InvariantError, match="only implied odd sets"):
+        solve_lp(build_lp(g, 1, 0))
 
 
 def test_warm_rounds_match_the_reference_loop_past_the_cap():
@@ -712,11 +814,11 @@ def _pastcap_model(seed: int, n: int) -> LPModel:
 
 
 def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
-    # a seeded n = 44 graph whose warm rounds purge sets that are violated
+    # a seeded n = 45 graph whose warm rounds purge sets that are violated
     # again later: re-activated, they stay, so no row leaves the LP twice;
     # alpha* is the reference loop's
-    n = 44
-    model = _pastcap_model(1, n)
+    n = 45
+    model = _pastcap_model(4, n)
     rounds = []
 
     def recorded(*lp, start=None):
@@ -735,8 +837,8 @@ def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
     assert max(purges.values()) == 1 and reactivated >= 5, (purges, reactivated)
     # the last warm optimum is a from-scratch optimum over the same rows;
     # the from-scratch loop over every row it activates (too slow here, as
-    # is its full-support scan) also ends at 21
-    assert got.objective == solve_standard_form(*rounds[-1]).objective == 21
+    # is its full-support scan) also ends at 22
+    assert got.objective == solve_standard_form(*rounds[-1]).objective == 22
 
 
 def test_separation_rows_past_the_cap_end_in_few_rounds(monkeypatch):
@@ -755,10 +857,11 @@ def test_separation_rows_past_the_cap_end_in_few_rounds(monkeypatch):
     assert got.objective == 28 and len(calls) <= 12, len(calls)
 
 
-def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
+def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge(monkeypatch):
     # without blossom rows the optimum is x = 1/2 on the triangle {0, 1, 2}
     # and x = 1 on 3-4, joined to it by the zero edge 2-3; {0, 1, 2} and
-    # {0, 1, 2, 3, 4} are violated by as much, and both must be activated
+    # {0, 1, 2, 3, 4} are violated by as much, but vertex 4's only neighbour
+    # in the union is 3, so only the triangle is activated
     g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
     model = build_lp(g, 1, 0)
     first = _reference_lp(model, [])
@@ -767,8 +870,18 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge():
         0b00111,
         0b11111,
     ]
-    sol = _assert_routes_agree(model)
+    rounds = []
+
+    def recorded(*lp, start=None):
+        rounds.append(lp[2][g.vertex_count :])
+        return solve_standard_form(*lp, start=start)
+
+    monkeypatch.setattr(lpface, "solve_standard_form", recorded)
+    sol = solve_lp(model)
+    assert rounds == [[], [([(0, 1), (1, 1), (2, 1)], 1)]]
     assert sol.objective == 2
+    monkeypatch.undo()
+    assert _assert_routes_agree(model).objective == 2
 
 
 def test_separation_raises_when_a_round_would_reactivate_a_row(monkeypatch):

@@ -7,10 +7,12 @@ cut to at most 2n edges, random colors, and both requirements drawn from
 2..6, all from ``Random(f"pastcap:{SEED}:{n}")``.  Each request runs through
 ``driver.solve`` under ``OracleCap(128, 400)`` and is checked by
 ``driver.verify``.  One line per graph gives ``alpha*``, the separation
-rounds (LPs after the first), the LP calls, the rows purged, the CPU
-seconds in ``lpface.solve_lp`` and in the whole solve, and the answer size;
-a summary line follows.  ``--src`` imports the library from another
-checkout's ``src`` directory, to compare two versions on one set.
+rounds (LPs after the first), the LP calls, the rows purged, the rows
+re-activated (appended with the edges and rhs of a row an earlier round
+purged), the CPU seconds in ``lpface.solve_lp`` and in the whole solve, and
+the answer size; a summary line follows.  ``--src`` imports the library
+from another checkout's ``src`` directory, to compare two versions on one
+set.
 
 The process limits its own address space to 3 GB (``RLIMIT_AS``) and each
 solve to ``TIMEOUT_S`` seconds of wall time (``SIGALRM``); a solve past
@@ -54,13 +56,14 @@ def make_request(n: int):
 
 class _Counter:
     """Wraps ``driver.solve_lp`` and ``lpface.solve_standard_form``, the
-    names the solve calls, to count LP calls and purged rows and time the
-    LP layer."""
+    names the solve calls, to count LP calls and purged and re-activated
+    rows and time the LP layer."""
 
     def __init__(self, driver, lpface):
         self.driver, self.lpface = driver, lpface
         self.solve_lp, self.solve_standard_form = driver.solve_lp, lpface.solve_standard_form
-        self.calls = self.purged = 0
+        self.calls = self.purged = self.reactivated = 0
+        self.gone = set()  # (edges, rhs) of each purged row
         self.lp_s = 0.0
 
     def lp(self, model):
@@ -74,8 +77,14 @@ class _Counter:
         self.calls += 1
         start = kwargs.get("start")
         if start is not None:
-            ub_rows = args[2]
-            self.purged += sum(all(row is not r for r in ub_rows) for row in start.tableau.ub_rows)
+            ub_rows, last = args[2], start.tableau.ub_rows
+            for row in ub_rows:
+                if all(row is not r for r in last):
+                    self.reactivated += (tuple(row[0]), row[1]) in self.gone
+            for row in last:
+                if all(row is not r for r in ub_rows):
+                    self.purged += 1
+                    self.gone.add((tuple(row[0]), row[1]))
         return self.solve_standard_form(*args, **kwargs)
 
     def __enter__(self):
@@ -141,7 +150,7 @@ def main(argv=None) -> int:
             answer = f"alpha*={report.alpha_star} size={len(report.matching)} {'ok' if ok else 'VERIFY FAILED'}"
         print(
             f"{head} {answer} rounds={counter.calls - 1} lp_calls={counter.calls} "
-            f"purged={counter.purged} lp_cpu_s={counter.lp_s:.3f} solve_cpu_s={solve_s:.3f}",
+            f"purged={counter.purged} reactivated={counter.reactivated} lp_cpu_s={counter.lp_s:.3f} solve_cpu_s={solve_s:.3f}",
             flush=True,
         )
     print(f"total lp_cpu_s={total_lp:.3f} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}")
