@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 failed verification, 2 infeasible LP, 3 parse error,
+Exit codes: 0 success, 1 failed verification, 2 infeasible LP, 3 parse error
+(a usage error too: a missing or malformed argument or an unknown command),
 4 size cap exceeded, 5 internal invariant failure.
 """
 
@@ -23,7 +24,7 @@ from .curve import (
 from .cycles import solve_even_cycle, solve_fractional
 from .errors import CapExceededError, InvariantError, ParseError
 from .graph import ColorProfile, even_cycle_from_string
-from .instances import GenSpec, generate_instance, parse_instance
+from .instances import GenSpec, decimal_integer, generate_instance, parse_instance
 from .oracle import exact_optimum, max_matching_size
 
 EXIT_OK = 0
@@ -221,10 +222,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph, kr, kb = parse_instance(_read(args.file))
-    try:
-        ids = [int(t) for t in args.matching.split(",") if t.strip() != ""]
-    except ValueError:
-        raise ParseError("matching must be comma-separated edge ids") from None
+    # an id may have spaces around it; empty fields are skipped
+    ids = [decimal_integer(t.strip()) for t in args.matching.split(",") if t.strip()]
+    if None in ids:
+        raise ParseError("matching must be comma-separated edge ids")
     report = driver.solve(graph, kr, kb)
     if report is None:
         print("infeasible")
@@ -304,7 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; its usage-error code, 2,
+        # is EXIT_INFEASIBLE here, and --help exits 0
+        if exc.code == 2:
+            return EXIT_PARSE
+        raise
     try:
         return args.func(args)
     except ParseError as exc:

@@ -17,6 +17,11 @@ check it against the paper's figures.
 
 Paths reduce to cycles (_closed): an even path identifies its extremes, an
 odd path gains one dummy yellow edge which is stripped from the answer.
+
+The core works on a tuple of colors.  A CycleOrPath input was checked when
+it was built; a str, list or tuple input is checked once by graph's
+check_colors, the check CycleOrPath itself runs, so every input kind raises
+the same ValueError and none is wrapped in a CycleOrPath first.
 """
 
 from __future__ import annotations
@@ -26,25 +31,22 @@ from typing import Iterable
 
 from .curve import on_segment
 from .errors import InvariantError
-from .graph import (
-    BLUE,
-    RED,
-    YELLOW,
-    CycleOrPath,
-    even_cycle_from_string,
-)
+from .graph import BLUE, RED, YELLOW, CycleOrPath, check_colors
 
 
-def _as_cycle(cycle: CycleOrPath | str | Iterable[str]) -> CycleOrPath:
+def _as_cycle(cycle: CycleOrPath | str | Iterable[str]) -> tuple[str, ...]:
+    """The colors of an even cycle, checked as CycleOrPath checks them."""
     if isinstance(cycle, CycleOrPath):
         if not cycle.is_cycle:
             raise ValueError("expected an even cycle")
-        return cycle
-    return even_cycle_from_string(tuple(cycle))
+        return cycle.colors
+    colors = tuple(cycle)
+    check_colors(colors, True)
+    return colors
 
 
 def _near_perfect(
-    cycle: CycleOrPath, targets: set[tuple[int, int]]
+    colors: tuple[str, ...], targets: set[tuple[int, int]]
 ) -> frozenset[int] | None:
     """First near-perfect matching whose (red, blue) profile is in targets.
 
@@ -54,7 +56,6 @@ def _near_perfect(
     differences of per-parity prefix counts over two laps of the cycle, and
     only the winning matching is built.  None if no candidate qualifies.
     """
-    colors = cycle.colors
     n = len(colors)
     # red[i]: red positions j < i of i's parity, counted over two laps
     red = [0, 0]
@@ -75,23 +76,24 @@ def _near_perfect(
 
 
 def _select(
-    cycle: CycleOrPath, k, ends: set[tuple[int, int]], near: set[tuple[int, int]]
+    colors: tuple[str, ...], k, ends: set[tuple[int, int]], near: set[tuple[int, int]]
 ) -> frozenset[int]:
-    """The selection steps every solver shares.
+    """The selection steps every solver shares, on an even cycle's colors.
 
     Checks that k lies on the segment between the even and odd profiles, then
     returns the even edges if their profile is in ends, else the odd edges if
     theirs is, else the first near-perfect matching with a profile in near.
     """
-    p0 = cycle.even_profile().rb
-    p1 = cycle.odd_profile().rb
+    even, odd = colors[0::2], colors[1::2]
+    p0 = (even.count(RED), even.count(BLUE))
+    p1 = (odd.count(RED), odd.count(BLUE))
     if not on_segment(k, p0, p1):
         raise ValueError(f"requirement {k} is not on the segment {p0}..{p1}")
     if p0 in ends:
-        return frozenset(cycle.even_edges())
+        return frozenset(range(0, len(colors), 2))
     if p1 in ends:
-        return frozenset(cycle.odd_edges())
-    positions = _near_perfect(cycle, near)
+        return frozenset(range(1, len(colors), 2))
+    positions = _near_perfect(colors, near)
     if positions is None:
         raise InvariantError(
             f"no near-perfect matching with profile in {sorted(near)} exists; "
@@ -102,18 +104,21 @@ def _select(
 
 def _closed(
     comp: CycleOrPath | str | Iterable[str],
-) -> tuple[CycleOrPath, int | None]:
-    """The even cycle a path, cycle or color string is solved as, and the
-    position of the dummy yellow edge that closes an odd path (else None)."""
+) -> tuple[tuple[str, ...], int | None]:
+    """The colors of the even cycle a path, cycle or color string is solved
+    as, and the position of the dummy yellow edge that closes an odd path
+    (else None)."""
     if isinstance(comp, CycleOrPath):
         if comp.is_cycle:
-            return comp, None
+            return comp.colors, None
         colors = comp.colors
     else:
         colors = tuple(comp)
+        # an odd string is closed below, so only the colors are checked
+        check_colors(colors, len(colors) % 2 == 0)
     if len(colors) % 2 == 0:
-        return CycleOrPath(colors, True), None
-    return CycleOrPath(colors + (YELLOW,), True), len(colors)
+        return colors, None
+    return colors + (YELLOW,), len(colors)
 
 
 def solve_even_cycle(
@@ -126,10 +131,10 @@ def solve_even_cycle(
     otherwise, by the first near-perfect matching (see _near_perfect) with
     that profile, so at most two nodes are exposed.
     """
-    comp = _as_cycle(cycle)
+    colors = _as_cycle(cycle)
     k = (k_red, k_blue)
-    near = {k} if YELLOW in comp.colors else {(k_red, k_blue - 1)}
-    return _select(comp, k, {k}, near)
+    near = {k} if YELLOW in colors else {(k_red, k_blue - 1)}
+    return _select(colors, k, {k}, near)
 
 
 def solve_path_or_cycle(
@@ -141,8 +146,8 @@ def solve_path_or_cycle(
     segment between the profiles of its even and odd edges; the result has at
     least one edge fewer than the smaller of those two matchings.
     """
-    cycle, dummy = _closed(comp)
-    return solve_even_cycle(cycle, k_red, k_blue) - {dummy}
+    colors, dummy = _closed(comp)
+    return solve_even_cycle(colors, k_red, k_blue) - {dummy}
 
 
 def solve_fractional(
@@ -159,10 +164,10 @@ def solve_fractional(
     k_blue = Fraction(k_blue)
     if k_blue.denominator == 1:
         return solve_path_or_cycle(comp, k_red, int(k_blue))
-    cycle, dummy = _closed(comp)
+    colors, dummy = _closed(comp)
     ceil_blue = -((-k_blue.numerator) // k_blue.denominator)
     targets = {(k_red, ceil_blue), (k_red, ceil_blue - 1)}
-    return _select(cycle, (k_red, k_blue), targets, targets) - {dummy}
+    return _select(colors, (k_red, k_blue), targets, targets) - {dummy}
 
 
 def segment_integer_points(p0, p1) -> list[tuple[int, int]]:

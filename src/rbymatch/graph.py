@@ -6,14 +6,19 @@ types are immutable after construction and every operation here is a pure
 function, so they are safe to share across test shards.
 
 The symmetric difference of two matchings splits into alternating paths and
-even cycles.  Each is a CycleOrPath: its colors in walk order, whether it
-closes, and one parity bit, the matching of edge 0, that labels every edge.
+even cycles.  walk_symdiff walks each once, by per-vertex lookups of the one
+M0 edge and the one M1 edge at a vertex, into plain lists (edge ids,
+vertices, whether it closes, and one parity bit, the matching of edge 0,
+that labels every edge); the combiner edits those lists in place.
+symdiff_components is the CycleOrPath view of the same walk, which adds the
+colors in walk order.  check_colors is the one color and cycle-length check,
+shared by CycleOrPath and the selectors that take bare color strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 RED = "R"
 BLUE = "B"
@@ -126,6 +131,17 @@ def path_graph(colors: str | Iterable[str]) -> ColoredGraph:
     return ColoredGraph(len(cols) + 1, [(i, i + 1, c) for i, c in enumerate(cols)])
 
 
+def check_colors(colors: Sequence[str], is_cycle: bool) -> None:
+    """ValueError unless a cycle has an even number of edges, at least 2,
+    and every color is R, B or Y; the first failing check names the fault."""
+    n = len(colors)
+    if is_cycle and (n % 2 != 0 or n < 2):
+        raise ValueError("a cycle needs an even number of edges, at least 2")
+    if not _COLOR_SET.issuperset(colors):
+        bad = next(c for c in colors if c not in COLORS)
+        raise ValueError(f"unknown color {bad!r}")
+
+
 @dataclass(frozen=True)
 class CycleOrPath:
     """A colored path or even cycle with edges numbered consecutively from 0.
@@ -145,12 +161,8 @@ class CycleOrPath:
     vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        check_colors(self.colors, self.is_cycle)
         n = len(self.colors)
-        if self.is_cycle and (n % 2 != 0 or n < 2):
-            raise ValueError("a cycle needs an even number of edges, at least 2")
-        if not _COLOR_SET.issuperset(self.colors):
-            bad = next(c for c in self.colors if c not in COLORS)
-            raise ValueError(f"unknown color {bad!r}")
         if self.first not in (0, 1):
             raise ValueError(f"first must be 0 or 1, not {self.first!r}")
         if self.edge_ids is not None and len(self.edge_ids) != n:
@@ -160,12 +172,6 @@ class CycleOrPath:
 
     def __len__(self) -> int:
         return len(self.colors)
-
-    def even_edges(self) -> tuple[int, ...]:
-        return tuple(range(0, len(self.colors), 2))
-
-    def odd_edges(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.colors), 2))
 
     def profile_of(self, positions: Iterable[int]) -> ColorProfile:
         return profile_of_colors(self.colors[p] for p in positions)
@@ -223,22 +229,25 @@ def color_profile(graph: ColoredGraph, edge_ids: Iterable[int]) -> ColorProfile:
     return profile_of_colors(graph.color(eid) for eid in ids)
 
 
-def symdiff_components(
+def walk_symdiff(
     graph: ColoredGraph,
     m0: Iterable[int],
     m1: Iterable[int],
-) -> list[CycleOrPath]:
-    """Decompose M0 symmetric-difference M1 into alternating paths and cycles.
+) -> list[tuple[list[int], list[int], bool, int]]:
+    """The components of M0 symmetric-difference M1, each as lists of edge
+    ids and vertices, whether it closes, and ``first``.
 
     Each matching puts at most one edge at a vertex, so a vertex meets at
     most two difference edges, consecutive edges come from different
-    matchings and every closed walk is an even cycle.  Each component is
-    walked once from its smallest edge id.  A cycle starts there and proceeds
-    toward the smaller of the two neighbouring ids; a path starts at its end
-    edge with the smaller id.  Components are emitted in order of their first
-    edge id, which for a path is its smaller end edge, not necessarily the
-    smallest id it contains.  ``first`` is 0 when edge 0 is in M0, 1 when it
-    is in M1; ``vertices`` follows the walk (ascending for one edge).
+    matchings and every closed walk is an even cycle.  The walk follows, at
+    each vertex, the edge of the other matching there: one lookup per step.
+    Each component is walked once from its smallest edge id.  A cycle starts
+    there and proceeds toward the smaller of the two neighbouring ids; a path
+    starts at its end edge with the smaller id.  Components are emitted in
+    order of their first edge id, which for a path is its smaller end edge,
+    not necessarily the smallest id it contains.  ``first`` is 0 when edge 0
+    is in M0, 1 when it is in M1; the vertices follow the walk (ascending for
+    one edge), and a path has one more vertex than edges.
 
     This is the call that validates M0 and M1 (ValueError if either is no
     matching), so callers that pass the full matchings need no check of
@@ -249,60 +258,72 @@ def symdiff_components(
         raise ValueError("m0 is not a matching")
     if not validate_matching(graph, set1):
         raise ValueError("m1 is not a matching")
-    diff = sorted(set0 ^ set1)
     host = graph.edges
+    only0, only1 = set0 - set1, set1 - set0
+    # mates[s][x]: the edge of M_s, not shared, at vertex x
+    mates: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for at, only in zip(mates, (only0, only1)):
+        for eid in only:
+            u, v, _ = host[eid]
+            at[u] = at[v] = eid
 
-    incident: dict[int, list[int]] = {}
-    for eid in diff:
-        u, v, _ = host[eid]
-        incident.setdefault(u, []).append(eid)
-        incident.setdefault(v, []).append(eid)
-
-    def next_edge(eid: int, vtx: int) -> int | None:
-        for e in incident[vtx]:
-            if e != eid:
-                return e
-        return None
-
-    def walk(seed: int, vtx: int) -> tuple[list[int], list[int], bool]:
-        # edges after seed through vtx, vertices from vtx on, back at seed?
-        edges, verts = [], [vtx]
-        eid = next_edge(seed, vtx)
+    def walk(seed: int, vtx: int, side: int, edges: list[int], verts: list[int]) -> bool:
+        # extend edges and verts past seed through vtx; back at seed?
+        eid = mates[side].get(vtx)
         while eid is not None and eid != seed:
             edges.append(eid)
             u, v, _ = host[eid]
             vtx = v if vtx == u else u
             verts.append(vtx)
-            eid = next_edge(eid, vtx)
-        return edges, verts, eid == seed
+            side ^= 1
+            eid = mates[side].get(vtx)
+        return eid == seed
 
     visited: set[int] = set()
-    components: list[CycleOrPath] = []
-    for seed in diff:
+    components = []
+    for seed in sorted(only0 | only1):
         if seed in visited:
             continue
+        other = 1 if seed in only0 else 0
         u, v, _ = host[seed]
-        nb_u, nb_v = next_edge(seed, u), next_edge(seed, v)
+        nb_u, nb_v = mates[other].get(u), mates[other].get(v)
         if nb_u is not None and (nb_v is None or nb_u < nb_v):
             u, v = v, u  # leave through v, toward the smaller neighbour
-        edges, verts, closed = walk(seed, v)
+        edges, verts = [seed], [u, v]
+        closed = walk(seed, v, other, edges, verts)
         if closed:
-            order = [seed] + edges
-            vertices = [u] + verts[:-1]
+            verts.pop()
         else:
-            back, back_verts, _ = walk(seed, u)
-            order = back[::-1] + [seed] + edges
-            vertices = back_verts[::-1] + verts
-            if len(order) == 1:
-                vertices.sort()
-            elif order[-1] < order[0]:
-                order.reverse()
-                vertices.reverse()
-        visited.update(order)
-        colors = tuple(host[e].color for e in order)
-        first = 0 if order[0] in set0 else 1
-        components.append(
-            CycleOrPath(colors, closed, tuple(order), first, tuple(vertices))
-        )
-    components.sort(key=lambda c: c.edge_ids[0])  # type: ignore[index]
+            back, back_verts = [], []
+            walk(seed, u, other, back, back_verts)
+            edges = back[::-1] + edges
+            verts = back_verts[::-1] + verts
+            if len(edges) == 1:
+                verts.sort()
+            elif edges[-1] < edges[0]:
+                edges.reverse()
+                verts.reverse()
+        visited.update(edges)
+        components.append((edges, verts, closed, 0 if edges[0] in only0 else 1))
+    components.sort(key=lambda c: c[0][0])
     return components
+
+
+def symdiff_components(
+    graph: ColoredGraph,
+    m0: Iterable[int],
+    m1: Iterable[int],
+) -> list[CycleOrPath]:
+    """Decompose M0 symmetric-difference M1 into alternating paths and cycles.
+
+    The CycleOrPath view of walk_symdiff: the same components in the same
+    order and orientation, with their colors in walk order.  The walk
+    validates M0 and M1 (ValueError if either is no matching).
+    """
+    host = graph.edges
+    return [
+        CycleOrPath(
+            tuple(host[e].color for e in edges), closed, tuple(edges), first, tuple(verts)
+        )
+        for edges, verts, closed, first in walk_symdiff(graph, m0, m1)
+    ]

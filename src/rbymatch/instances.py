@@ -21,7 +21,7 @@ from .oracle import OracleCap, DEFAULT_CAP, check_cap, check_size, enumerate_mat
 Instance = tuple[ColoredGraph, int, int]
 
 
-def _integer(text: str) -> int | None:
+def decimal_integer(text: str) -> int | None:
     """The value of ``text`` if it is an optional ``-`` and ``str.isdecimal``
     digits, else None; ``int`` alone also reads a ``+`` sign and ``_``
     between digits."""
@@ -71,7 +71,7 @@ def parse_instance(text: str) -> Instance:
             check_size(vertex_count, len(edges) + 1)
             if len(parts) != 4:
                 raise ParseError("expected: e <u> <v> <COLOR>", lineno)
-            u, v = _integer(parts[1]), _integer(parts[2])
+            u, v = decimal_integer(parts[1]), decimal_integer(parts[2])
             if u is None or v is None:
                 raise ParseError("edge endpoints must be integers", lineno)
             color = parts[3].upper()
@@ -87,7 +87,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError("duplicate require line", lineno)
             if len(parts) != 3:
                 raise ParseError("expected: require <kR> <kB>", lineno)
-            kr, kb = _integer(parts[1]), _integer(parts[2])
+            kr, kb = decimal_integer(parts[1]), decimal_integer(parts[2])
             if kr is None or kb is None:
                 raise ParseError("requirements must be integers", lineno)
             if kr < 0 or kb < 0:

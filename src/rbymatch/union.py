@@ -21,9 +21,11 @@ pairs, and then components are peeled one at a time.  The result keeps the
 red requirement exactly, loses at most one blue edge, and has size at least
 two below the smaller matching (one below when the union is acyclic).
 
-combine_two_matchings validates its inputs in its one symdiff_components
-call and a built result once, which must then pass two checks: its profile
-meets the requirement, and it has at least |smaller matching| - 2 edges.
+combine_two_matchings validates its inputs in its one walk of the symmetric
+difference (graph.walk_symdiff), whose lists become the blocks (_blocks)
+with no CycleOrPath in between.  It validates a built result once, which
+must then pass two checks: its profile meets the requirement, and it has at
+least |smaller matching| - 2 edges.
 """
 
 from __future__ import annotations
@@ -34,21 +36,14 @@ from typing import Callable, Iterable, Sequence
 from .curve import on_segment
 from .cycles import solve_even_cycle, solve_path_or_cycle
 from .errors import InvariantError
-from .graph import (
-    BLUE,
-    RED,
-    YELLOW,
-    ColoredGraph,
-    CycleOrPath,
-    color_profile,
-    symdiff_components,
-)
+from .graph import BLUE, RED, YELLOW, ColoredGraph, color_profile, walk_symdiff
 
 
 @dataclass
 class _Block:
-    """One alternating component during normalization: a mutable copy of a
-    CycleOrPath that contraction, rotation and joining edit in place.
+    """One alternating component during normalization, held in the lists
+    walk_symdiff returns, which contraction, rotation and joining edit in
+    place.
 
     ``verts[i]`` is an original vertex inside the class sitting left of edge
     i (paths carry one extra trailing vertex); cycles keep verts the same
@@ -70,14 +65,14 @@ class _Block:
         return min(self.edges)
 
 
-def _block_from_component(comp: CycleOrPath) -> _Block:
-    return _Block(
-        edges=list(comp.edge_ids),
-        colors=list(comp.colors),
-        first=comp.first,
-        verts=list(comp.vertices),
-        is_cycle=comp.is_cycle,
-    )
+def _blocks(graph: ColoredGraph, m0: Iterable[int], m1: Iterable[int]) -> list[_Block]:
+    """The blocks of M0 symmetric-difference M1, built from walk_symdiff's
+    lists as they come, in its order; the walk validates M0 and M1."""
+    host = graph.edges
+    return [
+        _Block(edges, [host[e][2] for e in edges], first, verts, is_cycle)
+        for edges, verts, is_cycle, first in walk_symdiff(graph, m0, m1)
+    ]
 
 
 def _reverse_block(block: _Block) -> None:
@@ -189,13 +184,14 @@ def combine_two_matchings(
     profiles.  The result has size at least |smaller matching| - 2, improving
     to -1 when the union contains no cycle.
 
-    symdiff_components validates both inputs (ValueError if either is no
-    matching).  A built result is validated, and InvariantError is raised
-    unless it meets the requirement and that size bound.
+    The walk of M0 symmetric-difference M1 validates both inputs
+    (ValueError if either is no matching).  A built result is validated,
+    and InvariantError is raised unless it meets the requirement and that
+    size bound.
     """
     set0 = frozenset(m0)
     set1 = frozenset(m1)
-    blocks = [_block_from_component(c) for c in symdiff_components(graph, set0, set1)]
+    blocks = _blocks(graph, set0, set1)
     shared = set0 & set1
     edges = graph.edges
     shared_colors = [edges[e].color for e in shared]

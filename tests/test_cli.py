@@ -251,3 +251,66 @@ def test_verify_rejects_a_repeated_edge_id(tmp_path, capsys):
 def test_zero_denominator_is_a_parse_error(capsys, argv):
     assert main(argv) == 3
     assert "parse error: zero denominator in '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve"], "the following arguments are required: file"),
+        (["cycle", "RB", "--kr", "x", "--kb", "0"], "argument --kr: invalid int value: 'x'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exit_code(capsys, argv, message):
+    # argparse's own usage-error code, 2, is the infeasible-LP code here
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rbymatch") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cycle", "--help"]])
+def test_help_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rbymatch")
+
+
+TWO_EDGES_INSTANCE = "graph 4\ne 0 1 R\ne 2 3 B\nrequire 1 1\n"
+
+
+@pytest.mark.parametrize("ids", ["0_0,1", "+0,1", "0,1x", "0,1.0", "0,-"])
+def test_verify_rejects_a_malformed_edge_id(tmp_path, capsys, ids):
+    # int() reads 0_0 and +0 as 0; edge ids are decimal digits only, as in
+    # instance files
+    p = tmp_path / "two.txt"
+    p.write_text(TWO_EDGES_INSTANCE)
+    assert main(["verify", str(p), "--matching", ids]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: matching must be comma-separated edge ids" in captured.err
+
+
+@pytest.mark.parametrize(
+    "ids, code, out", [(" 0 , 1 ,", 0, "ok"), ("1,,0", 0, "ok"), ("-1,0", 1, "FAIL")]
+)
+def test_verify_reads_spaced_empty_and_negative_ids(tmp_path, capsys, ids, code, out):
+    p = tmp_path / "two.txt"
+    p.write_text(TWO_EDGES_INSTANCE)
+    assert main(["verify", str(p), f"--matching={ids}"]) == code
+    assert capsys.readouterr().out.strip() == out
+
+
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ("RBQB", "unknown color 'Q'"),
+        ("RBR", "a cycle needs an even number of edges, at least 2"),
+        ("", "a cycle needs an even number of edges, at least 2"),
+    ],
+)
+@pytest.mark.parametrize("command, kb", [("cycle", "0"), ("fractional", "1/2")])
+def test_bad_cycle_colors_exit_code(capsys, command, kb, colors, message):
+    assert main([command, colors, "--kr", "0", "--kb", kb]) == 3
+    assert f"parse error: {message}" in capsys.readouterr().err

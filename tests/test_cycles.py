@@ -123,6 +123,14 @@ def _check(colors: str, positions, size_min: int, rb):
     assert comp.profile_of(positions).rb == rb
 
 
+def _even_edges(comp: CycleOrPath) -> frozenset[int]:
+    return frozenset(range(0, len(comp), 2))
+
+
+def _odd_edges(comp: CycleOrPath) -> frozenset[int]:
+    return frozenset(range(1, len(comp), 2))
+
+
 def near_perfect_matchings(n: int):
     """Reference: all matchings of a length-n cycle exposing exactly two
     vertices, as (a, b, positions), ordered by the exposed pair (a, b)."""
@@ -147,9 +155,9 @@ def _scan_even_cycle(colors: str, k_red: int, k_blue: int):
     with profile (k_red, k_blue), or one blue short without yellow."""
     comp = even_cycle_from_string(colors)
     if (k_red, k_blue) == comp.even_profile().rb:
-        return frozenset(comp.even_edges())
+        return _even_edges(comp)
     if (k_red, k_blue) == comp.odd_profile().rb:
-        return frozenset(comp.odd_edges())
+        return _odd_edges(comp)
     target = (k_red, k_blue) if "Y" in colors else (k_red, k_blue - 1)
     for _, _, positions in near_perfect_matchings(len(colors)):
         if comp.profile_of(positions).rb == target:
@@ -163,7 +171,7 @@ def _scan_fractional(colors: str, k_red: int, k_blue: Fraction):
     comp = even_cycle_from_string(colors)
     ceil_blue = -((-k_blue.numerator) // k_blue.denominator)
     targets = {(k_red, ceil_blue), (k_red, ceil_blue - 1)}
-    candidates = [frozenset(comp.even_edges()), frozenset(comp.odd_edges())]
+    candidates = [_even_edges(comp), _odd_edges(comp)]
     candidates += [pos for _, _, pos in near_perfect_matchings(len(colors))]
     return next((pos for pos in candidates if comp.profile_of(pos).rb in targets), None)
 
@@ -190,9 +198,9 @@ def test_solve_even_cycle_fig3():
 def test_solve_even_cycle_endpoints():
     comp = even_cycle_from_string(FIG1)
     p0 = comp.even_profile().rb
-    assert solve_even_cycle(FIG1, *p0) == frozenset(comp.even_edges())
+    assert solve_even_cycle(FIG1, *p0) == _even_edges(comp)
     p1 = comp.odd_profile().rb
-    assert solve_even_cycle(FIG1, *p1) == frozenset(comp.odd_edges())
+    assert solve_even_cycle(FIG1, *p1) == _odd_edges(comp)
 
 
 def test_solve_even_cycle_no_yellow_drops_one_blue():
@@ -239,7 +247,7 @@ def test_solve_fractional_integral_delegates():
 def test_solve_fractional_endpoint():
     comp = even_cycle_from_string(FIG1)
     p0 = comp.even_profile().rb
-    assert solve_fractional(comp, p0[0], Fraction(p0[1])) == frozenset(comp.even_edges())
+    assert solve_fractional(comp, p0[0], Fraction(p0[1])) == _even_edges(comp)
 
 
 def _half_blue_points(p0, p1):
@@ -278,6 +286,61 @@ def test_selectors_return_the_scan_first_hit():
                 assert solve_fractional(path, kr, Fraction(kb)) == want
             for kr, kb in _half_blue_points(p0, p1):
                 assert solve_fractional(path, kr, kb) == _scan_fractional(closed, kr, kb) - dummy
+
+
+def test_selectors_read_str_list_and_cycle_or_path_alike():
+    # the same colors as a str, a list and a CycleOrPath: every selector
+    # that takes the shape returns the same positions for all three
+    rng = random.Random(28)
+    for _ in range(400):
+        colors = "".join(rng.choice("RBY") for _ in range(rng.randrange(1, 41)))
+        is_cycle = len(colors) % 2 == 0 and rng.randrange(2) == 1
+        comp = (even_cycle_from_string if is_cycle else path_from_string)(colors)
+        closed = even_cycle_from_string(colors + "Y" * (len(colors) % 2))
+        p0, p1 = closed.even_profile().rb, closed.odd_profile().rb
+        requests = segment_integer_points(p0, p1) + _half_blue_points(p0, p1)
+        for kr, kb in rng.sample(requests, min(4, len(requests))):
+            selectors = [solve_fractional]
+            if kb == int(kb):
+                selectors.append(solve_path_or_cycle)
+                if is_cycle:
+                    selectors.append(solve_even_cycle)
+            for select in selectors:
+                got = [select(c, kr, kb) for c in (colors, list(colors), comp)]
+                assert got[0] == got[1] == got[2], (select.__name__, colors, kr, kb)
+
+
+ODD_CYCLE = "a cycle needs an even number of edges, at least 2"
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+@pytest.mark.parametrize(
+    "select, colors, message",
+    [
+        (solve_even_cycle, "RBQB", "unknown color 'Q'"),
+        (solve_even_cycle, "RBR", ODD_CYCLE),
+        (solve_even_cycle, "RQB", ODD_CYCLE),  # the length is checked first
+        (solve_even_cycle, "", ODD_CYCLE),
+        (solve_path_or_cycle, "RBQB", "unknown color 'Q'"),
+        (solve_path_or_cycle, "RQB", "unknown color 'Q'"),  # an odd path is closed
+        (solve_path_or_cycle, "rb", "unknown color 'r'"),
+        (solve_path_or_cycle, "", ODD_CYCLE),
+        (solve_fractional, "RBRBQ", "unknown color 'Q'"),
+        (solve_fractional, "", ODD_CYCLE),
+    ],
+)
+def test_selectors_reject_bad_colors_with_the_cycle_or_path_message(
+    select, colors, message, as_list
+):
+    # the messages CycleOrPath raises for the same colors
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        select(list(colors) if as_list else colors, 0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("colors", ["RB", "RBR"])
+def test_solve_even_cycle_rejects_a_path(colors):
+    with pytest.raises(ValueError, match="^expected an even cycle$"):
+        solve_even_cycle(path_from_string(colors), 0, 0)
 
 
 def test_find_good_path_fig3():

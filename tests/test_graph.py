@@ -16,6 +16,7 @@ from rbymatch.graph import (
     path_graph,
     symdiff_components,
     validate_matching,
+    walk_symdiff,
 )
 
 FIG1 = "RBYBRBYB"
@@ -224,8 +225,7 @@ def test_cycle_or_path_validation():
     assert CycleOrPath(("R",), False, vertices=(0, 1)).vertices == (0, 1)
     assert CycleOrPath(("R", "B"), False, first=1).first == 1
     c = even_cycle_from_string("RBYB")
-    assert c.even_edges() == (0, 2)
-    assert c.even_profile() == ColorProfile(1, 0, 1)
+    assert c.profile_of((0, 2)) == c.even_profile() == ColorProfile(1, 0, 1)
 
 
 def _reference_symdiff(graph, m0, m1):
@@ -331,3 +331,166 @@ def test_symdiff_matches_reference_walk():
             two_cycles += c.is_cycle and len(c) == 2
     assert two_cycles >= 50
     assert min(kinds.values()) >= 200, kinds
+
+
+def _incident_list_walk(graph, m0, m1):
+    """The walk of M0 Δ M1 by a dict of incident-edge lists per vertex and
+    a scan of that list per step, as (edge ids, vertices, closed, first)
+    lists.  The reference for walk_symdiff's per-vertex mate lookups."""
+    set0, set1 = frozenset(m0), frozenset(m1)
+    if not validate_matching(graph, set0):
+        raise ValueError("m0 is not a matching")
+    if not validate_matching(graph, set1):
+        raise ValueError("m1 is not a matching")
+    diff = sorted(set0 ^ set1)
+    host = graph.edges
+    incident: dict[int, list[int]] = {}
+    for eid in diff:
+        u, v, _ = host[eid]
+        incident.setdefault(u, []).append(eid)
+        incident.setdefault(v, []).append(eid)
+
+    def next_edge(eid, vtx):
+        return next((e for e in incident[vtx] if e != eid), None)
+
+    def walk(seed, vtx):
+        edges, verts = [], [vtx]
+        eid = next_edge(seed, vtx)
+        while eid is not None and eid != seed:
+            edges.append(eid)
+            u, v, _ = host[eid]
+            vtx = v if vtx == u else u
+            verts.append(vtx)
+            eid = next_edge(eid, vtx)
+        return edges, verts, eid == seed
+
+    visited: set[int] = set()
+    out = []
+    for seed in diff:
+        if seed in visited:
+            continue
+        u, v, _ = host[seed]
+        nb_u, nb_v = next_edge(seed, u), next_edge(seed, v)
+        if nb_u is not None and (nb_v is None or nb_u < nb_v):
+            u, v = v, u
+        edges, verts, closed = walk(seed, v)
+        if closed:
+            order, vertices = [seed] + edges, [u] + verts[:-1]
+        else:
+            back, back_verts, _ = walk(seed, u)
+            order = back[::-1] + [seed] + edges
+            vertices = back_verts[::-1] + verts
+            if len(order) == 1:
+                vertices.sort()
+            elif order[-1] < order[0]:
+                order.reverse()
+                vertices.reverse()
+        visited.update(order)
+        out.append((order, vertices, closed, 0 if order[0] in set0 else 1))
+    out.sort(key=lambda c: c[0][0])
+    return out
+
+
+def _overlapping_matchings(rng: random.Random, g: ColoredGraph):
+    """Two random matchings of g; m1 starts from a random part of m0, so the
+    pair shares edges whenever m0 is not empty."""
+    m0 = _random_matching(rng, g)
+    m1 = {e for e in m0 if rng.randrange(2)}
+    used = {v for e in m1 for v in g.endpoints(e)}
+    ids = list(range(g.edge_count))
+    rng.shuffle(ids)
+    for eid in ids:
+        u, v = g.endpoints(eid)
+        if rng.randrange(2) and u not in used and v not in used:
+            used |= {u, v}
+            m1.add(eid)
+    return m0, m1
+
+
+def _walk_cases(rng: random.Random):
+    """Seeded (graph, m0, m1) triples of four shapes, in turn: small
+    multigraphs with shared and parallel edges, the benchmark's n = 20,
+    m <= 40 pairs of maximal matchings, disjoint edges (single-edge paths),
+    and long even cycles with shuffled edge ids and a few chords."""
+    for i in range(2400):
+        shape = i % 4
+        if shape == 0:
+            g = _random_multigraph(rng)
+            yield (g, *_overlapping_matchings(rng, g))
+        elif shape == 1:
+            edges = []
+            for _ in range(rng.randrange(20, 41)):
+                u, v = rng.sample(range(20), 2)
+                edges.append((u, v, rng.choice("RBY")))
+            g = ColoredGraph(20, edges)
+            yield g, _maximal_matching(rng, g), _maximal_matching(rng, g)
+        elif shape == 2:
+            k = rng.randrange(1, 8)
+            g = ColoredGraph(2 * k, [(2 * j, 2 * j + 1, rng.choice("RBY")) for j in range(k)])
+            yield (g, *_overlapping_matchings(rng, g))
+        else:
+            n = 2 * rng.randrange(2, 31)
+            ring = [(j, (j + 1) % n, rng.choice("RBY")) for j in range(n)]
+            chords = [tuple(rng.sample(range(n), 2)) + ("Y",) for _ in range(rng.randrange(3))]
+            order = list(range(n + len(chords)))
+            rng.shuffle(order)
+            edges = [(ring + chords)[j] for j in order]
+            g = ColoredGraph(n, edges)
+            parity = rng.randrange(2)
+            m0 = {order.index(j) for j in range(parity, n, 2)}
+            m1 = {order.index(j) for j in range(1 - parity, n, 2)}
+            if rng.randrange(2):  # drop one edge: a long path
+                m1.discard(order.index(1 - parity))
+            yield g, m0, m1
+
+
+def _maximal_matching(rng: random.Random, g: ColoredGraph) -> set[int]:
+    ids = list(range(g.edge_count))
+    rng.shuffle(ids)
+    used: set[int] = set()
+    out: set[int] = set()
+    for eid in ids:
+        u, v = g.endpoints(eid)
+        if u not in used and v not in used:
+            used |= {u, v}
+            out.add(eid)
+    return out
+
+
+def test_walk_matches_the_incident_list_walk():
+    rng = random.Random(28)
+    seen = dict.fromkeys(
+        ("shared", "two-cycle", "single edge", "cycle >= 20", "path >= 20", "n = 20"), 0
+    )
+    for g, m0, m1 in _walk_cases(rng):
+        got = walk_symdiff(g, m0, m1)
+        assert got == _incident_list_walk(g, m0, m1)
+        host = g.edges
+        assert symdiff_components(g, m0, m1) == [
+            CycleOrPath(
+                tuple(host[e].color for e in edges), closed, tuple(edges), first, tuple(verts)
+            )
+            for edges, verts, closed, first in got
+        ]
+        seen["shared"] += bool(set(m0) & set(m1))
+        seen["n = 20"] += g.vertex_count == 20
+        for edges, _, closed, _ in got:
+            seen["two-cycle"] += closed and len(edges) == 2
+            seen["single edge"] += len(edges) == 1
+            seen["cycle >= 20"] += closed and len(edges) >= 20
+            seen["path >= 20"] += not closed and len(edges) >= 20
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("walker", [walk_symdiff, symdiff_components])
+def test_walk_names_the_first_bad_matching(walker):
+    g = ColoredGraph(3, [(0, 1, "R"), (1, 2, "B")])
+    for m0, m1, bad in (
+        ({0, 1}, {0, 1}, "m0"),  # both share vertex 1: m0 is named
+        ({0, 1}, {0}, "m0"),
+        ({0}, {0, 1}, "m1"),
+        ({2}, {-1}, "m0"),  # ids out of range
+        ({1}, {5}, "m1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{bad} is not a matching$"):
+            walker(g, m0, m1)

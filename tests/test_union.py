@@ -17,7 +17,7 @@ from rbymatch import graph as graph_module
 from rbymatch import union
 from rbymatch.oracle import best_profile_size, exact_optimum
 from rbymatch.union import (
-    _block_from_component,
+    _blocks,
     _contract_block,
     _lift,
     _merge,
@@ -47,7 +47,7 @@ def _glue(monkeypatch, g: ColoredGraph, m0, m1, positions):
         return frozenset(positions)
 
     monkeypatch.setattr(union, "solve_even_cycle", select)
-    blocks = [_block_from_component(c) for c in symdiff_components(g, m0, m1)]
+    blocks = _blocks(g, m0, m1)
     even, aug0, aug1 = union._classify(blocks)
     for b in even:  # as _solve_blocks orients them before the glue test
         _orient_start_source0(b)
@@ -93,8 +93,7 @@ def _cycle_block(colors: str):
     # orientation rotates it: its opened ends are edges 0 and n - 1
     g = cycle_graph(colors)
     m0 = frozenset(range(0, len(colors), 2))
-    (comp,) = symdiff_components(g, m0, frozenset(range(g.edge_count)) - m0)
-    block = _block_from_component(comp)
+    (block,) = _blocks(g, m0, frozenset(range(g.edge_count)) - m0)
     assert block.edges == list(range(len(colors))) and block.first == 0
     return block
 
@@ -127,8 +126,7 @@ def test_glue_rejects_opened_ends_of_one_color(monkeypatch):
 def test_glue_rejects_an_aug0_path_without_an_aug1_partner():
     # combine_two_matchings makes matching 0 the larger one, so more aug0
     # paths than aug1 paths is a broken invariant, not bad input
-    (comp,) = symdiff_components(path_graph("R"), frozenset(), frozenset({0}))
-    block = _block_from_component(comp)
+    (block,) = _blocks(path_graph("R"), frozenset(), frozenset({0}))
     assert union._classify([block]) == ([], [block], [])
     with pytest.raises(InvariantError, match="more paths augment"):
         union._case_glue([], [block], [], 0, 0)
@@ -149,9 +147,8 @@ def test_combine_contracts_same_color_two_cycle(two_cycle, rest):
     g = ColoredGraph(max(max(u, v) for u, v, _ in edges) + 1, edges)
     m0 = frozenset(range(0, len(edges), 2))
     m1 = frozenset(range(1, len(edges), 2))
-    (comp, *_) = symdiff_components(g, m0, m1)
-    block = _block_from_component(comp)
-    assert comp.is_cycle and block.verts == [0, 1]
+    (block, *_) = _blocks(g, m0, m1)
+    assert block.is_cycle and block.verts == [0, 1]
     classes = [[v] for v in range(g.vertex_count)]
     records = []
     # the only contraction whose far vertex wraps around to verts[0]
@@ -442,8 +439,7 @@ def test_first_bit_labels_every_edge(monkeypatch):
     for _ in range(300):
         g, m0, m1 = _structured_union(rng)
         label = {e: 0 if e in m0 else 1 for e in m0 ^ m1}
-        for comp in symdiff_components(g, m0, m1):
-            block = _block_from_component(comp)
+        for block in _blocks(g, m0, m1):
             assert _labels_kept(block, label)
             _reverse_block(block)
             assert _labels_kept(block, label)
@@ -523,6 +519,47 @@ def test_combine_validates_each_matching_once(monkeypatch):
         combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
         assert calls == 3
         combined += 1
+
+
+def _copied_blocks(graph: ColoredGraph, m0, m1) -> list[union._Block]:
+    """The blocks built the earlier way: a mutable copy of each CycleOrPath
+    that symdiff_components returns."""
+    return [
+        union._Block(list(c.edge_ids), list(c.colors), c.first, list(c.vertices), c.is_cycle)
+        for c in symdiff_components(graph, m0, m1)
+    ]
+
+
+def test_combine_matches_a_combiner_on_copied_components(monkeypatch):
+    # benchmark-shaped requests (n = 20, m <= 40, two random maximal
+    # matchings, an interior lattice point) and, every fourth, a structured
+    # union that forces contractions and joins
+    rng = random.Random(28)
+    requests = []
+    while len(requests) < 2000:
+        if len(requests) % 4 == 3:
+            g, ma, mb = _structured_union(rng, mixed=rng.randrange(2) == 1)
+        else:
+            edges = []
+            for _ in range(rng.randrange(20, 41)):
+                u, v = rng.sample(range(20), 2)
+                edges.append((u, v, rng.choice("RBY")))
+            g = ColoredGraph(20, edges)
+            ma, mb = _maximal_matching(rng, g), _maximal_matching(rng, g)
+        pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)[1:-1]
+        if pts:
+            requests.append((g, ma, mb, *pts[rng.randrange(len(pts))]))
+    got = [combine_two_matchings(*r) for r in requests]
+    monkeypatch.setattr(union, "_blocks", _copied_blocks)
+    assert [combine_two_matchings(*r) for r in requests] == got
+
+
+def test_combine_names_the_first_bad_matching():
+    g = cycle_graph("RBYBRBYB")
+    with pytest.raises(ValueError, match="^m0 is not a matching$"):
+        combine_two_matchings(g, {0, 1}, {1, 2}, 1, 2)
+    with pytest.raises(ValueError, match="^m1 is not a matching$"):
+        combine_two_matchings(g, {0, 2}, {1, 2}, 1, 2)
 
 
 def test_classify_runs_once_per_level(monkeypatch):
