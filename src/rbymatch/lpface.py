@@ -275,8 +275,15 @@ def _implied(mask: int, neighbours: list[int]) -> bool:
 def solve_lp(model: LPModel) -> LPResult | None:
     """Basic optimal solution of the full model, exact in integers, or None.
 
-    The degree and color rows are built once and solved from scratch with
-    Bland's rule.  Violated blossom rows are then appended in rounds (most
+    A count screen returns None before any row is built when k_red >
+    |V(R)| // 2, k_blue > |V(B)| // 2 or k_red + k_blue > |V(R u B)| // 2,
+    V(C) being the set of vertices that the edges of the colours C touch.
+    That is the LP's own infeasibility: summing the degree rows of V(C)
+    counts every edge of C twice, so 2 x(C) <= |V(C)|, and the color rows
+    pin x(R) = k_red and x(B) = k_blue, which are integers.
+
+    The degree and color rows are built once and solved from scratch by
+    the two-phase simplex.  Violated blossom rows are then appended in rounds (most
     violated first, at most 24 per round), and each round re-optimizes the
     last round's final tableau by the dual simplex (``start=``), so the
     result is deterministic.  Before a round appends, it purges the active
@@ -305,14 +312,23 @@ def solve_lp(model: LPModel) -> LPResult | None:
     """
     graph = model.graph
     m = graph.edge_count
-    degree_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
     red: list[tuple[int, int]] = []
     blue: list[tuple[int, int]] = []
-    for e, (_, _, color) in enumerate(graph.edges):
+    red_ends = blue_ends = 0  # the vertex masks V(R) and V(B)
+    for e, (u, v, color) in enumerate(graph.edges):
         if color == RED:
             red.append((e, 1))
+            red_ends |= 1 << u | 1 << v
         elif color == BLUE:
             blue.append((e, 1))
+            blue_ends |= 1 << u | 1 << v
+    if (
+        model.k_red > red_ends.bit_count() // 2
+        or model.k_blue > blue_ends.bit_count() // 2
+        or model.k_red + model.k_blue > (red_ends | blue_ends).bit_count() // 2
+    ):
+        return None
+    degree_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
     eq_rows = [(red, model.k_red), (blue, model.k_blue)]
     objective = [1] * m
     res = solve_standard_form(m, objective, degree_rows, eq_rows)

@@ -1,5 +1,6 @@
-"""Exact two-phase simplex with Bland's anti-cycling rule, in integers, and
-its dual form for warm starts after rows are added.
+"""Exact two-phase simplex in integers, pivoting on an element of d where an
+eligible column allows it and by Bland's anti-cycling rule where it must,
+and its dual form for warm starts after rows are added.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): it holds integers
 over one positive common denominator ``d = |det B|``, and every entry is a
@@ -22,8 +23,7 @@ and slot s takes the column of the leaving variable, ``-f`` (``f`` when
 (``-d`` when ``p < 0``) at slot s, ``d`` becomes ``q``, and the entering
 and the leaving variable swap between ``basis[r]`` and ``cols[s]``.  So
 every stored integer is the same minor as the full tableau's entry for
-that variable, and Bland's rule, taking the smallest nonbasic variable
-with a positive reduced cost, takes the same pivots.
+that variable, and a pivot rule reading them takes the same pivots.
 
 A minor is one integer however it is computed, so the pivot does only the
 work that changes an entry.  When ``p = d`` or ``p = -d`` (``q = d``), as
@@ -32,7 +32,9 @@ an integer, so ``d`` divides ``f*b``: a row with ``f = 0`` is left alone,
 and any other row changes in place at the pivot row's nonzero slots only,
 by ``f*b // d``, and at slot s; ``d`` stays.  Otherwise a row with
 ``f = 0`` is rescaled to ``a*q // d`` (itself a minor) and any other row
-takes the full formula.  At ``d = 1`` no update divides.
+takes the full formula.  At ``d = 1`` no update divides, and a row with
+``f = 1`` or ``f = -1`` subtracts or adds the pivot row's nonzeros without
+a multiply.
 
 Both phases price from reduced-cost rows kept beside the tableau, as in the
 textbook two-phase method.  At the starting basis (the slacks and the
@@ -69,16 +71,31 @@ negative rhs, so the LP is infeasible and the solve returns None.
 Artificials never re-enter.
 
 The guarantees downstream are combinatorial equalities and inequalities on
-integers, so floating point is disqualified.  Bland's rule (smallest
-eligible index enters, smallest basic variable leaves among ratio ties),
-and its dual form above, make the solver deterministic and immune to
-cycling.  A run that breaks an invariant could still revisit a basis and
-loop forever, so both pivot loops raise ``InvariantError`` when a basis
-recurs while the objective stands still, which a correct Bland run never
-does.  They record the bases of a degenerate stretch (pivots that leave the
-objective unchanged) only past as many pivots as the tableau has rows:
-short stretches are common and cost nothing, and a cycle repeats, so it is
-still caught on a later lap.
+integers, so floating point is disqualified.  The primal pivot choice
+starts from Bland's rule: the smallest eligible variable (allowed, with a
+positive reduced cost) enters, and of the rows of least ratio rhs / a over
+a > 0 the one whose basic variable is smallest leaves.  That pivot is taken
+when its element is d.  Otherwise the same ratio test runs on the later
+eligible variables in variable order, and the first whose element is d
+enters at its row; if none has one, Bland's pivot is taken.  A pivot on d
+is the cheap kind above, which leaves the rows with ``f = 0`` and d alone,
+where any other element rewrites every row.  Once the objective has stood
+still for more pivots than the tableau has rows, only Bland's pivot is
+taken until it moves.  The choice is deterministic, and the loop ends:
+every pivot enters an eligible column at a min-ratio row, so the objective
+never worsens, and a pivot that changes it improves it, so no basis recurs
+across a change and only finitely many pivots change it; in a stretch
+where it stands still, the pivots past ``len(rows)`` are Bland's, which
+never cycle (Bland 1977), so every such stretch ends.  The dual simplex
+takes Bland's pivot alone.
+
+A run that breaks an invariant could still revisit a basis and loop
+forever, so both pivot loops raise ``InvariantError`` when a basis recurs
+while the objective stands still, which a correct run never does.  They
+record the bases of a degenerate stretch (pivots that leave the objective
+unchanged) only past as many pivots as the tableau has rows, where the
+primal loop takes Bland's pivots alone: short stretches are common and cost
+nothing, and a cycle repeats, so it is still caught on a later lap.
 
 The interface is standard form:
 
@@ -96,6 +113,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .errors import InvariantError
@@ -158,23 +176,29 @@ class _Tableau:
         d, q = self.d, abs(p)
         if p < 0:
             prow[:] = [-a for a in prow]
-        others = [r for r in self.rows if r is not prow]
-        others += carried
         if q == d:
             nonzero = [(j, b) for j, b in enumerate(prow) if b and j != s]
-            for r in others:
+            for r in chain(self.rows, carried):
                 f = r[s]
-                if not f:
+                if not f or r is prow:
                     continue
-                if d == 1:
-                    for j, b in nonzero:
-                        r[j] -= f * b
-                else:
+                if d != 1:
                     for j, b in nonzero:
                         r[j] -= f * b // d
+                elif f == 1:
+                    for j, b in nonzero:
+                        r[j] -= b
+                elif f == -1:
+                    for j, b in nonzero:
+                        r[j] += b
+                else:
+                    for j, b in nonzero:
+                        r[j] -= f * b
                 r[s] = -f if p > 0 else f
         else:
-            for r in others:
+            for r in chain(self.rows, carried):
+                if r is prow:
+                    continue
                 f = r[s]
                 if not f:
                     r[:] = [a * q for a in r] if d == 1 else [a * q // d for a in r]
@@ -189,10 +213,29 @@ class _Tableau:
         self.basis[row], self.cols[s] = self.cols[s], self.basis[row]
 
 
+def _min_ratio(rows: list[list[int]], basis: list[int], enter: int) -> int:
+    """The row of least ratio rhs / a over the rows with a > 0 in slot
+    ``enter``, ties to the smallest basic variable; -1 if there is none."""
+    leave = -1
+    for i, row in enumerate(rows):
+        a = row[enter]
+        if a > 0:
+            if leave >= 0:
+                # rhs_i / a < rhs_leave / a_leave, cross-multiplied (a > 0)
+                diff = row[-1] * lead_a - lead_b * a
+                if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                    continue
+            leave, lead_a, lead_b = i, a, row[-1]
+    return leave
+
+
 def _run_simplex(tab: _Tableau, z: list[int], n_allowed: int, *carried: list[int]) -> int:
-    """Minimize with Bland's rule in place from the reduced-cost row z,
-    entering only variables below ``n_allowed`` and updating the ``carried``
-    rows with every pivot; returns d times the optimum."""
+    """Minimize in place from the reduced-cost row z, entering only
+    variables below ``n_allowed`` and updating the ``carried`` rows with
+    every pivot, by Bland's rule or, while the objective has not stood
+    still for more than ``len(rows)`` pivots, by the first eligible column
+    in variable order whose min-ratio element is d (see the module
+    docstring); returns d times the optimum."""
     rows, basis, cols = tab.rows, tab.basis, tab.cols
     stalled = 0  # pivots since the objective last changed
     seen: set[frozenset[int]] = set()  # bases past len(rows) of those pivots
@@ -203,19 +246,17 @@ def _run_simplex(tab: _Tableau, z: list[int], n_allowed: int, *carried: list[int
                 enter, first = j, var
         if enter < 0:
             return z[-1]
-        leave = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                if leave >= 0:
-                    # rhs_i / a < rhs_leave / a_leave, cross-multiplied (a > 0)
-                    diff = row[-1] * lead_a - lead_b * a
-                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
-                        continue
-                leave, lead_a, lead_b = i, a, row[-1]
+        leave = _min_ratio(rows, basis, enter)
         if leave < 0:
             raise InvariantError("LP unbounded; impossible for bounded models")
-        value, d = z[-1], tab.d
+        d = tab.d
+        if rows[leave][enter] != d and stalled <= len(rows):
+            for _, j in sorted((var, j) for j, var in enumerate(cols) if first < var < n_allowed and z[j] > 0):
+                i = _min_ratio(rows, basis, j)
+                if i >= 0 and rows[i][j] == d:
+                    leave, enter = i, j
+                    break
+        value = z[-1]
         tab.pivot(leave, enter, z, *carried)
         if z[-1] * d != value * tab.d:
             stalled = 0

@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # workload: (seed, requests, or 0 for the workload's own count, digest)
 PINNED = {
-    "graphs_small": (7, 220, "eed11c60cd0ad6947719b508fe79d21809c6ee9596e4955f9f970ec3f7bda659"),
+    "graphs_small": (7, 220, "f020714687e6a7b819350aa4a66a9d2d1750c035c27d697cbed5d9a8b83cfec4"),
     "select_combine": (7, 220, "156c25908ee0e834e901e4ef115294f9985c3238de190904454259982988944d"),
-    "graphs_cap": (1, 0, "27347f8eb2651d13be0beee99414029ec81c6ce1d40e421f13d7d8fa29174fa4"),
+    "graphs_cap": (1, 0, "d3b0aac4ab9a889b3c7ec89c0edc33f8fcee539a824395a5e168661852ab0798"),
 }
 
 _DIGESTS = """

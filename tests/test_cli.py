@@ -302,6 +302,15 @@ def test_verify_reads_spaced_empty_and_negative_ids(tmp_path, capsys, ids, code,
     assert capsys.readouterr().out.strip() == out
 
 
+def test_verify_needs_the_equals_form_for_a_leading_negative_id(tmp_path, capsys):
+    # argparse reads "-1,0" after a space as an option, not as the value
+    p = tmp_path / "two.txt"
+    p.write_text(TWO_EDGES_INSTANCE)
+    assert main(["verify", str(p), "--matching", "-1,0"]) == 3
+    assert "--matching: expected one argument" in capsys.readouterr().err
+    assert main(["verify", str(p), "--matching=-1,0"]) == 1
+
+
 @pytest.mark.parametrize(
     "colors, message",
     [

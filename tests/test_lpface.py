@@ -126,6 +126,58 @@ def test_solve_lp_triangle_blossom_binds():
     assert sol.objective == 1
 
 
+def _lp_calls(model):
+    """(solve_lp's result, the solve_standard_form calls it made)."""
+    calls = []
+
+    def counted(*lp, start=None):
+        calls.append(start)
+        return solve_standard_form(*lp, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", counted)
+        return solve_lp(model), len(calls)
+
+
+@pytest.mark.parametrize(
+    "edges, k_red, k_blue",
+    [
+        # red alone: V(R) = {0, 1, 2}, so x(R) <= 3/2
+        ([(0, 1, "R"), (1, 2, "R"), (2, 3, "B")], 2, 0),
+        # blue alone: V(B) = {0, 1, 2, 3, 4}, so x(B) <= 5/2
+        ([(0, 1, "B"), (1, 2, "B"), (2, 3, "B"), (3, 4, "B"), (4, 5, "R")], 0, 3),
+        # both together: V(R) and V(B) have two vertices each, their union three
+        ([(0, 1, "R"), (1, 2, "B"), (2, 3, "Y")], 1, 1),
+    ],
+)
+def test_count_screen_decides_before_any_lp(edges, k_red, k_blue):
+    g = ColoredGraph(6, edges)
+    assert _lp_calls(build_lp(g, k_red, k_blue)) == (None, 0)
+    assert exact_optimum(g, k_red, k_blue) is None
+
+
+@pytest.mark.parametrize(
+    "edges, k_red, k_blue, alpha",
+    [
+        ([(0, 1, "R"), (1, 2, "R"), (2, 3, "B")], 1, 1, 2),
+        ([(0, 1, "B"), (1, 2, "B"), (2, 3, "B"), (3, 4, "B"), (4, 5, "R")], 0, 2, 2),
+        ([(0, 1, "R"), (1, 2, "B"), (2, 3, "B"), (3, 4, "Y")], 1, 1, 2),
+    ],
+)
+def test_count_screen_keeps_requirements_at_its_bounds(edges, k_red, k_blue, alpha):
+    # each sits exactly at the bound that decides its row of the test above
+    g = ColoredGraph(6, edges)
+    sol, calls = _lp_calls(build_lp(g, k_red, k_blue))
+    assert sol.objective == alpha == len(exact_optimum(g, k_red, k_blue)) and calls >= 1
+
+
+def test_count_screen_leaves_other_infeasible_requirements_to_the_lp():
+    # a red star: V(R) has four vertices, but its edges share vertex 0
+    g = ColoredGraph(4, [(0, 1, "R"), (0, 2, "R"), (0, 3, "R")])
+    assert _lp_calls(build_lp(g, 2, 0)) == (None, 1)
+    assert exact_optimum(g, 2, 0) is None
+
+
 def project_profile(graph: ColoredGraph, x) -> tuple[Fraction, Fraction]:
     """(red total, blue total) of a rational solution or matching."""
     if isinstance(x, LPResult):
@@ -555,7 +607,8 @@ def _assert_routes_agree(model, solution=None, purges=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lpface, "solve_standard_form", recorded)
             solution = solve_lp(model)
-        assert solution is rounds[-1][2]
+        # no round at all when the count screen decides the model
+        assert solution is (rounds[-1][2] if rounds else None)
         active, purged = [], set()
         for k, (ub_rows, eq_rows, res) in enumerate(rounds):
             assert (ub_rows, eq_rows) == _reference_rows(model, active)
@@ -723,7 +776,8 @@ def _assert_dropped_rows_are_implied(model, tally):
         mp.setattr(lpface, "solve_standard_form", recorded)
         mp.setattr(lpface, "_top_violated", offered)
         solve_lp(model)
-    assert len(ranked) == len(lps) - 1
+    # a model the count screen decides makes no LP call
+    assert len(ranked) == max(len(lps) - 1, 0)
     for (before, res), (after, _), top in zip(lps, lps[1:], ranked):
         appended = [row for row in after if all(row is not r for r in before)]
         rows = {mask: ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs) for mask, rhs, _ in top}
@@ -814,11 +868,11 @@ def _pastcap_model(seed: int, n: int) -> LPModel:
 
 
 def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
-    # a seeded n = 45 graph whose warm rounds purge sets that are violated
+    # a seeded n = 42 graph whose warm rounds purge sets that are violated
     # again later: re-activated, they stay, so no row leaves the LP twice;
     # alpha* is the reference loop's
-    n = 45
-    model = _pastcap_model(4, n)
+    n = 42
+    model = _pastcap_model(8, n)
     rounds = []
 
     def recorded(*lp, start=None):
@@ -837,24 +891,17 @@ def test_a_set_is_purged_at_most_once_past_the_cap(monkeypatch):
     assert max(purges.values()) == 1 and reactivated >= 5, (purges, reactivated)
     # the last warm optimum is a from-scratch optimum over the same rows;
     # the from-scratch loop over every row it activates (too slow here, as
-    # is its full-support scan) also ends at 22
-    assert got.objective == solve_standard_form(*rounds[-1]).objective == 22
+    # is its full-support scan) also ends at 20
+    assert got.objective == solve_standard_form(*rounds[-1]).objective == 20
 
 
-def test_separation_rows_past_the_cap_end_in_few_rounds(monkeypatch):
+def test_separation_rows_past_the_cap_end_in_few_rounds():
     # the rows each round adds are the most violated odd sets of the whole
     # support, the fractional vertices' sets widened by unions of the x_e = 1
     # edges (_top_violated): activating the fractional vertices' sets alone
-    # takes 200 LPs on this n = 59 graph where these rows take 6
-    calls = []
-
-    def counted(*lp, start=None):
-        calls.append(start)
-        return solve_standard_form(*lp, start=start)
-
-    monkeypatch.setattr(lpface, "solve_standard_form", counted)
-    got = solve_lp(_pastcap_model(2, 59))
-    assert got.objective == 28 and len(calls) <= 12, len(calls)
+    # takes 200 LPs on this n = 59 graph where these rows take 9
+    got, calls = _lp_calls(_pastcap_model(2, 59))
+    assert got.objective == 28 and calls <= 12, calls
 
 
 def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge(monkeypatch):

@@ -55,8 +55,9 @@ def test_a_pivot_loop_that_stops_improving_raises(monkeypatch):
 
 def test_beale_cycling_example_terminates(monkeypatch):
     # Beale's LP (scaled to integers) cycles under the largest-coefficient
-    # rule; Bland's rule makes four degenerate pivots on its three rows, so
-    # the basis check records a basis, and then reaches the optimum
+    # rule; here no later column offers the element d, so every pivot is
+    # Bland's: four degenerate ones on its three rows, so the basis check
+    # records a basis, and then the optimum
     pivot = simplex._Tableau.pivot
     stalled = []
 
@@ -78,6 +79,87 @@ def test_beale_cycling_example_terminates(monkeypatch):
     )
     assert (res.values, res.objective) == ((1, 0, 1, 0), 5)
     assert stalled[:5] == [True] * 4 + [False]
+
+
+def _record_pivots(monkeypatch):
+    """(entering variable, pivot element, d before, whether the objective
+    stood still) of each pivot of a solve without equality rows."""
+    pivot = simplex._Tableau.pivot
+    taken = []
+
+    def watch(self, row, s, z):
+        var, p, value, d = self.cols[s], self.rows[row][s], z[-1], self.d
+        pivot(self, row, s, z)
+        taken.append((var, p, d, z[-1] * d == value * self.d))
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", watch)
+    return taken
+
+
+@pytest.mark.parametrize(
+    "ub_rows, first, values",
+    [
+        # Bland's column x0 has the element d = 1, and so has x1: x0 enters
+        ([([(0, 1), (1, 1)], 1)], (0, 1, 1, False), (1, 0)),
+        # x0's element is 2, and x1's min-ratio row holds 1: x1 enters
+        ([([(0, 2), (1, 1)], 2), ([(1, 1)], 3)], (1, 1, 1, False), (0, 2)),
+        # x0's element is 2 and x1's 3: no column has d, so Bland's x0 enters
+        ([([(0, 2), (1, 3)], 6)], (0, 2, 1, False), (3, 0)),
+    ],
+)
+def test_pivot_prefers_an_element_of_d_across_columns(monkeypatch, ub_rows, first, values):
+    taken = _record_pivots(monkeypatch)
+    res = solve_standard_form(2, [1, 1], ub_rows, [])
+    assert taken[0] == first and res.values == values
+
+
+@pytest.mark.parametrize(
+    "objective, ub_rows, entering, stalls, element",
+    [
+        # six pivots leave the objective at 0 on these five rows, so the
+        # seventh takes Bland's column x4 (element 34 at d = 2), although
+        # slack 6 has the element d in its min-ratio row
+        (
+            [0, 1, 0, -1, -2],
+            [
+                ([(0, 2), (1, -1), (2, 1), (3, -2), (4, -3)], 0),
+                ([(0, 1), (1, 1), (2, -3), (3, -2), (4, -2)], 0),
+                ([(0, -2), (2, -1), (3, 1), (4, -3)], 0),
+                ([(0, -1), (1, 1), (2, -1), (3, 1), (4, -1)], 0),
+                ([(j, 1) for j in range(5)], 1),
+            ],
+            [1, 3, 0, 2, 7, 0, 4, 6],
+            [True] * 6 + [False] * 2,
+            (6, 34, 2),
+        ),
+        # five pivots leave the objective at 0 on these five rows, not more,
+        # so the sixth still takes x4 (element d = 6) over Bland's x1 (8)
+        (
+            [1, 1, 1, 3, 1],
+            [
+                ([(0, 3), (1, -1), (2, 2), (3, -3), (4, -3)], 0),
+                ([(1, 1), (2, -3), (3, -3), (4, 3)], 0),
+                ([(0, 2), (2, 2), (4, 2)], 0),
+                ([(0, 3), (1, -3), (2, 1)], 0),
+                ([(j, 1) for j in range(5)], 1),
+            ],
+            [1, 0, 2, 3, 5, 4, 1, 6, 7],
+            [True] * 6 + [False] * 2 + [True],
+            (5, 6, 6),
+        ),
+    ],
+)
+def test_pivot_takes_blands_column_once_the_objective_stands_still(
+    monkeypatch, objective, ub_rows, entering, stalls, element
+):
+    # both LPs were found by a seeded search over degenerate LPs
+    taken = _record_pivots(monkeypatch)
+    res = solve_standard_form(5, objective, ub_rows, [])
+    assert [var for var, *_ in taken] == entering
+    assert [still for *_, still in taken] == stalls
+    at, p, d = element
+    assert taken[at][1:3] == (p, d)
+    assert res.objective == _fraction_solve(5, objective, ub_rows, [])[1]
 
 
 def test_infeasible_equality():
@@ -224,31 +306,42 @@ class _FractionTableau:
         self.basis[row] = col
 
 
-def _fraction_run_simplex(tab, cost, allowed):
+def _fraction_ratio_row(tab, enter):
+    """The row of least ratio over the rows with a positive entry in column
+    ``enter``, ties to the smallest basic variable; -1 if there is none."""
+    leave, best = -1, None
+    for i, row in enumerate(tab.rows):
+        if row[enter] > 0:
+            ratio = row[-1] / row[enter]
+            if best is None or ratio < best or (ratio == best and tab.basis[i] < tab.basis[leave]):
+                best, leave = ratio, i
+    return leave
+
+
+def _fraction_run_simplex(tab, cost, allowed, limit):
+    """Bland's pivot, or while the objective has stood still for at most
+    ``limit`` pivots (the integer tableau's row count) the first eligible
+    column whose min-ratio element is 1 or -1, if any."""
+    stalled, value = 0, None
     while True:
         z = [-cost[j] for j in range(tab.n_total)] + [F(0)]
         for i, row in enumerate(tab.rows):
             cb = cost[tab.basis[i]]
             if cb != 0:
                 z = [a + cb * b for a, b in zip(z, row)]
+        stalled = stalled + 1 if z[-1] == value else 0
+        value = z[-1]
         basic = set(tab.basis)
-        enter = next(
-            (j for j in range(tab.n_total) if allowed[j] and j not in basic and z[j] > 0),
-            -1,
-        )
-        if enter < 0:
+        eligible = [j for j in range(tab.n_total) if allowed[j] and j not in basic and z[j] > 0]
+        if not eligible:
             return
-        leave, best = -1, None
-        for i, row in enumerate(tab.rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and tab.basis[i] < tab.basis[leave])
-                ):
-                    best, leave = ratio, i
+        pivots = [(_fraction_ratio_row(tab, j), j) for j in eligible]
+        leave, enter = pivots[0]
         assert leave >= 0, "unbounded"
+        if stalled <= limit:
+            leave, enter = next(
+                ((i, j) for i, j in pivots if i >= 0 and abs(tab.rows[i][j]) == 1), (leave, enter)
+            )
         tab.pivot(leave, enter)
 
 
@@ -266,7 +359,7 @@ def _fraction_solve(n_vars, objective, ub_rows, eq_rows):
     tab = _FractionTableau(rows, list(range(n_vars, n_total)), n_total)
     if n_art:
         cost = [F(0)] * (n_vars + n_slack) + [F(1)] * n_art
-        _fraction_run_simplex(tab, cost, [True] * n_total)
+        _fraction_run_simplex(tab, cost, [True] * n_total, n_slack + n_art)
         if sum(row[-1] for row, var in zip(tab.rows, tab.basis) if cost[var]):
             return None
         for i in range(len(tab.rows)):
@@ -278,7 +371,7 @@ def _fraction_solve(n_vars, objective, ub_rows, eq_rows):
         tab.rows = [tab.rows[i] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
     cost = [-F(c) for c in objective] + [F(0)] * (n_slack + n_art)
-    _fraction_run_simplex(tab, cost, [True] * (n_vars + n_slack) + [False] * n_art)
+    _fraction_run_simplex(tab, cost, [True] * (n_vars + n_slack) + [False] * n_art, n_slack + n_art)
     x = [F(0)] * n_vars
     for row, var in zip(tab.rows, tab.basis):
         if var < n_vars:
@@ -417,17 +510,31 @@ class _DenseTableau:
 
 
 def _dense_run(tab, cost, allowed):
+    """Bland's pivot over every column, or while the objective has stood
+    still for at most ``len(tab.rows)`` pivots the first eligible column
+    whose min-ratio element is d or -d, if any."""
     z = tab.reduced_costs(cost)
+    stalled = 0
     while True:
-        enter = next((j for j in range(tab.n_total) if z[j] > 0 and allowed[j]), -1)
-        if enter < 0:
+        pivots = []
+        for j in range(tab.n_total):
+            if z[j] > 0 and allowed[j]:
+                candidates = [
+                    (Fraction(row[-1], row[j]), tab.basis[i], i)
+                    for i, row in enumerate(tab.rows)
+                    if row[j] > 0
+                ]
+                pivots.append((min(candidates)[2] if candidates else -1, j))
+        if not pivots:
             return z[-1]
-        candidates = [
-            (Fraction(row[-1], row[enter]), tab.basis[i], i)
-            for i, row in enumerate(tab.rows)
-            if row[enter] > 0
-        ]
-        (z,) = tab.pivot(min(candidates)[2], enter, z)
+        leave, enter = pivots[0]
+        if stalled <= len(tab.rows):
+            leave, enter = next(
+                ((i, j) for i, j in pivots if i >= 0 and abs(tab.rows[i][j]) == tab.d), (leave, enter)
+            )
+        value, d = z[-1], tab.d
+        (z,) = tab.pivot(leave, enter, z)
+        stalled = stalled + 1 if z[-1] * d == value * tab.d else 0
 
 
 def _dense_dual_run(tab, cost, allowed):

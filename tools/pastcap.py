@@ -7,12 +7,13 @@ cut to at most 2n edges, random colors, and both requirements drawn from
 2..6, all from ``Random(f"pastcap:{SEED}:{n}")``.  Each request runs through
 ``driver.solve`` under ``OracleCap(128, 400)`` and is checked by
 ``driver.verify``.  One line per graph gives ``alpha*``, the separation
-rounds (LPs after the first), the LP calls, the rows purged, the rows
-re-activated (appended with the edges and rhs of a row an earlier round
-purged), the CPU seconds in ``lpface.solve_lp`` and in the whole solve, and
-the answer size; a summary line follows.  ``--src`` imports the library
-from another checkout's ``src`` directory, to compare two versions on one
-set.
+rounds (LPs after the first), the LP calls, the simplex pivots and how many
+of them had a pivot element other than +-d (``off_d``, the pivots that
+rewrite every row), the rows purged, the rows re-activated (appended with
+the edges and rhs of a row an earlier round purged), the CPU seconds in
+``lpface.solve_lp`` and in the whole solve, and the answer size; a summary
+line follows.  ``--src`` imports the library from another checkout's
+``src`` directory, to compare two versions on one set.
 
 The process limits its own address space to 3 GB (``RLIMIT_AS``) and each
 solve to ``TIMEOUT_S`` seconds of wall time (``SIGALRM``); a solve past
@@ -56,13 +57,14 @@ def make_request(n: int):
 
 class _Counter:
     """Wraps ``driver.solve_lp`` and ``lpface.solve_standard_form``, the
-    names the solve calls, to count LP calls and purged and re-activated
-    rows and time the LP layer."""
+    names the solve calls, and the simplex tableau's ``pivot``, to count LP
+    calls, pivots and purged and re-activated rows and time the LP layer."""
 
-    def __init__(self, driver, lpface):
-        self.driver, self.lpface = driver, lpface
+    def __init__(self, driver, lpface, simplex):
+        self.driver, self.lpface, self.tableau = driver, lpface, simplex._Tableau
         self.solve_lp, self.solve_standard_form = driver.solve_lp, lpface.solve_standard_form
-        self.calls = self.purged = self.reactivated = 0
+        self.pivot = self.tableau.pivot
+        self.calls = self.purged = self.reactivated = self.pivots = self.off_d = 0
         self.gone = set()  # (edges, rhs) of each purged row
         self.lp_s = 0.0
 
@@ -88,11 +90,20 @@ class _Counter:
         return self.solve_standard_form(*args, **kwargs)
 
     def __enter__(self):
+        counter, pivot = self, self.pivot
+
+        def counted(tab, row, s, *carried):
+            counter.pivots += 1
+            counter.off_d += abs(tab.rows[row][s]) != tab.d
+            pivot(tab, row, s, *carried)
+
         self.driver.solve_lp, self.lpface.solve_standard_form = self.lp, self.simplex
+        self.tableau.pivot = counted
         return self
 
     def __exit__(self, *exc):
         self.driver.solve_lp, self.lpface.solve_standard_form = self.solve_lp, self.solve_standard_form
+        self.tableau.pivot = self.pivot
 
 
 def _sizes(text: str) -> range:
@@ -111,12 +122,12 @@ def main(argv=None) -> int:
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
     signal.signal(signal.SIGALRM, _alarm)
     sys.path.insert(0, str(args.src.resolve()))
-    from rbymatch import driver, lpface
+    from rbymatch import driver, lpface, simplex
     from rbymatch.graph import ColoredGraph
     from rbymatch.oracle import OracleCap
 
     cap = OracleCap(128, 400)
-    bad = 0
+    bad = pivots = off_d = 0
     total_lp = slowest = 0.0
     slowest_n = None
     for n in args.sizes:
@@ -124,7 +135,7 @@ def main(argv=None) -> int:
         graph = ColoredGraph(n, edges)
         head = f"n={n} m={len(edges)} require=({kr},{kb})"
         t0 = time.process_time()
-        with _Counter(driver, lpface) as counter:
+        with _Counter(driver, lpface, simplex) as counter:
             signal.alarm(TIMEOUT_S)
             try:
                 report = driver.solve(graph, kr, kb, cap)
@@ -140,6 +151,8 @@ def main(argv=None) -> int:
                 signal.alarm(0)
         solve_s = time.process_time() - t0
         total_lp += counter.lp_s
+        pivots += counter.pivots
+        off_d += counter.off_d
         if counter.lp_s >= slowest:
             slowest, slowest_n = counter.lp_s, n
         if report is None:
@@ -150,10 +163,10 @@ def main(argv=None) -> int:
             answer = f"alpha*={report.alpha_star} size={len(report.matching)} {'ok' if ok else 'VERIFY FAILED'}"
         print(
             f"{head} {answer} rounds={counter.calls - 1} lp_calls={counter.calls} "
-            f"purged={counter.purged} reactivated={counter.reactivated} lp_cpu_s={counter.lp_s:.3f} solve_cpu_s={solve_s:.3f}",
+            f"pivots={counter.pivots} off_d={counter.off_d} purged={counter.purged} reactivated={counter.reactivated} lp_cpu_s={counter.lp_s:.3f} solve_cpu_s={solve_s:.3f}",
             flush=True,
         )
-    print(f"total lp_cpu_s={total_lp:.3f} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}")
+    print(f"total pivots={pivots} off_d={off_d} lp_cpu_s={total_lp:.3f} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}")
     return 1 if bad else 0
 
 
