@@ -25,8 +25,8 @@ from .graph import (
     color_profile,
     cycle_graph,
     path_graph,
-    symdiff_components,
     validate_matching,
+    walk_symdiff,
 )
 from .instances import GenSpec, generate_instance, parse_instance, serialize_instance
 from .oracle import OracleCap, enumerate_matchings, exact_optimum, max_matching_size
@@ -54,9 +54,9 @@ __all__ = [
     "path_graph",
     "serialize_instance",
     "solve",
-    "symdiff_components",
     "validate_matching",
     "verify",
+    "walk_symdiff",
 ]
 
 __version__ = "0.1.0"

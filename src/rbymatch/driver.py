@@ -37,8 +37,8 @@ from .graph import (
     ColoredGraph,
     ColorProfile,
     profile_of_colors,
-    symdiff_components,
     validate_matching,
+    walk_symdiff,
 )
 from .lpface import SEGMENT, SINGLETON, FaceDescriptor, build_lp, minimal_face, solve_lp
 from .oracle import OracleCap, DEFAULT_CAP
@@ -171,20 +171,22 @@ def _case_singleton(face: FaceDescriptor, k_red, k_blue, trace) -> frozenset[int
 def _on_side(graph, face: FaceDescriptor, i, j, k_red, k_blue, trace) -> frozenset[int]:
     """Matching on the face side (i, j) with k_red red edges and ceil(k_blue)
     or ceil(k_blue) - 1 blue ones (k_blue may be fractional): the shared
-    edges plus the selector's answer on the one alternating component."""
+    edges plus the selector's answer on the one walked component's colors,
+    mapped back through the walk's edge list."""
     ma, mb = face.vertex_matchings[i], face.vertex_matchings[j]
     shared = ma & mb
-    comps = symdiff_components(graph, ma, mb)
+    comps = walk_symdiff(graph, ma, mb)
     if len(comps) != 1:
         raise InvariantError(f"adjacent face vertices differ in {len(comps)} components")
-    comp = comps[0]
+    edges, _, closed, _ = comps[0]
     sp = profile_of_colors(graph.color(e) for e in shared)
     trace.append(
-        f"side ({i},{j}): shared={len(shared)} component={'cycle' if comp.is_cycle else 'path'} "
-        f"len={len(comp)} blue={k_blue}"
+        f"side ({i},{j}): shared={len(shared)} component={'cycle' if closed else 'path'} "
+        f"len={len(edges)} blue={k_blue}"
     )
-    positions = solve_fractional(comp, k_red - sp.red, k_blue - sp.blue)
-    return frozenset(shared | comp.to_edge_ids(positions))
+    colors = [graph.color(e) for e in edges]
+    positions = solve_fractional(colors, k_red - sp.red, k_blue - sp.blue)
+    return shared.union(edges[p] for p in positions)
 
 
 def _boundary_cuts(face: FaceDescriptor, k_red: int):

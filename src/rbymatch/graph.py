@@ -9,10 +9,10 @@ The symmetric difference of two matchings splits into alternating paths and
 even cycles.  walk_symdiff walks each once, by per-vertex lookups of the one
 M0 edge and the one M1 edge at a vertex, into plain lists (edge ids,
 vertices, whether it closes, and one parity bit, the matching of edge 0,
-that labels every edge); the combiner edits those lists in place.
-symdiff_components is the CycleOrPath view of the same walk, which adds the
-colors in walk order.  check_colors is the one color and cycle-length check,
-shared by CycleOrPath and the selectors that take bare color strings.
+that labels every edge); the combiner edits those lists in place, and the
+driver solves a face side on its one component's colors.  CycleOrPath is the
+selectors' color input and holds colors only.  check_colors is the one color
+and cycle-length check, shared by CycleOrPath and the selectors' strings.
 """
 
 from __future__ import annotations
@@ -144,31 +144,16 @@ def check_colors(colors: Sequence[str], is_cycle: bool) -> None:
 
 @dataclass(frozen=True)
 class CycleOrPath:
-    """A colored path or even cycle with edges numbered consecutively from 0.
-
-    Consecutive edges come from different matchings, so edge i comes from
-    matching ``first ^ (i & 1)``: even positions form one matching of the
-    structure, odd positions the other.  For components extracted from a
-    host graph, ``edge_ids[i]`` is the original id of edge i and
-    ``vertices[i]`` is the vertex before edge i (a path adds its last vertex,
-    so it has one more vertex than edges).
-    """
+    """A colored path or even cycle, its edges numbered from 0: consecutive
+    edges come from different matchings, so the even positions form one
+    matching and the odd positions the other.  No host-graph ids are kept;
+    a caller maps positions back through its own edge list."""
 
     colors: tuple[str, ...]
     is_cycle: bool
-    edge_ids: tuple[int, ...] | None = None
-    first: int = 0
-    vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         check_colors(self.colors, self.is_cycle)
-        n = len(self.colors)
-        if self.first not in (0, 1):
-            raise ValueError(f"first must be 0 or 1, not {self.first!r}")
-        if self.edge_ids is not None and len(self.edge_ids) != n:
-            raise ValueError("edge_ids length mismatch")
-        if self.vertices is not None and len(self.vertices) != n + (not self.is_cycle):
-            raise ValueError("vertices length mismatch")
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -187,20 +172,13 @@ class CycleOrPath:
     def odd_profile(self) -> ColorProfile:
         return self._slice_profile(1)
 
-    def to_edge_ids(self, positions: Iterable[int]) -> frozenset[int]:
-        if self.edge_ids is None:
-            raise ValueError("component has no edge id back-references")
-        return frozenset(self.edge_ids[p] for p in positions)
-
 
 def even_cycle_from_string(colors: str | Iterable[str]) -> CycleOrPath:
-    cols = tuple(colors)
-    return CycleOrPath(cols, True, edge_ids=tuple(range(len(cols))))
+    return CycleOrPath(tuple(colors), True)
 
 
 def path_from_string(colors: str | Iterable[str]) -> CycleOrPath:
-    cols = tuple(colors)
-    return CycleOrPath(cols, False, edge_ids=tuple(range(len(cols))))
+    return CycleOrPath(tuple(colors), False)
 
 
 def validate_matching(graph: ColoredGraph, edge_ids: Iterable[int]) -> bool:
@@ -308,22 +286,3 @@ def walk_symdiff(
     components.sort(key=lambda c: c[0][0])
     return components
 
-
-def symdiff_components(
-    graph: ColoredGraph,
-    m0: Iterable[int],
-    m1: Iterable[int],
-) -> list[CycleOrPath]:
-    """Decompose M0 symmetric-difference M1 into alternating paths and cycles.
-
-    The CycleOrPath view of walk_symdiff: the same components in the same
-    order and orientation, with their colors in walk order.  The walk
-    validates M0 and M1 (ValueError if either is no matching).
-    """
-    host = graph.edges
-    return [
-        CycleOrPath(
-            tuple(host[e].color for e in edges), closed, tuple(edges), first, tuple(verts)
-        )
-        for edges, verts, closed, first in walk_symdiff(graph, m0, m1)
-    ]

@@ -66,6 +66,8 @@ def parse_instance(text: str) -> Instance:
             check_size(len(colors), len(colors))
             cycle_colors = colors
         elif kind == "e":
+            if cycle_colors is not None:
+                raise ParseError("a cycle instance takes no edge lines", lineno)
             if vertex_count is None:
                 raise ParseError("edge line before graph header", lineno)
             check_size(vertex_count, len(edges) + 1)

@@ -383,7 +383,9 @@ def minimal_face(
     vertices are enumerated (``cover``), kept if tight on every odd set
     tight on the fractional vertices (see the module docstring), and the
     unit edges are added to each survivor.  More than four vertices would
-    contradict the dimension bound and is a fatal internal error.
+    contradict the dimension bound and is a fatal internal error.  ``model``
+    is not read; it is accepted only for the acceptance suite's
+    ``minimal_face(g, model, sol)`` call.
     """
     check_cap(graph, cap)
     d = solution.d

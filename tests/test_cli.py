@@ -55,6 +55,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_edge_line_in_a_cycle_instance_exit_code(tmp_path, capsys):
+    p = tmp_path / "cycle_and_edges.txt"
+    p.write_text("cycle RBRB\ne 0 1 R\nrequire 1 1\n")
+    assert main(["solve", str(p)]) == 3
+    assert "line 2: a cycle instance takes no edge lines" in capsys.readouterr().err
+
+
 def test_superscript_vertex_count_exit_code(tmp_path, capsys):
     p = tmp_path / "superscript.txt"
     p.write_text("graph ²\nrequire 0 0\n", encoding="utf-8")
@@ -96,7 +103,7 @@ TWO_C4_INSTANCE = (
 @pytest.mark.parametrize(
     "callee, error, instance",
     [
-        ("symdiff_components", ValueError("m0 is not a matching"), FIG1_INSTANCE),
+        ("walk_symdiff", ValueError("m0 is not a matching"), FIG1_INSTANCE),
         ("solve_fractional", ValueError("requirement 1 is not on the segment"), FIG1_INSTANCE),
         ("combine_two_matchings", ValueError("inputs must be matchings"), TWO_C4_INSTANCE),
     ],

@@ -18,9 +18,17 @@ from rbymatch.driver import (
     solve,
     verify,
 )
-from rbymatch import lpface
+from rbymatch import driver, lpface
+from rbymatch.cycles import solve_fractional
 from rbymatch.errors import InvariantError
-from rbymatch.graph import ColoredGraph, color_profile, cycle_graph, path_graph
+from rbymatch.graph import (
+    ColoredGraph,
+    CycleOrPath,
+    color_profile,
+    cycle_graph,
+    path_graph,
+    walk_symdiff,
+)
 from rbymatch.lpface import (
     SEGMENT,
     BlossomRows,
@@ -33,7 +41,7 @@ from rbymatch.oracle import DEFAULT_CAP, OracleCap, enumerate_matchings, exact_o
 from rbymatch.simplex import solve_standard_form
 from test_acceptance import _random_instance as _criterion_7_instance
 from test_acceptance import _random_matching_profile
-from test_lpface import lp_point
+from test_lpface import _two_c4_instance, lp_point
 
 FIG1 = "RBYBRBYB"
 
@@ -345,6 +353,53 @@ def _criterion_7_request(rng: random.Random):
         return g, _random_matching_profile(rng, g)
     counts = g.color_counts()
     return g, (rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+
+
+def test_every_face_side_is_solved_on_the_walked_component(monkeypatch):
+    # each side's answer is the shared edges plus the selector's positions
+    # on the CycleOrPath of the walk's one component, mapped through the
+    # walk's edge list; about one solve in 35 reaches the cuts
+    on_side = driver._on_side
+    seen = dict.fromkeys(("segment", "low cut", "high cut"), 0)
+
+    def spy(graph, face, i, j, k_red, k_blue, trace):
+        got = on_side(graph, face, i, j, k_red, k_blue, trace)
+        ma, mb = face.vertex_matchings[i], face.vertex_matchings[j]
+        ((edges, _, closed, _),) = walk_symdiff(graph, ma, mb)
+        shared = color_profile(graph, ma & mb)
+        comp = CycleOrPath(tuple(graph.color(e) for e in edges), closed)
+        positions = solve_fractional(comp, k_red - shared.red, k_blue - shared.blue)
+        assert got == (ma & mb) | {edges[p] for p in positions}
+        assert trace[-1] == (
+            f"side ({i},{j}): shared={len(ma & mb)} "
+            f"component={'cycle' if closed else 'path'} len={len(edges)} blue={k_blue}"
+        )
+        if face.classification == SEGMENT:
+            seen["segment"] += 1
+        else:
+            (blue_lo, _), (blue_hi, _) = _boundary_cuts(face, k_red)
+            seen["low cut" if k_blue == blue_lo else "high cut"] += 1
+            assert k_blue in (blue_lo, blue_hi)
+        return got
+
+    monkeypatch.setattr(driver, "_on_side", spy)
+    rng = random.Random(30)
+    for _ in range(1200):
+        g, (kr, kb) = _criterion_7_request(rng)
+        solve(g, kr, kb)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_side_between_vertices_two_components_apart_is_an_invariant_failure():
+    # the two 4-cycles of RYRY and BYBY, each switched to its other half
+    face = FaceDescriptor(
+        vertex_matchings=(frozenset({0, 2, 4, 6}), frozenset({1, 3, 5, 7})),
+        classification=SEGMENT,
+        projected_vertices=((2, 2), (0, 0)),
+        route="hand-made",
+    )
+    with pytest.raises(InvariantError, match="differ in 2 components"):
+        _on_side(_two_c4_instance(), face, 0, 1, 1, 1, [])
 
 
 @given(st.data())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from rbymatch.graph import (
     cycle_graph,
     even_cycle_from_string,
     path_graph,
-    symdiff_components,
     validate_matching,
     walk_symdiff,
 )
@@ -93,37 +93,37 @@ def test_parallel_edges_allowed():
 
 def test_symdiff_equal_matchings_empty():
     g = cycle_graph("RBRB")
-    assert symdiff_components(g, {0, 2}, {0, 2}) == []
+    assert walk_symdiff(g, {0, 2}, {0, 2}) == []
 
 
 def test_symdiff_four_cycle():
     g = cycle_graph("RBRB")
-    comps = symdiff_components(g, {0, 2}, {1, 3})
+    comps = walk_symdiff(g, {0, 2}, {1, 3})
     assert len(comps) == 1
-    (c,) = comps
-    assert c.is_cycle
-    assert len(c) == 4
-    assert set(c.edge_ids) == {0, 1, 2, 3}
-    assert c.edge_ids[0] == 0
-    assert c.first == 0
+    ((edges, _, closed, first),) = comps
+    assert closed
+    assert len(edges) == 4
+    assert set(edges) == {0, 1, 2, 3}
+    assert edges[0] == 0
+    assert first == 0
 
 
 def test_symdiff_two_isolated_edges():
     g = ColoredGraph(4, [(0, 1, "R"), (2, 3, "B")])
-    comps = symdiff_components(g, {0}, {1})
-    assert [c.is_cycle for c in comps] == [False, False]
-    assert [c.edge_ids for c in comps] == [(0,), (1,)]
-    assert [c.first for c in comps] == [0, 1]
+    comps = walk_symdiff(g, {0}, {1})
+    assert [closed for _, _, closed, _ in comps] == [False, False]
+    assert [edges for edges, _, _, _ in comps] == [[0], [1]]
+    assert [first for _, _, _, first in comps] == [0, 1]
 
 
 def test_symdiff_path_numbering_starts_at_smaller_extremal_id():
     # path 0-1-2-3-4 alternating matchings: edges 0,2 in m0 and 1,3 in m1
     g = path_graph("RBRB")
-    comps = symdiff_components(g, {1, 3}, {0, 2})
-    (c,) = comps
-    assert c.edge_ids == (0, 1, 2, 3)
-    assert c.first == 1
-    assert not c.is_cycle
+    comps = walk_symdiff(g, {1, 3}, {0, 2})
+    ((edges, _, closed, first),) = comps
+    assert edges == [0, 1, 2, 3]
+    assert first == 1
+    assert not closed
 
 
 def test_symdiff_orders_components_by_first_edge_not_smallest_id():
@@ -131,9 +131,9 @@ def test_symdiff_orders_components_by_first_edge_not_smallest_id():
     g = ColoredGraph(
         7, [(1, 2, "R"), (4, 5, "B"), (5, 6, "R"), (0, 1, "B"), (2, 3, "Y")]
     )
-    comps = symdiff_components(g, {0, 1}, {2, 3, 4})
-    assert [c.edge_ids for c in comps] == [(1, 2), (3, 0, 4)]
-    assert [c.vertices for c in comps] == [(4, 5, 6), (0, 1, 2, 3)]
+    comps = walk_symdiff(g, {0, 1}, {2, 3, 4})
+    assert [edges for edges, _, _, _ in comps] == [[1, 2], [3, 0, 4]]
+    assert [verts for _, verts, _, _ in comps] == [[4, 5, 6], [0, 1, 2, 3]]
 
 
 def _random_graph(rng: random.Random, n: int, m: int) -> ColoredGraph:
@@ -169,22 +169,20 @@ def test_symdiff_alternation_random():
         g = _random_graph(rng, rng.randrange(2, 12), rng.randrange(0, 16))
         m0 = _random_matching(rng, g)
         m1 = _random_matching(rng, g)
-        comps = symdiff_components(g, m0, m1)
+        comps = walk_symdiff(g, m0, m1)
         degree: dict[int, int] = {}
         for eid in m0 ^ m1:
             for vtx in g.endpoints(eid):
                 degree[vtx] = degree.get(vtx, 0) + 1
         seen: set[int] = set()
-        for c in comps:
-            assert c.edge_ids is not None
-            for i, eid in enumerate(c.edge_ids):
-                assert c.first ^ (i & 1) == (0 if eid in m0 else 1)
+        for edges, _, closed, first in comps:
+            for i, eid in enumerate(edges):
+                assert first ^ (i & 1) == (0 if eid in m0 else 1)
             # a closed walk is the component whose every vertex has degree 2
-            closed = all(degree[v] == 2 for e in c.edge_ids for v in g.endpoints(e))
-            assert c.is_cycle == closed
-            if c.is_cycle:
-                assert len(c) % 2 == 0
-            seen |= set(c.edge_ids)
+            assert closed == all(degree[v] == 2 for e in edges for v in g.endpoints(e))
+            if closed:
+                assert len(edges) % 2 == 0
+            seen |= set(edges)
         assert seen == (m0 ^ m1)
 
 
@@ -212,25 +210,19 @@ def test_cycle_or_path_validation():
         CycleOrPath(("R", "B", "Y"), True)  # an odd cycle
     with pytest.raises(ValueError):
         CycleOrPath((), True)
-    with pytest.raises(ValueError):
-        CycleOrPath(("R",), False, vertices=(0,))
-    with pytest.raises(ValueError):
-        CycleOrPath(("R", "B"), True, vertices=(0, 1, 0))
-    with pytest.raises(ValueError):
-        CycleOrPath(("R", "B"), False, first=2)
     with pytest.raises(ValueError, match="unknown color 'Q'"):
         CycleOrPath(("R", "Q"), False)
     with pytest.raises(ValueError, match="unknown color 'X'"):  # the first bad one
         CycleOrPath(("B", "X", "Y", "Q"), False)
-    assert CycleOrPath(("R",), False, vertices=(0, 1)).vertices == (0, 1)
-    assert CycleOrPath(("R", "B"), False, first=1).first == 1
+    # colors only: a component's host-graph ids stay with its walk
+    assert [f.name for f in fields(CycleOrPath)] == ["colors", "is_cycle"]
     c = even_cycle_from_string("RBYB")
     assert c.profile_of((0, 2)) == c.even_profile() == ColorProfile(1, 0, 1)
 
 
 def _reference_symdiff(graph, m0, m1):
     """BFS, degree pass and ordered walk per component; then the vertices
-    re-walked from the edge ids.  The reference for symdiff_components."""
+    re-walked from the edge ids.  The reference for walk_symdiff."""
     set0, set1 = frozenset(m0), frozenset(m1)
     diff = sorted(set0 ^ set1)
     incident: dict[int, list[int]] = {}
@@ -323,12 +315,14 @@ def test_symdiff_matches_reference_walk():
     for _ in range(2000):
         g = _random_multigraph(rng)
         m0, m1 = _random_matching(rng, g), _random_matching(rng, g)
-        got = symdiff_components(g, m0, m1)
+        got = walk_symdiff(g, m0, m1)
         want = _reference_symdiff(g, m0, m1)
-        assert [(c.is_cycle, c.edge_ids, c.first, c.vertices) for c in got] == want
-        for c in got:
-            kinds["cycle" if c.is_cycle else ("even path", "odd path")[len(c) % 2]] += 1
-            two_cycles += c.is_cycle and len(c) == 2
+        assert [
+            (closed, tuple(edges), first, tuple(verts)) for edges, verts, closed, first in got
+        ] == want
+        for edges, _, closed, _ in got:
+            kinds["cycle" if closed else ("even path", "odd path")[len(edges) % 2]] += 1
+            two_cycles += closed and len(edges) == 2
     assert two_cycles >= 50
     assert min(kinds.values()) >= 200, kinds
 
@@ -465,13 +459,6 @@ def test_walk_matches_the_incident_list_walk():
     for g, m0, m1 in _walk_cases(rng):
         got = walk_symdiff(g, m0, m1)
         assert got == _incident_list_walk(g, m0, m1)
-        host = g.edges
-        assert symdiff_components(g, m0, m1) == [
-            CycleOrPath(
-                tuple(host[e].color for e in edges), closed, tuple(edges), first, tuple(verts)
-            )
-            for edges, verts, closed, first in got
-        ]
         seen["shared"] += bool(set(m0) & set(m1))
         seen["n = 20"] += g.vertex_count == 20
         for edges, _, closed, _ in got:
@@ -482,8 +469,7 @@ def test_walk_matches_the_incident_list_walk():
     assert min(seen.values()) >= 50, seen
 
 
-@pytest.mark.parametrize("walker", [walk_symdiff, symdiff_components])
-def test_walk_names_the_first_bad_matching(walker):
+def test_walk_names_the_first_bad_matching():
     g = ColoredGraph(3, [(0, 1, "R"), (1, 2, "B")])
     for m0, m1, bad in (
         ({0, 1}, {0, 1}, "m0"),  # both share vertex 1: m0 is named
@@ -493,4 +479,4 @@ def test_walk_names_the_first_bad_matching(walker):
         ({1}, {5}, "m1"),
     ):
         with pytest.raises(ValueError, match=f"^{bad} is not a matching$"):
-            walker(g, m0, m1)
+            walk_symdiff(g, m0, m1)

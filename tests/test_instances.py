@@ -85,6 +85,18 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("cycle RBRB\ne 0 1 R\nrequire 1 1\n", "line 2: a cycle instance takes no edge lines"),
+        ("# no header\ne 0 1 R\nrequire 0 0\n", "line 2: edge line before graph header"),
+    ],
+)
+def test_parse_names_why_an_edge_line_is_out_of_place(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_instance(text)
+
+
 @st.composite
 def _instances(draw):
     n = draw(st.integers(0, DEFAULT_CAP.max_vertices))

@@ -29,7 +29,7 @@ from rbymatch.lpface import (
     minimal_face,
     solve_lp,
 )
-from rbymatch.graph import symdiff_components
+from rbymatch.graph import walk_symdiff
 from rbymatch.oracle import OracleCap, enumerate_matchings, exact_optimum
 from rbymatch.simplex import LPResult, solve_standard_form
 
@@ -328,8 +328,8 @@ def test_minimal_face_segment_four_cycle():
     coeffs = convex_coefficients(g, face, sol)
     assert coeffs == [Fraction(1, 2), Fraction(1, 2)]
     # segment endpoints are adjacent: one alternating component between them
-    comps = symdiff_components(g, *face.vertex_matchings)
-    assert len(comps) == 1 and comps[0].is_cycle
+    comps = walk_symdiff(g, *face.vertex_matchings)
+    assert len(comps) == 1 and comps[0][2]
 
 
 def test_separation_and_face_read_the_integer_point_only():
@@ -371,7 +371,7 @@ def test_minimal_face_parallelogram():
     vs = face.vertex_matchings
     for i in range(4):
         a, b = vs[i], vs[(i + 1) % 4]
-        comps = symdiff_components(g, a, b)
+        comps = walk_symdiff(g, a, b)
         assert len(comps) == 1
 
 

@@ -10,8 +10,8 @@ from rbymatch.graph import (
     color_profile,
     cycle_graph,
     path_graph,
-    symdiff_components,
     validate_matching,
+    walk_symdiff,
 )
 from rbymatch import graph as graph_module
 from rbymatch import union
@@ -76,8 +76,8 @@ def test_glue_two_cycles(monkeypatch):
     m1 = frozenset(i for i in range(8) if i % 2 == 1) | frozenset(
         8 + i for i in range(8) if i % 2 == 1
     )
-    comps = symdiff_components(g, m0, m1)
-    assert [c.is_cycle for c in comps] == [True, True]
+    comps = walk_symdiff(g, m0, m1)
+    assert [closed for _, _, closed, _ in comps] == [True, True]
     glued = ["RY" * 4 + "BY" * 4]
     # the opened spans are (0, 7) and (8, 15): taking both ends of one drops
     # one end, the end after a red start and the start before a yellow end
@@ -344,8 +344,8 @@ def test_combine_random_contract():
         assert len(got) >= len(mb) - 2
         union_graph_edges = ma | mb
         # acyclic unions (every symdiff component a path) strengthen the bound
-        comps = symdiff_components(g, ma - mb, mb - ma)
-        if all(not c.is_cycle for c in comps):
+        comps = walk_symdiff(g, ma - mb, mb - ma)
+        if not any(closed for _, _, closed, _ in comps):
             assert len(got) >= len(mb) - 1
         trials += 1
 
@@ -399,14 +399,14 @@ def test_combine_structured_components_torture(monkeypatch):
         pb = color_profile(g, mb).rb
         pts = _segment_points(pa, pb)
         kr, kb = pts[rng.randrange(len(pts))]
-        comps = symdiff_components(g, ma - mb, mb - ma)
-        comp_of = {e: k for k, c in enumerate(comps) for e in c.edge_ids}
+        comps = walk_symdiff(g, ma - mb, mb - ma)
+        comp_of = {e: k for k, (edges, _, _, _) in enumerate(comps) for e in edges}
         got = combine_two_matchings(g, ma, mb, kr, kb)
         assert validate_matching(g, got)
         prof = color_profile(g, got)
         assert prof.red == kr and prof.blue in (kb - 1, kb)
         assert len(got) >= len(mb) - 2
-        if all(not c.is_cycle for c in comps):
+        if not any(closed for _, _, closed, _ in comps):
             assert len(got) >= len(mb) - 1
         trials += 1
     assert joined > 0
@@ -470,8 +470,8 @@ def test_first_bit_labels_every_edge(monkeypatch):
         if len(a0) < len(a1):
             a0, a1 = a1, a0  # the combiner's own orientation
         state["label"] = {e: 0 for e in a0} | {e: 1 for e in a1}
-        comps = symdiff_components(g, ma, mb)
-        state["comp_of"] = {e: k for k, c in enumerate(comps) for e in c.edge_ids}
+        comps = walk_symdiff(g, ma, mb)
+        state["comp_of"] = {e: k for k, (edges, _, _, _) in enumerate(comps) for e in edges}
         pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)
         combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
     assert checked["blocks"] > 0 and checked["joined"] > 0
@@ -522,11 +522,12 @@ def test_combine_validates_each_matching_once(monkeypatch):
 
 
 def _copied_blocks(graph: ColoredGraph, m0, m1) -> list[union._Block]:
-    """The blocks built the earlier way: a mutable copy of each CycleOrPath
-    that symdiff_components returns."""
+    """The blocks built the earlier way: a copy of each walked component,
+    with its colors read in walk order."""
+    host = graph.edges
     return [
-        union._Block(list(c.edge_ids), list(c.colors), c.first, list(c.vertices), c.is_cycle)
-        for c in symdiff_components(graph, m0, m1)
+        union._Block(list(edges), [host[e].color for e in edges], first, list(verts), closed)
+        for edges, verts, closed, first in walk_symdiff(graph, m0, m1)
     ]
 
 

@@ -12,7 +12,8 @@ of them had a pivot element other than +-d (``off_d``, the pivots that
 rewrite every row), the rows purged, the rows re-activated (appended with
 the edges and rhs of a row an earlier round purged), the CPU seconds in
 ``lpface.solve_lp`` and in the whole solve, and the answer size; a summary
-line follows.  ``--src`` imports the library from another checkout's
+line follows with the totals of the LP calls, pivots, ``off_d`` pivots, rows
+purged, rows re-activated and LP CPU seconds, and the slowest graph.  ``--src`` imports the library from another checkout's
 ``src`` directory, to compare two versions on one set.
 
 The process limits its own address space to 3 GB (``RLIMIT_AS``) and each
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     from rbymatch.oracle import OracleCap
 
     cap = OracleCap(128, 400)
-    bad = pivots = off_d = 0
+    bad = pivots = off_d = lp_calls = purged = reactivated = 0
     total_lp = slowest = 0.0
     slowest_n = None
     for n in args.sizes:
@@ -153,6 +154,9 @@ def main(argv=None) -> int:
         total_lp += counter.lp_s
         pivots += counter.pivots
         off_d += counter.off_d
+        lp_calls += counter.calls
+        purged += counter.purged
+        reactivated += counter.reactivated
         if counter.lp_s >= slowest:
             slowest, slowest_n = counter.lp_s, n
         if report is None:
@@ -166,7 +170,10 @@ def main(argv=None) -> int:
             f"pivots={counter.pivots} off_d={counter.off_d} purged={counter.purged} reactivated={counter.reactivated} lp_cpu_s={counter.lp_s:.3f} solve_cpu_s={solve_s:.3f}",
             flush=True,
         )
-    print(f"total pivots={pivots} off_d={off_d} lp_cpu_s={total_lp:.3f} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}")
+    print(
+        f"total lp_calls={lp_calls} pivots={pivots} off_d={off_d} purged={purged} reactivated={reactivated} "
+        f"lp_cpu_s={total_lp:.3f} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}"
+    )
     return 1 if bad else 0
 
 
