@@ -15,6 +15,25 @@ the full region is a vertex of it).  Separation and tightness scans run on
 the LP's own integers over d, as a search pruned by each odd set's degree
 slack plus cut (``_odd_sets``).
 
+The solver presolves the model exactly before its first tableau: it drops
+rows that other rows imply and fixes columns that the rows fix, and the
+feasible region stays the same set of points (Brearley, Mitra & Williams
+1975; Andersen & Andersen 1995).  A color C with requirement 0 has x(C) = 0
+with x >= 0, which fixes each of its edges at 0.  Those edges are forced:
+they leave every degree row, every blossom row and the objective, and C's
+equality row goes; with both requirements 0 there is no equality row, so
+phase 1 never runs.  The other edges are live.  A vertex with no live edge
+has the row 0 <= 1.  A vertex v whose live edges all end at one neighbour w
+has x(delta(v)) <= x(delta(w)) <= 1, so w's row implies v's; w keeps its
+row unless its live edges all end at v too, and of two such vertices the
+lower keeps its row.  A forced edge stays as an all-zero column with
+objective 0: no pivot enters it and no basis holds it, so every basic
+solution has it at 0 and lies in the full region, of which it is then a
+vertex too; ``alpha*`` and every infeasibility verdict are the full
+model's.  Separation reads the live graph: blossom rows sum live edges
+only, and ``_implied`` counts live neighbours (the argument below runs
+through their degree rows, kept or implied by kept ones).
+
 Both scans read the optimum's structure first.  At a point x of the degree
 rows, an edge with x_e = 1 leaves its two ends no other support edge, and
 for an odd set S:
@@ -38,16 +57,16 @@ activates rows expands T's excess groups, from the highest, by the 2^k
 unions of the k unit pairs, which picks the same rows as the full scan.
 
 Most of those unions hang off T by one vertex, and their rows are implied:
-if a vertex w of S has at most one graph neighbour y inside S, then
+if a vertex w of S has at most one live neighbour y inside S, then
 x(E(S)) <= x(E(S - {w, y})) + x(delta(y)) <= (|S| - 3) / 2 + 1, the rhs of
 S (for |S| = 3 every edge of S meets y).  Only 2-connected sets give facets
 (Pulleyblank & Edmonds 1974); the round drops the sets with a vertex of
-fewer than two neighbours in them, a test on the graph alone, and keeps the
-others where they ranked.  S - {w, y} is violated at least as much as S and
-has a smaller mask, so it ranks ahead of S; by induction on |S| each
-dropped row is implied by the round's kept rows and degree rows, and the
-region the round solves over is the one it would solve over with every
-ranked row.
+fewer than two neighbours in them, a test on the live graph alone, and
+keeps the others where they ranked.  S - {w, y} is violated at least as
+much as S and has a smaller mask, so it ranks ahead of S; by induction on
+|S| each dropped row is implied by the round's kept rows and degree rows,
+and the region the round solves over is the one it would solve over with
+every ranked row.
 
 An integral optimum is a matching (self-loops are rejected and parallel
 edges share a degree row); it meets every blossom row and is its own minimal
@@ -264,7 +283,7 @@ def _top_violated(
 
 def _implied(mask: int, neighbours: list[int]) -> bool:
     """Whether some vertex of the odd set ``mask`` has fewer than two
-    distinct neighbours in it, ``neighbours[v]`` being the mask of v's graph
+    distinct neighbours in it, ``neighbours[v]`` being the mask of v's live
     neighbours: then the set's blossom row is implied by a smaller set's
     and a degree row (see the module docstring)."""
     return any(
@@ -280,10 +299,16 @@ def solve_lp(model: LPModel) -> LPResult | None:
     V(C) being the set of vertices that the edges of the colours C touch.
     That is the LP's own infeasibility: summing the degree rows of V(C)
     counts every edge of C twice, so 2 x(C) <= |V(C)|, and the color rows
-    pin x(R) = k_red and x(B) = k_blue, which are integers.
+    pin x(R) = k_red and x(B) = k_blue, which are integers.  A color
+    required 0 adds no vertex to V(R u B), which changes no verdict: the
+    other color's own test already fails whenever the joint one does.
 
-    The degree and color rows are built once and solved from scratch by
-    the two-phase simplex.  Violated blossom rows are then appended in rounds (most
+    One pass over the edges builds the screen's masks, the live edges'
+    degree rows, their neighbour masks, the objective and the color rows
+    of the nonzero requirements (the presolve of the module docstring).
+    The kept degree rows and those color rows are solved from scratch by
+    the two-phase simplex, by phase 2 alone when both requirements are 0.
+    Violated blossom rows are then appended in rounds (most
     violated first, at most 24 per round), and each round re-optimizes the
     last round's final tableau by the dual simplex (``start=``), so the
     result is deterministic.  Before a round appends, it purges the active
@@ -298,7 +323,7 @@ def solve_lp(model: LPModel) -> LPResult | None:
     or a scan.
 
     A round activates only the ranked sets whose every vertex has two
-    distinct graph neighbours in the set (``_implied``, see the module
+    distinct live neighbours in the set (``_implied``, see the module
     docstring); the slots of the sets it drops stay empty.  Filling them
     from further down the ranking took more rounds: 6 LP calls became 28
     on one n = 59 graph past the cap.
@@ -310,31 +335,48 @@ def solve_lp(model: LPModel) -> LPResult | None:
     rank ahead of it).  A round that would activate an active set, or no
     set, breaks that argument and raises InvariantError.
     """
-    graph = model.graph
+    graph, k_red, k_blue = model.graph, model.k_red, model.k_blue
     m = graph.edge_count
     red: list[tuple[int, int]] = []
     blue: list[tuple[int, int]] = []
     red_ends = blue_ends = 0  # the vertex masks V(R) and V(B)
+    objective = [0] * m  # 1 on the live edges, 0 on the forced ones
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    neighbours = [0] * graph.vertex_count  # each vertex's live neighbour mask
     for e, (u, v, color) in enumerate(graph.edges):
         if color == RED:
+            if not k_red:
+                continue
             red.append((e, 1))
             red_ends |= 1 << u | 1 << v
         elif color == BLUE:
+            if not k_blue:
+                continue
             blue.append((e, 1))
             blue_ends |= 1 << u | 1 << v
+        objective[e] = 1
+        incident[u].append((e, 1))
+        incident[v].append((e, 1))
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
     if (
-        model.k_red > red_ends.bit_count() // 2
-        or model.k_blue > blue_ends.bit_count() // 2
-        or model.k_red + model.k_blue > (red_ends | blue_ends).bit_count() // 2
+        k_red > red_ends.bit_count() // 2
+        or k_blue > blue_ends.bit_count() // 2
+        or k_red + k_blue > (red_ends | blue_ends).bit_count() // 2
     ):
         return None
-    degree_rows = [([(e, 1) for e in graph.incident(v)], 1) for v in range(graph.vertex_count)]
-    eq_rows = [(red, model.k_red), (blue, model.k_blue)]
-    objective = [1] * m
+    # a vertex keeps its row if it has two live neighbours, or if it and its
+    # one live neighbour have only each other and it is the lower (see the
+    # module docstring)
+    degree_rows = [
+        (incident[v], 1)
+        for v, near in enumerate(neighbours)
+        if near & (near - 1) or (1 << v < near and neighbours[near.bit_length() - 1] == 1 << v)
+    ]
+    eq_rows = [(coeffs, k) for coeffs, k in ((red, k_red), (blue, k_blue)) if k]
     res = solve_standard_form(m, objective, degree_rows, eq_rows)
     active: dict[int, tuple[list[tuple[int, int]], int]] = {}  # mask: row, in order
     purged: set[int] = set()
-    neighbours: list[int] = []  # each vertex's neighbour mask, from the first round on
     while True:
         if res is None or set(res.x) <= {0, res.d}:
             return res
@@ -342,11 +384,6 @@ def solve_lp(model: LPModel) -> LPResult | None:
         violated = _odd_sets([(emask, x) for _, emask, x in fractional], res.d, tight=False)
         if not violated:
             return res
-        if not neighbours:
-            neighbours = [0] * graph.vertex_count
-            for u, v, _ in graph.edges:
-                neighbours[u] |= 1 << v
-                neighbours[v] |= 1 << u
         x, d = res.x, res.d
         for mask, (coeffs, rhs) in list(active.items()):
             if mask not in purged and sum(x[e] for e, _ in coeffs) < rhs * d:
@@ -362,7 +399,7 @@ def solve_lp(model: LPModel) -> LPResult | None:
         for mask, rhs in rows:
             if mask in active:
                 raise InvariantError(f"separation found the active odd set {mask:#x} violated")
-            active[mask] = ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs)
+            active[mask] = ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph) if objective[e]], rhs)
         res = solve_standard_form(m, objective, degree_rows + list(active.values()), eq_rows, start=res)
 
 

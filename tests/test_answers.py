@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # workload: (seed, requests, or 0 for the workload's own count, digest)
 PINNED = {
-    "graphs_small": (7, 220, "f020714687e6a7b819350aa4a66a9d2d1750c035c27d697cbed5d9a8b83cfec4"),
+    "graphs_small": (7, 220, "461352ca9c55e6ce08c6509312aa8ab8627f3b7820169b55b849f12fac4cf449"),
     "select_combine": (7, 220, "156c25908ee0e834e901e4ef115294f9985c3238de190904454259982988944d"),
-    "graphs_cap": (1, 0, "d3b0aac4ab9a889b3c7ec89c0edc33f8fcee539a824395a5e168661852ab0798"),
+    "graphs_cap": (1, 0, "b1aa3d0262162e21c833ed12a3896e071dc2ca25bd0e6936aec4210b27d6c016"),
 }
 
 _DIGESTS = """

@@ -517,9 +517,9 @@ def test_integer_tight_rows_match_fraction_scan():
     assert fractional >= 100
 
 
-def _reference_rows(model, active):
-    """(ub_rows, eq_rows) of the LP over the degree rows, the ``active``
-    blossom rows and the two color rows, built edge by edge."""
+def _full_rows(model, active):
+    """(ub_rows, eq_rows) of the full model over every degree row, the
+    ``active`` blossom rows and the two color rows, built edge by edge."""
     graph = model.graph
     m = graph.edge_count
     ub_rows = [
@@ -536,17 +536,61 @@ def _reference_rows(model, active):
     return ub_rows, eq_rows
 
 
+def _live_edges(model):
+    """The ids of the edges whose color is not required 0."""
+    zero = {color for color, k in ((RED, model.k_red), (BLUE, model.k_blue)) if k == 0}
+    return [e for e in range(model.graph.edge_count) if model.graph.color(e) not in zero]
+
+
+def _live_neighbours(model, v):
+    """The set of the other ends of v's live edges."""
+    return {u for e in _live_edges(model) for u in model.graph.endpoints(e) if v in model.graph.endpoints(e) and u != v}
+
+
+def _kept_degree_rows(model):
+    """The vertices whose degree row the presolve keeps: those with two live
+    neighbours, and the lower of two vertices whose live edges all join
+    them to each other."""
+    kept = []
+    for v in range(model.graph.vertex_count):
+        near = _live_neighbours(model, v)
+        if len(near) > 1 or (near and _live_neighbours(model, min(near)) == {v} and v < min(near)):
+            kept.append(v)
+    return kept
+
+
+def _reference_rows(model, active):
+    """(objective, ub_rows, eq_rows) of the presolved LP over the ``active``
+    blossom rows, built edge by edge: an edge of a color required 0 is
+    forced to 0, with objective 0 and in no row, and that color's row goes;
+    the degree rows are those of ``_kept_degree_rows``."""
+    graph = model.graph
+    m = graph.edge_count
+    live = _live_edges(model)
+    ub_rows = [([(e, 1) for e in live if v in graph.endpoints(e)], 1) for v in _kept_degree_rows(model)]
+    for row in active:
+        inside = [e for e in live if all((row.vertex_mask >> u) & 1 for u in graph.endpoints(e))]
+        ub_rows.append(([(e, 1) for e in inside], row.rhs))
+    eq_rows = [
+        ([(e, 1) for e in range(m) if graph.color(e) == color], k)
+        for color, k in ((RED, model.k_red), (BLUE, model.k_blue))
+        if k
+    ]
+    return [int(e in live) for e in range(m)], ub_rows, eq_rows
+
+
 def _reference_lp(model, active):
     m = model.graph.edge_count
-    return solve_standard_form(m, [1] * m, *_reference_rows(model, active))
+    return solve_standard_form(m, [1] * m, *_full_rows(model, active))
 
 
 def _reference_solve_lp(model, rounds):
-    """The separation loop that scanned the whole support in every round;
-    appends the LP rows of each round, as (ub_rows, eq_rows), to ``rounds``."""
+    """The separation loop over the full model that scanned the whole
+    support in every round; appends the LP rows of each round, as (ub_rows,
+    eq_rows), to ``rounds``."""
     active = []
     for _ in range(len(model.blossom_rows) + 1):
-        rounds.append(_reference_rows(model, active))
+        rounds.append(_full_rows(model, active))
         res = _reference_lp(model, active)
         if res is None:
             return None
@@ -589,37 +633,38 @@ def _assert_routes_agree(model, solution=None, purges=None):
     optimum (or at ``solution``, a point of the polytope).
 
     At the optimum, solve_lp's rounds are replayed: each round must hand the
-    simplex the rows of the reference separation (``_next_rows``) at the last
-    round's optimum, and each round's warm optimum must equal a from-scratch
-    solve over the same rows in value and in feasibility.  The last must be
-    the solution, with no violated set on the whole support, and match the
-    from-scratch reference loop in value and feasibility.  Adds the rows
-    purged to the Counter ``purges``, if given."""
+    simplex the presolved rows of the reference separation (``_next_rows``)
+    at the last round's optimum, and each round's warm optimum must equal a
+    from-scratch solve over the same rows in value and in feasibility.  The
+    last must be the solution, with no violated set on the whole support,
+    and match the from-scratch reference loop over the full model in value
+    and feasibility.  Adds the rows purged to the Counter ``purges``, if
+    given."""
     if solution is None:
         graph, m = model.graph, model.graph.edge_count
         rounds = []
 
         def recorded(n_vars, objective, ub_rows, eq_rows, start=None):
             res = solve_standard_form(n_vars, objective, ub_rows, eq_rows, start=start)
-            rounds.append((list(ub_rows), list(eq_rows), res))
+            rounds.append((list(objective), list(ub_rows), list(eq_rows), res))
             return res
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lpface, "solve_standard_form", recorded)
             solution = solve_lp(model)
         # no round at all when the count screen decides the model
-        assert solution is (rounds[-1][2] if rounds else None)
+        assert solution is (rounds[-1][3] if rounds else None)
         active, purged = [], set()
-        for k, (ub_rows, eq_rows, res) in enumerate(rounds):
-            assert (ub_rows, eq_rows) == _reference_rows(model, active)
-            cold = solve_standard_form(m, [1] * m, ub_rows, eq_rows)
+        for k, (objective, ub_rows, eq_rows, res) in enumerate(rounds):
+            assert (objective, ub_rows, eq_rows) == _reference_rows(model, active)
+            cold = solve_standard_form(m, objective, ub_rows, eq_rows)
             assert (res is None) == (cold is None)
             if res is None:
                 break
             assert res.objective == cold.objective
             violated = _odd_sets(*_scaled(graph, res.values), tight=False)
             assert bool(violated) == (k < len(rounds) - 1)
-            active = _next_rows(graph, active, purged, res, violated)
+            active = _next_rows(model, active, purged, res, violated)
         if purges is not None:
             purges["purged"] += len(purged)
         want = _reference_solve_lp(model, [])
@@ -633,11 +678,12 @@ def _assert_routes_agree(model, solution=None, purges=None):
     return solution
 
 
-def _next_rows(graph, active, purged, res, violated):
+def _next_rows(model, active, purged, res, violated):
     """The blossom rows of the round after the optimum ``res``: the
     ``active`` rows less those slack at ``res`` that are not in ``purged``
     (which takes them), then those of the first 24 ``violated`` sets of the
     whole support by (-excess, mask) that are not ``_loosely_attached``."""
+    graph = model.graph
     kept = []
     for row in active:
         inside = sum(x for e, x in enumerate(res.values) if all((row.vertex_mask >> u) & 1 for u in graph.endpoints(e)))
@@ -646,14 +692,14 @@ def _next_rows(graph, active, purged, res, violated):
         else:
             kept.append(row)
     ranked = sorted(violated, key=lambda row: (-row[2], row[0]))[:24]
-    return kept + [BlossomRow(mask, rhs) for mask, rhs, _ in ranked if not _loosely_attached(graph, mask)]
+    return kept + [BlossomRow(mask, rhs) for mask, rhs, _ in ranked if not _loosely_attached(model, mask)]
 
 
-def _loosely_attached(graph, mask):
+def _loosely_attached(model, mask):
     """Whether some vertex of the set ``mask`` has fewer than two distinct
-    neighbours inside it, counted over the edge list."""
-    inside = {v: set() for v in range(graph.vertex_count) if (mask >> v) & 1}
-    for u, v, _ in graph.edges:
+    neighbours inside it, counted over the live edges."""
+    inside = {v: set() for v in range(model.graph.vertex_count) if (mask >> v) & 1}
+    for u, v in map(model.graph.endpoints, _live_edges(model)):
         if u in inside and v in inside:
             inside[u].add(v)
             inside[v].add(u)
@@ -780,22 +826,23 @@ def _assert_dropped_rows_are_implied(model, tally):
     assert len(ranked) == max(len(lps) - 1, 0)
     for (before, res), (after, _), top in zip(lps, lps[1:], ranked):
         appended = [row for row in after if all(row is not r for r in before)]
-        rows = {mask: ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph)], rhs) for mask, rhs, _ in top}
-        kept = [mask for mask, _, _ in top if not _loosely_attached(graph, mask)]
+        live = set(_live_edges(model))
+        rows = {mask: ([(e, 1) for e in BlossomRow(mask, rhs).edge_ids(graph) if e in live], rhs) for mask, rhs, _ in top}
+        kept = [mask for mask, _, _ in top if not _loosely_attached(model, mask)]
         assert appended == [rows[mask] for mask in kept]
         assert kept[0] == top[0][0]
         for mask in set(rows) - set(kept):
-            assert any(_is_implied_at(graph, res.values, mask, w) for w in range(graph.vertex_count) if (mask >> w) & 1)
+            assert any(_is_implied_at(model, res.values, mask, w) for w in range(graph.vertex_count) if (mask >> w) & 1)
             tally["dropped"] += 1
         tally["rounds"] += 1
 
 
-def _is_implied_at(graph, values, mask, w):
-    """Whether w has at most one neighbour y in ``mask`` and some such y
-    (any vertex of the set if w has none) leaves a set of >= 3 vertices
+def _is_implied_at(model, values, mask, w):
+    """Whether w has at most one live neighbour y in ``mask`` and some such
+    y (any vertex of the set if w has none) leaves a set of >= 3 vertices
     violated at ``values`` at least as much as ``mask``."""
-    near = {v for u, v, _ in graph.edges if u == w} | {u for u, v, _ in graph.edges if v == w}
-    inside = {y for y in near if (mask >> y) & 1}
+    graph = model.graph
+    inside = {y for y in _live_neighbours(model, w) if (mask >> y) & 1}
     if len(inside) > 1:
         return False
     others = inside or {y for y in range(graph.vertex_count) if (mask >> y) & 1 and y != w}
@@ -822,6 +869,108 @@ def test_dropped_rows_are_implied_and_the_first_set_is_kept():
         _assert_dropped_rows_are_implied(_benchmark_size_model(rng), benchmark)
     for tally in (generator, benchmark):
         assert tally["rounds"] >= 20 and tally["dropped"] >= 30, (generator, benchmark)
+
+
+def _assert_presolve_holds(model, tally):
+    """At every round's point of solve_lp, each degree row the presolve
+    drops holds and each forced edge is 0; counts the points, the dropped
+    rows checked (and those tight there) and the forced edges in ``tally``."""
+    graph = model.graph
+    points = []
+
+    def recorded(*lp, start=None):
+        points.append(solve_standard_form(*lp, start=start))
+        return points[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", recorded)
+        solve_lp(model)
+    live = set(_live_edges(model))
+    forced = [e for e in range(graph.edge_count) if e not in live]
+    dropped = set(range(graph.vertex_count)) - set(_kept_degree_rows(model))
+    for res in filter(None, points):
+        for v in dropped:
+            load = sum(res.values[e] for e in graph.incident(v))
+            assert load <= 1, (graph, v, load)
+            tally["tight dropped rows"] += load == 1
+        assert [res.x[e] for e in forced] == [0] * len(forced)
+        tally["points"] += 1
+        tally["dropped rows"] += len(dropped)
+        tally["forced edges"] += len(forced)
+
+
+def _multigraph_with_isolated_edges(rng):
+    """A random multigraph on 3..7 vertices, with parallel edges, beside
+    one to three components of one to three parallel edges each."""
+    n = rng.randrange(3, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(*rng.choice(pairs), rng.choice("RBY")) for _ in range(rng.randrange(3, 13))]
+    for _ in range(rng.randrange(1, 4)):
+        ends = (n, n + 1) if rng.randrange(2) else (n + 1, n)
+        edges += [(*ends, rng.choice("RBY")) for _ in range(rng.randrange(1, 4))]
+        n += 2
+    rng.shuffle(edges)
+    return ColoredGraph(n, edges)
+
+
+def test_dropped_degree_rows_hold_and_forced_edges_are_zero_at_every_round():
+    # graphs_small's largest graphs, and multigraphs with parallel and
+    # isolated edges, under requirements that are 0 for a color now and then
+    benchmark, multigraphs = Counter(), Counter()
+    rng = random.Random(31)
+    for _ in range(100):
+        _assert_presolve_holds(_benchmark_size_model(rng), benchmark)
+    for _ in range(300):
+        g = _multigraph_with_isolated_edges(rng)
+        counts = g.color_counts()
+        _assert_presolve_holds(build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1)), multigraphs)
+    for tally in (benchmark, multigraphs):
+        assert tally["points"] > 100 and tally["forced edges"] > 100, (benchmark, multigraphs)
+        assert tally["tight dropped rows"] >= 40, (benchmark, multigraphs)
+
+
+def test_zero_requirements_pass_no_equality_row():
+    # yellow triangle 0-1-2 and yellow edge 4-5; the red and blue edges are
+    # forced to 0, so vertex 3 has no live edge and only vertex 4 of the
+    # pair 4, 5 keeps its row; the triangle's row takes 5/2 to 2
+    g = ColoredGraph(
+        6, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (2, 3, "R"), (3, 4, "B"), (4, 5, "Y"), (3, 5, "R")]
+    )
+    calls = []
+
+    def recorded(n_vars, objective, ub_rows, eq_rows, start=None):
+        calls.append((objective, ub_rows[:4], eq_rows))
+        return solve_standard_form(n_vars, objective, ub_rows, eq_rows, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", recorded)
+        sol = solve_lp(build_lp(g, 0, 0))
+    degree_rows = [([(0, 1), (2, 1)], 1), ([(0, 1), (1, 1)], 1), ([(1, 1), (2, 1)], 1), ([(5, 1)], 1)]
+    assert calls == [([1, 1, 1, 0, 0, 1, 0], degree_rows, [])] * 2
+    assert sol.objective == 2 == len(exact_optimum(g, 0, 0))
+    assert [sol.x[e] for e in (3, 4, 6)] == [0, 0, 0]
+
+
+def test_a_vertex_whose_edges_all_reach_one_neighbour_loses_its_row():
+    # vertex 1's two parallel edges and vertex 4's edge end at vertices
+    # whose rows hold them; vertices 0 and 5 are joined only to each other,
+    # by two parallel edges listed from 5, and only 0, the lower, keeps its
+    # row, ahead of the others
+    g = ColoredGraph(6, [(5, 0, "R"), (0, 5, "Y"), (1, 2, "Y"), (2, 1, "R"), (2, 3, "Y"), (3, 4, "B")])
+    model = build_lp(g, 1, 1)
+    assert _kept_degree_rows(model) == [0, 2, 3]
+    calls = []
+
+    def recorded(*lp, start=None):
+        calls.append(lp[2:])
+        return solve_standard_form(*lp, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpface, "solve_standard_form", recorded)
+        sol = solve_lp(model)
+    degree_rows = [([(0, 1), (1, 1)], 1), ([(2, 1), (3, 1), (4, 1)], 1), ([(4, 1), (5, 1)], 1)]
+    assert calls == [(degree_rows, [([(0, 1), (3, 1)], 1), ([(5, 1)], 1)])]
+    assert sol.objective == 3 == len(exact_optimum(g, 1, 1))
 
 
 def test_separation_raises_when_a_round_offers_only_implied_sets(monkeypatch):
@@ -908,7 +1057,8 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge(monkeypatch)
     # without blossom rows the optimum is x = 1/2 on the triangle {0, 1, 2}
     # and x = 1 on 3-4, joined to it by the zero edge 2-3; {0, 1, 2} and
     # {0, 1, 2, 3, 4} are violated by as much, but vertex 4's only neighbour
-    # in the union is 3, so only the triangle is activated
+    # in the union is 3, so only the triangle is activated; vertex 4's
+    # degree row is implied by vertex 3's, so the LP has 4 degree rows
     g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
     model = build_lp(g, 1, 0)
     first = _reference_lp(model, [])
@@ -920,7 +1070,7 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge(monkeypatch)
     rounds = []
 
     def recorded(*lp, start=None):
-        rounds.append(lp[2][g.vertex_count :])
+        rounds.append(lp[2][4:])
         return solve_standard_form(*lp, start=start)
 
     monkeypatch.setattr(lpface, "solve_standard_form", recorded)
