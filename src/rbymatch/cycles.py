@@ -88,7 +88,8 @@ def _select(
     p0 = (even.count(RED), even.count(BLUE))
     p1 = (odd.count(RED), odd.count(BLUE))
     if not on_segment(k, p0, p1):
-        raise ValueError(f"requirement {k} is not on the segment {p0}..{p1}")
+        # str, not repr: a fractional blue count reads 1/2
+        raise ValueError(f"requirement ({k[0]}, {k[1]}) is not on the segment {p0}..{p1}")
     if p0 in ends:
         return frozenset(range(0, len(colors), 2))
     if p1 in ends:

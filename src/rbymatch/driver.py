@@ -178,7 +178,7 @@ def _on_side(graph, face: FaceDescriptor, i, j, k_red, k_blue, trace) -> frozens
     comps = walk_symdiff(graph, ma, mb)
     if len(comps) != 1:
         raise InvariantError(f"adjacent face vertices differ in {len(comps)} components")
-    edges, _, closed, _ = comps[0]
+    edges, closed, _ = comps[0]
     sp = profile_of_colors(graph.color(e) for e in shared)
     trace.append(
         f"side ({i},{j}): shared={len(shared)} component={'cycle' if closed else 'path'} "

@@ -7,10 +7,10 @@ function, so they are safe to share across test shards.
 
 The symmetric difference of two matchings splits into alternating paths and
 even cycles.  walk_symdiff walks each once, by per-vertex lookups of the one
-M0 edge and the one M1 edge at a vertex, into plain lists (edge ids,
-vertices, whether it closes, and one parity bit, the matching of edge 0,
-that labels every edge); the combiner edits those lists in place, and the
-driver solves a face side on its one component's colors.  CycleOrPath is the
+M0 edge and the one M1 edge at a vertex, into a plain edge-id list, whether
+it closes, and one parity bit, the matching of edge 0, that labels every
+edge; the combiner edits those lists in place, and the driver solves a face
+side on its one component's colors.  CycleOrPath is the
 selectors' color input and holds colors only.  check_colors is the one color
 and cycle-length check, shared by CycleOrPath and the selectors' strings.
 """
@@ -211,9 +211,9 @@ def walk_symdiff(
     graph: ColoredGraph,
     m0: Iterable[int],
     m1: Iterable[int],
-) -> list[tuple[list[int], list[int], bool, int]]:
-    """The components of M0 symmetric-difference M1, each as lists of edge
-    ids and vertices, whether it closes, and ``first``.
+) -> list[tuple[list[int], bool, int]]:
+    """The components of M0 symmetric-difference M1, each as its list of
+    edge ids in walk order, whether it closes, and ``first``.
 
     Each matching puts at most one edge at a vertex, so a vertex meets at
     most two difference edges, consecutive edges come from different
@@ -224,8 +224,8 @@ def walk_symdiff(
     starts at its end edge with the smaller id.  Components are emitted in
     order of their first edge id, which for a path is its smaller end edge,
     not necessarily the smallest id it contains.  ``first`` is 0 when edge 0
-    is in M0, 1 when it is in M1; the vertices follow the walk (ascending for
-    one edge), and a path has one more vertex than edges.
+    is in M0, 1 when it is in M1.  Vertices are looked up during the walk
+    and not returned: consecutive edges share one, and no reader needs which.
 
     This is the call that validates M0 and M1 (ValueError if either is no
     matching), so callers that pass the full matchings need no check of
@@ -245,14 +245,13 @@ def walk_symdiff(
             u, v, _ = host[eid]
             at[u] = at[v] = eid
 
-    def walk(seed: int, vtx: int, side: int, edges: list[int], verts: list[int]) -> bool:
-        # extend edges and verts past seed through vtx; back at seed?
+    def walk(seed: int, vtx: int, side: int, edges: list[int]) -> bool:
+        # extend edges past seed through vtx; back at seed?
         eid = mates[side].get(vtx)
         while eid is not None and eid != seed:
             edges.append(eid)
             u, v, _ = host[eid]
             vtx = v if vtx == u else u
-            verts.append(vtx)
             side ^= 1
             eid = mates[side].get(vtx)
         return eid == seed
@@ -267,22 +266,16 @@ def walk_symdiff(
         nb_u, nb_v = mates[other].get(u), mates[other].get(v)
         if nb_u is not None and (nb_v is None or nb_u < nb_v):
             u, v = v, u  # leave through v, toward the smaller neighbour
-        edges, verts = [seed], [u, v]
-        closed = walk(seed, v, other, edges, verts)
-        if closed:
-            verts.pop()
-        else:
-            back, back_verts = [], []
-            walk(seed, u, other, back, back_verts)
+        edges = [seed]
+        closed = walk(seed, v, other, edges)
+        if not closed:
+            back: list[int] = []
+            walk(seed, u, other, back)
             edges = back[::-1] + edges
-            verts = back_verts[::-1] + verts
-            if len(edges) == 1:
-                verts.sort()
-            elif edges[-1] < edges[0]:
+            if edges[-1] < edges[0]:
                 edges.reverse()
-                verts.reverse()
         visited.update(edges)
-        components.append((edges, verts, closed, 0 if edges[0] in only0 else 1))
+        components.append((edges, closed, 0 if edges[0] in only0 else 1))
     components.sort(key=lambda c: c[0][0])
     return components
 

@@ -6,10 +6,13 @@ matchings, so one parity bit, the matching of its edge 0, labels every edge:
 reversal, rotation, contraction of a pair and joining two paths update that
 bit instead of a per-edge list.
 
-The module owns the contraction state: vertex classes, each a member list
-shared by its members and merged small into large, and one record
-(edge_a, edge_b, outer_a, outer_b) per contracted pair, from which _lift
-re-inserts one edge of each pair into the reduced answer.
+The module owns the contraction state: one record (edge_a, edge_b, before,
+after) per contracted pair, where before and after are the block edges next
+to the pair when it was contracted (None at a path end or in a 2-cycle).
+_lift re-inserts one edge of each pair into the reduced answer from the
+records alone: blocks share no vertex, a join makes two blocks one, and
+shared edges are added only after the lift, so the neighbouring block edges
+decide each lift and no vertex is tracked.
 
 One recursive solver (_solve_blocks) runs on the contracted blocks, and each
 level sorts them once into three kinds (_classify): cycles and even paths,
@@ -31,7 +34,7 @@ least |smaller matching| - 2 edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .curve import on_segment
 from .cycles import solve_even_cycle, solve_path_or_cycle
@@ -41,20 +44,15 @@ from .graph import BLUE, RED, YELLOW, ColoredGraph, color_profile, walk_symdiff
 
 @dataclass
 class _Block:
-    """One alternating component during normalization, held in the lists
-    walk_symdiff returns, which contraction, rotation and joining edit in
-    place.
-
-    ``verts[i]`` is an original vertex inside the class sitting left of edge
-    i (paths carry one extra trailing vertex); cycles keep verts the same
-    length as edges.  ``first`` is the matching (0 or 1) of edge 0; the
-    component alternates, so edge i comes from matching ``first ^ (i & 1)``.
+    """One alternating component during normalization, held in the edge
+    list walk_symdiff returns, which contraction, rotation and joining edit
+    in place.  ``first`` is the matching (0 or 1) of edge 0; the component
+    alternates, so edge i comes from matching ``first ^ (i & 1)``.
     """
 
     edges: list[int]
     colors: list[str]
     first: int
-    verts: list[int]
     is_cycle: bool
 
     def __len__(self) -> int:
@@ -70,15 +68,14 @@ def _blocks(graph: ColoredGraph, m0: Iterable[int], m1: Iterable[int]) -> list[_
     lists as they come, in its order; the walk validates M0 and M1."""
     host = graph.edges
     return [
-        _Block(edges, [host[e][2] for e in edges], first, verts, is_cycle)
-        for edges, verts, is_cycle, first in walk_symdiff(graph, m0, m1)
+        _Block(edges, [host[e][2] for e in edges], first, is_cycle)
+        for edges, is_cycle, first in walk_symdiff(graph, m0, m1)
     ]
 
 
 def _reverse_block(block: _Block) -> None:
     block.edges.reverse()
     block.colors.reverse()
-    block.verts.reverse()
     if len(block) % 2 == 0:
         block.first ^= 1
 
@@ -86,7 +83,6 @@ def _reverse_block(block: _Block) -> None:
 def _rotate_cycle(block: _Block, start: int) -> None:
     block.edges = block.edges[start:] + block.edges[:start]
     block.colors = block.colors[start:] + block.colors[:start]
-    block.verts = block.verts[start:] + block.verts[:start]
     block.first ^= start & 1
 
 
@@ -98,28 +94,13 @@ def _orient_start_source0(block: _Block) -> None:
         _reverse_block(block)
 
 
-# A contraction record: the two contracted edges and the vertex classes
-# beyond edge_a and beyond edge_b when the pair was contracted.
-_Record = tuple[int, int, frozenset[int], frozenset[int]]
+# A contraction record: the two contracted edges and the block edges before
+# edge_a and after edge_b when the pair was contracted, None where there is
+# none (a path end, or a 2-cycle, whose two edges are the pair).
+_Record = tuple[int, int, int | None, int | None]
 
 
-def _merge(classes: list[list[int]], a: int, b: int) -> None:
-    """Merge the classes of a and b.  ``classes[v]`` is the member list of
-    v's class, one list object shared by all its members; the smaller class
-    moves into the larger, so a vertex moves O(log n) times in all."""
-    big, small = classes[a], classes[b]
-    if big is small:
-        return
-    if len(big) < len(small):
-        big, small = small, big
-    big += small
-    for v in small:
-        classes[v] = big
-
-
-def _contract_block(
-    block: _Block, classes: list[list[int]], records: list[_Record]
-) -> tuple[int, int]:
+def _contract_block(block: _Block, records: list[_Record]) -> tuple[int, int]:
     """Contract same-color consecutive pairs until proper; returns the
     requirement shift (reds removed, blues removed)."""
     dr = db = 0
@@ -137,23 +118,17 @@ def _contract_block(
             _rotate_cycle(block, hit)
             hit = 0
         color = block.colors[hit]
-        far_a = block.verts[hit]
-        far_b = block.verts[(hit + 2) % len(block.verts)]  # a 2-cycle wraps
-        records.append((
-            block.edges[hit],
-            block.edges[hit + 1],
-            frozenset(classes[far_a]),
-            frozenset(classes[far_b]),
-        ))
-        _merge(classes, far_a, block.verts[hit + 1])
-        _merge(classes, far_a, far_b)
+        edges = block.edges
+        # a cycle's pair starts at 0 now, so edges[-1] comes before it
+        before = edges[hit - 1] if hit or (block.is_cycle and length > 2) else None
+        after = edges[hit + 2] if hit + 2 < length else None
+        records.append((edges[hit], edges[hit + 1], before, after))
         if color == RED:
             dr += 1
         elif color == BLUE:
             db += 1
         del block.edges[hit : hit + 2]
         del block.colors[hit : hit + 2]
-        del block.verts[hit + 1 : hit + 3]
     return dr, db
 
 
@@ -215,14 +190,13 @@ def combine_two_matchings(
 
     kr = k_red - shared_red
     kb = k_blue - shared_blue
-    classes = [[v] for v in range(graph.vertex_count)]
     records: list[_Record] = []
     for b in blocks:
-        dr, db = _contract_block(b, classes, records)
+        dr, db = _contract_block(b, records)
         kr -= dr
         kb -= db
-    inner = _solve_blocks([b for b in blocks if len(b)], kr, kb, classes, records)
-    result = frozenset(shared | _lift(records, inner, graph.endpoints))
+    inner = _solve_blocks([b for b in blocks if len(b)], kr, kb, records)
+    result = frozenset(shared | _lift(records, inner))
     prof = color_profile(graph, result)
     if prof.red != k_red or prof.blue not in (k_blue - 1, k_blue):
         raise InvariantError(
@@ -235,41 +209,33 @@ def combine_two_matchings(
     return result
 
 
-def _lift(
-    records: Sequence[_Record],
-    matching: Iterable[int],
-    endpoints: Callable[[int], tuple[int, int]],
-) -> frozenset[int]:
+def _lift(records: Sequence[_Record], matching: Iterable[int]) -> frozenset[int]:
     """Re-insert one edge of each contracted pair, newest record first.
 
     Contracting two adjacent same-color edges removes both and merges their
-    three endpoint classes, so a matching of the reduced instance touches the
-    merged class at most once.  Which edge goes back is forced by the side
-    the matching already occupies: a blocked outer class forces the other
-    edge, two free sides take the smaller id, and two blocked sides mean the
-    input was no matching.  Each record snapshots its outer classes at
-    contraction time, so replaying newest first keeps every intermediate
-    matching valid at its own contraction level, which makes the lift sound.
+    three endpoints into one vertex, so a matching of the reduced instance
+    meets that vertex at most once, through before or after.  Blocks share
+    no vertex, a join makes two blocks one, and shared edges are added only
+    after the lift, so at the record's level the side beyond edge_a is met
+    only by before and the side beyond edge_b only by after.  A taken before
+    forces edge_b, a taken after forces edge_a, two free sides take the
+    smaller id, and two taken sides mean the input was no matching.
+    Replaying newest first puts back the edges of later contractions before
+    a record is read, so each record meets the matching of its own level,
+    which makes the lift sound.
     """
     current = set(matching)
-    occupied: set[int] = set()
-    for eid in current:
-        occupied.update(endpoints(eid))
-    for edge_a, edge_b, outer_a, outer_b in reversed(records):
-        blocked_a = not occupied.isdisjoint(outer_a)
-        blocked_b = not occupied.isdisjoint(outer_b)
-        if blocked_a and blocked_b:
-            raise InvariantError(
-                "both contraction lift candidates blocked; invalid input matching"
-            )
-        if blocked_a:
-            pick = edge_b
-        elif blocked_b:
-            pick = edge_a
+    for edge_a, edge_b, before, after in reversed(records):
+        if before in current:
+            if after in current:
+                raise InvariantError(
+                    "both contraction lift candidates blocked; invalid input matching"
+                )
+            current.add(edge_b)
+        elif after in current:
+            current.add(edge_a)
         else:
-            pick = min(edge_a, edge_b)
-        current.add(pick)
-        occupied.update(endpoints(pick))
+            current.add(min(edge_a, edge_b))
     return frozenset(current)
 
 
@@ -338,7 +304,6 @@ def _solve_blocks(
     blocks: list[_Block],
     kr: int,
     kb: int,
-    classes: list[list[int]],
     records: list[_Record],
 ) -> frozenset[int]:
     """Matching of the contracted blocks with exactly kr red and kb or kb - 1
@@ -373,16 +338,14 @@ def _solve_blocks(
                 edges=b1.edges + b0.edges,
                 colors=b1.colors + b0.colors,
                 first=b1.first,
-                verts=b1.verts + b0.verts[1:],
                 is_cycle=False,
             )
-            _merge(classes, b1.verts[-1], b0.verts[0])
-            dr, db = _contract_block(joined, classes, records)
+            dr, db = _contract_block(joined, records)
             kr -= dr
             kb -= db
             if len(joined):
                 even.append(joined)
-        return _solve_blocks(even, kr, kb, classes, records)
+        return _solve_blocks(even, kr, kb, records)
 
     # every block is red-blue and proper: peel one whose matching-0 edges
     # are red exactly when the red count grows toward side 1
@@ -399,5 +362,5 @@ def _solve_blocks(
     for source, (dr, db) in enumerate((ev, od)):
         k = (kr - dr, kb - db)
         if on_segment(k, rp0, rp1):
-            return _side([chosen], source) | _solve_blocks(rest, *k, classes, records)
+            return _side([chosen], source) | _solve_blocks(rest, *k, records)
     raise InvariantError("neither half of the chosen component keeps the segment")

@@ -330,3 +330,14 @@ def test_verify_needs_the_equals_form_for_a_leading_negative_id(tmp_path, capsys
 def test_bad_cycle_colors_exit_code(capsys, command, kb, colors, message):
     assert main([command, colors, "--kr", "0", "--kb", kb]) == 3
     assert f"parse error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, kb, point",
+    [("fractional", "1/2", "(0, 1/2)"), ("cycle", "3", "(0, 3)")],
+)
+def test_off_segment_requirement_reads_as_typed(capsys, command, kb, point):
+    # a fractional blue count is printed as typed, not as Fraction(1, 2)
+    assert main([command, "RBYB", "--kr", "0", "--kb", kb]) == 3
+    err = capsys.readouterr().err
+    assert f"parse error: requirement {point} is not on the segment (1, 0)..(0, 2)" in err

@@ -365,7 +365,7 @@ def test_every_face_side_is_solved_on_the_walked_component(monkeypatch):
     def spy(graph, face, i, j, k_red, k_blue, trace):
         got = on_side(graph, face, i, j, k_red, k_blue, trace)
         ma, mb = face.vertex_matchings[i], face.vertex_matchings[j]
-        ((edges, _, closed, _),) = walk_symdiff(graph, ma, mb)
+        ((edges, closed, _),) = walk_symdiff(graph, ma, mb)
         shared = color_profile(graph, ma & mb)
         comp = CycleOrPath(tuple(graph.color(e) for e in edges), closed)
         positions = solve_fractional(comp, k_red - shared.red, k_blue - shared.blue)

@@ -100,7 +100,7 @@ def test_symdiff_four_cycle():
     g = cycle_graph("RBRB")
     comps = walk_symdiff(g, {0, 2}, {1, 3})
     assert len(comps) == 1
-    ((edges, _, closed, first),) = comps
+    ((edges, closed, first),) = comps
     assert closed
     assert len(edges) == 4
     assert set(edges) == {0, 1, 2, 3}
@@ -111,16 +111,16 @@ def test_symdiff_four_cycle():
 def test_symdiff_two_isolated_edges():
     g = ColoredGraph(4, [(0, 1, "R"), (2, 3, "B")])
     comps = walk_symdiff(g, {0}, {1})
-    assert [closed for _, _, closed, _ in comps] == [False, False]
-    assert [edges for edges, _, _, _ in comps] == [[0], [1]]
-    assert [first for _, _, _, first in comps] == [0, 1]
+    assert [closed for _, closed, _ in comps] == [False, False]
+    assert [edges for edges, _, _ in comps] == [[0], [1]]
+    assert [first for _, _, first in comps] == [0, 1]
 
 
 def test_symdiff_path_numbering_starts_at_smaller_extremal_id():
     # path 0-1-2-3-4 alternating matchings: edges 0,2 in m0 and 1,3 in m1
     g = path_graph("RBRB")
     comps = walk_symdiff(g, {1, 3}, {0, 2})
-    ((edges, _, closed, first),) = comps
+    ((edges, closed, first),) = comps
     assert edges == [0, 1, 2, 3]
     assert first == 1
     assert not closed
@@ -132,8 +132,7 @@ def test_symdiff_orders_components_by_first_edge_not_smallest_id():
         7, [(1, 2, "R"), (4, 5, "B"), (5, 6, "R"), (0, 1, "B"), (2, 3, "Y")]
     )
     comps = walk_symdiff(g, {0, 1}, {2, 3, 4})
-    assert [edges for edges, _, _, _ in comps] == [[1, 2], [3, 0, 4]]
-    assert [verts for _, verts, _, _ in comps] == [[4, 5, 6], [0, 1, 2, 3]]
+    assert [edges for edges, _, _ in comps] == [[1, 2], [3, 0, 4]]
 
 
 def _random_graph(rng: random.Random, n: int, m: int) -> ColoredGraph:
@@ -175,7 +174,7 @@ def test_symdiff_alternation_random():
             for vtx in g.endpoints(eid):
                 degree[vtx] = degree.get(vtx, 0) + 1
         seen: set[int] = set()
-        for edges, _, closed, first in comps:
+        for edges, closed, first in comps:
             for i, eid in enumerate(edges):
                 assert first ^ (i & 1) == (0 if eid in m0 else 1)
             # a closed walk is the component whose every vertex has degree 2
@@ -221,8 +220,8 @@ def test_cycle_or_path_validation():
 
 
 def _reference_symdiff(graph, m0, m1):
-    """BFS, degree pass and ordered walk per component; then the vertices
-    re-walked from the edge ids.  The reference for walk_symdiff."""
+    """BFS, degree pass and ordered walk per component.  The reference for
+    walk_symdiff."""
     set0, set1 = frozenset(m0), frozenset(m1)
     diff = sorted(set0 ^ set1)
     incident: dict[int, list[int]] = {}
@@ -243,20 +242,6 @@ def _reference_symdiff(graph, m0, m1):
             prev_edge = nxt[0]
             order.append(prev_edge)
             vtx = other_endpoint(prev_edge, vtx)
-
-    def vertices(ids, is_cycle):
-        if len(ids) == 1:
-            return tuple(sorted(graph.endpoints(ids[0])))
-        first_u, first_v = graph.endpoints(ids[0])
-        start = first_v if first_u in graph.endpoints(ids[1]) else first_u
-        if is_cycle:
-            start = first_u if first_u in graph.endpoints(ids[-1]) else first_v
-        verts = [start]
-        for eid in ids:
-            verts.append(other_endpoint(eid, verts[-1]))
-        if is_cycle:
-            assert verts.pop() == verts[0]
-        return tuple(verts)
 
     visited: set[int] = set()
     out = []
@@ -291,7 +276,7 @@ def _reference_symdiff(graph, m0, m1):
             order = walk(first, v if nb_v[0] <= nb_u[0] else u, component)
             is_cycle = True
         matching = 0 if order[0] in set0 else 1
-        out.append((is_cycle, tuple(order), matching, vertices(order, is_cycle)))
+        out.append((is_cycle, tuple(order), matching))
     out.sort(key=lambda c: c[1][0])
     return out
 
@@ -317,10 +302,8 @@ def test_symdiff_matches_reference_walk():
         m0, m1 = _random_matching(rng, g), _random_matching(rng, g)
         got = walk_symdiff(g, m0, m1)
         want = _reference_symdiff(g, m0, m1)
-        assert [
-            (closed, tuple(edges), first, tuple(verts)) for edges, verts, closed, first in got
-        ] == want
-        for edges, _, closed, _ in got:
+        assert [(closed, tuple(edges), first) for edges, closed, first in got] == want
+        for edges, closed, _ in got:
             kinds["cycle" if closed else ("even path", "odd path")[len(edges) % 2]] += 1
             two_cycles += closed and len(edges) == 2
     assert two_cycles >= 50
@@ -329,8 +312,7 @@ def test_symdiff_matches_reference_walk():
 
 def _incident_list_walk(graph, m0, m1):
     """The walk of M0 Δ M1 by a dict of incident-edge lists per vertex and
-    a scan of that list per step, as (edge ids, vertices, closed, first)
-    lists.  The reference for walk_symdiff's per-vertex mate lookups."""
+    a scan of that list per step, as (edge ids, closed, first) lists.  The reference for walk_symdiff's per-vertex mate lookups."""
     set0, set1 = frozenset(m0), frozenset(m1)
     if not validate_matching(graph, set0):
         raise ValueError("m0 is not a matching")
@@ -348,15 +330,14 @@ def _incident_list_walk(graph, m0, m1):
         return next((e for e in incident[vtx] if e != eid), None)
 
     def walk(seed, vtx):
-        edges, verts = [], [vtx]
+        edges = []
         eid = next_edge(seed, vtx)
         while eid is not None and eid != seed:
             edges.append(eid)
             u, v, _ = host[eid]
             vtx = v if vtx == u else u
-            verts.append(vtx)
             eid = next_edge(eid, vtx)
-        return edges, verts, eid == seed
+        return edges, eid == seed
 
     visited: set[int] = set()
     out = []
@@ -367,20 +348,15 @@ def _incident_list_walk(graph, m0, m1):
         nb_u, nb_v = next_edge(seed, u), next_edge(seed, v)
         if nb_u is not None and (nb_v is None or nb_u < nb_v):
             u, v = v, u
-        edges, verts, closed = walk(seed, v)
-        if closed:
-            order, vertices = [seed] + edges, [u] + verts[:-1]
-        else:
-            back, back_verts, _ = walk(seed, u)
-            order = back[::-1] + [seed] + edges
-            vertices = back_verts[::-1] + verts
-            if len(order) == 1:
-                vertices.sort()
-            elif order[-1] < order[0]:
+        edges, closed = walk(seed, v)
+        order = [seed] + edges
+        if not closed:
+            back, _ = walk(seed, u)
+            order = back[::-1] + order
+            if order[-1] < order[0]:
                 order.reverse()
-                vertices.reverse()
         visited.update(order)
-        out.append((order, vertices, closed, 0 if order[0] in set0 else 1))
+        out.append((order, closed, 0 if order[0] in set0 else 1))
     out.sort(key=lambda c: c[0][0])
     return out
 
@@ -461,7 +437,7 @@ def test_walk_matches_the_incident_list_walk():
         assert got == _incident_list_walk(g, m0, m1)
         seen["shared"] += bool(set(m0) & set(m1))
         seen["n = 20"] += g.vertex_count == 20
-        for edges, _, closed, _ in got:
+        for edges, closed, _ in got:
             seen["two-cycle"] += closed and len(edges) == 2
             seen["single edge"] += len(edges) == 1
             seen["cycle >= 20"] += closed and len(edges) >= 20

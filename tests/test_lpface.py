@@ -329,7 +329,7 @@ def test_minimal_face_segment_four_cycle():
     assert coeffs == [Fraction(1, 2), Fraction(1, 2)]
     # segment endpoints are adjacent: one alternating component between them
     comps = walk_symdiff(g, *face.vertex_matchings)
-    assert len(comps) == 1 and comps[0][2]
+    assert len(comps) == 1 and comps[0][1]
 
 
 def test_separation_and_face_read_the_integer_point_only():

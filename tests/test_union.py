@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from rbymatch.union import (
     _blocks,
     _contract_block,
     _lift,
-    _merge,
     _orient_start_source0,
     _reverse_block,
     _rotate_cycle,
@@ -77,7 +77,7 @@ def test_glue_two_cycles(monkeypatch):
         8 + i for i in range(8) if i % 2 == 1
     )
     comps = walk_symdiff(g, m0, m1)
-    assert [closed for _, _, closed, _ in comps] == [True, True]
+    assert [closed for _, closed, _ in comps] == [True, True]
     glued = ["RY" * 4 + "BY" * 4]
     # the opened spans are (0, 7) and (8, 15): taking both ends of one drops
     # one end, the end after a red start and the start before a yellow end
@@ -148,16 +148,12 @@ def test_combine_contracts_same_color_two_cycle(two_cycle, rest):
     m0 = frozenset(range(0, len(edges), 2))
     m1 = frozenset(range(1, len(edges), 2))
     (block, *_) = _blocks(g, m0, m1)
-    assert block.is_cycle and block.verts == [0, 1]
-    classes = [[v] for v in range(g.vertex_count)]
+    assert block.is_cycle and block.edges == [0, 1]
     records = []
-    # the only contraction whose far vertex wraps around to verts[0]
-    assert _contract_block(block, classes, records) == (
-        (1, 0) if two_cycle == "R" else (0, 1)
-    )
+    # the pair is the whole cycle, so no block edge lies before or after it
+    assert _contract_block(block, records) == ((1, 0) if two_cycle == "R" else (0, 1))
     assert len(block) == 0
-    assert records == [(0, 1, frozenset({0}), frozenset({0}))]
-    assert classes[0] is classes[1]
+    assert records == [(0, 1, None, None)]
 
     pa, pb = color_profile(g, m0).rb, color_profile(g, m1).rb
     for kr, kb in _segment_points(pa, pb)[1:-1]:
@@ -169,61 +165,54 @@ def test_combine_contracts_same_color_two_cycle(two_cycle, rest):
         assert best is not None and len(best) >= len(got) >= min(len(m0), len(m1)) - 2
 
 
-class _ScanSets:
-    """Reference union-find: a class is read by scanning every vertex."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(b)] = self.find(a)
-
-    def members(self, x: int) -> frozenset[int]:
-        root = self.find(x)
-        return frozenset(v for v in range(len(self.parent)) if self.find(v) == root)
-
-
-def test_merge_keeps_the_reference_classes():
-    rng = random.Random(88)
-    for _ in range(300):
-        n = rng.randrange(1, 14)
-        classes = [[v] for v in range(n)]
-        ref = _ScanSets(n)
-        for _ in range(rng.randrange(2 * n)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            _merge(classes, a, b)
-            ref.union(a, b)
-            for v in range(n):
-                assert len(classes[v]) == len(ref.members(v))
-                assert frozenset(classes[v]) == ref.members(v)
+@pytest.mark.parametrize(
+    "colors, is_cycle, records",
+    [
+        # a path: the neighbours of the pair, None past an end
+        ("BRRY", False, [(1, 2, 0, 3)]),
+        ("RRB", False, [(0, 1, None, 2)]),
+        ("BRR", False, [(1, 2, 0, None)]),
+        # a cycle is rotated to the pair first, so its neighbours wrap around
+        ("RBBY", True, [(1, 2, 0, 3)]),
+        ("RBRR", True, [(2, 3, 1, 0)]),
+        ("RBYR", True, [(3, 0, 2, 1)]),
+        # a contraction makes the edges around the pair neighbours
+        ("RRRR", False, [(0, 1, None, 2), (2, 3, None, None)]),
+        ("BRRB", False, [(1, 2, 0, 3), (0, 3, None, None)]),
+        ("BRRB", True, [(1, 2, 0, 3), (3, 0, None, None)]),
+    ],
+)
+def test_contract_records_the_neighbouring_edges(colors, is_cycle, records):
+    g = (cycle_graph if is_cycle else path_graph)(colors)
+    m0 = frozenset(range(0, len(colors), 2))
+    (block,) = _blocks(g, m0, frozenset(range(g.edge_count)) - m0)
+    got: list = []
+    _contract_block(block, got)
+    assert got == records
 
 
 def test_lift_takes_the_free_side():
-    # edges 0 and 1 were contracted: 0 reaches vertex 0, 1 reaches vertex 2
-    g = ColoredGraph(5, [(0, 1, "R"), (1, 2, "R"), (3, 0, "B"), (2, 4, "B")])
-    records = [(0, 1, frozenset({0}), frozenset({2}))]
-    assert _lift(records, set(), g.endpoints) == {0}
-    assert _lift(records, {2}, g.endpoints) == {1, 2}
-    assert _lift(records, {3}, g.endpoints) == {0, 3}
-    with pytest.raises(InvariantError):
-        _lift(records, {2, 3}, g.endpoints)
+    # edges 0 and 1 were contracted on the path 3-0-1-2-4 of edges 2, 0, 1,
+    # 3: edge 2 lies before the pair and edge 3 after it
+    records = [(0, 1, 2, 3)]
+    assert _lift(records, set()) == {0}
+    assert _lift(records, {2}) == {1, 2}
+    assert _lift(records, {3}) == {0, 3}
+    # a 2-cycle has no neighbour on either side: the smaller id goes back
+    assert _lift([(1, 0, None, None)], set()) == {0}
+
+
+def test_lift_rejects_two_taken_sides():
+    with pytest.raises(InvariantError, match="both contraction lift candidates"):
+        _lift([(0, 1, 2, 3)], {2, 3})
 
 
 def test_lift_replays_newest_first():
-    # a path 0-1-2-3-4 of edges 0..3; (1, 2) went first, then (0, 3) with
-    # the merged class {1, 2, 3} in the middle
-    g = path_graph("RRBB")
-    records = [
-        (1, 2, frozenset({1}), frozenset({3})),
-        (0, 3, frozenset({0}), frozenset({4})),
-    ]
-    # the newest record picks edge 0, which blocks vertex 1 for the older one
-    assert _lift(records, set(), g.endpoints) == {0, 2}
+    # a path of edges 0..3; (1, 2) went first, between edges 0 and 3, then
+    # (0, 3), the whole path left
+    records = [(1, 2, 0, 3), (0, 3, None, None)]
+    # the newest record picks edge 0, which forces edge 2 for the older one
+    assert _lift(records, set()) == {0, 2}
 
 
 def test_combine_identical_matchings():
@@ -345,7 +334,7 @@ def test_combine_random_contract():
         union_graph_edges = ma | mb
         # acyclic unions (every symdiff component a path) strengthen the bound
         comps = walk_symdiff(g, ma - mb, mb - ma)
-        if not any(closed for _, _, closed, _ in comps):
+        if not any(closed for _, closed, _ in comps):
             assert len(got) >= len(mb) - 1
         trials += 1
 
@@ -400,13 +389,13 @@ def test_combine_structured_components_torture(monkeypatch):
         pts = _segment_points(pa, pb)
         kr, kb = pts[rng.randrange(len(pts))]
         comps = walk_symdiff(g, ma - mb, mb - ma)
-        comp_of = {e: k for k, (edges, _, _, _) in enumerate(comps) for e in edges}
+        comp_of = {e: k for k, (edges, _, _) in enumerate(comps) for e in edges}
         got = combine_two_matchings(g, ma, mb, kr, kb)
         assert validate_matching(g, got)
         prof = color_profile(g, got)
         assert prof.red == kr and prof.blue in (kb - 1, kb)
         assert len(got) >= len(mb) - 2
-        if not any(closed for _, _, closed, _ in comps):
+        if not any(closed for _, closed, _ in comps):
             assert len(got) >= len(mb) - 1
         trials += 1
     assert joined > 0
@@ -448,7 +437,7 @@ def test_first_bit_labels_every_edge(monkeypatch):
                 assert _labels_kept(block, label)
             _orient_start_source0(block)
             assert _labels_kept(block, label)
-            _contract_block(block, [[v] for v in range(g.vertex_count)], [])
+            _contract_block(block, [])
             assert _labels_kept(block, label)
 
     # joins happen inside the no-yellow case; check every block solved
@@ -471,7 +460,7 @@ def test_first_bit_labels_every_edge(monkeypatch):
             a0, a1 = a1, a0  # the combiner's own orientation
         state["label"] = {e: 0 for e in a0} | {e: 1 for e in a1}
         comps = walk_symdiff(g, ma, mb)
-        state["comp_of"] = {e: k for k, (edges, _, _, _) in enumerate(comps) for e in edges}
+        state["comp_of"] = {e: k for k, (edges, _, _) in enumerate(comps) for e in edges}
         pts = _segment_points(color_profile(g, ma).rb, color_profile(g, mb).rb)
         combine_two_matchings(g, ma, mb, *pts[rng.randrange(len(pts))])
     assert checked["blocks"] > 0 and checked["joined"] > 0
@@ -526,8 +515,8 @@ def _copied_blocks(graph: ColoredGraph, m0, m1) -> list[union._Block]:
     with its colors read in walk order."""
     host = graph.edges
     return [
-        union._Block(list(edges), [host[e].color for e in edges], first, list(verts), closed)
-        for edges, verts, closed, first in walk_symdiff(graph, m0, m1)
+        union._Block(list(edges), [host[e].color for e in edges], first, closed)
+        for edges, closed, first in walk_symdiff(graph, m0, m1)
     ]
 
 
@@ -592,3 +581,69 @@ def test_classify_runs_once_per_level(monkeypatch):
         glued += counts["_case_glue"]
         combined += 1
     assert glued > 0
+
+
+def _contraction_heavy_request(rng: random.Random):
+    """A structured union with mixed starts and no yellow, which reaches
+    joins, plus 2-cycles (same-colour ones contract) and shared edges, its
+    edge ids shuffled so that lifts break ties both ways; with an interior
+    lattice point of its segment, or None when the segment has none."""
+    g, m0, m1 = _structured_union(rng, ("RB", "RRBB", "RRRB"), mixed=True)
+    edges = list(g.edges)
+    n = g.vertex_count
+    m0, m1 = set(m0), set(m1)
+    for _ in range(rng.randrange(3)):
+        edges += [(n, n + 1, rng.choice("RB")), (n + 1, n, rng.choice("RB"))]
+        m0.add(len(edges) - 2)
+        m1.add(len(edges) - 1)
+        n += 2
+    for _ in range(rng.randrange(2)):
+        edges.append((n, n + 1, rng.choice("RB")))
+        m0.add(len(edges) - 1)
+        m1.add(len(edges) - 1)
+        n += 2
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    g = ColoredGraph(n, [edges[old] for old in order])
+    m0, m1 = frozenset(new_id[e] for e in m0), frozenset(new_id[e] for e in m1)
+    pts = _segment_points(color_profile(g, m0).rb, color_profile(g, m1).rb)[1:-1]
+    return (g, m0, m1, *pts[rng.randrange(len(pts))]) if pts else None
+
+
+def test_combine_answers_pinned_on_contraction_heavy_unions(monkeypatch):
+    # a fixed digest of 2,000 answers, so that a change to the contraction
+    # records or to their replay shows even where the answer stays valid
+    solve_blocks, lift = union._solve_blocks, union._lift
+    seen = dict.fromkeys(("joined", "lifted", "two_cycles", "shared"), 0)
+    comp_of: dict[int, int] = {}
+
+    def spy_solve(blocks, *args):
+        seen["joined"] += sum(len({comp_of[e] for e in b.edges}) > 1 for b in blocks)
+        return solve_blocks(blocks, *args)
+
+    def spy_lift(records, *args):
+        seen["lifted"] += len(records)
+        return lift(records, *args)
+
+    monkeypatch.setattr(union, "_solve_blocks", spy_solve)
+    monkeypatch.setattr(union, "_lift", spy_lift)
+    rng = random.Random(3232)
+    digest = hashlib.sha256()
+    served = 0
+    while served < 2000:
+        request = _contraction_heavy_request(rng)
+        if request is None:
+            continue
+        g, m0, m1 = request[:3]
+        comps = walk_symdiff(g, m0, m1)
+        comp_of = {e: k for k, (edges, _, _) in enumerate(comps) for e in edges}
+        seen["two_cycles"] += sum(len(edges) == 2 and closed for edges, closed, _ in comps)
+        seen["shared"] += bool(m0 & m1)
+        got = combine_two_matchings(*request)
+        digest.update(repr(sorted(got)).encode() + b"\n")
+        served += 1
+    assert all(count > 100 for count in seen.values()), seen
+    assert digest.hexdigest() == (
+        "beaae396a4f635c4c9415e53d00f8798e05346f059a5a84fb482d40e50b30ddc"
+    )

@@ -14,10 +14,13 @@ both sides, ``perf_counter`` around each call, and the side that goes first
 alternates from one request to the next and from one pass to the next.
 
 Printed: B/A of the summed request time per pass (median, min and max over
-the passes); per side, the p50 and the 11th-largest of the per-request
-median times, as ``perfbench/run.py`` reads ``latency_p50_ms`` and
-``latency_tail_ms``; the number of requests whose answer key differs
-between the sides; and both answer digests.  Exits 1 if an answer fails its
+the passes), and its median per request kind when the workload has more
+than one kind (``select_combine``'s combine, crossing and cycle), which
+shows where a change's time moved; a kind of few short requests can read a
+few percent off 1 even between identical copies.  Per side, the p50 and
+the 11th-largest of the per-request median times, as ``perfbench/run.py``
+reads ``latency_p50_ms`` and ``latency_tail_ms``; the number of requests
+whose answer key differs between the sides; and both answer digests.  Exits 1 if an answer fails its
 check.  Standard library only; not part of the benchmark.
 """
 
@@ -86,6 +89,10 @@ class Side:
         self.times[i].append(elapsed)
         return elapsed
 
+    def pass_total(self, ids: list[int], p: int) -> float:
+        """The summed time of requests ``ids`` in pass ``p``."""
+        return sum(self.times[i][p] for i in ids)
+
     def latencies(self) -> tuple[float, float]:
         """(p50, the 11th-largest) of the per-request median times, in ms;
         the largest when there are 10 or fewer, as perfbench reads it."""
@@ -128,10 +135,21 @@ def main(argv=None) -> int:
                 total_a += a.serve(i)
                 total_b += b.serve(i)
         ratios.append(total_b / total_a)
+    by_kind: dict[str, list[int]] = {}
+    for i, req in enumerate(a.requests):
+        by_kind.setdefault(req.kind, []).append(i)
     (p50_a, tail_a), (p50_b, tail_b) = a.latencies(), b.latencies()
     changed = sum(ka != kb for ka, kb in zip(a.keys, b.keys))
     print(f"workload {args.workload} seed {args.seed}: {count} requests, {args.passes} passes")
     print(f"B/A per pass: median {statistics.median(ratios):.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
+    if len(by_kind) > 1:
+        kinds = []
+        for kind, ids in sorted(by_kind.items()):
+            ratio = statistics.median(
+                b.pass_total(ids, p) / a.pass_total(ids, p) for p in range(args.passes)
+            )
+            kinds.append(f"{kind} {ratio:.4f} ({len(ids)} requests)")
+        print(f"B/A per pass by kind, median: {', '.join(kinds)}")
     print(f"p50 ms: A {p50_a:.4f} B {p50_b:.4f} B/A {p50_b / p50_a:.4f}")
     print(f"11th-largest ms: A {tail_a:.4f} B {tail_b:.4f} B/A {tail_b / tail_a:.4f}")
     print(f"answers changed: {changed} of {count}")
