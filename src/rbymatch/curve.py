@@ -320,12 +320,6 @@ def _require_lattice_offset(polyline: LatticePolyline, q) -> IntPoint:
     return _sub(q, a)
 
 
-def find_intersecting_pair(polyline: LatticePolyline, q: IntPoint) -> IntersectingPair | None:
-    """First intersecting pair by (v, u); None only if the scan fails."""
-    pairs = all_intersecting_pairs(polyline, q)
-    return pairs[0] if pairs else None
-
-
 SIMPLE = "Simple"
 OVERLAP_SAME = "OverlapSameOrientation"
 OVERLAP_OPPOSITE = "OverlapOppositeOrientation"

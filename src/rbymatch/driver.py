@@ -74,7 +74,7 @@ def solve(
             return None
         alpha = solution.objective
         trace.append(f"lp: alpha_star={alpha}")
-        face_class, matching = _from_optimum(graph, model, solution, k_red, k_blue, cap, trace)
+        face_class, matching = _from_optimum(graph, solution, k_red, k_blue, cap, trace)
     except ValueError as exc:
         # build_lp checked the input: past it, a ValueError is a broken
         # internal guarantee, not bad input
@@ -111,11 +111,9 @@ def _guarantees(graph, k_red, k_blue, matching, alpha):
     return (size_ok, profile.red == k_red, profile.blue in (k_blue - 1, k_blue)), profile
 
 
-def _from_optimum(
-    graph, model, solution, k_red, k_blue, cap, trace
-) -> tuple[str, frozenset[int]]:
+def _from_optimum(graph, solution, k_red, k_blue, cap, trace) -> tuple[str, frozenset[int]]:
     """(face class, matching) built from the LP optimum."""
-    face = minimal_face(graph, model, solution, cap)
+    face = minimal_face(graph, solution, cap)
     trace.append(f"face: route={face.route}")
     trace.append(
         f"face: {face.classification} vertices={[sorted(m) for m in face.vertex_matchings]}"

@@ -60,14 +60,16 @@ def profile_of_colors(colors: Iterable[str]) -> ColorProfile:
 class ColoredGraph:
     """An edge-colored multigraph on vertices 0..vertex_count-1."""
 
-    __slots__ = ("vertex_count", "edges", "_incidence")
+    __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple]):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        if not isinstance(vertex_count, int) or vertex_count < 0:
+            raise ValueError(f"vertex_count must be a nonnegative int, got {vertex_count!r}")
         normalized = []
         for e in edges:
             edge = Edge(*e)
+            if not (isinstance(edge.u, int) and isinstance(edge.v, int)):
+                raise ValueError(f"edge endpoint is not an int: {edge}")
             if not (0 <= edge.u < vertex_count and 0 <= edge.v < vertex_count):
                 raise ValueError(f"edge endpoint out of range: {edge}")
             if edge.u == edge.v:
@@ -77,11 +79,6 @@ class ColoredGraph:
             normalized.append(edge)
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(normalized)
-        incidence: list[list[int]] = [[] for _ in range(vertex_count)]
-        for i, edge in enumerate(self.edges):
-            incidence[edge.u].append(i)
-            incidence[edge.v].append(i)
-        self._incidence = tuple(tuple(ids) for ids in incidence)
 
     def __repr__(self) -> str:
         return f"ColoredGraph({self.vertex_count}, {list(self.edges)!r})"
@@ -101,7 +98,8 @@ class ColoredGraph:
         return len(self.edges)
 
     def incident(self, vertex: int) -> tuple[int, ...]:
-        return self._incidence[vertex]
+        """The ids of the edges at ``vertex``, ascending."""
+        return tuple(i for i, (u, v, _) in enumerate(self.edges) if vertex in (u, v))
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         e = self.edges[edge_id]

@@ -156,6 +156,8 @@ def build_lp(
     graph: ColoredGraph, k_red: int, k_blue: int, cap: OracleCap = DEFAULT_CAP
 ) -> LPModel:
     """The full model, one blossom row per odd set of >= 3 vertices."""
+    if not (isinstance(k_red, int) and isinstance(k_blue, int)):
+        raise ValueError(f"color requirements must be ints, got ({k_red!r}, {k_blue!r})")
     if k_red < 0 or k_blue < 0:
         raise ValueError("color requirements must be nonnegative")
     check_cap(graph, cap)
@@ -404,10 +406,7 @@ def solve_lp(model: LPModel) -> LPResult | None:
 
 
 def minimal_face(
-    graph: ColoredGraph,
-    model: LPModel,
-    solution: LPResult,
-    cap: OracleCap = DEFAULT_CAP,
+    graph: ColoredGraph, solution: LPResult, cap: OracleCap = DEFAULT_CAP
 ) -> FaceDescriptor:
     """Vertices of the smallest matching-polytope face containing the optimum.
 
@@ -420,9 +419,7 @@ def minimal_face(
     vertices are enumerated (``cover``), kept if tight on every odd set
     tight on the fractional vertices (see the module docstring), and the
     unit edges are added to each survivor.  More than four vertices would
-    contradict the dimension bound and is a fatal internal error.  ``model``
-    is not read; it is accepted only for the acceptance suite's
-    ``minimal_face(g, model, sol)`` call.
+    contradict the dimension bound and is a fatal internal error.
     """
     check_cap(graph, cap)
     d = solution.d

@@ -184,16 +184,3 @@ def max_matching_size(graph: ColoredGraph, cap: OracleCap = DEFAULT_CAP) -> int:
     assert best is not None  # the empty matching always exists
     return len(best)
 
-
-def best_profile_size(
-    graph: ColoredGraph,
-    profiles: Iterable[tuple[int, int]],
-    cap: OracleCap = DEFAULT_CAP,
-) -> int | None:
-    """Largest matching size over several admissible (red, blue) profiles."""
-    sizes = []
-    for k_red, k_blue in profiles:
-        m = exact_optimum(graph, k_red, k_blue, cap)
-        if m is not None:
-            sizes.append(len(m))
-    return max(sizes) if sizes else None

@@ -32,9 +32,7 @@ an integer, so ``d`` divides ``f*b``: a row with ``f = 0`` is left alone,
 and any other row changes in place at the pivot row's nonzero slots only,
 by ``f*b // d``, and at slot s; ``d`` stays.  Otherwise a row with
 ``f = 0`` is rescaled to ``a*q // d`` (itself a minor) and any other row
-takes the full formula.  At ``d = 1`` no update divides, and a row with
-``f = 1`` or ``f = -1`` subtracts or adds the pivot row's nonzeros without
-a multiply.
+takes the full formula.  At ``d = 1`` no update divides.
 
 Both phases price from reduced-cost rows kept beside the tableau, as in the
 textbook two-phase method.  At the starting basis (the slacks and the
@@ -185,12 +183,6 @@ class _Tableau:
                 if d != 1:
                     for j, b in nonzero:
                         r[j] -= f * b // d
-                elif f == 1:
-                    for j, b in nonzero:
-                        r[j] -= b
-                elif f == -1:
-                    for j, b in nonzero:
-                        r[j] += b
                 else:
                     for j, b in nonzero:
                         r[j] -= f * b

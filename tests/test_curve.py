@@ -21,7 +21,6 @@ from rbymatch.curve import (
     all_intersecting_pairs,
     check_injective,
     find_crossing_pair,
-    find_intersecting_pair,
     imbalance_curve,
     on_open_segment,
     on_segment,
@@ -262,7 +261,7 @@ def test_intersecting_pairs_fig3():
         pu = periodic_eval(p, u)
         pv = periodic_eval(p, v)
         assert (pu[0] - pv[0], pu[1] - pv[1]) == (2, 1)
-    first = find_intersecting_pair(p, (2, 1))
+    first = all_intersecting_pairs(p, (2, 1))[0]
     assert first == min(pairs, key=lambda pr: (pr.v, pr.u))
     assert (first.u, first.v) == (4, 1)
 
@@ -270,7 +269,7 @@ def test_intersecting_pairs_fig3():
 def test_intersecting_pair_rejects_off_segment_q():
     p = polyline_from_moves([(1, 0), (1, 0), (0, 1)])  # "YRYRYB"
     with pytest.raises(ValueError):
-        find_intersecting_pair(p, (1, 0))
+        all_intersecting_pairs(p, (1, 0))
 
 
 def test_segment_predicates():
@@ -425,7 +424,7 @@ def test_lemma5_style_fuzz_small():
         if not qs:
             continue
         q = qs[rng.randrange(len(qs))]
-        pair = find_intersecting_pair(p, q)
+        pair = next(iter(all_intersecting_pairs(p, q)), None)
         assert pair is not None
         assert pair.v < pair.u < pair.v + p.period_length
         found += 1

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from rbymatch.curve import find_intersecting_pair, imbalance_curve, on_open_segment
+from rbymatch.curve import all_intersecting_pairs, imbalance_curve, on_open_segment
 from rbymatch.cycles import (
     on_segment,
     segment_integer_points,
@@ -60,10 +60,10 @@ def find_good_path(colors: str, k_red: int, k_blue: int) -> GoodPath:
         raise ValueError("requirement must lie strictly between the endpoint profiles")
     q = (k_red - p0[0], k_blue - p0[1])
     poly = imbalance_curve(comp)
-    pair = find_intersecting_pair(poly, q)
-    if pair is None:
+    pairs = all_intersecting_pairs(poly, q)
+    if not pairs:
         raise InvariantError("no good path exists; falsifies the intersecting-pair guarantee")
-    u, v = pair.u, pair.v
+    u, v = pairs[0]
     ell = poly.period_length
     if v >= ell:
         u, v = u - ell, v - ell
@@ -421,22 +421,21 @@ def test_tightness_holds_on_all_three_variants():
     # odd path, even path with a trailing yellow, and the closed cycle all
     # have maximum conforming size exactly |M1| - 1 under (3, 2)
     from rbymatch.graph import path_graph
-    from rbymatch.oracle import best_profile_size
 
     g_odd = path_graph(TIGHT_PATH)
-    assert best_profile_size(g_odd, [(3, 2), (3, 1)]) == 5
+    assert max(len(exact_optimum(g_odd, kr, kb) or ()) for kr, kb in [(3, 2), (3, 1)]) == 5
     got = solve_path_or_cycle(path_from_string(TIGHT_PATH), 3, 2)
     assert len(got) == 5
 
     even = TIGHT_PATH + "Y"
     g_even = path_graph(even)
-    assert best_profile_size(g_even, [(3, 2), (3, 1)]) == 6
+    assert max(len(exact_optimum(g_even, kr, kb) or ()) for kr, kb in [(3, 2), (3, 1)]) == 6
     got = solve_path_or_cycle(path_from_string(even), 3, 2)
     assert len(got) == 6
     assert color_profile(g_even, got).red == 3
 
     g_cyc = cycle_graph(even)
-    assert best_profile_size(g_cyc, [(3, 2), (3, 1)]) == 6
+    assert max(len(exact_optimum(g_cyc, kr, kb) or ()) for kr, kb in [(3, 2), (3, 1)]) == 6
     got = solve_path_or_cycle(even_cycle_from_string(even), 3, 2)
     assert len(got) == 6
 

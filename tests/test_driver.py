@@ -146,6 +146,12 @@ def test_solve_rejects_negative_requirements():
         solve(g, -1, 0)
 
 
+def test_solve_rejects_a_requirement_that_is_no_int_as_bad_input():
+    # a ValueError from build_lp, before the LP, not an InvariantError from it
+    with pytest.raises(ValueError, match="color requirements must be ints"):
+        solve(cycle_graph(FIG1), 1.0, 0)
+
+
 def test_solve_past_64_vertices_under_a_raised_cap():
     # 2^(n-1) - n, the full model's row count, fits no index from n = 65
     cap = OracleCap(128, 400)
@@ -287,7 +293,7 @@ def test_solve_triangle_face_instance():
     # the vertical cut passes through a projected vertex on this instance;
     # the side holding that cut returns exactly the vertex's matching
     model = build_lp(g, 1, 1)
-    face = minimal_face(g, model, solve_lp(model))
+    face = minimal_face(g, solve_lp(model))
     (idx,) = [v for v, p in enumerate(face.projected_vertices) if p[0] == 1]
     blue = Fraction(face.projected_vertices[idx][1])
     side = dict(_boundary_cuts(face, 1))[blue]
@@ -320,13 +326,12 @@ def test_face_step_rejects_a_projection_that_loses_rank():
     # both perfect matchings of RYYR have profile (1, 0): their midpoint is
     # no basic optimum, and its segment face projects onto a single point
     g = cycle_graph("RYYR")
-    model = build_lp(g, 1, 0)
     mid = lp_point((Fraction(1, 2),) * 4)
-    face = minimal_face(g, model, mid)
+    face = minimal_face(g, mid)
     assert face.classification == SEGMENT
     assert set(face.projected_vertices) == {(1, 0)}
     with pytest.raises(InvariantError, match="affine rank 0"):
-        _from_optimum(g, model, mid, 1, 0, DEFAULT_CAP, [])
+        _from_optimum(g, mid, 1, 0, DEFAULT_CAP, [])
 
 
 def test_solve_adversarial_lp_only_instances():
@@ -433,8 +438,8 @@ def test_solve_and_face_do_not_depend_on_labels(data):
     # face is compared at the base optimum carried over to the new labels
     model = build_lp(g, kr, kb)
     sol = solve_lp(model)
-    face = minimal_face(g, model, sol)
-    mapped = minimal_face(h, build_lp(h, kr, kb), lp_point([sol.values[e] for e in order]))
+    face = minimal_face(g, sol)
+    mapped = minimal_face(h, lp_point([sol.values[e] for e in order]))
     assert mapped.classification == face.classification
     assert set(mapped.vertex_matchings) == {
         frozenset(new_id[e] for e in v) for v in face.vertex_matchings
@@ -455,7 +460,7 @@ def test_basic_optimum_faces_keep_their_dimension_in_projection():
         if sol is None:
             continue
         optimums += 1
-        face = minimal_face(g, model, sol)
+        face = minimal_face(g, sol)
         k = len(face.vertex_matchings)
         assert _point_affine_rank(face.projected_vertices) == min(k - 1, 2)
         classes.add(face.classification)

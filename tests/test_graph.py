@@ -85,10 +85,27 @@ def test_graph_rejects_self_loop_and_bad_color():
         ColoredGraph(2, [(0, 1, "Q")])
 
 
+def test_graph_rejects_a_vertex_count_or_endpoint_that_is_no_int():
+    for count in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="vertex_count must be a nonnegative int"):
+            ColoredGraph(count, [])
+    for edge in ((0.0, 1, "R"), (0, 1.0, "R"), ("0", 1, "R")):
+        with pytest.raises(ValueError, match="edge endpoint is not an int"):
+            ColoredGraph(3, [edge])
+    # bool is an int, as validate_matching takes it
+    g = ColoredGraph(True + 1, [(False, True, "R")])
+    assert g.vertex_count == 2 and g.endpoints(0) == (0, 1)
+
+
 def test_parallel_edges_allowed():
     g = ColoredGraph(2, [(0, 1, "R"), (0, 1, "Y")])
     assert g.edge_count == 2
     assert not validate_matching(g, {0, 1})
+
+
+def test_incident_lists_ids_ascending_with_parallel_edges():
+    g = ColoredGraph(5, [(1, 0, "R"), (2, 3, "B"), (0, 1, "Y"), (3, 1, "R"), (0, 1, "B")])
+    assert [g.incident(v) for v in range(5)] == [(0, 2, 4), (0, 2, 3, 4), (1,), (1, 3), ()]
 
 
 def test_symdiff_equal_matchings_empty():

@@ -1,7 +1,7 @@
 """Every name imported by a library module is used there or exported,
 every private function, class and method is referenced in its own module,
-and every public one is read outside its own definition by the library, the
-benchmark or the acceptance suite.
+every public one is read outside its own definition by the library, the
+benchmark or the acceptance suite, and every parameter is read in its body.
 
 A stdlib ``ast`` scan of ``src/rbymatch/*.py``: deleting code tends to leave
 its imports and helpers behind, and nothing else notices an import that is
@@ -149,6 +149,48 @@ def test_scan_flags_an_unread_public():
     }
     readers = ["import a\na.Box().read()\n"]
     assert unread_publics(sources, readers) == ["a.py line 4: recursive", "a.py line 7: unread"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``line N: function(parameter)`` for each parameter of a function or
+    lambda that its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            out += [f"line {node.lineno}: {name}({p.arg})" for p in params if p.arg not in read]
+    return out
+
+
+def test_scan_flags_an_unread_parameter():
+    source = (
+        "def f(a, b, *rest, c=1, **kw):\n"
+        "    b = a\n"
+        "    return [kw for _ in rest]\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        def inner(): return x\n"
+        "        return inner\n"
+        "g = lambda y, z: y\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: f(b)", "line 1: f(c)", "line 5: m(self)", "line 8: lambda(z)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_parameters_are_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_library_publics_are_read():

@@ -92,6 +92,13 @@ def test_build_lp_at_the_cap_does_not_materialize_rows():
     assert peak < 100_000  # a materialized row costs about 100 bytes
 
 
+def test_build_lp_rejects_a_requirement_that_is_no_int():
+    g = cycle_graph(FIG1)
+    for k_red, k_blue in ((1.0, 0), (0, Fraction(1)), ("1", 0), (None, 0)):
+        with pytest.raises(ValueError, match="color requirements must be ints"):
+            build_lp(g, k_red, k_blue)
+
+
 def test_build_lp_cap():
     g = ColoredGraph(25, [])
     with pytest.raises(CapExceededError):
@@ -311,7 +318,7 @@ def test_minimal_face_singleton():
     g = ColoredGraph(2, [(0, 1, "R")])
     model = build_lp(g, 1, 0)
     sol = solve_lp(model)
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     assert face.classification == SINGLETON
     assert face.vertex_matchings == (frozenset({0}),)
 
@@ -322,7 +329,7 @@ def test_minimal_face_segment_four_cycle():
     sol = solve_lp(model)
     assert sol is not None
     assert sol.values == (Fraction(1, 2),) * 4
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     assert face.classification == SEGMENT
     assert set(face.vertex_matchings) == {frozenset({0, 2}), frozenset({1, 3})}
     coeffs = convex_coefficients(g, face, sol)
@@ -338,7 +345,7 @@ def test_separation_and_face_read_the_integer_point_only():
     g = cycle_graph("RBRB")
     model = build_lp(g, 1, 1)
     sol = solve_lp(model)
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     assert face.classification == SEGMENT and sol.d > 1
     assert "values" not in sol.__dict__
     assert sol.values == (Fraction(1, 2),) * 4 and "values" in sol.__dict__
@@ -356,7 +363,7 @@ def test_minimal_face_parallelogram():
     sol = solve_lp(model)
     assert sol is not None
     assert sol.objective == 4
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     assert face.classification == PARALLELOGRAM
     assert set(face.projected_vertices) == {(2, 2), (2, 0), (0, 0), (0, 2)}
     # cyclic order: v1 - v2 == v4 - v3 on the projections as well
@@ -379,7 +386,7 @@ def test_face_vertex_sizes_close():
     g = _two_c4_instance()
     model = build_lp(g, 1, 1)
     sol = solve_lp(model)
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     sizes = [len(m) for m in face.vertex_matchings]
     assert max(sizes) - min(sizes) <= 2
 
@@ -405,7 +412,7 @@ def test_minimal_face_random_convexity():
         model = build_lp(g, prof.red, prof.blue)
         sol = solve_lp(model)
         assert sol is not None  # the matching itself is feasible
-        face = minimal_face(g, model, sol)
+        face = minimal_face(g, sol)
         assert 1 <= len(face.vertex_matchings) <= 4
         coeffs = convex_coefficients(g, face, sol)
         assert coeffs is not None
@@ -624,7 +631,7 @@ def _face_vertices(model, solution):
     """minimal_face's vertices before the dimension bound is applied."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpface, "_describe_face", lambda graph, vertices, route: vertices)
-        vertices = minimal_face(model.graph, model, solution)
+        vertices = minimal_face(model.graph, solution)
     return sorted(vertices, key=lambda m: tuple(sorted(m)))
 
 
@@ -673,7 +680,7 @@ def _assert_routes_agree(model, solution=None, purges=None):
             return None
         assert solution.objective == want.objective
         expected = _describe_face(model.graph, _reference_face_vertices(model, solution), "")
-        assert minimal_face(model.graph, model, solution) == expected
+        assert minimal_face(model.graph, solution) == expected
     assert _face_vertices(model, solution) == _reference_face_vertices(model, solution)
     return solution
 
@@ -1157,7 +1164,7 @@ def test_the_integrality_test_reads_the_lp_integers(monkeypatch, x, d, integral)
     monkeypatch.setattr(lpface, "solve_standard_form", lambda *lp: point)
     model = build_lp(g, 0, 0)
     assert solve_lp(model) is point
-    face = minimal_face(g, model, point)
+    face = minimal_face(g, point)
     if integral:
         assert built == [] and face.route == "integral"
         assert face.vertex_matchings == (frozenset(e for e, num in enumerate(x) if num),)
@@ -1179,7 +1186,7 @@ def test_face_with_tight_sets_that_split_unit_edges():
     assert sol.values == (Fraction(1, 2),) * 4 + (1, 1, 0, 0)
     _, tight = _tight_rows(model, sol)
     assert (0b1110000, 1) in tight and (0b11111, 2) in tight
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     assert face.classification == SEGMENT
     assert set(face.vertex_matchings) == {frozenset({0, 2, 4, 5}), frozenset({1, 3, 4, 5})}
     assert face.route.startswith("fractional vertices=4 ")
@@ -1190,20 +1197,20 @@ def test_integral_optimum_is_its_own_face_and_keeps_every_check():
     model = build_lp(g, 2, 0)
     sol = solve_lp(model)
     assert not _has_fractional_edge(sol.values)
-    face = minimal_face(g, model, sol)
+    face = minimal_face(g, sol)
     assert face.classification == SINGLETON and face.route == "integral"
     assert face.vertex_matchings == (frozenset(_support(sol)),)
     assert face == _describe_face(g, _reference_face_vertices(model, sol), "")
     # the cap is still enforced, though nothing is enumerated
     with pytest.raises(CapExceededError):
-        minimal_face(g, model, sol, OracleCap(max_vertices=7))
+        minimal_face(g, sol, OracleCap(max_vertices=7))
     with pytest.raises(CapExceededError):
-        minimal_face(g, model, sol, OracleCap(max_edges=7))
+        minimal_face(g, sol, OracleCap(max_edges=7))
     # an integral point that is not a matching lies in no face
     path = ColoredGraph(3, [(0, 1, "R"), (1, 2, "B")])
     point = lp_point((1, 1))
     with pytest.raises(InvariantError):
-        minimal_face(path, build_lp(path, 1, 1), point)
+        minimal_face(path, point)
 
 
 def test_face_check_keeps_nested_tight_sets():
@@ -1214,7 +1221,7 @@ def test_face_check_keeps_nested_tight_sets():
     point = lp_point(values)
     model = build_lp(g, 0, 0)
     _assert_routes_agree(model, point)
-    face = minimal_face(g, model, point)
+    face = minimal_face(g, point)
     assert face.vertex_matchings == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3, 4}))
     assert face.route == "fractional vertices=5 tight_sets=3"
 
@@ -1377,7 +1384,7 @@ def test_face_of_a_half_integral_triangle_with_three_unit_edges():
             lambda *args, **kw: (yielded.append(m) or m for m in enumerate_matchings(*args, **kw)),
         )
         _assert_routes_agree(model, point)
-        face = minimal_face(g, model, point)
+        face = minimal_face(g, point)
     assert face == _describe_face(g, _reference_face_vertices(model, point), "")
     assert set(face.vertex_matchings) == {frozenset({0, 4, 5, 6, 7}), frozenset({2, 3, 5, 6, 7})}
     assert face.route == "fractional vertices=4 tight_sets=4"

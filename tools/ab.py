@@ -16,8 +16,13 @@ alternates from one request to the next and from one pass to the next.
 Printed: B/A of the summed request time per pass (median, min and max over
 the passes), and its median per request kind when the workload has more
 than one kind (``select_combine``'s combine, crossing and cycle), which
-shows where a change's time moved; a kind of few short requests can read a
-few percent off 1 even between identical copies.  Per side, the p50 and
+shows where a change's time moved.  A kind of few short requests can read
+a few percent off 1 even between identical copies: ``select_combine``'s
+cycle kind reads 1.02-1.05 with the same code on both sides, and still
+does with the sides loaded in the other order, with one checkout on both
+sides, with the roles reversed and with the request order shuffled in
+each pass, so neither load order nor request order causes it.  A per-kind
+figure under about 5% on that kind is noise.  Per side, the p50 and
 the 11th-largest of the per-request median times, as ``perfbench/run.py``
 reads ``latency_p50_ms`` and ``latency_tail_ms``; the number of requests
 whose answer key differs between the sides; and both answer digests.  Exits 1 if an answer fails its
