@@ -98,7 +98,10 @@ class ColoredGraph:
         return len(self.edges)
 
     def incident(self, vertex: int) -> tuple[int, ...]:
-        """The ids of the edges at ``vertex``, ascending."""
+        """The ids of the edges at ``vertex``, ascending; ValueError for a
+        vertex that is not one of the graph's."""
+        if not (isinstance(vertex, int) and 0 <= vertex < self.vertex_count):
+            raise ValueError(f"vertex out of range: {vertex!r}")
         return tuple(i for i, (u, v, _) in enumerate(self.edges) if vertex in (u, v))
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:

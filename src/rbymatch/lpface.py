@@ -34,6 +34,15 @@ model's.  Separation reads the live graph: blossom rows sum live edges
 only, and ``_implied`` counts live neighbours (the argument below runs
 through their degree rows, kept or implied by kept ones).
 
+A matching can certify the optimum before any tableau.  Forced edges are 0,
+and summing the degree rows of V_live, the vertices with a live edge, counts
+every live edge twice, so x(E) <= |V_live| / 2; when |V_live| is odd, its
+blossom row gives (|V_live| - 1) / 2.  A matching M of the live edges with
+exactly k_red red and k_blue blue edges is a vertex of the matching polytope
+in the two color planes, hence of the full model (their intersection), and
+its own minimal face; if 2 |M| >= |V_live| - 1, it reaches the bound and is
+a basic optimum.
+
 Both scans read the optimum's structure first.  At a point x of the degree
 rows, an edge with x_e = 1 leaves its two ends no other support edge, and
 for an odd set S:
@@ -92,7 +101,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import InvariantError
-from .graph import BLUE, RED, ColoredGraph, profile_of_colors, validate_matching
+from .graph import BLUE, RED, YELLOW, ColoredGraph, profile_of_colors, validate_matching
 from .oracle import OracleCap, DEFAULT_CAP, check_cap, enumerate_matchings
 from .simplex import LPResult, solve_standard_form
 
@@ -305,6 +314,17 @@ def solve_lp(model: LPModel) -> LPResult | None:
     required 0 adds no vertex to V(R u B), which changes no verdict: the
     other color's own test already fails whenever the joint one does.
 
+    Next, one greedy matching M of the live edges may certify the optimum:
+    by the sum of their ends' live-neighbour counts, then id, it takes red
+    and blue edges with both ends free until exactly k_red and k_blue are
+    taken, then every yellow edge with both ends free.  Forced edges are 0,
+    so the degree rows of V_live, the vertices with a live edge, and its
+    blossom row when |V_live| is odd give alpha* <= |V_live| // 2; M lies in
+    the two color planes, so it is a vertex of the full model and its own
+    minimal face.  If M meets both counts and 2 |M| >= |V_live| - 1, it is
+    returned as ``LPResult(chi(M), |M|, 1)``, with no tableau, which
+    ``minimal_face`` reads as an integral optimum; otherwise the LP runs.
+
     One pass over the edges builds the screen's masks, the live edges'
     degree rows, their neighbour masks, the objective and the color rows
     of the nonzero requirements (the presolve of the module docstring).
@@ -367,6 +387,24 @@ def solve_lp(model: LPModel) -> LPResult | None:
         or k_red + k_blue > (red_ends | blue_ends).bit_count() // 2
     ):
         return None
+    # the certificate: red and blue edges while their counts are short, then
+    # yellow ones, both ends free, fewest live neighbours at the ends first
+    edges = graph.edges
+    count = [near.bit_count() for near in neighbours]
+    live = [e for e, c in enumerate(objective) if c]
+    order = sorted(live, key=lambda e: (count[edges[e][0]] + count[edges[e][1]], e))
+    need = {RED: k_red, BLUE: k_blue, YELLOW: m}  # m: yellow is never short
+    matched = 0
+    chi = [0] * m
+    for colors in ((RED, BLUE), (YELLOW,)):
+        for e in order:
+            u, v, color = edges[e]
+            if color in colors and need[color] and not matched & (ends := 1 << u | 1 << v):
+                need[color] -= 1
+                matched |= ends
+                chi[e] = 1
+    if not need[RED] and not need[BLUE] and matched.bit_count() + 1 >= sum(map(bool, neighbours)):
+        return LPResult(chi, matched.bit_count() // 2, 1)
     # a vertex keeps its row if it has two live neighbours, or if it and its
     # one live neighbour have only each other and it is the lower (see the
     # module docstring)

@@ -41,7 +41,7 @@ from rbymatch.oracle import DEFAULT_CAP, OracleCap, enumerate_matchings, exact_o
 from rbymatch.simplex import solve_standard_form
 from test_acceptance import _random_instance as _criterion_7_instance
 from test_acceptance import _random_matching_profile
-from test_lpface import _two_c4_instance, lp_point
+from test_lpface import _beside_a_star, _two_c4_instance, lp_point
 
 FIG1 = "RBYBRBYB"
 
@@ -166,18 +166,22 @@ def test_solve_past_64_vertices_under_a_raised_cap():
 @pytest.mark.parametrize("n", [65, 71])
 def test_an_odd_yellow_cycle_past_64_vertices(monkeypatch, n):
     # at x = 1/2 the whole cycle is the one violated odd set; its row, over
-    # all n vertices, takes alpha* from n/2 to (n - 1)/2
-    g = cycle_graph("Y" * n)
+    # all n vertices, takes alpha* from n/2 to (n - 1)/2.  A yellow star
+    # K1,3 beside it (whose centre keeps the one more degree row) leaves two
+    # live vertices uncovered by every matching, so no matching certifies
+    # the optimum and the LP runs; the star adds 1 to alpha*, and its unions
+    # with the cycle are implied rows
+    g = _beside_a_star(n, cycle_graph("Y" * n).edges)
     rows = []
 
     def recorded(*lp, start=None):
-        rows.append(lp[2][n:])
+        rows.append(lp[2][n + 1 :])
         return solve_standard_form(*lp, start=start)
 
     monkeypatch.setattr(lpface, "solve_standard_form", recorded)
     rep = solve(g, 0, 0, OracleCap(128, 400))
     assert rows == [[], [([(e, 1) for e in range(n)], (n - 1) // 2)]]
-    assert rep.alpha_star == (n - 1) // 2 and verify(g, 0, 0, rep)
+    assert rep.alpha_star == (n - 1) // 2 + 1 and verify(g, 0, 0, rep)
 
 
 def test_solve_never_reads_the_full_blossom_model(monkeypatch):

@@ -108,6 +108,15 @@ def test_incident_lists_ids_ascending_with_parallel_edges():
     assert [g.incident(v) for v in range(5)] == [(0, 2, 4), (0, 2, 3, 4), (1,), (1, 3), ()]
 
 
+@pytest.mark.parametrize("vertex", [5, -1, 1.0, "0"])
+def test_incident_rejects_a_vertex_that_is_not_the_graphs(vertex):
+    # as the constructor rejects such an endpoint: past the end, negative,
+    # or no int at all
+    g = ColoredGraph(5, [(1, 0, "R"), (2, 3, "B")])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        g.incident(vertex)
+
+
 def test_symdiff_equal_matchings_empty():
     g = cycle_graph("RBRB")
     assert walk_symdiff(g, {0, 2}, {0, 2}) == []

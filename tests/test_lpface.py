@@ -4,14 +4,14 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, filterfalse, islice
 from math import lcm
 
 import pytest
 
 from rbymatch import lpface
 from rbymatch.errors import CapExceededError, InvariantError
-from rbymatch.graph import BLUE, RED, ColoredGraph, color_profile, cycle_graph
+from rbymatch.graph import BLUE, RED, ColoredGraph, color_profile, cycle_graph, validate_matching
 from rbymatch.lpface import (
     PARALLELOGRAM,
     SEGMENT,
@@ -146,6 +146,27 @@ def _lp_calls(model):
         return solve_lp(model), len(calls)
 
 
+def _beside_a_star(n, edges):
+    """The graph on n vertices with ``edges``, beside a yellow star K1,3 on
+    the fresh vertices n..n+3: every matching leaves two of the star's live
+    vertices uncovered, so no matching certifies the optimum and solve_lp
+    reaches the simplex."""
+    return ColoredGraph(n + 4, [*edges, (n, n + 1, "Y"), (n, n + 2, "Y"), (n, n + 3, "Y")])
+
+
+def _certified(model):
+    """Whether solve_lp returns an optimum without calling the simplex."""
+    sol, calls = _lp_calls(model)
+    return sol is not None and not calls
+
+
+def _uncertified(draw, count):
+    """The first ``count`` models from repeated ``draw()`` calls that the
+    certificate does not decide: a decided model runs no LP round, so the
+    tests of the rounds draw past it."""
+    return islice(filterfalse(_certified, iter(draw, None)), count)
+
+
 @pytest.mark.parametrize(
     "edges, k_red, k_blue",
     [
@@ -166,14 +187,15 @@ def test_count_screen_decides_before_any_lp(edges, k_red, k_blue):
 @pytest.mark.parametrize(
     "edges, k_red, k_blue, alpha",
     [
-        ([(0, 1, "R"), (1, 2, "R"), (2, 3, "B")], 1, 1, 2),
-        ([(0, 1, "B"), (1, 2, "B"), (2, 3, "B"), (3, 4, "B"), (4, 5, "R")], 0, 2, 2),
-        ([(0, 1, "R"), (1, 2, "B"), (2, 3, "B"), (3, 4, "Y")], 1, 1, 2),
+        ([(0, 1, "R"), (1, 2, "R"), (2, 3, "B")], 1, 1, 3),
+        ([(0, 1, "B"), (1, 2, "B"), (2, 3, "B"), (3, 4, "B"), (4, 5, "R")], 0, 2, 3),
+        ([(0, 1, "R"), (1, 2, "B"), (2, 3, "B"), (3, 4, "Y")], 1, 1, 3),
     ],
 )
 def test_count_screen_keeps_requirements_at_its_bounds(edges, k_red, k_blue, alpha):
-    # each sits exactly at the bound that decides its row of the test above
-    g = ColoredGraph(6, edges)
+    # each sits exactly at the bound that decides its row of the test above;
+    # the yellow star adds 1 to alpha* and keeps the certificate off
+    g = _beside_a_star(6, edges)
     sol, calls = _lp_calls(build_lp(g, k_red, k_blue))
     assert sol.objective == alpha == len(exact_optimum(g, k_red, k_blue)) and calls >= 1
 
@@ -718,7 +740,8 @@ def _has_fractional_edge(values):
 
 
 def test_fractional_routes_match_the_full_scan_on_the_lp_generator():
-    # the criterion-8 generator, at the optimum and at (2x + chi_M) / 3
+    # the criterion-8 generator, at the optimum and at (2x + chi_M) / 3;
+    # models the certificate decides have no LP round and are drawn past
     from test_acceptance import _random_instance
 
     rng = random.Random(4242)
@@ -727,6 +750,8 @@ def test_fractional_routes_match_the_full_scan_on_the_lp_generator():
         g = _random_instance(rng, n_lo=2, n_hi=10, max_edges=18)
         counts = g.color_counts()
         model = build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+        if _certified(model):
+            continue
         sol = _assert_routes_agree(model)
         if sol is None:
             continue
@@ -740,6 +765,7 @@ def test_fractional_routes_match_the_full_scan_on_the_lp_generator():
 
 
 def test_fractional_routes_match_the_full_scan_on_multigraphs():
+    # models the certificate decides have no LP round and are drawn past
     rng = random.Random(77)
     checked = 0
     while checked < 80:
@@ -749,6 +775,8 @@ def test_fractional_routes_match_the_full_scan_on_multigraphs():
         g = ColoredGraph(n, edges)
         counts = g.color_counts()
         model = build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+        if _certified(model):
+            continue
         sol = _assert_routes_agree(model)
         if sol is None:
             continue
@@ -781,8 +809,8 @@ def test_separation_rounds_match_the_full_scan_at_the_benchmark_size(monkeypatch
 
     monkeypatch.setattr(lpface, "_top_violated", counted)
     rng = random.Random(1)
-    for _ in range(100):
-        _assert_routes_agree(_benchmark_size_model(rng), purges=rounds)
+    for model in _uncertified(lambda: _benchmark_size_model(rng), 100):
+        _assert_routes_agree(model, purges=rounds)
     assert min(rounds.values()) >= 3, rounds
 
 
@@ -864,16 +892,18 @@ def test_dropped_rows_are_implied_and_the_first_set_is_kept():
     # the criterion-8 generator and graphs_small's largest graphs
     from test_acceptance import _random_instance
 
-    generator, benchmark = Counter(), Counter()
-    rng = random.Random(4242)
-    for _ in range(1000):
+    def drawn():
         g = _random_instance(rng, n_lo=2, n_hi=10, max_edges=18)
         counts = g.color_counts()
-        model = build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+        return build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+
+    generator, benchmark = Counter(), Counter()
+    rng = random.Random(4242)
+    for model in _uncertified(drawn, 1000):
         _assert_dropped_rows_are_implied(model, generator)
     rng = random.Random(11)
-    for _ in range(100):
-        _assert_dropped_rows_are_implied(_benchmark_size_model(rng), benchmark)
+    for model in _uncertified(lambda: _benchmark_size_model(rng), 100):
+        _assert_dropped_rows_are_implied(model, benchmark)
     for tally in (generator, benchmark):
         assert tally["rounds"] >= 20 and tally["dropped"] >= 30, (generator, benchmark)
 
@@ -923,14 +953,17 @@ def _multigraph_with_isolated_edges(rng):
 def test_dropped_degree_rows_hold_and_forced_edges_are_zero_at_every_round():
     # graphs_small's largest graphs, and multigraphs with parallel and
     # isolated edges, under requirements that are 0 for a color now and then
-    benchmark, multigraphs = Counter(), Counter()
-    rng = random.Random(31)
-    for _ in range(100):
-        _assert_presolve_holds(_benchmark_size_model(rng), benchmark)
-    for _ in range(300):
+    def drawn():
         g = _multigraph_with_isolated_edges(rng)
         counts = g.color_counts()
-        _assert_presolve_holds(build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1)), multigraphs)
+        return build_lp(g, rng.randrange(counts.red + 1), rng.randrange(counts.blue + 1))
+
+    benchmark, multigraphs = Counter(), Counter()
+    rng = random.Random(31)
+    for model in _uncertified(lambda: _benchmark_size_model(rng), 100):
+        _assert_presolve_holds(model, benchmark)
+    for model in _uncertified(drawn, 400):
+        _assert_presolve_holds(model, multigraphs)
     for tally in (benchmark, multigraphs):
         assert tally["points"] > 100 and tally["forced edges"] > 100, (benchmark, multigraphs)
         assert tally["tight dropped rows"] >= 40, (benchmark, multigraphs)
@@ -939,8 +972,9 @@ def test_dropped_degree_rows_hold_and_forced_edges_are_zero_at_every_round():
 def test_zero_requirements_pass_no_equality_row():
     # yellow triangle 0-1-2 and yellow edge 4-5; the red and blue edges are
     # forced to 0, so vertex 3 has no live edge and only vertex 4 of the
-    # pair 4, 5 keeps its row; the triangle's row takes 5/2 to 2
-    g = ColoredGraph(
+    # pair 4, 5 keeps its row; the triangle's row takes 5/2 to 2, and the
+    # star beside them adds 1
+    g = _beside_a_star(
         6, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (2, 3, "R"), (3, 4, "B"), (4, 5, "Y"), (3, 5, "R")]
     )
     calls = []
@@ -953,8 +987,8 @@ def test_zero_requirements_pass_no_equality_row():
         mp.setattr(lpface, "solve_standard_form", recorded)
         sol = solve_lp(build_lp(g, 0, 0))
     degree_rows = [([(0, 1), (2, 1)], 1), ([(0, 1), (1, 1)], 1), ([(1, 1), (2, 1)], 1), ([(5, 1)], 1)]
-    assert calls == [([1, 1, 1, 0, 0, 1, 0], degree_rows, [])] * 2
-    assert sol.objective == 2 == len(exact_optimum(g, 0, 0))
+    assert calls == [([1, 1, 1, 0, 0, 1, 0, 1, 1, 1], degree_rows, [])] * 2
+    assert sol.objective == 3 == len(exact_optimum(g, 0, 0))
     assert [sol.x[e] for e in (3, 4, 6)] == [0, 0, 0]
 
 
@@ -962,10 +996,11 @@ def test_a_vertex_whose_edges_all_reach_one_neighbour_loses_its_row():
     # vertex 1's two parallel edges and vertex 4's edge end at vertices
     # whose rows hold them; vertices 0 and 5 are joined only to each other,
     # by two parallel edges listed from 5, and only 0, the lower, keeps its
-    # row, ahead of the others
-    g = ColoredGraph(6, [(5, 0, "R"), (0, 5, "Y"), (1, 2, "Y"), (2, 1, "R"), (2, 3, "Y"), (3, 4, "B")])
+    # row, ahead of the others; of the star beside them only its centre 6
+    # keeps a row
+    g = _beside_a_star(6, [(5, 0, "R"), (0, 5, "Y"), (1, 2, "Y"), (2, 1, "R"), (2, 3, "Y"), (3, 4, "B")])
     model = build_lp(g, 1, 1)
-    assert _kept_degree_rows(model) == [0, 2, 3]
+    assert _kept_degree_rows(model) == [0, 2, 3, 6]
     calls = []
 
     def recorded(*lp, start=None):
@@ -975,15 +1010,20 @@ def test_a_vertex_whose_edges_all_reach_one_neighbour_loses_its_row():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpface, "solve_standard_form", recorded)
         sol = solve_lp(model)
-    degree_rows = [([(0, 1), (1, 1)], 1), ([(2, 1), (3, 1), (4, 1)], 1), ([(4, 1), (5, 1)], 1)]
+    degree_rows = [
+        ([(0, 1), (1, 1)], 1),
+        ([(2, 1), (3, 1), (4, 1)], 1),
+        ([(4, 1), (5, 1)], 1),
+        ([(6, 1), (7, 1), (8, 1)], 1),
+    ]
     assert calls == [(degree_rows, [([(0, 1), (3, 1)], 1), ([(5, 1)], 1)])]
-    assert sol.objective == 3 == len(exact_optimum(g, 1, 1))
+    assert sol.objective == 4 == len(exact_optimum(g, 1, 1))
 
 
 def test_separation_raises_when_a_round_offers_only_implied_sets(monkeypatch):
     # the half-integral triangle next to a unit edge, ranked as if only
     # their union, where vertex 4 has one neighbour, were violated
-    g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
+    g = _beside_a_star(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
     monkeypatch.setattr(lpface, "_top_violated", lambda violated, unit_pairs, limit: [(0b11111, 2, 1)])
     with pytest.raises(InvariantError, match="only implied odd sets"):
         solve_lp(build_lp(g, 1, 0))
@@ -1065,27 +1105,31 @@ def test_separation_on_a_half_integral_triangle_next_to_a_unit_edge(monkeypatch)
     # and x = 1 on 3-4, joined to it by the zero edge 2-3; {0, 1, 2} and
     # {0, 1, 2, 3, 4} are violated by as much, but vertex 4's only neighbour
     # in the union is 3, so only the triangle is activated; vertex 4's
-    # degree row is implied by vertex 3's, so the LP has 4 degree rows
-    g = ColoredGraph(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
+    # degree row is implied by vertex 3's.  The star beside them, at x = 1
+    # on 5-6, adds two more unions, implied too (6 has one neighbour in
+    # them), and its centre's degree row: the LP has 5 degree rows
+    g = _beside_a_star(5, [(0, 1, "Y"), (1, 2, "Y"), (0, 2, "Y"), (3, 4, "R"), (2, 3, "Y")])
     model = build_lp(g, 1, 0)
     first = _reference_lp(model, [])
-    assert list(first.values) == [Fraction(1, 2)] * 3 + [1, 0]
+    assert list(first.values) == [Fraction(1, 2)] * 3 + [1, 0] + [1, 0, 0]
     assert [mask for mask, _, _ in _odd_sets(*_scaled(g, first.values), tight=False)] == [
-        0b00111,
-        0b11111,
+        0b0000111,
+        0b0011111,
+        0b1100111,
+        0b1111111,
     ]
     rounds = []
 
     def recorded(*lp, start=None):
-        rounds.append(lp[2][4:])
+        rounds.append(lp[2][5:])
         return solve_standard_form(*lp, start=start)
 
     monkeypatch.setattr(lpface, "solve_standard_form", recorded)
     sol = solve_lp(model)
     assert rounds == [[], [([(0, 1), (1, 1), (2, 1)], 1)]]
-    assert sol.objective == 2
+    assert sol.objective == 3
     monkeypatch.undo()
-    assert _assert_routes_agree(model).objective == 2
+    assert _assert_routes_agree(model).objective == 3
 
 
 def test_separation_raises_when_a_round_would_reactivate_a_row(monkeypatch):
@@ -1143,16 +1187,17 @@ def test_an_integral_optimum_builds_no_support(monkeypatch):
 @pytest.mark.parametrize(
     "x, d, integral",
     [
-        ([3, 0, 3, 0, 3], 3, True),  # d > 1, every x_e in {0, d}
-        ([0, 0, 0, 0, 0], 7, True),  # the empty matching
-        ([1, 1, 1, 1, 2], 2, False),  # x_e = d beside 0 < x_e < d
+        ([3, 0, 3, 0, 3, 0, 0, 0], 3, True),  # d > 1, every x_e in {0, d}
+        ([0, 0, 0, 0, 0, 0, 0, 0], 7, True),  # the empty matching
+        ([1, 1, 1, 1, 2, 0, 0, 0], 2, False),  # x_e = d beside 0 < x_e < d
     ],
     ids=["integral-d3", "empty", "mixed"],
 )
 def test_the_integrality_test_reads_the_lp_integers(monkeypatch, x, d, integral):
-    # a 4-cycle and a separate edge; the mixed point is the 4-cycle at 1/2,
-    # which violates no odd set, beside the unit edge
-    g = ColoredGraph(6, [(0, 1, "R"), (1, 2, "B"), (2, 3, "R"), (3, 0, "B"), (4, 5, "Y")])
+    # a 4-cycle and a separate edge, beside a star that keeps the
+    # certificate off; the mixed point is the 4-cycle at 1/2, which violates
+    # no odd set, beside the unit edge
+    g = _beside_a_star(6, [(0, 1, "R"), (1, 2, "B"), (2, 3, "R"), (3, 0, "B"), (4, 5, "Y")])
     point = LPResult(x, sum(x), d)
     built = []
 
@@ -1491,3 +1536,55 @@ def test_top_violated_builds_only_the_unions_it_reads():
         tracemalloc.stop()
     assert ranked == expected
     assert peak < 1_000_000  # every union of the 20 pairs is 2^20 tuples
+
+
+def test_a_certified_optimum_is_a_maximum_matching_with_the_exact_profile():
+    # criterion-7 requests: whenever solve_lp answers without the simplex,
+    # the answer is a maximum matching with the required profile over d = 1
+    # and carries no tableau; and the certificate decides a good share of
+    # the feasible requests, so that one that never fires fails here
+    from test_acceptance import _random_instance, _random_matching_profile
+
+    rng = random.Random(3407)
+    feasible = certified = 0
+    for _ in range(1000):
+        g = _random_instance(rng)
+        kr, kb = _random_matching_profile(rng, g)
+        sol, calls = _lp_calls(build_lp(g, kr, kb))
+        feasible += sol is not None
+        if sol is None or calls:
+            continue
+        certified += 1
+        matching = {e for e, x in enumerate(sol.x) if x}
+        assert sol.d == 1 and set(sol.x) <= {0, 1} and sol.tableau is None
+        assert validate_matching(g, matching) and color_profile(g, matching).rb == (kr, kb)
+        assert sol.value == len(matching) == len(exact_optimum(g, kr, kb))
+    assert certified >= 0.35 * feasible, (certified, feasible)
+
+
+@pytest.mark.parametrize(
+    "n, edges, k_red, k_blue, alpha, certified",
+    [
+        # a yellow 5-cycle: |V_live| = 5 is odd, and its blossom row caps
+        # alpha* at 2, which two edges reach
+        (5, [(0, 1, "Y"), (1, 2, "Y"), (2, 3, "Y"), (3, 4, "Y"), (4, 0, "Y")], 0, 0, 2, True),
+        # the red middle edge of a Y-R-Y path meets the counts but leaves the
+        # path's two ends uncovered, so the bound 2 is not reached
+        (4, [(0, 1, "Y"), (1, 2, "R"), (2, 3, "Y")], 1, 0, 1, False),
+        # the red pendants at 2 and 3 are forced to 0 under k_red = 0, so 2
+        # and 3 are not live and the one yellow edge covers V_live
+        (4, [(0, 1, "Y"), (0, 2, "R"), (1, 3, "R")], 0, 0, 1, True),
+        # a 4-cycle R-B-B-B: every edge has degree sum 4, so the greedy takes
+        # blue 1-2 first, and the red edge 0-1 is blocked at 1
+        (4, [(1, 2, "B"), (2, 3, "B"), (3, 0, "B"), (0, 1, "R")], 1, 1, 2, False),
+    ],
+    ids=["odd-cycle", "bound-missed", "forced-pendants", "count-missed"],
+)
+def test_the_certificate_at_its_boundaries(n, edges, k_red, k_blue, alpha, certified):
+    g = ColoredGraph(n, edges)
+    sol, calls = _lp_calls(build_lp(g, k_red, k_blue))
+    assert sol.objective == alpha == len(exact_optimum(g, k_red, k_blue))
+    assert (calls == 0) == certified == (sol.tableau is None)
+    if certified:
+        matching = {e for e, x in enumerate(sol.x) if x}
+        assert sol.d == 1 and color_profile(g, matching).rb == (k_red, k_blue)

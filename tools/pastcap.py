@@ -6,15 +6,19 @@ Graph n has each vertex pair as an edge with probability 0.15, shuffled and
 cut to at most 2n edges, random colors, and both requirements drawn from
 2..6, all from ``Random(f"pastcap:{SEED}:{n}")``.  Each request runs through
 ``driver.solve`` under ``OracleCap(128, 400)`` and is checked by
-``driver.verify``.  One line per graph gives ``alpha*``, the separation
-rounds (LPs after the first), the LP calls, the simplex pivots and how many
-of them had a pivot element other than +-d (``off_d``, the pivots that
-rewrite every row), the rows purged, the rows re-activated (appended with
-the edges and rhs of a row an earlier round purged), the CPU seconds in
-``lpface.solve_lp`` and in the whole solve, and the answer size; a summary
-line follows with the totals of the LP calls, pivots, ``off_d`` pivots, rows
-purged, rows re-activated and LP CPU seconds, and the slowest graph.  ``--src`` imports the library from another checkout's
-``src`` directory, to compare two versions on one set.
+``driver.verify``.  One line per graph gives ``alpha*``, the step that
+decided the solve (``screen``: the count screen found it infeasible;
+``certificate``: a greedy matching reached the LP's upper bound;
+``simplex``: the LP ran), the separation rounds (LPs after the first, 0 with
+no LP), the LP calls, the simplex pivots and how many of them had a pivot
+element other than +-d (``off_d``, the pivots that rewrite every row), the
+rows purged, the rows re-activated (appended with the edges and rhs of a row
+an earlier round purged), the CPU seconds in ``lpface.solve_lp`` and in the
+whole solve, and the answer size; a summary line follows with the totals of
+the LP calls, pivots, ``off_d`` pivots, rows purged, rows re-activated and
+LP CPU seconds, the number of solves decided without the simplex, and the
+slowest graph.  ``--src`` imports the library from another checkout's ``src``
+directory, to compare two versions on one set.
 
 The process limits its own address space to 3 GB (``RLIMIT_AS``) and each
 solve to ``TIMEOUT_S`` seconds of wall time (``SIGALRM``); a solve past
@@ -128,7 +132,7 @@ def main(argv=None) -> int:
     from rbymatch.oracle import OracleCap
 
     cap = OracleCap(128, 400)
-    bad = pivots = off_d = lp_calls = purged = reactivated = 0
+    bad = pivots = off_d = lp_calls = purged = reactivated = no_simplex = 0
     total_lp = slowest = 0.0
     slowest_n = None
     for n in args.sizes:
@@ -159,6 +163,8 @@ def main(argv=None) -> int:
         reactivated += counter.reactivated
         if counter.lp_s >= slowest:
             slowest, slowest_n = counter.lp_s, n
+        step = "simplex" if counter.calls else "screen" if report is None else "certificate"
+        no_simplex += not counter.calls
         if report is None:
             answer = "alpha*=infeasible"
         else:
@@ -166,13 +172,13 @@ def main(argv=None) -> int:
             bad += not ok
             answer = f"alpha*={report.alpha_star} size={len(report.matching)} {'ok' if ok else 'VERIFY FAILED'}"
         print(
-            f"{head} {answer} rounds={counter.calls - 1} lp_calls={counter.calls} "
+            f"{head} {answer} step={step} rounds={max(counter.calls - 1, 0)} lp_calls={counter.calls} "
             f"pivots={counter.pivots} off_d={counter.off_d} purged={counter.purged} reactivated={counter.reactivated} lp_cpu_s={counter.lp_s:.3f} solve_cpu_s={solve_s:.3f}",
             flush=True,
         )
     print(
         f"total lp_calls={lp_calls} pivots={pivots} off_d={off_d} purged={purged} reactivated={reactivated} "
-        f"lp_cpu_s={total_lp:.3f} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}"
+        f"lp_cpu_s={total_lp:.3f} no_simplex={no_simplex} slowest lp_cpu_s={slowest:.3f} (n={slowest_n}) failures={bad}"
     )
     return 1 if bad else 0
 
